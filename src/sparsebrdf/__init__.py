@@ -6,71 +6,4 @@ directions with SOMP over the dictionary inverse, then recover full BRDFs
 from measurements at those directions by ridge regression.
 """
 
-from .dictionary import (
-    DictionaryBundle,
-    PcaDictionary,
-    TrainingMatrix,
-    assemble_training_matrix,
-    dictionary_pseudo_inverse,
-    load_bundle,
-    save_bundle,
-    train_pca,
-)
-from .evaluate import (
-    ExperimentConfig,
-    ExperimentReport,
-    FoldPlan,
-    SyntheticCorpusSpec,
-    brute_force_support,
-    inverse_mse,
-    kfold_split,
-    mse_mapped,
-    random_baseline,
-    run_experiment,
-    snr_db,
-)
-from .mapping import (
-    DEFAULT_EPSILON,
-    MappedBrdf,
-    ReferenceBrdf,
-    compute_reference,
-    log_relative_map,
-    log_relative_unmap,
-)
-from .merl import (
-    BrdfResolution,
-    BrdfTensor,
-    HalfAngleDirection,
-    RowMap,
-    corpus_mask,
-    direction_to_index,
-    index_to_direction,
-    read_merl,
-    validity_mask,
-    write_merl,
-)
-from .reconstruct import (
-    DEFAULT_ETA,
-    MeasurementVector,
-    ReconstructionResult,
-    measure,
-    reconstruct_full,
-    ridge_solve,
-    synthesize,
-)
-from .somp import (
-    ErrorThreshold,
-    SampleBudget,
-    SubsamplingOperator,
-    SupportSet,
-    atom_select,
-    build_subsampling_operator,
-    cumulative_coherence,
-    residual_update,
-    somp_residual_bound,
-    somp_select,
-    support_to_directions,
-)
-from .synthetic import MaterialSpec, gen_brdf, gen_corpus
-
 __version__ = "0.1.0"

@@ -17,36 +17,30 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import hashlib
 import json
 import os
 import sys
 from pathlib import Path
 
 from . import evaluate as ev
-from .dictionary import (
-    DictionaryBundle,
-    assemble_training_matrix,
-    load_bundle,
-    save_bundle,
-    train_pca,
-)
+from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
-from .mapping import DEFAULT_EPSILON, compute_reference, log_relative_map
+from .mapping import DEFAULT_EPSILON, log_relative_map
 from .merl import BrdfResolution, corpus_mask, read_merl, write_merl
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full
 from .somp import (
+    SUPPORT_RECORD_VERSION,
     ErrorThreshold,
     SampleBudget,
     SupportSet,
     cumulative_coherence,
     direction_table,
+    read_support_record,
     somp_select,
+    support_record_fields,
     support_to_directions,
 )
 from .synthetic import gen_corpus
-
-SUPPORT_RECORD_VERSION = 1
 
 # default parent directory for artifacts when --out is omitted
 OUT_ENV = "SPARSEBRDF_OUT"
@@ -71,13 +65,6 @@ def _parse_res(text: str) -> BrdfResolution:
     return BrdfResolution(*parts)
 
 
-def _load_corpus_dir(path: Path):
-    files = sorted(path.glob("*.binary"))
-    if not files:
-        raise ConfigError(f"no .binary MERL files under {path}")
-    return [(p.stem, read_merl(p)) for p in files]
-
-
 def cmd_gen_corpus(args) -> int:
     res = _parse_res(args.res)
     out = _resolve_out(args.out, "corpus")
@@ -100,42 +87,25 @@ def cmd_gen_corpus(args) -> int:
     return 0
 
 
-def _corpus_from_args(args):
-    if args.corpus:
-        return _load_corpus_dir(Path(args.corpus))
-    res = _parse_res(args.res)
-    return [(s.material_id, b) for s, b in
-            gen_corpus(args.synthetic_seed, args.synthetic_count, res)]
-
-
 def cmd_train_dict(args) -> int:
-    corpus = _corpus_from_args(args)
+    synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
+        args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
+    corpus = ev.load_corpus(args.corpus, synthetic)
     ids = [mid for mid, _ in corpus]
-    row_map = corpus_mask(b for _, b in corpus)
-    reference = compute_reference(
-        (b for _, b in corpus), row_map,
-        epsilon=args.epsilon, statistic=args.statistic,
-    )
-    mapped = [log_relative_map(b, reference, row_map) for _, b in corpus]
-    matrix = assemble_training_matrix(mapped, ids, row_map)
-    _log(f"training matrix: {matrix.entries.shape[0]} x {matrix.n_signals}")
-    pca = train_pca(matrix, args.k)
     snapshot = {"k": args.k, "epsilon": args.epsilon, "statistic": args.statistic,
                 "materials": ids}
-    bundle = DictionaryBundle(
-        pca=pca, row_map=row_map, reference=reference,
-        material_ids=tuple(ids),
-        config_hash=_hash_snapshot(snapshot),
+    bundle = train_bundle(
+        corpus, corpus_mask(b for _, b in corpus), args.k,
+        epsilon=args.epsilon, statistic=args.statistic,
+        config_hash=ev.snapshot_hash(snapshot),
     )
+    pca = bundle.pca
+    _log(f"training matrix: {pca.n_rows} x {pca.n_signals}")
     out = _resolve_out(args.out, "bundle")
     save_bundle(bundle, out)
     print(json.dumps({"bundle": str(out), "digest": bundle.digest,
                       "atoms": pca.n_atoms, "rows": pca.n_rows}))
     return 0
-
-
-def _hash_snapshot(snapshot: dict) -> str:
-    return hashlib.sha256(json.dumps(snapshot, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def cmd_select_samples(args) -> int:
@@ -144,36 +114,29 @@ def cmd_select_samples(args) -> int:
         stop = ErrorThreshold(args.threshold, args.max_iters)
     else:
         stop = SampleBudget(args.m)
-        if args.m <= bundle.pca.n_atoms:
-            bundle = bundle.truncate(args.m)
+        bundle = bundle.for_budget(args.m)
     support = somp_select(
         bundle.pca.inverse, bundle.pca.coeffs, stop,
         normalize_atoms=args.normalize_atoms,
     )
-    directions = support_to_directions(support, bundle.row_map)
     record = {
         "version": SUPPORT_RECORD_VERSION,
-        "m": len(support),
-        "rows": list(support.indices),
-        "grid": [int(bundle.row_map.grid_indices[r]) for r in support.indices],
-        "directions_deg": [[round(v, 3) for v in d.degrees()] for d in directions],
-        "residual_history": [float(r) for r in support.residual_history],
+        **support_record_fields(support, bundle.row_map),
         "bundle_digest": bundle.digest,
         "normalize_atoms": args.normalize_atoms,
     }
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2))
         _log(f"support written to {args.out}")
-    _log(direction_table(directions))
+    _log(direction_table(support_to_directions(support, bundle.row_map)))
     print(json.dumps(record))
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     bundle = load_bundle(args.dict)
-    record = json.loads(Path(args.support).read_text())
-    if record["m"] <= bundle.pca.n_atoms:
-        bundle = bundle.truncate(record["m"])
+    record = read_support_record(args.support)
+    bundle = bundle.for_budget(record["m"])
     if record["bundle_digest"] != bundle.digest:
         raise ConfigError(
             f"support record was computed against bundle {record['bundle_digest']}, "
@@ -181,7 +144,7 @@ def cmd_reconstruct(args) -> int:
         )
     brdf = read_merl(args.brdf)
     mapped = log_relative_map(brdf, bundle.reference, bundle.row_map)
-    support = SupportSet(indices=[int(r) for r in record["rows"]])
+    support = SupportSet(indices=record["rows"])
     samples = measure(mapped, support, material_id=Path(args.brdf).stem)
     result = reconstruct_full(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
@@ -198,6 +161,22 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
+# INI (section, key) -> (ExperimentConfig field, ConfigParser getter)
+_INI_OPTIONS = {
+    ("mapping", "epsilon"): ("epsilon", "getfloat"),
+    ("mapping", "statistic"): ("reference_statistic", "get"),
+    ("dictionary", "k_policy"): ("k_policy", "get"),
+    ("dictionary", "k_fixed"): ("k_fixed", "getint"),
+    ("selection", "eta"): ("eta", "getfloat"),
+    ("selection", "normalize_atoms"): ("normalize_atoms", "getboolean"),
+    ("experiment", "folds"): ("folds", "getint"),
+    ("experiment", "seed"): ("seed", "getint"),
+    ("experiment", "random_trials"): ("random_trials", "getint"),
+    ("output", "threads"): ("threads", "getint"),
+    ("output", "dir"): ("_out_dir", "get"),
+}
+
+
 def _config_from_ini(path: Path) -> dict:
     parser = configparser.ConfigParser()
     if not path.exists():
@@ -205,9 +184,6 @@ def _config_from_ini(path: Path) -> dict:
     parser.read(path)
     raw: dict = {}
     get = parser.get
-
-    def has(section, key):
-        return parser.has_option(section, key)
 
     if parser.has_section("corpus"):
         source = get("corpus", "source", fallback="synthetic")
@@ -222,53 +198,28 @@ def _config_from_ini(path: Path) -> dict:
             )
         else:
             raise ConfigError(f"unknown corpus source {source!r}")
-    if has("mapping", "epsilon"):
-        raw["epsilon"] = parser.getfloat("mapping", "epsilon")
-    if has("mapping", "statistic"):
-        raw["reference_statistic"] = get("mapping", "statistic")
-    if has("dictionary", "k_policy"):
-        raw["k_policy"] = get("dictionary", "k_policy")
-    if has("dictionary", "k_fixed"):
-        raw["k_fixed"] = parser.getint("dictionary", "k_fixed")
-    if has("selection", "m"):
+    for (section, key), (name, getter) in _INI_OPTIONS.items():
+        if parser.has_option(section, key):
+            raw[name] = getattr(parser, getter)(section, key)
+    if parser.has_option("selection", "m"):
         raw["m_values"] = tuple(int(v) for v in get("selection", "m").split(","))
-    if has("selection", "eta"):
-        raw["eta"] = parser.getfloat("selection", "eta")
-    if has("selection", "normalize_atoms"):
-        raw["normalize_atoms"] = parser.getboolean("selection", "normalize_atoms")
     if get("selection", "stop", fallback="budget") == "threshold":
         raw["stop_threshold"] = parser.getfloat("selection", "threshold")
-        if has("selection", "max_iters"):
+        if parser.has_option("selection", "max_iters"):
             raw["stop_max_iters"] = parser.getint("selection", "max_iters")
-    if has("experiment", "folds"):
-        raw["folds"] = parser.getint("experiment", "folds")
-    if has("experiment", "seed"):
-        raw["seed"] = parser.getint("experiment", "seed")
-    if has("experiment", "random_trials"):
-        raw["random_trials"] = parser.getint("experiment", "random_trials")
-    if has("output", "threads"):
-        raw["threads"] = parser.getint("output", "threads")
-    if has("output", "dir"):
-        raw["_out_dir"] = get("output", "dir")
     return raw
 
 
 def cmd_evaluate(args) -> int:
     raw = _config_from_ini(Path(args.config)) if args.config else {}
-    out_dir = Path(args.out or raw.pop("_out_dir", None)
-                   or os.environ.get(OUT_ENV, "out"))
-    raw.pop("_out_dir", None)
+    ini_out = raw.pop("_out_dir", None)
+    out_dir = Path(args.out or ini_out or os.environ.get(OUT_ENV, "out"))
     # flags override file values
-    if args.threads is not None:
-        raw["threads"] = args.threads
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    if args.folds is not None:
-        raw["folds"] = args.folds
+    for key in ("threads", "seed", "folds", "random_trials"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
     if args.m is not None:
         raw["m_values"] = tuple(int(v) for v in args.m.split(","))
-    if args.random_trials is not None:
-        raw["random_trials"] = args.random_trials
     try:
         config = ev.ExperimentConfig(**raw)
     except TypeError as exc:

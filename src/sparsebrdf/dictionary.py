@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
+    BundleFormatError,
     ConfigError,
     InconsistentCorpusError,
     InvalidKError,
-    SingularMatrixError,
 )
-from .mapping import ReferenceBrdf
+from .mapping import DEFAULT_EPSILON, ReferenceBrdf, compute_reference, log_relative_map
 from .merl import BrdfResolution, RowMap
 
 CHANNEL_NAMES = ("R", "G", "B")
@@ -175,23 +176,6 @@ def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
     )
 
 
-def dictionary_pseudo_inverse(d: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a full-rank dictionary.
-
-    Accepts either orientation: full column rank (tall/orthogonal case) or
-    full row rank (overcomplete case).  Raises when the smallest singular
-    value falls below rank_tol relative to the largest.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    u, sigma, vt = np.linalg.svd(d, full_matrices=False)
-    if sigma[0] == 0.0 or sigma[-1] < rank_tol * sigma[0]:
-        raise SingularMatrixError(
-            f"matrix of shape {d.shape} is rank deficient "
-            f"(sigma ratio {sigma[-1] / sigma[0] if sigma[0] else 0.0:.2e})"
-        )
-    return (vt.T / sigma) @ u.T
-
-
 @dataclass(frozen=True)
 class DictionaryBundle:
     """Everything needed to select samples and reconstruct: the trained
@@ -203,8 +187,9 @@ class DictionaryBundle:
     material_ids: tuple
     config_hash: str = ""
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        """Content hash of the arrays; computed once per bundle object."""
         h = hashlib.sha256()
         for arr in (
             self.pca.mean,
@@ -219,13 +204,36 @@ class DictionaryBundle:
         return h.hexdigest()[:16]
 
     def truncate(self, k: int) -> "DictionaryBundle":
-        return DictionaryBundle(
-            pca=self.pca.truncate(k),
-            row_map=self.row_map,
-            reference=self.reference,
-            material_ids=self.material_ids,
-            config_hash=self.config_hash,
-        )
+        return replace(self, pca=self.pca.truncate(k))
+
+    def for_budget(self, m: int) -> "DictionaryBundle":
+        """The bundle a budget of m samples works with: the m leading atoms
+        when m <= k, all k atoms otherwise."""
+        return self.truncate(m) if m <= self.pca.n_atoms else self
+
+
+def train_bundle(corpus, row_map: RowMap, k: int, *,
+                 epsilon: float = DEFAULT_EPSILON, statistic: str = "median",
+                 config_hash: str = "") -> DictionaryBundle:
+    """Train a k-atom bundle from (material_id, BrdfTensor) pairs.
+
+    The mapping reference is computed from the same materials the dictionary
+    is trained on.
+    """
+    corpus = list(corpus)
+    ids = [mid for mid, _ in corpus]
+    reference = compute_reference(
+        (b for _, b in corpus), row_map, epsilon=epsilon, statistic=statistic
+    )
+    mapped = [log_relative_map(b, reference, row_map) for _, b in corpus]
+    matrix = assemble_training_matrix(mapped, ids, row_map)
+    return DictionaryBundle(
+        pca=train_pca(matrix, k),
+        row_map=row_map,
+        reference=reference,
+        material_ids=tuple(ids),
+        config_hash=config_hash,
+    )
 
 
 BUNDLE_VERSION = 1
@@ -282,7 +290,14 @@ def load_bundle(directory) -> DictionaryBundle:
         raise ConfigError(f"unsupported bundle version {manifest['version']}")
     arrays = {}
     for name, meta in manifest["arrays"].items():
-        data = np.fromfile(directory / f"{name}.bin", dtype=meta["dtype"])
+        path = directory / f"{name}.bin"
+        data = np.fromfile(path, dtype=meta["dtype"])
+        expected = int(np.prod(meta["shape"]))
+        if data.size != expected:
+            raise BundleFormatError(
+                f"{path}: holds {data.size} elements, manifest shape "
+                f"{meta['shape']} needs {expected}"
+            )
         arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"))
     sigma = arrays["sigma"]
     atoms = arrays["atoms"]

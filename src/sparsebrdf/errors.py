@@ -9,6 +9,10 @@ class MerlFormatError(SparseBrdfError):
     """Malformed MERL file: bad header dimensions or payload length."""
 
 
+class BundleFormatError(SparseBrdfError):
+    """A dictionary bundle file disagrees with its manifest."""
+
+
 class DomainError(SparseBrdfError, ValueError):
     """An angle or grid index lies outside its admissible range."""
 

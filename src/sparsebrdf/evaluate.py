@@ -21,12 +21,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .dictionary import DictionaryBundle, assemble_training_matrix, train_pca
+from .dictionary import CHANNEL_NAMES, train_bundle
 from .errors import (
     ConfigError,
     InvalidKError,
@@ -35,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
     TooLargeError,
 )
-from .mapping import DEFAULT_EPSILON, MappedBrdf, compute_reference, log_relative_map
+from .mapping import DEFAULT_EPSILON, MappedBrdf, log_relative_map
 from .merl import BrdfResolution, corpus_mask, read_merl
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full
 from .somp import (
@@ -43,7 +43,7 @@ from .somp import (
     SampleBudget,
     SupportSet,
     somp_select,
-    support_to_directions,
+    support_record_fields,
 )
 from .synthetic import gen_corpus
 
@@ -58,10 +58,8 @@ def _stream_seed(seed: int, *tags: int) -> int:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Disjoint test folds covering the corpus, deterministic under seed."""
+    """Disjoint test folds covering the corpus, as kfold_split draws them."""
 
-    k: int
-    seed: int
     folds: tuple
 
     def train_ids(self, fold: int, all_ids) -> list:
@@ -78,7 +76,7 @@ def kfold_split(ids, k: int, seed: int) -> FoldPlan:
     folds = tuple(
         tuple(ids[i] for i in chunk) for chunk in np.array_split(perm, k)
     )
-    return FoldPlan(k=k, seed=seed, folds=folds)
+    return FoldPlan(folds=folds)
 
 
 def mse_mapped(a: MappedBrdf, b: MappedBrdf) -> float:
@@ -200,22 +198,9 @@ class ExperimentConfig:
         return m if self.k_policy == "coupled" else int(self.k_fixed)
 
     def snapshot(self) -> dict:
-        snap = {
-            "corpus_dir": self.corpus_dir,
-            "synthetic": None,
-            "epsilon": self.epsilon,
-            "reference_statistic": self.reference_statistic,
-            "m_values": list(self.m_values),
-            "k_policy": self.k_policy,
-            "k_fixed": self.k_fixed,
-            "eta": self.eta,
-            "stop_threshold": self.stop_threshold,
-            "stop_max_iters": self.stop_max_iters,
-            "folds": self.folds,
-            "seed": self.seed,
-            "random_trials": self.random_trials,
-            "normalize_atoms": self.normalize_atoms,
-        }
+        """Every field but the worker count, which cannot change results."""
+        snap = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        snap["m_values"] = list(self.m_values)
         if self.synthetic is not None:
             res = self.synthetic.resolution
             snap["synthetic"] = {
@@ -226,8 +211,13 @@ class ExperimentConfig:
         return snap
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.snapshot(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return snapshot_hash(self.snapshot())
+
+
+def snapshot_hash(snapshot: dict) -> str:
+    """Short stable hash of a JSON-serializable configuration snapshot."""
+    blob = json.dumps(snapshot, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @dataclass
@@ -235,9 +225,12 @@ class ExperimentReport:
     """Per fold x material x m x method records plus the supports used."""
 
     config: dict
-    config_hash: str
     rows: list
     supports: list
+
+    @property
+    def config_hash(self) -> str:
+        return snapshot_hash(self.config)
 
     def to_jsonl(self, path) -> None:
         path = Path(path)
@@ -278,25 +271,18 @@ class ExperimentReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_corpus(config: ExperimentConfig):
-    """Materialize the corpus as a list of (material_id, BrdfTensor)."""
-    if config.synthetic is not None:
-        spec = config.synthetic
+def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
+    """Materialize the corpus as a list of (material_id, BrdfTensor): generated
+    from the synthetic spec if one is given, else read from corpus_dir."""
+    if synthetic is not None:
         return [
             (s.material_id, b)
-            for s, b in gen_corpus(spec.seed, spec.count, spec.resolution)
+            for s, b in gen_corpus(synthetic.seed, synthetic.count, synthetic.resolution)
         ]
-    paths = sorted(Path(config.corpus_dir).glob("*.binary"))
+    paths = sorted(Path(corpus_dir).glob("*.binary"))
     if not paths:
-        raise ConfigError(f"no .binary MERL files under {config.corpus_dir}")
+        raise ConfigError(f"no .binary MERL files under {corpus_dir}")
     return [(p.stem, read_merl(p)) for p in paths]
-
-
-def _evaluate_one(mapped_true, support, bundle, eta):
-    samples = measure(mapped_true, support)
-    recon = reconstruct_full(samples, bundle, eta=eta)
-    mse = mse_mapped(mapped_true, recon.mapped)
-    return mse, snr_db(mapped_true, recon.mapped)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -308,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     each support.  Tasks are pure, so worker threads only change wall time,
     never the records.
     """
-    corpus = load_corpus(config)
+    corpus = load_corpus(config.corpus_dir, config.synthetic)
     ids = [mid for mid, _ in corpus]
     tensors = {mid: b for mid, b in corpus}
     row_map = corpus_mask(tensors.values())
@@ -316,74 +302,51 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     config_hash = config.config_hash()
 
     threshold_mode = config.stop_threshold is not None
-    k_list = ([config.k_fixed] if threshold_mode
-              else [config.k_for(m) for m in config.m_values])
+    k_max = config.k_fixed if threshold_mode else max(config.k_for(m) for m in config.m_values)
     supports = []
     tasks = []  # (sort_key, row_stub, (mapped, support, bundle))
 
-    for fold in range(plan.k):
-        test_ids = list(plan.folds[fold])
+    for fold, test_ids in enumerate(plan.folds):
         train_ids = plan.train_ids(fold, ids)
-        reference = compute_reference(
-            (tensors[i] for i in train_ids),
+        n_signals = len(CHANNEL_NAMES) * len(train_ids)
+        if k_max >= n_signals:
+            raise ConfigError(
+                f"k={k_max} needs more training signals than {n_signals}"
+            )
+        bundle_full = train_bundle(
+            ((i, tensors[i]) for i in train_ids),
             row_map,
+            k_max,
             epsilon=config.epsilon,
             statistic=config.reference_statistic,
-        )
-        mapped = {i: log_relative_map(tensors[i], reference, row_map) for i in ids}
-        matrix = assemble_training_matrix(
-            [mapped[i] for i in train_ids], train_ids, row_map
-        )
-        k_max = max(k_list)
-        if k_max >= matrix.n_signals:
-            raise ConfigError(
-                f"k={k_max} needs more training signals than {matrix.n_signals}"
-            )
-        bundle_full = DictionaryBundle(
-            pca=train_pca(matrix, k_max),
-            row_map=row_map,
-            reference=reference,
-            material_ids=tuple(train_ids),
             config_hash=config_hash,
         )
+        mapped = {
+            i: log_relative_map(tensors[i], bundle_full.reference, row_map)
+            for i in test_ids
+        }
 
-        selections = []
         if threshold_mode:
+            stops = [(bundle_full,
+                      ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
+        else:
+            stops = [(bundle_full.truncate(config.k_for(m)), SampleBudget(m))
+                     for m in config.m_values]
+        for bundle, stop in stops:
             t0 = time.perf_counter()
             support = somp_select(
-                bundle_full.pca.inverse,
-                bundle_full.pca.coeffs,
-                ErrorThreshold(config.stop_threshold, config.stop_max_iters),
+                bundle.pca.inverse,
+                bundle.pca.coeffs,
+                stop,
                 normalize_atoms=config.normalize_atoms,
             )
-            selections.append(
-                (len(support), bundle_full, support, time.perf_counter() - t0)
-            )
-        else:
-            for m in config.m_values:
-                bundle = bundle_full.truncate(config.k_for(m))
-                t0 = time.perf_counter()
-                support = somp_select(
-                    bundle.pca.inverse,
-                    bundle.pca.coeffs,
-                    SampleBudget(m),
-                    normalize_atoms=config.normalize_atoms,
-                )
-                selections.append((m, bundle, support, time.perf_counter() - t0))
-
-        for m, bundle, support, select_seconds in selections:
-            directions = support_to_directions(support, row_map)
+            select_seconds = time.perf_counter() - t0
+            m = len(support)
             supports.append({
                 "fold": fold,
-                "m": m,
                 "method": "somp",
-                "rows": list(support.indices),
-                "grid": [int(row_map.grid_indices[r]) for r in support.indices],
-                "directions_deg": [
-                    [round(v, 3) for v in d.degrees()] for d in directions
-                ],
+                **support_record_fields(support, row_map),
                 "initial_residual": float(np.linalg.norm(bundle.pca.coeffs)),
-                "residual_history": [float(r) for r in support.residual_history],
                 "seconds": select_seconds,
             })
 
@@ -411,7 +374,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         _, stub, (mapped_true, support, bundle) = task
         row = dict(stub)
         try:
-            mse, snr = _evaluate_one(mapped_true, support, bundle, config.eta)
+            recon = reconstruct_full(measure(mapped_true, support), bundle, eta=config.eta)
+            mse = mse_mapped(mapped_true, recon.mapped)
+            snr = snr_db(mapped_true, recon.mapped)
             inv = inverse_mse(mse)
             row.update({
                 "status": "ok",
@@ -435,7 +400,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         config=config.snapshot(),
-        config_hash=config_hash,
         rows=rows,
         supports=supports,
     )

@@ -102,16 +102,6 @@ def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> M
     return MappedBrdf(mapped, ref.key)
 
 
-def map_values(values: np.ndarray, ref: ReferenceBrdf) -> MappedBrdf:
-    """Map already-extracted dense-row reflectance values."""
-    if values.shape[-1] != ref.values.size:
-        raise ShapeMismatchError(
-            f"got {values.shape[-1]} rows, reference has {ref.values.size}"
-        )
-    mapped = np.log((values + ref.epsilon) / (ref.values + ref.epsilon))
-    return MappedBrdf(np.atleast_2d(mapped), ref.key)
-
-
 def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> np.ndarray:
     """Invert the mapping back to linear reflectance, clamped at zero.
 

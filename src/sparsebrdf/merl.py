@@ -96,9 +96,6 @@ class BrdfTensor:
         self.values.setflags(write=False)
         self.mask.setflags(write=False)
 
-    def valid_count(self) -> int:
-        return int(self.mask.sum())
-
 
 def read_merl(path) -> BrdfTensor:
     """Read a MERL binary file.
@@ -214,8 +211,7 @@ def bin_center_angles(res: BrdfResolution):
 class RowMap:
     """Bijection between dense matrix rows and valid grid cells.
 
-    grid_indices[r] is the grid index of dense row r (sorted ascending);
-    row_of_grid[g] is the dense row of grid index g, or -1 when invalid.
+    grid_indices[r] is the grid index of dense row r (sorted ascending).
     """
 
     resolution: BrdfResolution
@@ -228,23 +224,10 @@ class RowMap:
     def n_valid(self) -> int:
         return int(self.grid_indices.size)
 
-    def row_of_grid(self) -> np.ndarray:
-        inv = np.full(self.resolution.grid_size, -1, dtype=np.int64)
-        inv[self.grid_indices] = np.arange(self.n_valid, dtype=np.int64)
-        return inv
-
     def mask(self) -> np.ndarray:
         m = np.zeros(self.resolution.grid_size, dtype=bool)
         m[self.grid_indices] = True
         return m
-
-
-def validity_mask(brdf: BrdfTensor) -> RowMap:
-    """Row map over this tensor's own valid cells."""
-    idx = np.flatnonzero(brdf.mask).astype(np.int64)
-    if idx.size == 0:
-        raise EmptyMaskError("tensor has no valid cells")
-    return RowMap(brdf.resolution, idx)
 
 
 def corpus_mask(brdfs) -> RowMap:

@@ -43,10 +43,6 @@ class MeasurementVector:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class ReconstructionResult:
@@ -138,14 +134,10 @@ def reconstruct_full(
     samples: MeasurementVector,
     bundle: DictionaryBundle,
     eta: float = DEFAULT_ETA,
-    n_atoms_used: int | None = None,
 ) -> ReconstructionResult:
     """Ridge-fit each channel at the sampled rows, then synthesize.
 
-    By default min(m, k) leading atoms are used, matching the m = k
-    coupling; passing a smaller n_atoms_used is allowed but the ridge
-    regularizer is a poor sparsity surrogate in that regime, so treat it as
-    experimental.
+    The min(m, k) leading atoms are used, matching the m = k coupling.
     """
     if samples.provenance != bundle.reference.key:
         raise ProvenanceMismatchError(
@@ -155,10 +147,9 @@ def reconstruct_full(
     rows = list(samples.support.indices)
     if any(r < 0 or r >= pca.n_rows for r in rows):
         raise IndexOutOfRangeError("support indices outside dictionary rows")
-    m = len(rows)
-    k_used = min(m, pca.n_atoms) if n_atoms_used is None else n_atoms_used
-    if not 1 <= k_used <= pca.n_atoms:
-        raise ShapeMismatchError(f"n_atoms_used={k_used} outside [1, {pca.n_atoms}]")
+    if not rows:
+        raise IndexOutOfRangeError("empty support")
+    k_used = min(len(rows), pca.n_atoms)
     d_rows = pca.atoms[rows, :k_used]
     mean_rows = pca.mean[rows]
     coefficients = np.zeros((3, k_used))

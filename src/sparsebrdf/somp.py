@@ -16,15 +16,17 @@ smallest column index.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
-    IndexOutOfRangeError,
+    ConfigError,
     RankCollapseError,
     UnmappedRowError,
     ZeroColumnError,
@@ -34,7 +36,10 @@ from .merl import HalfAngleDirection, RowMap, index_to_direction
 # column block size for correlation scans; bounds memory at wide n
 _SCAN_BLOCK = 16384
 
+# a pick whose component outside earlier picks is below norm / this is dependent
 DEFAULT_COND_LIMIT = 1e12
+
+SUPPORT_RECORD_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,6 @@ class SupportSet:
 
     indices: list[int]
     residual_history: list[float] = field(default_factory=list)
-    directions: list[HalfAngleDirection] | None = None
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -81,35 +85,6 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.indices)
-
-
-@dataclass(frozen=True)
-class SubsamplingOperator:
-    """Row selection of the identity: keeps the listed entries, in order."""
-
-    rows: tuple
-    ambient_dim: int
-
-    def apply(self, signal: np.ndarray) -> np.ndarray:
-        signal = np.asarray(signal)
-        if signal.shape[0] != self.ambient_dim:
-            raise IndexOutOfRangeError(
-                f"signal has {signal.shape[0]} rows, operator expects {self.ambient_dim}"
-            )
-        return signal[list(self.rows)]
-
-    def as_matrix(self) -> np.ndarray:
-        phi = np.zeros((len(self.rows), self.ambient_dim))
-        phi[np.arange(len(self.rows)), list(self.rows)] = 1.0
-        return phi
-
-
-def build_subsampling_operator(support: SupportSet, ambient_dim: int) -> SubsamplingOperator:
-    if any(i < 0 or i >= ambient_dim for i in support.indices):
-        raise IndexOutOfRangeError(
-            f"support indices must lie in [0, {ambient_dim})"
-        )
-    return SubsamplingOperator(tuple(support.indices), ambient_dim)
 
 
 def _correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
@@ -134,33 +109,11 @@ def atom_select(dinv: np.ndarray, residual: np.ndarray, exclude=()) -> int:
     return int(np.argmax(scores))
 
 
-def residual_update(dinv: np.ndarray, support, coeffs: np.ndarray,
-                    cond_limit: float = DEFAULT_COND_LIMIT) -> np.ndarray:
-    """Project coeffs onto the orthogonal complement of the selected columns.
-
-    Computed from scratch with a dense QR; this is the reference form the
-    incremental update inside somp_select is checked against.
-    """
-    indices = list(support.indices if isinstance(support, SupportSet) else support)
-    if not indices:
-        return coeffs.copy()
-    basis = dinv[:, indices]
-    svals = np.linalg.svd(basis, compute_uv=False)
-    if svals[-1] == 0.0 or svals[0] / svals[-1] > cond_limit:
-        raise RankCollapseError(
-            f"selected columns are numerically dependent (cond > {cond_limit:.0e})"
-        )
-    q, _ = np.linalg.qr(basis)
-    return coeffs - q @ (q.T @ coeffs)
-
-
 def somp_select(
     dinv: np.ndarray,
     coeffs: np.ndarray,
     stop: StoppingRule,
     normalize_atoms: bool = False,
-    exact_update: bool = False,
-    cond_limit: float = DEFAULT_COND_LIMIT,
 ) -> SupportSet:
     """Greedy support selection over the columns of dinv.
 
@@ -172,8 +125,6 @@ def somp_select(
     normalize_atoms : scan correlations against unit-norm columns instead of
         raw ones.  Off by default; the projection step is unaffected either
         way since normalization does not change column spans.
-    exact_update : recompute the orthogonal factorization from scratch every
-        iteration (debug/oracle mode) instead of appending one column.
 
     Returns the ordered support with the residual Frobenius norm recorded
     after every iteration.
@@ -207,23 +158,19 @@ def somp_select(
             break
         j = atom_select(scan_dinv, residual, exclude=selected)
         selected.append(j)
-        if exact_update:
-            residual = residual_update(dinv, selected, coeffs, cond_limit)
-            basis, _ = np.linalg.qr(dinv[:, selected])
-        else:
-            col = dinv[:, j].astype(np.float64, copy=True)
-            # orthogonalize twice; a second pass restores orthogonality lost
-            # to cancellation in the first
-            for _ in range(2):
-                col -= basis @ (basis.T @ col)
-            norm = np.linalg.norm(col)
-            if norm <= np.linalg.norm(dinv[:, j]) / cond_limit:
-                raise RankCollapseError(
-                    "selected columns became numerically dependent; the "
-                    "training set cannot support more samples"
-                )
-            basis = np.hstack([basis, (col / norm)[:, None]])
-            residual = coeffs - basis @ (basis.T @ coeffs)
+        col = dinv[:, j].astype(np.float64, copy=True)
+        # orthogonalize twice; a second pass restores orthogonality lost
+        # to cancellation in the first
+        for _ in range(2):
+            col -= basis @ (basis.T @ col)
+        norm = np.linalg.norm(col)
+        if norm <= np.linalg.norm(dinv[:, j]) / DEFAULT_COND_LIMIT:
+            raise RankCollapseError(
+                "selected columns became numerically dependent; the "
+                "training set cannot support more samples"
+            )
+        basis = np.hstack([basis, (col / norm)[:, None]])
+        residual = coeffs - basis @ (basis.T @ coeffs)
         history.append(float(np.linalg.norm(residual)))
 
     return SupportSet(indices=selected, residual_history=history)
@@ -238,6 +185,43 @@ def support_to_directions(support: SupportSet, row_map: RowMap) -> list[HalfAngl
             raise UnmappedRowError(f"dense row {row} not covered by the row map")
         directions.append(index_to_direction(int(grid[row]), row_map.resolution))
     return directions
+
+
+def support_record_fields(support: SupportSet, row_map: RowMap) -> dict:
+    """The m, rows, grid, directions_deg and residual_history fields shared
+    by the support record and the evaluation report."""
+    return {
+        "m": len(support),
+        "rows": list(support.indices),
+        "grid": [int(row_map.grid_indices[r]) for r in support.indices],
+        "directions_deg": [
+            [round(v, 3) for v in d.degrees()]
+            for d in support_to_directions(support, row_map)
+        ],
+        "residual_history": [float(r) for r in support.residual_history],
+    }
+
+
+def read_support_record(path) -> dict:
+    """Load a support record, raising ConfigError unless it is a JSON object
+    of the current version that names its bundle digest and whose rows hold
+    m distinct integers."""
+    try:
+        record = json.loads(Path(path).read_text())
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ConfigError(f"support record {path} is not valid JSON: {exc}") from exc
+    if not isinstance(record, dict) or record.get("version") != SUPPORT_RECORD_VERSION:
+        raise ConfigError(f"support record {path} is not a version "
+                          f"{SUPPORT_RECORD_VERSION} record")
+    missing = [key for key in ("m", "rows", "bundle_digest") if key not in record]
+    if missing:
+        raise ConfigError(f"support record {path} lacks {', '.join(missing)}")
+    rows = record["rows"]
+    if not (isinstance(rows, list) and all(type(r) is int for r in rows)
+            and len(set(rows)) == len(rows) == record["m"]):
+        raise ConfigError(f"support record {path}: rows must hold m={record['m']} "
+                          "distinct integers")
+    return record
 
 
 def direction_table(directions) -> str:

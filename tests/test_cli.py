@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from sparsebrdf.cli import main
-from sparsebrdf.merl import read_merl
+from sparsebrdf.dictionary import train_bundle
+from sparsebrdf.evaluate import load_corpus
+from sparsebrdf.merl import corpus_mask, read_merl
 
 
 def run_cli(capsys, *argv):
@@ -94,6 +97,60 @@ def test_reconstruct_refuses_wrong_bundle(bundle_dir, corpus_dir, tmp_path, caps
     )
     assert code == 3
     assert "bundle" in err
+
+
+def test_train_dict_matches_train_bundle(bundle_dir, corpus_dir, capsys):
+    manifest = json.loads((bundle_dir / "manifest.json").read_text())
+    corpus = load_corpus(corpus_dir, None)
+    bundle = train_bundle(corpus, corpus_mask(b for _, b in corpus), 5)
+    assert bundle.digest == manifest["digest"]
+
+
+def test_truncated_bundle_array_is_runtime_error(bundle_dir, tmp_path, capsys):
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, broken)
+    atoms = broken / "atoms.bin"
+    atoms.write_bytes(atoms.read_bytes()[:-8])
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken),
+                             "--m", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "atoms.bin" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [
+    "malformed-json", "wrong-version", "missing-digest", "duplicate-rows",
+    "rows-not-m",
+])
+def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
+                                            tmp_path, capsys):
+    support_path = tmp_path / "support.json"
+    run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "4",
+            "--out", str(support_path))
+    record = json.loads(support_path.read_text())
+    if case == "malformed-json":
+        support_path.write_text(support_path.read_text()[:-20])
+    else:
+        if case == "wrong-version":
+            record["version"] = 99
+        elif case == "missing-digest":
+            del record["bundle_digest"]
+        elif case == "duplicate-rows":
+            record["rows"][1] = record["rows"][0]
+        else:
+            record["rows"] = record["rows"][:-1]
+        support_path.write_text(json.dumps(record))
+    target = sorted(corpus_dir.glob("*.binary"))[0]
+    code, _, err = run_cli(
+        capsys, "reconstruct", "--dict", str(bundle_dir),
+        "--support", str(support_path), "--brdf", str(target),
+        "--out", str(tmp_path / "r.binary"),
+    )
+    assert code == 3
+    assert err.count("\n") == 1
+    assert "support record" in err and "Traceback" not in err
+    assert not (tmp_path / "r.binary").exists()
 
 
 def test_coherence_command(bundle_dir, capsys):

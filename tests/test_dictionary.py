@@ -5,7 +5,6 @@ from sparsebrdf.dictionary import (
     DictionaryBundle,
     TrainingMatrix,
     assemble_training_matrix,
-    dictionary_pseudo_inverse,
     load_bundle,
     save_bundle,
     train_pca,
@@ -23,6 +22,7 @@ from sparsebrdf.mapping import (
 from sparsebrdf.merl import BrdfResolution, corpus_mask
 
 from conftest import make_random_tensor, toy_row_map
+from oracles import dictionary_pseudo_inverse
 
 
 def _random_matrix(rng, n, t):

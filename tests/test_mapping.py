@@ -15,9 +15,10 @@ from sparsebrdf.mapping import (
     log_relative_map,
     log_relative_unmap,
 )
-from sparsebrdf.merl import BrdfResolution, BrdfTensor, validity_mask
+from sparsebrdf.merl import BrdfResolution, BrdfTensor
 
 from conftest import make_random_tensor
+from oracles import validity_mask
 
 RES = BrdfResolution(8, 8, 8)
 

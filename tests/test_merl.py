@@ -13,11 +13,11 @@ from sparsebrdf.merl import (
     direction_to_index,
     index_to_direction,
     read_merl,
-    validity_mask,
     write_merl,
 )
 
 from conftest import make_random_tensor
+from oracles import row_of_grid, validity_mask
 
 RES8 = BrdfResolution(8, 8, 8)
 
@@ -172,7 +172,7 @@ def test_validity_mask_all_valid(rng):
     rm = validity_mask(brdf)
     assert rm.n_valid == 4096
     assert np.array_equal(rm.grid_indices, np.arange(4096))
-    assert np.array_equal(rm.row_of_grid(), np.arange(4096))
+    assert np.array_equal(row_of_grid(rm), np.arange(4096))
 
 
 def test_validity_mask_sparse():
@@ -185,8 +185,8 @@ def test_validity_mask_sparse():
     brdf = BrdfTensor(RES8, values, mask)
     rm = validity_mask(brdf)
     assert rm.grid_indices.tolist() == [3, 7]
-    assert rm.row_of_grid()[7] == 1
-    assert rm.row_of_grid()[0] == -1
+    assert row_of_grid(rm)[7] == 1
+    assert row_of_grid(rm)[0] == -1
 
 
 def test_validity_mask_empty():

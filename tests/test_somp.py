@@ -17,16 +17,15 @@ from sparsebrdf.somp import (
     SampleBudget,
     SupportSet,
     atom_select,
-    build_subsampling_operator,
     cumulative_coherence,
     direction_table,
-    residual_update,
     somp_residual_bound,
     somp_select,
     support_to_directions,
 )
 
 from conftest import planted_instance
+from oracles import build_subsampling_operator, exact_somp, residual_update
 
 
 def test_atom_select_identity_correlation():
@@ -139,7 +138,7 @@ def test_somp_deterministic_and_exact_update_agrees(rng):
     coeffs = rng.standard_normal((10, 7))
     a = somp_select(dinv, coeffs, SampleBudget(6))
     b = somp_select(dinv, coeffs, SampleBudget(6))
-    c = somp_select(dinv, coeffs, SampleBudget(6), exact_update=True)
+    c = exact_somp(dinv, coeffs, 6)
     assert a.indices == b.indices == c.indices
     assert a.residual_history == b.residual_history
     assert np.allclose(a.residual_history, c.residual_history, atol=1e-10)
