@@ -56,8 +56,15 @@ def _resolve_out(value, default_name: str) -> Path:
     return Path(os.environ.get(OUT_ENV, "out")) / default_name
 
 
+def _int_list(text: str, what: str) -> list:
+    try:
+        return [int(p) for p in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be comma-separated integers, got {text!r}") from exc
+
+
 def _parse_res(text: str) -> BrdfResolution:
-    parts = [int(p) for p in text.split(",")]
+    parts = _int_list(text, "resolution")
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
@@ -178,9 +185,17 @@ _INI_OPTIONS = {
 
 
 def _config_from_ini(path: Path) -> dict:
-    parser = configparser.ConfigParser()
     if not path.exists():
         raise ConfigError(f"config file {path} not found")
+    try:
+        return _read_ini(path)
+    except (configparser.Error, ValueError) as exc:
+        # configparser's parse errors run over several lines; the first says it
+        raise ConfigError(f"{path}: {str(exc).splitlines()[0]}") from exc
+
+
+def _read_ini(path: Path) -> dict:
+    parser = configparser.ConfigParser()
     parser.read(path)
     raw: dict = {}
     get = parser.get
@@ -202,7 +217,7 @@ def _config_from_ini(path: Path) -> dict:
         if parser.has_option(section, key):
             raw[name] = getattr(parser, getter)(section, key)
     if parser.has_option("selection", "m"):
-        raw["m_values"] = tuple(int(v) for v in get("selection", "m").split(","))
+        raw["m_values"] = tuple(_int_list(get("selection", "m"), "m"))
     if get("selection", "stop", fallback="budget") == "threshold":
         raw["stop_threshold"] = parser.getfloat("selection", "threshold")
         if parser.has_option("selection", "max_iters"):
@@ -219,7 +234,7 @@ def cmd_evaluate(args) -> int:
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     if args.m is not None:
-        raw["m_values"] = tuple(int(v) for v in args.m.split(","))
+        raw["m_values"] = tuple(_int_list(args.m, "--m"))
     try:
         config = ev.ExperimentConfig(**raw)
     except TypeError as exc:
@@ -300,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="cross-validated experiment")
     p.add_argument("--config", help="INI config file")
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: evaluation runs in one thread")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--folds", type=int, default=None)
     p.add_argument("--m", default=None, help="comma-separated sample counts")

@@ -283,9 +283,39 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 
 
+_MANIFEST_KEYS = ("version", "arrays", "resolution", "epsilon", "materials",
+                  "config_hash")
+
+
+def _read_manifest(path: Path) -> dict:
+    """The parsed manifest.json, checked for every key load_bundle reads."""
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BundleFormatError(f"{path}: not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise BundleFormatError(f"{path}: not a JSON object")
+    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
+    if missing:
+        raise BundleFormatError(f"{path}: missing {', '.join(missing)}")
+    arrays = manifest["arrays"]
+    if not (isinstance(arrays, dict) and set(arrays) == set(_BUNDLE_ARRAYS) and all(
+            isinstance(meta, dict) and meta.get("dtype") == _BUNDLE_ARRAYS[name]
+            and isinstance(meta.get("shape"), list) for name, meta in arrays.items())):
+        raise BundleFormatError(
+            f"{path}: arrays must be {', '.join(_BUNDLE_ARRAYS)}, each with "
+            "its dtype and a shape"
+        )
+    res = manifest["resolution"]
+    if not (isinstance(res, list) and len(res) == 3
+            and all(isinstance(v, int) for v in res)):
+        raise BundleFormatError(f"{path}: resolution must be three integers")
+    return manifest
+
+
 def load_bundle(directory) -> DictionaryBundle:
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    manifest = _read_manifest(directory / "manifest.json")
     if manifest["version"] != BUNDLE_VERSION:
         raise ConfigError(f"unsupported bundle version {manifest['version']}")
     arrays = {}

@@ -5,11 +5,13 @@ cross-validation over a corpus, per-fold dictionary training on the train
 split only, greedy sample selection, reconstruction of every held-out
 material, and a uniform-random sample placement baseline run alongside.
 Errors are mean squared differences in the mapped domain; the reciprocal
-(higher is better) is what plots usually show.
+(higher is better) is what plots usually show.  The harness scores them in
+closed form from per-fold projections (see ``_HeldOut``) rather than by
+synthesizing each reconstruction; ``reconstruct_full`` stays the direct path
+it falls back to.
 
 All randomness flows from the single experiment seed through named
-sub-streams, so identical configs reproduce identical reports regardless of
-worker count.
+sub-streams, so identical configs reproduce identical reports.
 """
 
 from __future__ import annotations
@@ -18,9 +20,7 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -33,11 +33,12 @@ from .errors import (
     InvalidMError,
     ProvenanceMismatchError,
     ShapeMismatchError,
+    SparseBrdfError,
     TooLargeError,
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, log_relative_map
 from .merl import BrdfResolution, corpus_mask, read_merl
-from .reconstruct import DEFAULT_ETA, measure, reconstruct_full
+from .reconstruct import DEFAULT_ETA, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
     SampleBudget,
@@ -172,7 +173,7 @@ class ExperimentConfig:
     seed: int = 7
     random_trials: int = 20
     normalize_atoms: bool = False
-    threads: int = 0  # 0 = all available cores
+    threads: int = 0  # accepted but unused: evaluation runs in one thread
 
     def __post_init__(self):
         if (self.corpus_dir is None) == (self.synthetic is None):
@@ -198,7 +199,7 @@ class ExperimentConfig:
         return m if self.k_policy == "coupled" else int(self.k_fixed)
 
     def snapshot(self) -> dict:
-        """Every field but the worker count, which cannot change results."""
+        """Every field but the unused worker count."""
         snap = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
         snap["m_values"] = list(self.m_values)
         if self.synthetic is not None:
@@ -285,14 +286,162 @@ def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
     return [(p.stem, read_merl(p)) for p in paths]
 
 
+def _metrics(mse: float, snr: float) -> dict:
+    inv = inverse_mse(mse)
+    return {
+        "status": "ok",
+        "mse": mse,
+        "inverse_mse": "inf" if math.isinf(inv) else inv,
+        "snr_db": "inf" if math.isinf(snr) else snr,
+    }
+
+
+def _direct_metrics(mapped_true: MappedBrdf, support: SupportSet, bundle, eta: float) -> dict:
+    """Metrics of one held-out material through the full reconstruction."""
+    try:
+        recon = reconstruct_full(measure(mapped_true, support), bundle, eta=eta)
+        return _metrics(mse_mapped(mapped_true, recon.mapped),
+                        snr_db(mapped_true, recon.mapped))
+    except Exception as exc:  # partial results keep a failure marker
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+
+
+# a closed-form error at most this fraction of the energies it is the
+# difference of has lost too many digits and is recomputed directly
+_CANCELLATION = 1e-8
+# largest mapped value whose unmap cannot overflow to inf, with headroom
+_UNMAP_LIMIT = float(np.log(np.finfo(np.float64).max)) - 1.0
+
+
+class _HeldOut:
+    """A fold's held-out materials, prepared for closed-form scoring.
+
+    For a centred held-out channel r = x - mean and ridge coefficients s over
+    the k leading atoms D_k, the mapped-domain residual energy is
+
+        ||r - D_k s||^2 = ||r||^2 - 2 s^T (D_k^T r) + s^T (D_k^T D_k) s,
+
+    so a support is scored from D^T r, D^T D and ||r||^2, computed once per
+    fold over all k_max atoms.  D^T D is taken explicitly rather than as
+    Sigma^2, so the identity holds where the atoms are not quite orthogonal.
+    A truncated bundle shares the fold's mean and leading atoms and slices
+    these terms.
+    """
+
+    def __init__(self, mapped: list, bundle):
+        pca = bundle.pca
+        self.mapped = mapped
+        self.provenance = bundle.reference.key
+        x = np.concatenate([mb.values for mb in mapped])  # (3M, n), material-major
+        self.n_cells = x.size // len(mapped)
+        self.signal = np.sum((x * x).reshape(len(mapped), -1), axis=1)
+        self.centred = x - pca.mean
+        self.energy = np.sum(self.centred * self.centred, axis=1)
+        self.projections = self.centred @ pca.atoms  # (3M, k_max)
+        self.gram = pca.atoms.T @ pca.atoms
+        # unmap exponentiates a reconstruction's mapped value plus
+        # log(reference + epsilon); that is at most mean_peak + |s| . atom_peak
+        self.mean_peak = float(pca.mean.max()) + float(
+            np.log(bundle.reference.values.max() + bundle.reference.epsilon))
+        self.atom_peak = np.abs(pca.atoms).max(axis=0)
+
+    def metrics(self, support: SupportSet, bundle, eta: float) -> list:
+        """One metrics dict per held-out material for reconstructing it from
+        support with bundle (which must share the fold's mean and leading
+        atoms).  Materials whose closed form is unreliable, and every
+        material when a check fails, go through the direct path, so errors
+        carry its exact messages."""
+        rows = list(support.indices)
+        n = self.centred.shape[1]
+        solution = None
+        if (bundle.reference.key == self.provenance and rows
+                and min(rows) >= 0 and max(rows) < n):
+            k = min(len(rows), bundle.pca.n_atoms)
+            try:
+                solution = ridge_solve(bundle.pca.atoms[rows, :k],
+                                       self.centred[:, rows].T, eta)  # (k, 3M)
+            except (SparseBrdfError, ValueError):
+                pass
+        if solution is None:
+            return [_direct_metrics(mb, support, bundle, eta) for mb in self.mapped]
+
+        fit = np.sum(solution * (self.gram[:k, :k] @ solution), axis=0)
+        cross = np.sum(solution.T * self.projections[:, :k], axis=1)
+        per_material = (-1, 3)
+        error = (self.energy - 2.0 * cross + fit).reshape(per_material).sum(axis=1)
+        scale = (self.energy + fit).reshape(per_material).sum(axis=1)
+        peak = (self.mean_peak + np.abs(solution).T @ self.atom_peak[:k]).reshape(
+            per_material).max(axis=1)
+        out = []
+        for i, mb in enumerate(self.mapped):
+            if error[i] <= _CANCELLATION * scale[i] or peak[i] >= _UNMAP_LIMIT:
+                out.append(_direct_metrics(mb, support, bundle, eta))
+            else:
+                snr = 10.0 * math.log10(self.signal[i] / error[i])
+                out.append(_metrics(float(error[i]) / self.n_cells, snr))
+        return out
+
+
+def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
+                   bundle_full, tensors: dict, supports: list) -> list:
+    """Select the fold's supports, appending their records to supports, and
+    return the fold's result rows in report order.
+
+    The fold's held-out arrays live only for this call.
+    """
+    row_map = bundle_full.row_map
+    held_out = _HeldOut(
+        [log_relative_map(tensors[i], bundle_full.reference, row_map) for i in test_ids],
+        bundle_full,
+    )
+    if config.stop_threshold is not None:
+        stops = [(bundle_full,
+                  ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
+    else:
+        stops = [(bundle_full.truncate(config.k_for(m)), SampleBudget(m))
+                 for m in config.m_values]
+    keyed = []  # (sort key, row)
+    for bundle, stop in stops:
+        t0 = time.perf_counter()
+        support = somp_select(
+            bundle.pca.inverse,
+            bundle.pca.coeffs,
+            stop,
+            normalize_atoms=config.normalize_atoms,
+        )
+        select_seconds = time.perf_counter() - t0
+        m = len(support)
+        supports.append({
+            "fold": fold,
+            "method": "somp",
+            **support_record_fields(support, row_map),
+            "initial_residual": float(np.linalg.norm(bundle.pca.coeffs)),
+            "seconds": select_seconds,
+        })
+        trials = [("somp", None, support)] + [
+            ("random", trial, random_baseline(
+                row_map.n_valid, m,
+                _stream_seed(config.seed, _STREAM_BASELINE, fold, m, trial)))
+            for trial in range(config.random_trials)
+        ]
+        for method, trial, sup in trials:
+            for mid, metrics in zip(test_ids, held_out.metrics(sup, bundle, config.eta)):
+                keyed.append((
+                    (m, method, mid, -1 if trial is None else trial),
+                    {"fold": fold, "m": m, "method": method, "material": mid,
+                     "trial": trial, **metrics},
+                ))
+    keyed.sort(key=lambda item: item[0])
+    return [row for _, row in keyed]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full cross-validated selection/reconstruction experiment.
 
     Per fold: the mapping reference and dictionary are trained on the train
     split only; the greedy selector and the random baseline each produce
     supports per sample count; every held-out material is reconstructed from
-    each support.  Tasks are pure, so worker threads only change wall time,
-    never the records.
+    each support.  Rows are ordered by (fold, m, method, material, trial).
     """
     corpus = load_corpus(config.corpus_dir, config.synthetic)
     ids = [mid for mid, _ in corpus]
@@ -304,8 +453,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     threshold_mode = config.stop_threshold is not None
     k_max = config.k_fixed if threshold_mode else max(config.k_for(m) for m in config.m_values)
     supports = []
-    tasks = []  # (sort_key, row_stub, (mapped, support, bundle))
-
+    rows = []
     for fold, test_ids in enumerate(plan.folds):
         train_ids = plan.train_ids(fold, ids)
         n_signals = len(CHANNEL_NAMES) * len(train_ids)
@@ -321,82 +469,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             statistic=config.reference_statistic,
             config_hash=config_hash,
         )
-        mapped = {
-            i: log_relative_map(tensors[i], bundle_full.reference, row_map)
-            for i in test_ids
-        }
-
-        if threshold_mode:
-            stops = [(bundle_full,
-                      ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
-        else:
-            stops = [(bundle_full.truncate(config.k_for(m)), SampleBudget(m))
-                     for m in config.m_values]
-        for bundle, stop in stops:
-            t0 = time.perf_counter()
-            support = somp_select(
-                bundle.pca.inverse,
-                bundle.pca.coeffs,
-                stop,
-                normalize_atoms=config.normalize_atoms,
-            )
-            select_seconds = time.perf_counter() - t0
-            m = len(support)
-            supports.append({
-                "fold": fold,
-                "method": "somp",
-                **support_record_fields(support, row_map),
-                "initial_residual": float(np.linalg.norm(bundle.pca.coeffs)),
-                "seconds": select_seconds,
-            })
-
-            for mid in test_ids:
-                tasks.append((
-                    (fold, m, "somp", mid, -1),
-                    {"fold": fold, "m": m, "method": "somp", "material": mid,
-                     "trial": None},
-                    (mapped[mid], support, bundle),
-                ))
-            for trial in range(config.random_trials):
-                rsupport = random_baseline(
-                    row_map.n_valid, m,
-                    _stream_seed(config.seed, _STREAM_BASELINE, fold, m, trial),
-                )
-                for mid in test_ids:
-                    tasks.append((
-                        (fold, m, "random", mid, trial),
-                        {"fold": fold, "m": m, "method": "random",
-                         "material": mid, "trial": trial},
-                        (mapped[mid], rsupport, bundle),
-                    ))
-
-    def run_task(task):
-        _, stub, (mapped_true, support, bundle) = task
-        row = dict(stub)
-        try:
-            recon = reconstruct_full(measure(mapped_true, support), bundle, eta=config.eta)
-            mse = mse_mapped(mapped_true, recon.mapped)
-            snr = snr_db(mapped_true, recon.mapped)
-            inv = inverse_mse(mse)
-            row.update({
-                "status": "ok",
-                "mse": mse,
-                "inverse_mse": "inf" if math.isinf(inv) else inv,
-                "snr_db": "inf" if math.isinf(snr) else snr,
-            })
-        except Exception as exc:  # partial results keep a failure marker
-            row.update({"status": "error", "error": f"{type(exc).__name__}: {exc}"})
-        return row
-
-    tasks.sort(key=lambda t: t[0])
-    workers = config.threads if config.threads > 0 else (os.cpu_count() or 1)
-    if workers > 1:
-        # map() preserves task order, and every task is pure, so worker
-        # count cannot change the records
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_task, tasks))
-    else:
-        rows = [run_task(t) for t in tasks]
+        rows.extend(_evaluate_fold(config, fold, test_ids, bundle_full, tensors, supports))
 
     return ExperimentReport(
         config=config.snapshot(),

@@ -70,12 +70,14 @@ def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> M
 def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
     """Closed-form ridge solution via the normal equations.
 
-    Solves (D^T D + eta I) s = D^T b with a Cholesky factorization.  With
-    eta = 0 the rows must have full column rank.
+    Solves (D^T D + eta I) s = D^T b with a Cholesky factorization.  b is one
+    right-hand side of shape (m,) or r of them as the columns of an (m, r)
+    array, all sharing the one factorization; s has b's trailing shape.
+    With eta = 0 the rows must have full column rank.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if d_rows.ndim != 2 or b.shape != (d_rows.shape[0],):
+    if d_rows.ndim != 2 or b.ndim not in (1, 2) or b.shape[0] != d_rows.shape[0]:
         raise ShapeMismatchError(
             f"rows {d_rows.shape} incompatible with measurements {b.shape}"
         )
@@ -135,9 +137,10 @@ def reconstruct_full(
     bundle: DictionaryBundle,
     eta: float = DEFAULT_ETA,
 ) -> ReconstructionResult:
-    """Ridge-fit each channel at the sampled rows, then synthesize.
+    """Ridge-fit the three channels at the sampled rows, then synthesize.
 
-    The min(m, k) leading atoms are used, matching the m = k coupling.
+    The min(m, k) leading atoms are used, matching the m = k coupling.  The
+    channels share the sampled rows, so one factorization serves all three.
     """
     if samples.provenance != bundle.reference.key:
         raise ProvenanceMismatchError(
@@ -152,10 +155,7 @@ def reconstruct_full(
     k_used = min(len(rows), pca.n_atoms)
     d_rows = pca.atoms[rows, :k_used]
     mean_rows = pca.mean[rows]
-    coefficients = np.zeros((3, k_used))
-    residuals = np.zeros(3)
-    for c in range(3):
-        rhs = samples.values[c] - mean_rows
-        coefficients[c] = ridge_solve(d_rows, rhs, eta)
-        residuals[c] = float(np.sum((rhs - d_rows @ coefficients[c]) ** 2))
-    return synthesize(pca, coefficients, bundle.reference, bundle.row_map, residuals)
+    rhs = (samples.values - mean_rows).T  # (m, 3)
+    solution = ridge_solve(d_rows, rhs, eta)
+    residuals = np.sum((rhs - d_rows @ solution) ** 2, axis=0)
+    return synthesize(pca, solution.T, bundle.reference, bundle.row_map, residuals)

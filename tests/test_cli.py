@@ -119,6 +119,26 @@ def test_truncated_bundle_array_is_runtime_error(bundle_dir, tmp_path, capsys):
     assert "atoms.bin" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["not-json", "missing-arrays", "missing-epsilon"])
+def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, broken)
+    manifest_path = broken / "manifest.json"
+    if case == "not-json":
+        manifest_path.write_text(manifest_path.read_text()[:-20])
+    else:
+        manifest = json.loads(manifest_path.read_text())
+        del manifest[case.removeprefix("missing-")]
+        manifest_path.write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken),
+                             "--m", "3")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "BundleFormatError" in err and "manifest.json" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("case", [
     "malformed-json", "wrong-version", "missing-digest", "duplicate-rows",
     "rows-not-m",
@@ -200,6 +220,22 @@ def test_evaluate_missing_config_is_config_error(tmp_path, capsys):
                            str(tmp_path / "nope.ini"))
     assert code == 3
     assert "config" in err.lower()
+
+
+@pytest.mark.parametrize("section, key, value", [("experiment", "folds", "x"),
+                                                ("selection", "m", "3,x"),
+                                                ("selection", "eta", "much")])
+def test_non_numeric_ini_value_is_config_error(section, key, value, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("config error:") and value in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sparsebrdf import evaluate
 from sparsebrdf.errors import (
     InvalidKError,
     InvalidMError,
@@ -23,8 +24,10 @@ from sparsebrdf.evaluate import (
     snr_db,
 )
 from sparsebrdf.mapping import MappedBrdf
-from sparsebrdf.merl import BrdfResolution
+from sparsebrdf.merl import BrdfResolution, write_merl
+from sparsebrdf.reconstruct import measure, reconstruct_full
 from sparsebrdf.somp import SampleBudget, somp_select
+from sparsebrdf.synthetic import MaterialSpec, gen_brdf
 
 
 def test_kfold_even_split():
@@ -268,3 +271,96 @@ def test_experiment_config_hash_stable():
         random_trials=2,
     )
     assert other.config_hash() != SMALL_CONFIG.config_hash()
+
+
+def _direct_row_metrics(truth, support, bundle, eta):
+    """Test-side oracle: full reconstruction, then the mapped-domain metrics."""
+    try:
+        recon = reconstruct_full(measure(truth, support), bundle, eta=eta)
+    except Exception as exc:
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
+    mse = mse_mapped(truth, recon.mapped)
+    snr = snr_db(truth, recon.mapped)
+    return {"status": "ok", "mse": mse, "inverse_mse": inverse_mse(mse), "snr_db": snr}
+
+
+def _lambertian_corpus(directory):
+    """Six constant (Lambertian) materials.  Their mapped values are constant
+    over the rows, so one atom spans every held-out material exactly."""
+    directory.mkdir()
+    for i in range(6):
+        spec = MaterialSpec(f"lam{i}", "lambertian",
+                            albedo=(0.1 + 0.1 * i, 0.8 - 0.1 * i, 0.3 + 0.05 * i))
+        write_merl(gen_brdf(spec, BrdfResolution(8, 8, 8)), directory / f"lam{i}.binary")
+    return str(directory)
+
+
+_R8 = SyntheticCorpusSpec(seed=5, count=12, resolution=BrdfResolution(8, 8, 8))
+_ORACLE_CONFIGS = {
+    "coupled": SMALL_CONFIG,
+    "fixed-k": ExperimentConfig(synthetic=_R8, m_values=(2, 4), k_policy="fixed",
+                                k_fixed=6, folds=3, seed=4, random_trials=2),
+    "threshold": ExperimentConfig(synthetic=_R8, m_values=(), k_policy="fixed",
+                                  k_fixed=6, stop_threshold=1e-6, folds=3, seed=9,
+                                  random_trials=2),
+    "normalize-atoms": ExperimentConfig(synthetic=_R8, m_values=(3, 5),
+                                        normalize_atoms=True, folds=3, seed=2,
+                                        random_trials=2),
+    # ill-conditioned at eta = 0: some reconstructions overflow on unmap and
+    # fail on the direct path, so must fail the same way here
+    "eta0": ExperimentConfig(synthetic=SyntheticCorpusSpec(seed=4, count=15,
+                                                           resolution=BrdfResolution(8, 8, 8)),
+                             eta=0.0, m_values=(3, 6), folds=3, seed=2, random_trials=3),
+    "eta0-in-span": None,  # built under tmp_path
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
+    config = _ORACLE_CONFIGS[name]
+    if config is None:
+        config = ExperimentConfig(corpus_dir=_lambertian_corpus(tmp_path / "corpus"),
+                                  synthetic=None, eta=0.0, m_values=(1,), folds=3,
+                                  seed=3, random_trials=2)
+    calls = []
+    batched = evaluate._HeldOut.metrics
+
+    def spy(self, support, bundle, eta):
+        out = batched(self, support, bundle, eta)
+        calls.append((list(self.mapped), support, bundle, eta, out))
+        return out
+
+    direct_calls = []
+    direct = evaluate._direct_metrics
+
+    def count_direct(*args):
+        direct_calls.append(args)
+        return direct(*args)
+
+    monkeypatch.setattr(evaluate._HeldOut, "metrics", spy)
+    monkeypatch.setattr(evaluate, "_direct_metrics", count_direct)
+    report = run_experiment(config)
+
+    assert sum(len(out) for *_, out in calls) == len(report.rows)
+    for mapped, support, bundle, eta, out in calls:
+        assert len(out) == len(mapped)
+        for truth, got in zip(mapped, out):
+            want = _direct_row_metrics(truth, support, bundle, eta)
+            assert got.keys() == want.keys()
+            assert got["status"] == want["status"]
+            if want["status"] == "error":
+                assert got["error"] == want["error"]
+                continue
+            for key in ("mse", "inverse_mse", "snr_db"):
+                if math.isinf(want[key]):
+                    assert got[key] == "inf"
+                else:
+                    assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    if name == "eta0-in-span":
+        # in-span held-out materials cancel in closed form and are recomputed
+        # through the direct path
+        assert len(direct_calls) == len(report.rows)
+        assert all(r["status"] == "ok" and r["mse"] < 1e-20 for r in report.rows)
+    elif name != "eta0":
+        assert not direct_calls

@@ -9,6 +9,7 @@ from sparsebrdf.dictionary import (
 from sparsebrdf.errors import (
     IndexOutOfRangeError,
     ProvenanceMismatchError,
+    ShapeMismatchError,
     SingularMatrixError,
 )
 from sparsebrdf.mapping import (
@@ -101,6 +102,21 @@ def test_ridge_matches_gradient_descent_oracle(rng):
         closed = ridge_solve(d, b, eta)
         iterative = ridge_gradient_descent(d, b, eta)
         assert np.allclose(closed, iterative, atol=1e-6)
+
+
+def test_ridge_multi_rhs_matches_columns(rng):
+    d = rng.standard_normal((9, 4))
+    b = rng.standard_normal((9, 5))
+    for eta in (0.0, 3.0):
+        joint = ridge_solve(d, b, eta)
+        assert joint.shape == (4, 5)
+        for j in range(5):
+            assert np.allclose(joint[:, j], ridge_solve(d, b[:, j], eta),
+                               rtol=0.0, atol=1e-12)
+    with pytest.raises(ShapeMismatchError):
+        ridge_solve(d, np.zeros((8, 2)), 1.0)
+    with pytest.raises(ShapeMismatchError):
+        ridge_solve(d, np.zeros((9, 2, 1)), 1.0)
 
 
 def test_ridge_gradient_optimality(rng):
