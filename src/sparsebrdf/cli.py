@@ -195,7 +195,7 @@ def _config_from_ini(path: Path) -> dict:
 
 
 def _read_ini(path: Path) -> dict:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read(path)
     raw: dict = {}
     get = parser.get

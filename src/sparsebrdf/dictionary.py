@@ -51,29 +51,36 @@ class TrainingMatrix:
 
 
 def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
-    """Stack mapped BRDFs into the n_valid x 3t training matrix."""
-    mapped_brdfs = list(mapped_brdfs)
+    """Write mapped BRDFs into the n_valid x 3t training matrix.
+
+    mapped_brdfs may be any iterable, a generator included, so that only
+    one mapped material need be alive at a time; the matrix is allocated
+    once and filled in place.
+    """
     material_ids = list(material_ids)
-    if len(mapped_brdfs) != len(material_ids):
-        raise InconsistentCorpusError("one material id per mapped BRDF required")
-    if not mapped_brdfs:
-        raise InconsistentCorpusError("empty training corpus")
-    provenance = mapped_brdfs[0].provenance
-    columns = []
-    labels = []
-    for mid, mb in zip(material_ids, mapped_brdfs):
-        if mb.provenance != provenance:
+    entries = np.empty((row_map.n_valid, 3 * len(material_ids)))
+    mapped_brdfs = iter(mapped_brdfs)
+    provenance = None
+    count = 0
+    for i, (mid, mb) in enumerate(zip(material_ids, mapped_brdfs)):
+        if provenance is None:
+            provenance = mb.provenance
+        elif mb.provenance != provenance:
             raise InconsistentCorpusError("training BRDFs mapped against different references")
         if mb.values.shape != (3, row_map.n_valid):
             raise InconsistentCorpusError(
                 f"mapped BRDF {mid} has shape {mb.values.shape}, "
                 f"expected (3, {row_map.n_valid})"
             )
-        for c in range(3):
-            columns.append(mb.values[c])
-            labels.append((mid, CHANNEL_NAMES[c]))
-    entries = np.stack(columns, axis=1)
-    return TrainingMatrix(entries, tuple(labels), row_map, provenance)
+        entries[:, 3 * i:3 * i + 3] = mb.values.T
+        count += 1
+    # zip stops at the shorter side: check both for leftovers
+    if count != len(material_ids) or next(mapped_brdfs, None) is not None:
+        raise InconsistentCorpusError("one material id per mapped BRDF required")
+    if not material_ids:
+        raise InconsistentCorpusError("empty training corpus")
+    labels = tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
+    return TrainingMatrix(entries, labels, row_map, provenance)
 
 
 @dataclass(frozen=True)
@@ -155,24 +162,33 @@ def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
         eps * max(n, t) * float(np.linalg.norm(entries)),
     )
     sigma[sigma <= tiny] = 0.0
+    # only the k kept columns of U are formed, and centered is freed right
+    # after; at least two, since a one-column product goes through GEMV,
+    # whose sums differ in the last bit from the GEMM of wider products
+    u = (centered @ v[:, :max(k, 2)])[:, :k]
+    del centered
+    sigma, v = sigma[:k], v[:, :k]
     safe = np.where(sigma > 0.0, sigma, 1.0)
-    u = (centered @ v) / safe
+    u /= safe
     u[:, sigma == 0.0] = 0.0
 
-    # deterministic sign: largest-magnitude entry of each u column positive
-    pivot = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[pivot, np.arange(u.shape[1])])
-    signs[signs == 0.0] = 1.0
-    u *= signs
-    v *= signs
+    # deterministic sign: largest-magnitude entry of each u column positive;
+    # one column at a time, so no n x k |u| temporary is made
+    for j in range(k):
+        col = u[:, j]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            col *= -1.0
+            v[:, j] *= -1.0
 
-    inv_sigma = np.where(sigma[:k] > 0.0, 1.0 / safe[:k], 0.0)
+    inv_sigma = np.where(sigma > 0.0, 1.0 / safe, 0.0)
+    inverse = u.T * inv_sigma[:, None]
+    u *= sigma
     return PcaDictionary(
         mean=mean,
-        atoms=u[:, :k] * sigma[:k],
-        coeffs=v[:, :k].T.copy(),
-        sigma=sigma[:k].copy(),
-        inverse=u[:, :k].T * inv_sigma[:, None],
+        atoms=np.ascontiguousarray(u),
+        coeffs=v.T.copy(),
+        sigma=sigma.copy(),
+        inverse=inverse,
     )
 
 
@@ -199,7 +215,7 @@ class DictionaryBundle:
             self.row_map.grid_indices,
             self.reference.values,
         ):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))
         h.update(np.float64(self.reference.epsilon).tobytes())
         return h.hexdigest()[:16]
 
@@ -225,8 +241,9 @@ def train_bundle(corpus, row_map: RowMap, k: int, *,
     reference = compute_reference(
         (b for _, b in corpus), row_map, epsilon=epsilon, statistic=statistic
     )
-    mapped = [log_relative_map(b, reference, row_map) for _, b in corpus]
-    matrix = assemble_training_matrix(mapped, ids, row_map)
+    matrix = assemble_training_matrix(
+        (log_relative_map(b, reference, row_map) for _, b in corpus), ids, row_map
+    )
     return DictionaryBundle(
         pca=train_pca(matrix, k),
         row_map=row_map,
@@ -328,7 +345,8 @@ def load_bundle(directory) -> DictionaryBundle:
                 f"{path}: holds {data.size} elements, manifest shape "
                 f"{meta['shape']} needs {expected}"
             )
-        arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"))
+        arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"),
+                                                         copy=False)
     sigma = arrays["sigma"]
     atoms = arrays["atoms"]
     tiny = sigma[0] * _RANK_TOL if sigma.size and sigma[0] > 0.0 else np.inf

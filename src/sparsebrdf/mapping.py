@@ -28,6 +28,9 @@ from .merl import BrdfTensor, RowMap
 DEFAULT_EPSILON = 1e-3
 REFERENCE_FLOOR = 1e-6
 
+# valid rows per block when computing the reference
+_REFERENCE_BLOCK = 65536
+
 
 @dataclass(frozen=True)
 class ReferenceBrdf:
@@ -45,7 +48,7 @@ class ReferenceBrdf:
         self.values.setflags(write=False)
         digest = hashlib.sha256()
         digest.update(np.float64(self.epsilon).tobytes())
-        digest.update(np.ascontiguousarray(self.values).tobytes())
+        digest.update(np.ascontiguousarray(self.values))
         object.__setattr__(self, "key", digest.hexdigest()[:16])
 
 
@@ -69,7 +72,10 @@ def compute_reference(
     """Reference reflectance per valid row from a training corpus.
 
     The statistic (median by default, mean optionally) is taken over all
-    training materials and all three channels, then floored at 1e-6.
+    training materials and all three channels, then floored at 1e-6.  Both
+    statistics are per row, so they are taken over blocks of
+    _REFERENCE_BLOCK rows, and only one block is stacked across materials
+    at a time.
     """
     training = list(training)
     if not training:
@@ -77,16 +83,19 @@ def compute_reference(
     if statistic not in ("median", "mean"):
         raise ValueError(f"unknown statistic {statistic!r}")
     rows = row_map.grid_indices
-    stacked = np.concatenate([b.values[:, rows] for b in training], axis=0)
-    if statistic == "mean":
-        ref = stacked.mean(axis=0)
-    else:
-        # median via partition; np.median's nan-handling path is several
-        # times slower at full measurement resolution
-        q = stacked.shape[0]
-        mid = (q - 1) // 2
-        part = np.partition(stacked, (mid, q // 2), axis=0)
-        ref = 0.5 * (part[mid] + part[q // 2])
+    ref = np.empty(rows.size)
+    q = 3 * len(training)
+    mid = (q - 1) // 2
+    for start in range(0, rows.size, _REFERENCE_BLOCK):
+        block = rows[start:start + _REFERENCE_BLOCK]
+        stacked = np.concatenate([b.values[:, block] for b in training], axis=0)
+        if statistic == "mean":
+            ref[start:start + block.size] = stacked.mean(axis=0)
+        else:
+            # median via partition; np.median's nan-handling path is several
+            # times slower at full measurement resolution
+            stacked.partition((mid, q // 2), axis=0)
+            ref[start:start + block.size] = 0.5 * (stacked[mid] + stacked[q // 2])
     np.maximum(ref, REFERENCE_FLOOR, out=ref)
     return ReferenceBrdf(ref, epsilon)
 

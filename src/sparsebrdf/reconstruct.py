@@ -68,12 +68,13 @@ def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> M
 
 
 def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
-    """Closed-form ridge solution via the normal equations.
+    """Closed-form ridge solution: s minimizes ||D s - b||^2 + eta ||s||^2.
 
-    Solves (D^T D + eta I) s = D^T b with a Cholesky factorization.  b is one
-    right-hand side of shape (m,) or r of them as the columns of an (m, r)
-    array, all sharing the one factorization; s has b's trailing shape.
-    With eta = 0 the rows must have full column rank.
+    b is one right-hand side of shape (m,) or r of them as the columns of an
+    (m, r) array; s has b's trailing shape.  For eta > 0 the normal
+    equations (D^T D + eta I) s = D^T b are solved with one Cholesky
+    factorization that all right-hand sides share.  With eta = 0 the rows
+    must have full column rank, and s is their least-squares solution.
     """
     d_rows = np.asarray(d_rows, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -85,8 +86,12 @@ def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
         raise ValueError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         svals = np.linalg.svd(d_rows, compute_uv=False)
-        if svals[0] == 0.0 or svals[-1] < 1e-12 * svals[0]:
+        if (svals.size < d_rows.shape[1] or svals[0] == 0.0
+                or svals[-1] < 1e-12 * svals[0]):
             raise SingularMatrixError("rank-deficient system requires eta > 0")
+        # least squares on the rows themselves: the normal equations would
+        # square their condition number
+        return np.linalg.lstsq(d_rows, b, rcond=None)[0]
     gram = d_rows.T @ d_rows + eta * np.eye(d_rows.shape[1])
     rhs = d_rows.T @ b
     try:

@@ -91,9 +91,14 @@ def _correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """l1 norm of each column's correlation row against the residual."""
     n = dinv.shape[1]
     scores = np.empty(n)
+    # one correlation buffer, reused by every block
+    buf = np.empty((min(_SCAN_BLOCK, n), residual.shape[1]))
     for start in range(0, n, _SCAN_BLOCK):
         stop = min(start + _SCAN_BLOCK, n)
-        scores[start:stop] = np.abs(dinv[:, start:stop].T @ residual).sum(axis=1)
+        corr = buf[:stop - start]
+        np.matmul(dinv[:, start:stop].T, residual, out=corr)
+        np.abs(corr, out=corr)
+        corr.sum(axis=1, out=scores[start:stop])
     return scores
 
 

@@ -9,12 +9,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparsebrdf.dictionary import (
+    _RANK_TOL,
+    CHANNEL_NAMES,
+    PcaDictionary,
+    TrainingMatrix,
+)
 from sparsebrdf.errors import (
+    EmptyCorpusError,
     EmptyMaskError,
+    InconsistentCorpusError,
+    InvalidKError,
     IndexOutOfRangeError,
     RankCollapseError,
     SingularMatrixError,
 )
+from sparsebrdf.mapping import REFERENCE_FLOOR, ReferenceBrdf
 from sparsebrdf.merl import BrdfTensor, RowMap
 from sparsebrdf.somp import DEFAULT_COND_LIMIT, SupportSet, atom_select
 
@@ -109,3 +119,80 @@ def validity_mask(brdf: BrdfTensor) -> RowMap:
     if idx.size == 0:
         raise EmptyMaskError("tensor has no valid cells")
     return RowMap(brdf.resolution, idx)
+
+
+def stacked_reference(training, row_map: RowMap, epsilon: float,
+                      statistic: str = "median") -> ReferenceBrdf:
+    """compute_reference over the whole corpus stacked at once."""
+    training = list(training)
+    if not training:
+        raise EmptyCorpusError("reference needs at least one training BRDF")
+    stacked = np.concatenate([b.values[:, row_map.grid_indices] for b in training], axis=0)
+    if statistic == "mean":
+        ref = stacked.mean(axis=0)
+    else:
+        q = stacked.shape[0]
+        mid = (q - 1) // 2
+        part = np.partition(stacked, (mid, q // 2), axis=0)
+        ref = 0.5 * (part[mid] + part[q // 2])
+    np.maximum(ref, REFERENCE_FLOOR, out=ref)
+    return ReferenceBrdf(ref, epsilon)
+
+
+def stacked_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
+    """assemble_training_matrix by np.stack over a list of every channel."""
+    mapped_brdfs = list(mapped_brdfs)
+    material_ids = list(material_ids)
+    if len(mapped_brdfs) != len(material_ids):
+        raise InconsistentCorpusError("one material id per mapped BRDF required")
+    if not mapped_brdfs:
+        raise InconsistentCorpusError("empty training corpus")
+    columns = [mb.values[c] for mb in mapped_brdfs for c in range(3)]
+    labels = tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
+    return TrainingMatrix(np.stack(columns, axis=1), labels, row_map,
+                          mapped_brdfs[0].provenance)
+
+
+def full_copy_train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
+    """train_pca projecting onto all t right singular vectors, then slicing k."""
+    entries = matrix.entries
+    n, t = entries.shape
+    if not 1 <= k < t:
+        raise InvalidKError(f"k={k} must satisfy 1 <= k < t={t}")
+    mean = entries.mean(axis=1)
+    centered = entries - mean[:, None]
+    gram = centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    order = np.argsort(eigvals)[::-1]
+    sigma = np.sqrt(np.clip(eigvals[order], 0.0, None))
+    v = eigvecs[:, order]
+    eps = np.finfo(np.float64).eps
+    tiny = max(sigma[0] * _RANK_TOL, eps * max(n, t) * float(np.linalg.norm(entries)))
+    sigma[sigma <= tiny] = 0.0
+    safe = np.where(sigma > 0.0, sigma, 1.0)
+    u = (centered @ v) / safe
+    u[:, sigma == 0.0] = 0.0
+    pivot = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[pivot, np.arange(u.shape[1])])
+    signs[signs == 0.0] = 1.0
+    u *= signs
+    v *= signs
+    inv_sigma = np.where(sigma[:k] > 0.0, 1.0 / safe[:k], 0.0)
+    return PcaDictionary(
+        mean=mean,
+        atoms=u[:, :k] * sigma[:k],
+        coeffs=v[:, :k].T.copy(),
+        sigma=sigma[:k].copy(),
+        inverse=u[:, :k].T * inv_sigma[:, None],
+    )
+
+
+def allocating_correlation_scores(dinv: np.ndarray, residual: np.ndarray,
+                                  block: int) -> np.ndarray:
+    """SOMP scan scores with fresh temporaries for every block."""
+    n = dinv.shape[1]
+    scores = np.empty(n)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        scores[start:stop] = np.abs(dinv[:, start:stop].T @ residual).sum(axis=1)
+    return scores

@@ -1,5 +1,6 @@
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -199,6 +200,20 @@ def test_evaluate_with_config_file(tmp_path, capsys):
     assert (tmp_path / "out" / "report.jsonl").exists()
     assert (tmp_path / "out" / "series.csv").exists()
     assert (tmp_path / "out" / "summary.json").exists()
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Experiment config", 1)[1]
+    block = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert "; or:" in block  # the inline comments the parser must strip
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(block)
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "results"))
+    assert code == 0, err
+    summary = json.loads(out)["summary"]
+    assert {r["m"] for r in summary} == {5, 10, 20}
 
 
 def test_evaluate_flag_overrides_config(tmp_path, capsys):

@@ -1,12 +1,17 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sparsebrdf.dictionary import (
     DictionaryBundle,
+    PcaDictionary,
     TrainingMatrix,
     assemble_training_matrix,
     load_bundle,
     save_bundle,
+    train_bundle,
     train_pca,
 )
 from sparsebrdf.errors import (
@@ -22,7 +27,12 @@ from sparsebrdf.mapping import (
 from sparsebrdf.merl import BrdfResolution, corpus_mask
 
 from conftest import make_random_tensor, toy_row_map
-from oracles import dictionary_pseudo_inverse
+from oracles import (
+    dictionary_pseudo_inverse,
+    full_copy_train_pca,
+    stacked_reference,
+    stacked_training_matrix,
+)
 
 
 def _random_matrix(rng, n, t):
@@ -191,3 +201,135 @@ def test_bundle_roundtrip(tmp_path, rng):
     assert np.array_equal(back.row_map.grid_indices, rm.grid_indices)
     assert back.reference.key == ref.key
     assert np.allclose(back.pca.inverse, pca.inverse)
+
+
+def _assert_pca_identical(pca, oracle):
+    """Every PcaDictionary array equal bit for bit, in the same memory order."""
+    for name in ("mean", "atoms", "coeffs", "sigma", "inverse"):
+        got, want = getattr(pca, name), getattr(oracle, name)
+        assert np.array_equal(got, want), name
+        assert got.flags.c_contiguous == want.flags.c_contiguous, name
+        assert got.flags.f_contiguous == want.flags.f_contiguous, name
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_assemble_matches_stack_oracle(rng, as_generator):
+    mapped, ids, rm = _mapped_corpus(rng, 5)
+    source = (mb for mb in mapped) if as_generator else mapped
+    matrix = assemble_training_matrix(source, iter(ids), rm)
+    oracle = stacked_training_matrix(mapped, ids, rm)
+    assert np.array_equal(matrix.entries, oracle.entries)
+    assert matrix.entries.flags.c_contiguous
+    assert matrix.labels == oracle.labels
+    assert matrix.provenance == oracle.provenance
+
+
+@pytest.mark.parametrize("n_mapped, n_ids", [(3, 4), (4, 3), (1, 0)])
+def test_assemble_count_mismatch_either_way(rng, n_mapped, n_ids):
+    mapped, ids, rm = _mapped_corpus(rng, 4)
+    for source in (mapped[:n_mapped], (mb for mb in mapped[:n_mapped])):
+        with pytest.raises(InconsistentCorpusError, match="one material id per"):
+            assemble_training_matrix(source, ids[:n_ids], rm)
+
+
+def test_assemble_empty_corpus(rng):
+    _, _, rm = _mapped_corpus(rng, 1)
+    with pytest.raises(InconsistentCorpusError, match="empty training corpus"):
+        assemble_training_matrix(iter([]), [], rm)
+
+
+def test_assemble_rejects_wrong_shape(rng):
+    mapped, ids, rm = _mapped_corpus(rng, 2)
+    short = mapped[1].__class__(mapped[1].values[:, :-1].copy(), mapped[1].provenance)
+    with pytest.raises(InconsistentCorpusError, match="has shape"):
+        assemble_training_matrix(iter([mapped[0], short]), ids, rm)
+
+
+@pytest.mark.parametrize("n, t, ks", [
+    (100, 10, (1, 2, 5, 9)),
+    (3000, 24, (1, 2, 7, 20, 23)),
+    (40000, 36, (1, 3, 20, 35)),
+])
+def test_train_pca_matches_full_copy_oracle(rng, n, t, ks):
+    entries = np.exp(rng.standard_normal((n, t))) * rng.standard_normal((1, t))
+    matrix = TrainingMatrix(entries, tuple(("m", "R") for _ in range(t)),
+                            toy_row_map(n), "ref")
+    for k in ks:
+        _assert_pca_identical(train_pca(matrix, k), full_copy_train_pca(matrix, k))
+
+
+def test_train_pca_rank_deficient_matches_oracle(rng):
+    base = rng.standard_normal((200, 4))
+    col = rng.standard_normal((200, 1))
+    # 4 independent columns repeated, and identical columns, which centering
+    # annihilates so that every singular value is an exact zero
+    for entries, zeros in ((np.hstack([base, base, base]), False),
+                           (np.tile(col, (1, 12)), True)):
+        matrix = TrainingMatrix(entries, tuple(("m", "R") for _ in range(12)),
+                                toy_row_map(200), "ref")
+        for k in (1, 3, 6, 11):
+            pca = train_pca(matrix, k)
+            assert np.all(pca.sigma == 0.0) == zeros
+            _assert_pca_identical(pca, full_copy_train_pca(matrix, k))
+
+
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
+    import sparsebrdf.mapping as mapping_mod
+
+    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 7)
+    res = BrdfResolution(8, 8, 8)
+    tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(5)]
+    rm = corpus_mask(tensors)
+    ids = [f"m{i}" for i in range(5)]
+    bundle = train_bundle(zip(ids, tensors), rm, 6, epsilon=2e-3, statistic=statistic)
+    ref = stacked_reference(tensors, rm, 2e-3, statistic)
+    matrix = stacked_training_matrix(
+        [log_relative_map(b, ref, rm) for b in tensors], ids, rm)
+    assert np.array_equal(bundle.reference.values, ref.values)
+    _assert_pca_identical(bundle.pca, full_copy_train_pca(matrix, 6))
+    assert bundle.digest == DictionaryBundle(
+        full_copy_train_pca(matrix, 6), rm, ref, tuple(ids)).digest
+
+
+def test_train_bundle_peak_memory_bounded(rng):
+    # 12 materials of 32^3: the training matrix is ~9 MB, far above the
+    # interpreter's own allocations during the call
+    res = BrdfResolution(32, 32, 32)
+    tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(12)]
+    rm = corpus_mask(tensors)
+    corpus = [(f"m{i}", b) for i, b in enumerate(tensors)]
+    matrix_bytes = rm.n_valid * 3 * len(corpus) * 8
+    tracemalloc.start()
+    try:
+        bundle = train_bundle(corpus, rm, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert bundle.pca.n_atoms == 10
+    assert peak <= 3 * matrix_bytes, peak / matrix_bytes
+
+
+def _tobytes_digest(bundle):
+    """DictionaryBundle.digest as computed through copies made by tobytes."""
+    h = hashlib.sha256()
+    for arr in (bundle.pca.mean, bundle.pca.atoms, bundle.pca.coeffs,
+                bundle.pca.sigma, bundle.row_map.grid_indices, bundle.reference.values):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(np.float64(bundle.reference.epsilon).tobytes())
+    return h.hexdigest()[:16]
+
+
+def test_digest_matches_tobytes_formula(tmp_path, rng):
+    mapped, ids, rm = _mapped_corpus(rng, 4)
+    pca = train_pca(assemble_training_matrix(mapped, ids, rm), 5)
+    bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)),
+                              tuple(ids))
+    # a strided atoms view exercises the contiguous copy
+    strided = DictionaryBundle(
+        PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma,
+                      pca.inverse), rm, bundle.reference, tuple(ids))
+    save_bundle(bundle, tmp_path / "bundle")
+    for b in (bundle, bundle.truncate(2), strided, load_bundle(tmp_path / "bundle")):
+        assert b.digest == _tobytes_digest(b)
+    assert strided.digest == bundle.digest

@@ -15,10 +15,10 @@ from sparsebrdf.mapping import (
     log_relative_map,
     log_relative_unmap,
 )
-from sparsebrdf.merl import BrdfResolution, BrdfTensor
+from sparsebrdf.merl import BrdfResolution, BrdfTensor, corpus_mask
 
 from conftest import make_random_tensor
-from oracles import validity_mask
+from oracles import stacked_reference, validity_mask
 
 RES = BrdfResolution(8, 8, 8)
 
@@ -54,6 +54,34 @@ def test_reference_mean_statistic():
     rm = validity_mask(tensors[0])
     ref = compute_reference(tensors, rm, statistic="mean")
     assert np.allclose(ref.values, (0.1 + 0.2 + 0.9) / 3)
+
+
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+@pytest.mark.parametrize("count", [2, 3])  # 6 and 9 channels: even and odd medians
+@pytest.mark.parametrize("block", [7, None])  # many row blocks, or one
+def test_reference_blocks_match_stacked_oracle(rng, monkeypatch, statistic, count, block):
+    import sparsebrdf.mapping as mapping_mod
+
+    if block is not None:
+        monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", block)
+    tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(count)]
+    rm = corpus_mask(tensors)
+    assert rm.n_valid % 7 != 0  # the last block is a partial one
+    ref = compute_reference(iter(tensors), rm, epsilon=2e-3, statistic=statistic)
+    oracle = stacked_reference(tensors, rm, 2e-3, statistic)
+    assert np.array_equal(ref.values, oracle.values)
+    assert ref.key == oracle.key
+
+
+def test_reference_key_matches_tobytes_formula(rng):
+    import hashlib
+
+    values = rng.uniform(0.1, 1.0, size=40)[::2]  # a strided view
+    ref = ReferenceBrdf(values, 2e-3)
+    digest = hashlib.sha256()
+    digest.update(np.float64(2e-3).tobytes())
+    digest.update(np.ascontiguousarray(values).tobytes())
+    assert ref.key == digest.hexdigest()[:16]
 
 
 def test_reference_empty_corpus():

@@ -94,6 +94,31 @@ def test_ridge_zero_eta_singular(rng):
         ridge_solve(d, np.ones(4), 0.0)
 
 
+def test_ridge_zero_eta_ill_conditioned_recovers_exact_solution(rng):
+    # cond(D) = 1e7: the normal equations would square it to 1e14
+    u, _ = np.linalg.qr(rng.standard_normal((30, 8)))
+    v, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    d = (u * np.logspace(0.0, -7.0, 8)) @ v.T
+    x = rng.standard_normal((8, 3))
+    for sol, want in ((ridge_solve(d, d @ x, 0.0), x),
+                      (ridge_solve(d, d @ x[:, 0], 0.0), x[:, 0])):
+        assert np.linalg.norm(sol - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def test_ridge_zero_eta_fewer_rows_than_atoms_is_singular(rng):
+    with pytest.raises(SingularMatrixError):
+        ridge_solve(rng.standard_normal((3, 5)), np.ones(3), 0.0)
+
+
+def test_ridge_positive_eta_is_cholesky_of_normal_equations(rng):
+    import scipy.linalg
+
+    d = rng.standard_normal((12, 5))
+    b = rng.standard_normal((12, 3))
+    factor = scipy.linalg.cho_factor(d.T @ d + 2.5 * np.eye(5))
+    assert np.array_equal(ridge_solve(d, b, 2.5), scipy.linalg.cho_solve(factor, d.T @ b))
+
+
 def test_ridge_matches_gradient_descent_oracle(rng):
     for _ in range(5):
         d = rng.standard_normal((8, 4))

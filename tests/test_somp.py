@@ -25,7 +25,12 @@ from sparsebrdf.somp import (
 )
 
 from conftest import planted_instance
-from oracles import build_subsampling_operator, exact_somp, residual_update
+from oracles import (
+    allocating_correlation_scores,
+    build_subsampling_operator,
+    exact_somp,
+    residual_update,
+)
 
 
 def test_atom_select_identity_correlation():
@@ -264,6 +269,18 @@ def test_chunked_scan_matches_unchunked(rng, monkeypatch):
     mu_whole = cumulative_coherence(dinv, 3)
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 16384)
     assert abs(cumulative_coherence(dinv, 3) - mu_whole) < 1e-15
+
+
+@pytest.mark.parametrize("block", [7, 100, 16384])
+def test_buffered_scan_matches_allocating_scan(rng, monkeypatch, block):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", block)
+    residual = rng.standard_normal((6, 5))
+    # C-order and F-order dinv, the latter being how train_pca lays it out
+    for dinv in (rng.standard_normal((6, 100)), np.asfortranarray(rng.standard_normal((6, 100)))):
+        scores = somp_mod._correlation_scores(dinv, residual)
+        assert np.array_equal(scores, allocating_correlation_scores(dinv, residual, block))
 
 
 def test_residual_bound_values():
