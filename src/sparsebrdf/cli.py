@@ -20,6 +20,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import evaluate as ev
@@ -98,14 +99,13 @@ def cmd_train_dict(args) -> int:
     synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
         args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
     corpus = ev.load_corpus(args.corpus, synthetic)
-    ids = [mid for mid, _ in corpus]
+    # a directory corpus is read twice: a mask pass, then one file at a time
+    row_map = corpus.row_map() if args.corpus else corpus_mask(b for _, b in corpus)
+    bundle = train_bundle(corpus, row_map, args.k,
+                          epsilon=args.epsilon, statistic=args.statistic)
     snapshot = {"k": args.k, "epsilon": args.epsilon, "statistic": args.statistic,
-                "materials": ids}
-    bundle = train_bundle(
-        corpus, corpus_mask(b for _, b in corpus), args.k,
-        epsilon=args.epsilon, statistic=args.statistic,
-        config_hash=ev.snapshot_hash(snapshot),
-    )
+                "materials": list(bundle.material_ids)}
+    bundle = replace(bundle, config_hash=ev.snapshot_hash(snapshot))
     pca = bundle.pca
     _log(f"training matrix: {pca.n_rows} x {pca.n_signals}")
     out = _resolve_out(args.out, "bundle")
@@ -149,10 +149,11 @@ def cmd_reconstruct(args) -> int:
             f"support record was computed against bundle {record['bundle_digest']}, "
             f"got {bundle.digest}"
         )
-    brdf = read_merl(args.brdf)
-    mapped = log_relative_map(brdf, bundle.reference, bundle.row_map)
+    # the measured tensor and its mapped values are freed before reconstruction
     support = SupportSet(indices=record["rows"])
-    samples = measure(mapped, support, material_id=Path(args.brdf).stem)
+    samples = measure(log_relative_map(read_merl(args.brdf), bundle.reference,
+                                       bundle.row_map),
+                      support, material_id=Path(args.brdf).stem)
     result = reconstruct_full(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
     out.parent.mkdir(parents=True, exist_ok=True)

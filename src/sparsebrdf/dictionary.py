@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -21,10 +22,17 @@ import numpy as np
 from .errors import (
     BundleFormatError,
     ConfigError,
+    EmptyCorpusError,
     InconsistentCorpusError,
     InvalidKError,
 )
-from .mapping import DEFAULT_EPSILON, ReferenceBrdf, compute_reference, log_relative_map
+from .mapping import (
+    DEFAULT_EPSILON,
+    ReferenceBrdf,
+    check_statistic,
+    map_in_place,
+    matrix_reference,
+)
 from .merl import BrdfResolution, RowMap
 
 CHANNEL_NAMES = ("R", "G", "B")
@@ -50,6 +58,15 @@ class TrainingMatrix:
         return self.entries.shape[1]
 
 
+def _write_material(entries: np.ndarray, i: int, values: np.ndarray) -> None:
+    """Write material i's (3, n_valid) values into its three columns."""
+    entries[:, 3 * i:3 * i + 3] = values.T
+
+
+def _labels(material_ids) -> tuple:
+    return tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
+
+
 def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
     """Write mapped BRDFs into the n_valid x 3t training matrix.
 
@@ -72,18 +89,16 @@ def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> Tra
                 f"mapped BRDF {mid} has shape {mb.values.shape}, "
                 f"expected (3, {row_map.n_valid})"
             )
-        entries[:, 3 * i:3 * i + 3] = mb.values.T
+        _write_material(entries, i, mb.values)
         count += 1
     # zip stops at the shorter side: check both for leftovers
     if count != len(material_ids) or next(mapped_brdfs, None) is not None:
         raise InconsistentCorpusError("one material id per mapped BRDF required")
     if not material_ids:
         raise InconsistentCorpusError("empty training corpus")
-    labels = tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
-    return TrainingMatrix(entries, labels, row_map, provenance)
+    return TrainingMatrix(entries, _labels(material_ids), row_map, provenance)
 
 
-@dataclass(frozen=True)
 class PcaDictionary:
     """Mean, dictionary D = U Sigma, coefficients S = V^T and D's left inverse.
 
@@ -92,17 +107,31 @@ class PcaDictionary:
     making results reproducible across platforms.  Atoms whose singular value
     is numerically zero are stored as zero columns, and their rows of the
     inverse are zero (pseudo-inverse semantics).
+
+    train_pca gives the inverse it forms.  A dictionary made without one, as
+    load_bundle makes it, derives it from atoms and sigma when it is first
+    read: only selection and the coherence scan read it, and at the full grid
+    it is as large as the atoms.
     """
 
-    mean: np.ndarray
-    atoms: np.ndarray  # (n, k) = U_k Sigma_k
-    coeffs: np.ndarray  # (k, t) = V_k^T
-    sigma: np.ndarray  # (k,)
-    inverse: np.ndarray  # (k, n), inverse of atoms restricted to its column space
-
-    def __post_init__(self):
-        for arr in (self.mean, self.atoms, self.coeffs, self.sigma, self.inverse):
+    def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
+                 sigma: np.ndarray, inverse: np.ndarray | None = None):
+        self.mean = mean
+        self.atoms = atoms  # (n, k) = U_k Sigma_k
+        self.coeffs = coeffs  # (k, t) = V_k^T
+        self.sigma = sigma  # (k,)
+        for arr in (mean, atoms, coeffs, sigma):
             arr.setflags(write=False)
+        if inverse is not None:
+            inverse.setflags(write=False)
+            self.__dict__["inverse"] = inverse
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """(k, n) inverse of the atoms restricted to their column space."""
+        inverse = _derived_inverse(self.atoms, self.sigma)
+        inverse.setflags(write=False)
+        return inverse
 
     @property
     def n_rows(self) -> int:
@@ -122,21 +151,37 @@ class PcaDictionary:
             raise InvalidKError(f"k={k} outside [1, {self.n_atoms}]")
         if k == self.n_atoms:
             return self
-        return PcaDictionary(
-            mean=self.mean,
-            atoms=self.atoms[:, :k].copy(),
-            coeffs=self.coeffs[:k].copy(),
-            sigma=self.sigma[:k].copy(),
-            inverse=self.inverse[:k].copy(),
-        )
+        atoms = self.atoms[:, :k].copy()
+        sigma = self.sigma[:k].copy()
+        if "inverse" in self.__dict__:
+            inverse = self.inverse[:k].copy()
+        else:
+            # the leading rows of a derived inverse, in the C order of a copy,
+            # without deriving the rest
+            inverse = np.ascontiguousarray(_derived_inverse(atoms, sigma))
+        return PcaDictionary(self.mean, atoms, self.coeffs[:k].copy(), sigma, inverse)
 
 
-def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
+def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """(atoms / sigma^2)^T, with zero rows where sigma is at roundoff level
+    relative to sigma_max.  It is built in the buffer the atoms are divided
+    into, and so is F-ordered."""
+    tiny = sigma[0] * _RANK_TOL if sigma.size and sigma[0] > 0.0 else np.inf
+    safe = np.where(sigma > tiny, sigma, 1.0)
+    u = atoms / safe
+    u *= np.where(sigma > tiny, 1.0 / safe, 0.0)
+    return u.T
+
+
+def train_pca(matrix: TrainingMatrix, k: int, *,
+              overwrite_entries: bool = False) -> PcaDictionary:
     """Train the k-atom PCA dictionary from a training matrix.
 
     Requires 1 <= k < t.  Rank deficiency is not an error: trailing singular
     values may be (numerically) zero, in which case the corresponding atoms
-    are zeroed.
+    are zeroed.  The matrix is centred in a copy, unless overwrite_entries
+    is set: then it is centred in place, and its entries must not be read
+    after the call.
     """
     entries = matrix.entries
     n, t = entries.shape
@@ -146,7 +191,14 @@ def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
         raise InvalidKError(f"more signals ({t}) than rows ({n}) is unsupported")
 
     mean = entries.mean(axis=1)
-    centered = entries - mean[:, None]
+    # the zero rule below reads the norm before centering
+    norm = float(np.linalg.norm(entries))
+    if overwrite_entries:
+        centered = entries
+        centered.setflags(write=True)
+        centered -= mean[:, None]
+    else:
+        centered = entries - mean[:, None]
     gram = centered.T @ centered
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
@@ -159,7 +211,7 @@ def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
     eps = np.finfo(np.float64).eps
     tiny = max(
         sigma[0] * _RANK_TOL,
-        eps * max(n, t) * float(np.linalg.norm(entries)),
+        eps * max(n, t) * norm,
     )
     sigma[sigma <= tiny] = 0.0
     # only the k kept columns of U are formed, and centered is freed right
@@ -234,18 +286,33 @@ def train_bundle(corpus, row_map: RowMap, k: int, *,
     """Train a k-atom bundle from (material_id, BrdfTensor) pairs.
 
     The mapping reference is computed from the same materials the dictionary
-    is trained on.
+    is trained on.  Every step works in one (n_valid, 3t) matrix: each
+    material's linear reflectance at the valid rows is written into its
+    columns, the reference is taken over the matrix's rows, and the matrix is
+    mapped and then centred in place.  A corpus with a length is iterated
+    once, so one that reads its tensors lazily holds one at a time; any
+    other iterable is listed first.
     """
-    corpus = list(corpus)
-    ids = [mid for mid, _ in corpus]
-    reference = compute_reference(
-        (b for _, b in corpus), row_map, epsilon=epsilon, statistic=statistic
-    )
-    matrix = assemble_training_matrix(
-        (log_relative_map(b, reference, row_map) for _, b in corpus), ids, row_map
-    )
+    check_statistic(statistic)
+    if not isinstance(corpus, Sized):
+        corpus = list(corpus)
+    if not len(corpus):
+        raise EmptyCorpusError("reference needs at least one training BRDF")
+    entries = np.empty((row_map.n_valid, 3 * len(corpus)))
+    ids = []
+    for i, (mid, brdf) in enumerate(corpus):
+        if brdf.resolution != row_map.resolution:
+            raise InconsistentCorpusError(
+                f"BRDF {mid} has resolution {brdf.resolution}, "
+                f"row map has {row_map.resolution}"
+            )
+        _write_material(entries, i, brdf.values[:, row_map.grid_indices])
+        ids.append(mid)
+    reference = matrix_reference(entries, epsilon, statistic)
+    map_in_place(entries, reference)
+    matrix = TrainingMatrix(entries, _labels(ids), row_map, reference.key)
     return DictionaryBundle(
-        pca=train_pca(matrix, k),
+        pca=train_pca(matrix, k, overwrite_entries=True),
         row_map=row_map,
         reference=reference,
         material_ids=tuple(ids),
@@ -347,19 +414,8 @@ def load_bundle(directory) -> DictionaryBundle:
             )
         arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"),
                                                          copy=False)
-    sigma = arrays["sigma"]
-    atoms = arrays["atoms"]
-    tiny = sigma[0] * _RANK_TOL if sigma.size and sigma[0] > 0.0 else np.inf
-    safe = np.where(sigma > tiny, sigma, 1.0)
-    u = atoms / safe
-    inv_sigma = np.where(sigma > tiny, 1.0 / safe, 0.0)
-    pca = PcaDictionary(
-        mean=arrays["mean"],
-        atoms=atoms,
-        coeffs=arrays["coeffs"],
-        sigma=sigma,
-        inverse=u.T * inv_sigma[:, None],
-    )
+    pca = PcaDictionary(arrays["mean"], arrays["atoms"], arrays["coeffs"],
+                        arrays["sigma"])
     res = BrdfResolution(*manifest["resolution"])
     row_map = RowMap(res, arrays["rows"])
     reference = ReferenceBrdf(arrays["reference"], manifest["epsilon"])

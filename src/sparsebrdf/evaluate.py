@@ -37,7 +37,7 @@ from .errors import (
     TooLargeError,
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, log_relative_map
-from .merl import BrdfResolution, corpus_mask, read_merl
+from .merl import BrdfResolution, RowMap, corpus_mask, read_merl, read_merl_mask
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
@@ -272,18 +272,36 @@ class ExperimentReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
+class MerlFiles:
+    """The .binary files of a corpus directory in name order, as
+    (material_id, BrdfTensor) pairs read one file at a time as they are
+    iterated."""
+
+    def __init__(self, corpus_dir):
+        self.paths = sorted(Path(corpus_dir).glob("*.binary"))
+        if not self.paths:
+            raise ConfigError(f"no .binary MERL files under {corpus_dir}")
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __iter__(self):
+        return ((p.stem, read_merl(p)) for p in self.paths)
+
+    def row_map(self) -> RowMap:
+        """corpus_mask of the files, from a mask pass that holds no tensor."""
+        return corpus_mask(read_merl_mask(p) for p in self.paths)
+
+
 def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
-    """Materialize the corpus as a list of (material_id, BrdfTensor): generated
-    from the synthetic spec if one is given, else read from corpus_dir."""
+    """The corpus as (material_id, BrdfTensor) pairs: generated from the
+    synthetic spec if one is given, else the MerlFiles of corpus_dir."""
     if synthetic is not None:
         return [
             (s.material_id, b)
             for s, b in gen_corpus(synthetic.seed, synthetic.count, synthetic.resolution)
         ]
-    paths = sorted(Path(corpus_dir).glob("*.binary"))
-    if not paths:
-        raise ConfigError(f"no .binary MERL files under {corpus_dir}")
-    return [(p.stem, read_merl(p)) for p in paths]
+    return MerlFiles(corpus_dir)
 
 
 def _metrics(mse: float, snr: float) -> dict:
@@ -443,9 +461,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     supports per sample count; every held-out material is reconstructed from
     each support.  Rows are ordered by (fold, m, method, material, trial).
     """
-    corpus = load_corpus(config.corpus_dir, config.synthetic)
-    ids = [mid for mid, _ in corpus]
-    tensors = {mid: b for mid, b in corpus}
+    tensors = dict(load_corpus(config.corpus_dir, config.synthetic))
+    ids = list(tensors)
     row_map = corpus_mask(tensors.values())
     plan = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
     config_hash = config.config_hash()

@@ -63,6 +63,11 @@ class MappedBrdf:
         self.values.setflags(write=False)
 
 
+def check_statistic(statistic: str) -> None:
+    if statistic not in ("median", "mean"):
+        raise ValueError(f"unknown statistic {statistic!r}")
+
+
 def compute_reference(
     training,
     row_map: RowMap,
@@ -80,24 +85,57 @@ def compute_reference(
     training = list(training)
     if not training:
         raise EmptyCorpusError("reference needs at least one training BRDF")
-    if statistic not in ("median", "mean"):
-        raise ValueError(f"unknown statistic {statistic!r}")
+    check_statistic(statistic)
     rows = row_map.grid_indices
-    ref = np.empty(rows.size)
-    q = 3 * len(training)
-    mid = (q - 1) // 2
-    for start in range(0, rows.size, _REFERENCE_BLOCK):
-        block = rows[start:start + _REFERENCE_BLOCK]
-        stacked = np.concatenate([b.values[:, block] for b in training], axis=0)
+    blocks = ((start, np.concatenate(
+        [b.values[:, rows[start:start + _REFERENCE_BLOCK]] for b in training]))
+        for start in range(0, rows.size, _REFERENCE_BLOCK))
+    return _reference(blocks, rows.size, epsilon, statistic)
+
+
+def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> ReferenceBrdf:
+    """compute_reference over an (n_valid, 3t) matrix of linear reflectance,
+    one row per valid row and one column per training channel, in the
+    material order compute_reference stacks them.  entries is left as it is.
+    """
+    check_statistic(statistic)
+    n = entries.shape[0]
+    # a copied row block, transposed, has the memory layout of
+    # compute_reference's stacked block, which fixes the order np.mean sums
+    # in; and each row's channels are contiguous for the partition
+    blocks = ((start, entries[start:start + _REFERENCE_BLOCK].copy().T)
+              for start in range(0, n, _REFERENCE_BLOCK))
+    return _reference(blocks, n, epsilon, statistic)
+
+
+def _reference(blocks, n: int, epsilon: float, statistic: str) -> ReferenceBrdf:
+    """The floored per-row statistic of (start, block) pairs, where block is
+    (q, B): the q training channels of rows start..start+B.  The median
+    reorders each block."""
+    ref = np.empty(n)
+    for start, block in blocks:
+        q, size = block.shape
+        out = ref[start:start + size]
         if statistic == "mean":
-            ref[start:start + block.size] = stacked.mean(axis=0)
+            block.mean(axis=0, out=out)
         else:
             # median via partition; np.median's nan-handling path is several
             # times slower at full measurement resolution
-            stacked.partition((mid, q // 2), axis=0)
-            ref[start:start + block.size] = 0.5 * (stacked[mid] + stacked[q // 2])
+            mid = (q - 1) // 2
+            block.partition((mid, q // 2), axis=0)
+            np.add(block[mid], block[q // 2], out=out)
+            out *= 0.5
     np.maximum(ref, REFERENCE_FLOOR, out=ref)
     return ReferenceBrdf(ref, epsilon)
+
+
+def map_in_place(rows: np.ndarray, ref: ReferenceBrdf) -> None:
+    """Overwrite linear reflectance with its mapped value,
+    ln((rho + eps) / (rho_ref + eps)).  rows is (n_valid, c): one row per
+    valid row, one column per channel."""
+    rows += ref.epsilon
+    rows /= (ref.values + ref.epsilon)[:, None]
+    np.log(rows, out=rows)
 
 
 def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> MappedBrdf:
@@ -107,8 +145,8 @@ def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> M
             f"row map has {row_map.n_valid} rows, reference has {ref.values.size}"
         )
     rho = brdf.values[:, row_map.grid_indices]
-    mapped = np.log((rho + ref.epsilon) / (ref.values + ref.epsilon))
-    return MappedBrdf(mapped, ref.key)
+    map_in_place(rho.T, ref)
+    return MappedBrdf(rho, ref.key)
 
 
 def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,13 +98,9 @@ class BrdfTensor:
         self.mask.setflags(write=False)
 
 
-def read_merl(path) -> BrdfTensor:
-    """Read a MERL binary file.
-
-    Valid (nonnegative) stored values are scaled to linear reflectance;
-    negative stored values are kept verbatim and masked invalid.  A cell
-    negative in any channel is masked invalid in all three.
-    """
+def _read_stored(path) -> tuple[BrdfResolution, np.ndarray]:
+    """Resolution and (3, grid_size) stored doubles of a MERL file, checked
+    for a whole header, positive dims and the payload length."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) != 12:
@@ -118,14 +115,39 @@ def read_merl(path) -> BrdfTensor:
         raise MerlFormatError(
             f"{path}: payload holds {payload.size} doubles, expected {3 * n}"
         )
-    stored = payload.reshape(3, n)
-    mask = np.all(stored >= 0.0, axis=0)
-    values = np.where(stored >= 0.0, stored * MERL_SCALES[:, None], stored)
-    # cells invalidated by a sibling channel must still carry a sentinel
-    values[:, ~mask] = np.where(
-        stored[:, ~mask] < 0.0, stored[:, ~mask], INVALID_SENTINEL
-    )
+    return res, payload.reshape(3, n)
+
+
+def read_merl(path) -> BrdfTensor:
+    """Read a MERL binary file.
+
+    Valid (nonnegative) stored values are scaled to linear reflectance;
+    negative stored values are kept verbatim and masked invalid.  A cell
+    negative in any channel is masked invalid in all three.
+    """
+    res, values = _read_stored(path)
+    nonneg = values >= 0.0
+    mask = nonneg.all(axis=0)
+    np.multiply(values, MERL_SCALES[:, None], out=values, where=nonneg)
+    # cells invalidated by a sibling channel must still carry a sentinel;
+    # scaling kept every negative value negative and every other one not
+    np.copyto(values, INVALID_SENTINEL, where=~((values < 0.0) | mask))
     return BrdfTensor(res, values, mask)
+
+
+class MerlMask(NamedTuple):
+    """Resolution and validity mask of a MERL file, without its values."""
+
+    resolution: BrdfResolution
+    mask: np.ndarray
+
+
+def read_merl_mask(path) -> MerlMask:
+    """The mask read_merl gives a file, for a mask pass over a corpus that
+    does not hold its tensors; the file is checked as read_merl checks it,
+    short of the values of its valid cells."""
+    res, stored = _read_stored(path)
+    return MerlMask(res, (stored >= 0.0).all(axis=0))
 
 
 def _exact_unscale(values: np.ndarray, scale: float) -> np.ndarray:
@@ -234,17 +256,24 @@ def corpus_mask(brdfs) -> RowMap:
     """Row map over cells valid in every tensor of the corpus.
 
     Using the intersection gives all corpus matrices identical row
-    semantics.
+    semantics.  brdfs may be BrdfTensors or the MerlMasks of a mask pass;
+    all of them are read before a mix of resolutions is reported, so a
+    malformed file is reported first, as it would be by reading the corpus.
     """
-    brdfs = list(brdfs)
-    if not brdfs:
-        raise EmptyMaskError("empty corpus")
-    res = brdfs[0].resolution
-    mask = np.ones(res.grid_size, dtype=bool)
+    res = None
+    mixed = False
     for b in brdfs:
-        if b.resolution != res:
-            raise MerlFormatError("corpus mixes resolutions")
-        mask &= b.mask
+        if res is None:
+            res = b.resolution
+            mask = b.mask.copy()
+        elif b.resolution != res:
+            mixed = True
+        else:
+            mask &= b.mask
+    if res is None:
+        raise EmptyMaskError("empty corpus")
+    if mixed:
+        raise MerlFormatError("corpus mixes resolutions")
     idx = np.flatnonzero(mask).astype(np.int64)
     if idx.size == 0:
         raise EmptyMaskError("no cell is valid across the whole corpus")

@@ -5,6 +5,7 @@ or textbook version of something the library does incrementally or
 implicitly, kept so that tests can compare the two.
 """
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +22,18 @@ from sparsebrdf.errors import (
     InconsistentCorpusError,
     InvalidKError,
     IndexOutOfRangeError,
+    MerlFormatError,
     RankCollapseError,
     SingularMatrixError,
 )
-from sparsebrdf.mapping import REFERENCE_FLOOR, ReferenceBrdf
-from sparsebrdf.merl import BrdfTensor, RowMap
+from sparsebrdf.mapping import REFERENCE_FLOOR, MappedBrdf, ReferenceBrdf
+from sparsebrdf.merl import (
+    INVALID_SENTINEL,
+    MERL_SCALES,
+    BrdfResolution,
+    BrdfTensor,
+    RowMap,
+)
 from sparsebrdf.somp import DEFAULT_COND_LIMIT, SupportSet, atom_select
 
 
@@ -196,3 +204,36 @@ def allocating_correlation_scores(dinv: np.ndarray, residual: np.ndarray,
         stop = min(start + block, n)
         scores[start:stop] = np.abs(dinv[:, start:stop].T @ residual).sum(axis=1)
     return scores
+
+
+def allocating_read_merl(path) -> BrdfTensor:
+    """read_merl scaling through np.where into a fresh array, then writing
+    the sentinel of sibling-invalid cells from a second np.where."""
+    with open(path, "rb") as fh:
+        header = fh.read(12)
+        if len(header) != 12:
+            raise MerlFormatError(f"{path}: truncated header")
+        dims = struct.unpack("<3i", header)
+        if min(dims) <= 0:
+            raise MerlFormatError(f"{path}: nonpositive header dims {dims}")
+        res = BrdfResolution(*dims)
+        n = res.grid_size
+        payload = np.fromfile(fh, dtype="<f8", count=3 * n + 1)
+    if payload.size != 3 * n:
+        raise MerlFormatError(
+            f"{path}: payload holds {payload.size} doubles, expected {3 * n}"
+        )
+    stored = payload.reshape(3, n)
+    mask = np.all(stored >= 0.0, axis=0)
+    values = np.where(stored >= 0.0, stored * MERL_SCALES[:, None], stored)
+    values[:, ~mask] = np.where(
+        stored[:, ~mask] < 0.0, stored[:, ~mask], INVALID_SENTINEL
+    )
+    return BrdfTensor(res, values, mask)
+
+
+def allocating_log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf,
+                                row_map: RowMap) -> MappedBrdf:
+    """log_relative_map as one expression, with a temporary per operation."""
+    rho = brdf.values[:, row_map.grid_indices]
+    return MappedBrdf(np.log((rho + ref.epsilon) / (ref.values + ref.epsilon)), ref.key)

@@ -1,13 +1,24 @@
 import json
 import shutil
+import struct
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sparsebrdf.cli import main
-from sparsebrdf.dictionary import train_bundle
+from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
 from sparsebrdf.evaluate import load_corpus
-from sparsebrdf.merl import corpus_mask, read_merl
+from sparsebrdf.merl import BrdfResolution, corpus_mask, read_merl, write_merl
+
+from conftest import make_random_tensor
+from oracles import (
+    allocating_log_relative_map,
+    full_copy_train_pca,
+    stacked_reference,
+    stacked_training_matrix,
+)
 
 
 def run_cli(capsys, *argv):
@@ -279,3 +290,92 @@ def test_out_env_var_default(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["dir"] == str(tmp_path / "envout" / "corpus")
     assert len(list((tmp_path / "envout" / "corpus").glob("*.binary"))) == 2
+
+
+def _write_corpus(directory, rng, count, res, invalid_frac=0.1):
+    """count random materials, each with its own invalid cells."""
+    directory.mkdir()
+    for i in range(count):
+        tensor = make_random_tensor(rng, res=res, invalid_frac=invalid_frac)
+        write_merl(tensor, directory / f"m{i:02d}.binary")
+    return directory
+
+
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+def test_streamed_train_dict_matches_oracle_pipeline(tmp_path, rng, monkeypatch,
+                                                     capsys, statistic):
+    import sparsebrdf.mapping as mapping_mod
+
+    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 7)
+    corpus = _write_corpus(tmp_path / "corpus", rng, 5, BrdfResolution(8, 8, 8))
+    code, out, _ = run_cli(capsys, "train-dict", "--corpus", str(corpus), "--k", "6",
+                           "--epsilon", "2e-3", "--statistic", statistic,
+                           "--out", str(tmp_path / "bundle"))
+    assert code == 0
+    bundle = load_bundle(tmp_path / "bundle")
+
+    paths = sorted(corpus.glob("*.binary"))
+    tensors = [read_merl(p) for p in paths]
+    ids = [p.stem for p in paths]
+    rm = corpus_mask(tensors)
+    assert rm.n_valid < min(int(b.mask.sum()) for b in tensors)  # masks differ
+    ref = stacked_reference(tensors, rm, 2e-3, statistic)
+    matrix = stacked_training_matrix(
+        [allocating_log_relative_map(b, ref, rm) for b in tensors], ids, rm)
+    pca = full_copy_train_pca(matrix, 6)
+    for name in ("mean", "atoms", "coeffs", "sigma"):
+        assert getattr(bundle.pca, name).tobytes() == getattr(pca, name).tobytes(), name
+    assert bundle.reference.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(bundle.row_map.grid_indices, rm.grid_indices)
+    assert bundle.material_ids == tuple(ids)
+    assert json.loads(out)["digest"] == DictionaryBundle(pca, rm, ref, tuple(ids)).digest
+
+
+def _write_truncated(path, dims, doubles):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<3i", *dims))
+        np.zeros(doubles).tofile(fh)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "mixed", "mixed-then-truncated"])
+def test_train_dict_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fault):
+    corpus = _write_corpus(tmp_path / "corpus", rng, 3, BrdfResolution(8, 8, 8))
+    if fault != "truncated":
+        write_merl(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)),
+                   corpus / "m01.binary")
+    if fault != "mixed":
+        # sorted last, so it is read after the file of another resolution
+        _write_truncated(corpus / "m99.binary", (8, 8, 8), 10)
+    code, out, err = run_cli(capsys, "train-dict", "--corpus", str(corpus), "--k", "2",
+                             "--out", str(tmp_path / "bundle"))
+    assert code == 1
+    assert out == ""
+    if fault == "mixed":
+        assert err == "error: MerlFormatError: corpus mixes resolutions\n"
+    else:
+        assert err == (f"error: MerlFormatError: {corpus / 'm99.binary'}: "
+                       "payload holds 10 doubles, expected 1536\n")
+
+
+def test_streamed_train_dict_peak_memory_bounded(tmp_path, rng, monkeypatch, capsys):
+    import sparsebrdf.mapping as mapping_mod
+
+    # a 65536-row reference block would be the whole of this matrix; at the
+    # full grid it is a sixteenth of it, and 1024 rows keeps that proportion
+    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 1024)
+    count = 12
+    corpus = _write_corpus(tmp_path / "corpus", rng, count, BrdfResolution(32, 32, 32),
+                           invalid_frac=0.05)
+    n_valid = corpus_mask(read_merl(p) for p in corpus.glob("*.binary")).n_valid
+    matrix_bytes = n_valid * 3 * count * 8
+    tracemalloc.start()
+    try:
+        code = main(["train-dict", "--corpus", str(corpus), "--k", "5",
+                     "--out", str(tmp_path / "bundle")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    # the matrix, plus the n x k projection and inverse at the end of training
+    assert peak < 2 * matrix_bytes, peak / matrix_bytes

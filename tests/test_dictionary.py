@@ -15,6 +15,7 @@ from sparsebrdf.dictionary import (
     train_pca,
 )
 from sparsebrdf.errors import (
+    EmptyCorpusError,
     InconsistentCorpusError,
     InvalidKError,
     SingularMatrixError,
@@ -333,3 +334,38 @@ def test_digest_matches_tobytes_formula(tmp_path, rng):
     for b in (bundle, bundle.truncate(2), strided, load_bundle(tmp_path / "bundle")):
         assert b.digest == _tobytes_digest(b)
     assert strided.digest == bundle.digest
+
+
+def test_train_bundle_rejects_other_resolution_and_empty_corpus(rng):
+    tensors = [make_random_tensor(rng, invalid_frac=0.0) for _ in range(3)]
+    rm = corpus_mask(tensors)
+    other = make_random_tensor(rng, res=BrdfResolution(4, 4, 4), invalid_frac=0.0)
+    with pytest.raises(InconsistentCorpusError, match="resolution"):
+        train_bundle([("a", tensors[0]), ("b", other), ("c", tensors[1])], rm, 2)
+    with pytest.raises(EmptyCorpusError):
+        train_bundle(iter([]), rm, 2)
+
+
+@pytest.mark.parametrize("k", [6, 4, 1])
+def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
+    mapped, ids, rm = _mapped_corpus(rng, 4)
+    pca = train_pca(assemble_training_matrix(mapped, ids, rm), 6)
+    pca = PcaDictionary(pca.mean, pca.atoms, pca.coeffs,
+                        np.concatenate([pca.sigma[:5], [0.0]]), pca.inverse)
+    bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)), tuple(ids))
+    save_bundle(bundle, tmp_path / "bundle")
+    # the inverse load_bundle formed for every loaded bundle before it was
+    # derived on first read, and truncated by copying its leading rows
+    loaded = load_bundle(tmp_path / "bundle").pca
+    safe = np.where(loaded.sigma > 0.0, loaded.sigma, 1.0)
+    u = loaded.atoms / safe
+    eager = u.T * np.where(loaded.sigma > 0.0, 1.0 / safe, 0.0)[:, None]
+    if k < 6:
+        eager = eager[:k].copy()
+    assert "inverse" not in vars(loaded)  # not formed on load
+    inverse = loaded.truncate(k).inverse
+    assert inverse.tobytes(order="A") == eager.tobytes(order="A")
+    assert inverse.flags.f_contiguous == eager.flags.f_contiguous
+    assert inverse.flags.c_contiguous == eager.flags.c_contiguous
+    assert not inverse.flags.writeable
+    assert not inverse[-1].any() if k == 6 else inverse[0].any()

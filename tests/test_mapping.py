@@ -18,7 +18,7 @@ from sparsebrdf.mapping import (
 from sparsebrdf.merl import BrdfResolution, BrdfTensor, corpus_mask
 
 from conftest import make_random_tensor
-from oracles import stacked_reference, validity_mask
+from oracles import allocating_log_relative_map, stacked_reference, validity_mask
 
 RES = BrdfResolution(8, 8, 8)
 
@@ -157,3 +157,20 @@ def test_unmap_provenance_mismatch():
     mapped = MappedBrdf(np.zeros((3, 4)), ref_a.key)
     with pytest.raises(ProvenanceMismatchError):
         log_relative_unmap(mapped, ref_b)
+
+
+def test_map_in_place_matches_allocating_oracle(rng):
+    # reflectance over eleven decades, zeros included, against a median
+    # reference of the same corpus
+    tensors = []
+    for _ in range(4):
+        values = 10.0 ** rng.uniform(-8.0, 3.0, size=(3, RES.grid_size))
+        values[:, rng.random(RES.grid_size) < 0.05] = 0.0
+        tensors.append(BrdfTensor(RES, values, np.ones(RES.grid_size, dtype=bool)))
+    rm = corpus_mask(tensors)
+    ref = compute_reference(tensors, rm, epsilon=1e-3)
+    for b in tensors:
+        mapped = log_relative_map(b, ref, rm)
+        oracle = allocating_log_relative_map(b, ref, rm)
+        assert mapped.values.tobytes() == oracle.values.tobytes()
+        assert mapped.provenance == oracle.provenance

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -13,11 +14,12 @@ from sparsebrdf.merl import (
     direction_to_index,
     index_to_direction,
     read_merl,
+    read_merl_mask,
     write_merl,
 )
 
 from conftest import make_random_tensor
-from oracles import row_of_grid, validity_mask
+from oracles import allocating_read_merl, row_of_grid, validity_mask
 
 RES8 = BrdfResolution(8, 8, 8)
 
@@ -72,6 +74,60 @@ def test_read_rejects_short_payload(tmp_path):
     _write_raw(path, (8, 8, 8), np.zeros(10))
     with pytest.raises(MerlFormatError):
         read_merl(path)
+
+
+def _edge_payload(rng):
+    """Stored doubles with every kind of cell the reader treats apart."""
+    stored = rng.uniform(0.0, 1500.0, size=(3, RES8.grid_size))
+    stored[0, 3] = np.nan  # NaN: masked, and written as the sentinel
+    stored[1, 4] = -np.inf  # a negative kept verbatim
+    stored[2, 5] = -2.5  # siblings of a negative get the sentinel
+    stored[:, 6] = -0.0  # negative zero is valid
+    stored[0, 7], stored[1, 7] = -3.0, -0.0
+    stored[:, 8] = 5e-324  # subnormal
+    stored[:, 9] = 0.0
+    stored[1, 10] = 1e308  # scaled, stays finite
+    return stored
+
+
+@pytest.mark.parametrize("posinf", [False, True])
+def test_read_merl_matches_allocating_reader(tmp_path, rng, posinf):
+    stored = _edge_payload(rng)
+    if posinf:
+        stored[2, 11] = np.inf  # scales to +inf, which no valid cell may hold
+    path = tmp_path / "edge.binary"
+    _write_raw(path, (8, 8, 8), stored.ravel())
+    if posinf:
+        messages = []
+        for reader in (read_merl, allocating_read_merl):
+            with pytest.raises(MerlFormatError) as exc:
+                reader(path)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        return
+    brdf, oracle = read_merl(path), allocating_read_merl(path)
+    assert brdf.resolution == oracle.resolution
+    assert brdf.values.tobytes() == oracle.values.tobytes()  # -0.0 included
+    assert np.array_equal(brdf.mask, oracle.mask)
+    assert not brdf.mask[[3, 4, 5, 7]].any() and brdf.mask[[6, 8, 9, 10]].all()
+    mask = read_merl_mask(path)
+    assert mask.resolution == brdf.resolution
+    assert np.array_equal(mask.mask, brdf.mask)
+
+
+@pytest.mark.parametrize("dims,payload,message", [
+    ((0, 8, 8), [], "nonpositive header dims (0, 8, 8)"),
+    ((8, 8, 8), np.zeros(10), "payload holds 10 doubles, expected 1536"),
+])
+def test_mask_pass_rejects_as_read_merl(tmp_path, dims, payload, message):
+    path = tmp_path / "bad.binary"
+    _write_raw(path, dims, payload)
+    for reader in (read_merl, read_merl_mask):
+        with pytest.raises(MerlFormatError, match=re.escape(message)):
+            reader(path)
+    path.write_bytes(b"\0" * 11)
+    with pytest.raises(MerlFormatError, match="truncated header"):
+        read_merl_mask(path)
 
 
 def test_read_missing_file():
