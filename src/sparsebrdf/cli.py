@@ -180,7 +180,6 @@ _INI_OPTIONS = {
     ("experiment", "folds"): ("folds", "getint"),
     ("experiment", "seed"): ("seed", "getint"),
     ("experiment", "random_trials"): ("random_trials", "getint"),
-    ("output", "threads"): ("threads", "getint"),
     ("output", "dir"): ("_out_dir", "get"),
 }
 
@@ -231,7 +230,7 @@ def cmd_evaluate(args) -> int:
     ini_out = raw.pop("_out_dir", None)
     out_dir = Path(args.out or ini_out or os.environ.get(OUT_ENV, "out"))
     # flags override file values
-    for key in ("threads", "seed", "folds", "random_trials"):
+    for key in ("seed", "folds", "random_trials"):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     if args.m is not None:

@@ -37,9 +37,6 @@ from .merl import BrdfResolution, RowMap
 
 CHANNEL_NAMES = ("R", "G", "B")
 
-# singular values below sigma_max * this are treated as exact zeros
-_RANK_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class TrainingMatrix:
@@ -105,26 +102,22 @@ class PcaDictionary:
     Columns of atoms/sigma are sorted by decreasing singular value; each left
     singular vector is sign-fixed so its largest-magnitude entry is positive,
     making results reproducible across platforms.  Atoms whose singular value
-    is numerically zero are stored as zero columns, and their rows of the
-    inverse are zero (pseudo-inverse semantics).
+    is zero are stored as zero columns, and their rows of the inverse are
+    zero (pseudo-inverse semantics).
 
-    train_pca gives the inverse it forms.  A dictionary made without one, as
-    load_bundle makes it, derives it from atoms and sigma when it is first
-    read: only selection and the coherence scan read it, and at the full grid
-    it is as large as the atoms.
+    The inverse is derived from atoms and sigma when it is first read: only
+    selection and the coherence scan read it, and at the full grid it is as
+    large as the atoms.
     """
 
     def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
-                 sigma: np.ndarray, inverse: np.ndarray | None = None):
+                 sigma: np.ndarray):
         self.mean = mean
         self.atoms = atoms  # (n, k) = U_k Sigma_k
         self.coeffs = coeffs  # (k, t) = V_k^T
         self.sigma = sigma  # (k,)
         for arr in (mean, atoms, coeffs, sigma):
             arr.setflags(write=False)
-        if inverse is not None:
-            inverse.setflags(write=False)
-            self.__dict__["inverse"] = inverse
 
     @cached_property
     def inverse(self) -> np.ndarray:
@@ -151,25 +144,16 @@ class PcaDictionary:
             raise InvalidKError(f"k={k} outside [1, {self.n_atoms}]")
         if k == self.n_atoms:
             return self
-        atoms = self.atoms[:, :k].copy()
-        sigma = self.sigma[:k].copy()
-        if "inverse" in self.__dict__:
-            inverse = self.inverse[:k].copy()
-        else:
-            # the leading rows of a derived inverse, in the C order of a copy,
-            # without deriving the rest
-            inverse = np.ascontiguousarray(_derived_inverse(atoms, sigma))
-        return PcaDictionary(self.mean, atoms, self.coeffs[:k].copy(), sigma, inverse)
+        return PcaDictionary(self.mean, self.atoms[:, :k].copy(),
+                             self.coeffs[:k].copy(), self.sigma[:k].copy())
 
 
 def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(atoms / sigma^2)^T, with zero rows where sigma is at roundoff level
-    relative to sigma_max.  It is built in the buffer the atoms are divided
-    into, and so is F-ordered."""
-    tiny = sigma[0] * _RANK_TOL if sigma.size and sigma[0] > 0.0 else np.inf
-    safe = np.where(sigma > tiny, sigma, 1.0)
+    """(atoms / sigma^2)^T, with zero rows where sigma is zero.  It is built
+    in the buffer the atoms are divided into, and so is F-ordered."""
+    safe = np.where(sigma > 0.0, sigma, 1.0)
     u = atoms / safe
-    u *= np.where(sigma > tiny, 1.0 / safe, 0.0)
+    u *= np.where(sigma > 0.0, 1.0 / safe, 0.0)
     return u.T
 
 
@@ -207,10 +191,12 @@ def train_pca(matrix: TrainingMatrix, k: int, *,
 
     # singular values at roundoff level (relative to sigma_max, or to the
     # pre-centering scale when centering annihilated everything) are exact
-    # zeros; their atoms are zeroed rather than divided into garbage
+    # zeros; their atoms are zeroed rather than divided into garbage.  Through
+    # the Gram matrix a null direction's singular value reads about
+    # sqrt(eps) * sigma_max, so the relative rule scales with sqrt(eps)
     eps = np.finfo(np.float64).eps
     tiny = max(
-        sigma[0] * _RANK_TOL,
+        sigma[0] * np.sqrt(t * eps),
         eps * max(n, t) * norm,
     )
     sigma[sigma <= tiny] = 0.0
@@ -220,8 +206,7 @@ def train_pca(matrix: TrainingMatrix, k: int, *,
     u = (centered @ v[:, :max(k, 2)])[:, :k]
     del centered
     sigma, v = sigma[:k], v[:, :k]
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    u /= safe
+    u /= np.where(sigma > 0.0, sigma, 1.0)
     u[:, sigma == 0.0] = 0.0
 
     # deterministic sign: largest-magnitude entry of each u column positive;
@@ -232,15 +217,12 @@ def train_pca(matrix: TrainingMatrix, k: int, *,
             col *= -1.0
             v[:, j] *= -1.0
 
-    inv_sigma = np.where(sigma > 0.0, 1.0 / safe, 0.0)
-    inverse = u.T * inv_sigma[:, None]
     u *= sigma
     return PcaDictionary(
         mean=mean,
         atoms=np.ascontiguousarray(u),
         coeffs=v.T.copy(),
         sigma=sigma.copy(),
-        inverse=inverse,
     )
 
 
@@ -337,8 +319,8 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     """Persist a dictionary bundle as raw binaries plus a JSON manifest.
 
     Layout: each array is a C-order little-endian flat binary (<name>.bin);
-    shapes and dtypes live in manifest.json.  The dictionary inverse is
-    recomputed on load from atoms and sigma.
+    shapes and dtypes live in manifest.json.  The dictionary inverse is not
+    stored: a dictionary derives it from atoms and sigma when it is read.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)

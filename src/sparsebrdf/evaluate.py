@@ -173,7 +173,6 @@ class ExperimentConfig:
     seed: int = 7
     random_trials: int = 20
     normalize_atoms: bool = False
-    threads: int = 0  # accepted but unused: evaluation runs in one thread
 
     def __post_init__(self):
         if (self.corpus_dir is None) == (self.synthetic is None):
@@ -199,8 +198,8 @@ class ExperimentConfig:
         return m if self.k_policy == "coupled" else int(self.k_fixed)
 
     def snapshot(self) -> dict:
-        """Every field but the unused worker count."""
-        snap = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        """Every field, in JSON-serializable form."""
+        snap = {f.name: getattr(self, f.name) for f in fields(self)}
         snap["m_values"] = list(self.m_values)
         if self.synthetic is not None:
             res = self.synthetic.resolution
@@ -353,7 +352,8 @@ class _HeldOut:
         x = np.concatenate([mb.values for mb in mapped])  # (3M, n), material-major
         self.n_cells = x.size // len(mapped)
         self.signal = np.sum((x * x).reshape(len(mapped), -1), axis=1)
-        self.centred = x - pca.mean
+        x -= pca.mean
+        self.centred = x
         self.energy = np.sum(self.centred * self.centred, axis=1)
         self.projections = self.centred @ pca.atoms  # (3M, k_max)
         self.gram = pca.atoms.T @ pca.atoms

@@ -150,7 +150,9 @@ def somp_select(
 
     scan_dinv = dinv
     if normalize_atoms:
-        norms = np.linalg.norm(dinv, axis=0)
+        # summed in one order whatever dinv's memory layout, so that near-tied
+        # normalized scores do not flip picks between layouts
+        norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
         scan_dinv = dinv / np.where(norms > 0.0, norms, 1.0)
 
     selected: list[int] = []

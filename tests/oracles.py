@@ -10,12 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsebrdf.dictionary import (
-    _RANK_TOL,
-    CHANNEL_NAMES,
-    PcaDictionary,
-    TrainingMatrix,
-)
+from sparsebrdf.dictionary import CHANNEL_NAMES, PcaDictionary, TrainingMatrix
 from sparsebrdf.errors import (
     EmptyCorpusError,
     EmptyMaskError,
@@ -175,7 +170,8 @@ def full_copy_train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
     sigma = np.sqrt(np.clip(eigvals[order], 0.0, None))
     v = eigvecs[:, order]
     eps = np.finfo(np.float64).eps
-    tiny = max(sigma[0] * _RANK_TOL, eps * max(n, t) * float(np.linalg.norm(entries)))
+    tiny = max(sigma[0] * np.sqrt(t * eps),
+               eps * max(n, t) * float(np.linalg.norm(entries)))
     sigma[sigma <= tiny] = 0.0
     safe = np.where(sigma > 0.0, sigma, 1.0)
     u = (centered @ v) / safe
@@ -186,13 +182,16 @@ def full_copy_train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
     u *= signs
     v *= signs
     inv_sigma = np.where(sigma[:k] > 0.0, 1.0 / safe[:k], 0.0)
-    return PcaDictionary(
+    pca = PcaDictionary(
         mean=mean,
         atoms=u[:, :k] * sigma[:k],
         coeffs=v[:, :k].T.copy(),
         sigma=sigma[:k].copy(),
-        inverse=u[:, :k].T * inv_sigma[:, None],
     )
+    # the inverse formed from U rather than derived from the atoms, so that
+    # a derived inverse is compared with an independent expected array
+    pca.inverse = u[:, :k].T * inv_sigma[:, None]
+    return pca
 
 
 def allocating_correlation_scores(dinv: np.ndarray, residual: np.ndarray,

@@ -377,5 +377,5 @@ def test_streamed_train_dict_peak_memory_bounded(tmp_path, rng, monkeypatch, cap
         tracemalloc.stop()
     capsys.readouterr()
     assert code == 0
-    # the matrix, plus the n x k projection and inverse at the end of training
+    # the matrix, plus the n x k projection U_k at the end of training
     assert peak < 2 * matrix_bytes, peak / matrix_bytes

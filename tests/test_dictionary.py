@@ -272,6 +272,21 @@ def test_train_pca_rank_deficient_matches_oracle(rng):
             pca = train_pca(matrix, k)
             assert np.all(pca.sigma == 0.0) == zeros
             _assert_pca_identical(pca, full_copy_train_pca(matrix, k))
+            if not zeros:
+                # centring leaves 3 independent columns; through the Gram
+                # matrix the null directions read sigma ~ 2e-8 sigma_max
+                assert np.all(pca.sigma[:3] > 0.0)
+                assert not pca.sigma[3:].any()
+                assert not pca.atoms[:, 3:].any()
+                assert not pca.inverse[3:].any()
+
+
+def test_training_forms_no_inverse(rng):
+    mapped, ids, rm = _mapped_corpus(rng, 4)
+    assert "inverse" not in vars(train_pca(assemble_training_matrix(mapped, ids, rm), 5))
+    tensors = [make_random_tensor(rng, invalid_frac=0.0) for _ in range(3)]
+    bundle = train_bundle(zip("abc", tensors), corpus_mask(tensors), 4)
+    assert "inverse" not in vars(bundle.pca)
 
 
 @pytest.mark.parametrize("statistic", ["median", "mean"])
@@ -328,8 +343,8 @@ def test_digest_matches_tobytes_formula(tmp_path, rng):
                               tuple(ids))
     # a strided atoms view exercises the contiguous copy
     strided = DictionaryBundle(
-        PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma,
-                      pca.inverse), rm, bundle.reference, tuple(ids))
+        PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma),
+        rm, bundle.reference, tuple(ids))
     save_bundle(bundle, tmp_path / "bundle")
     for b in (bundle, bundle.truncate(2), strided, load_bundle(tmp_path / "bundle")):
         assert b.digest == _tobytes_digest(b)
@@ -351,17 +366,17 @@ def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
     mapped, ids, rm = _mapped_corpus(rng, 4)
     pca = train_pca(assemble_training_matrix(mapped, ids, rm), 6)
     pca = PcaDictionary(pca.mean, pca.atoms, pca.coeffs,
-                        np.concatenate([pca.sigma[:5], [0.0]]), pca.inverse)
+                        np.concatenate([pca.sigma[:5], [0.0]]))
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)), tuple(ids))
     save_bundle(bundle, tmp_path / "bundle")
     # the inverse load_bundle formed for every loaded bundle before it was
-    # derived on first read, and truncated by copying its leading rows
+    # derived on first read; a truncated dictionary derives its own, which
+    # holds the leading rows in F order
     loaded = load_bundle(tmp_path / "bundle").pca
     safe = np.where(loaded.sigma > 0.0, loaded.sigma, 1.0)
     u = loaded.atoms / safe
     eager = u.T * np.where(loaded.sigma > 0.0, 1.0 / safe, 0.0)[:, None]
-    if k < 6:
-        eager = eager[:k].copy()
+    eager = np.asfortranarray(eager[:k])
     assert "inverse" not in vars(loaded)  # not formed on load
     inverse = loaded.truncate(k).inverse
     assert inverse.tobytes(order="A") == eager.tobytes(order="A")

