@@ -126,6 +126,8 @@ def cmd_select_samples(args) -> int:
         bundle.pca.inverse, bundle.pca.coeffs, stop,
         normalize_atoms=args.normalize_atoms,
     )
+    _log(f"scan: scored {support.blocks_scored} of {support.blocks_total} blocks "
+         f"over {len(support)} picks")
     record = {
         "version": SUPPORT_RECORD_VERSION,
         **support_record_fields(support, bundle.row_map),
@@ -253,13 +255,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_coherence(args) -> int:
     bundle = load_bundle(args.dict)
-    dinv = bundle.pca.inverse
-    n = dinv.shape[1]
+    n = bundle.pca.n_rows
     if n > args.max_atoms:
         raise ConfigError(
             f"coherence scan over {n} columns exceeds --max-atoms={args.max_atoms}; "
             "raise the cap if you really want the O(n^2) scan"
         )
+    dinv = bundle.pca.inverse
     values = {m: cumulative_coherence(dinv, m) for m in
               sorted({int(v) for v in args.m.split(",")})}
     print(json.dumps({"bundle_digest": bundle.digest,

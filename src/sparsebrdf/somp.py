@@ -12,6 +12,21 @@ rows of the training signal to measure.
 
 The greedy loop is deterministic: correlation ties break toward the
 smallest column index.
+
+Each pick scores only the ``_SCAN_BLOCK``-column blocks that can still hold
+it, in the manner of Minoux's accelerated greedy (*Accelerated greedy
+algorithms for maximizing submodular set functions*, 1978), made safe by
+explicit bounds since SOMP's objective is not submodular.  Every column keeps
+an upper bound on its score, the tighter of a triangle bound (its last score
+plus the most the last projection can add) and a norm bound
+(sqrt(t) sigma_max(residual) times its norm outside the selected span), both
+kept by one GEMV per pick.  Blocks are scored in decreasing order of their
+largest bound; the scan stops at the first block whose bound, plus a slack
+taken from forward-error bounds, is strictly below the best score found.
+Guarantee: the scores computed are bitwise those of a full scan (the same
+block GEMM, abs and row sum on the same block boundaries), and every column
+that could reach the best score is scored, so the picks, ties included, and
+the residual history are identical to a full scan's.
 """
 
 from __future__ import annotations
@@ -35,6 +50,9 @@ from .merl import HalfAngleDirection, RowMap, index_to_direction
 
 # column block size for correlation scans; bounds memory at wide n
 _SCAN_BLOCK = 16384
+
+# size of cumulative_coherence's correlation block
+_COHERENCE_BLOCK_BYTES = 128 << 20
 
 # a pick whose component outside earlier picks is below norm / this is dependent
 DEFAULT_COND_LIMIT = 1e12
@@ -78,6 +96,9 @@ class SupportSet:
 
     indices: list[int]
     residual_history: list[float] = field(default_factory=list)
+    # scan blocks scored by the picks, and what a full scan would have scored
+    blocks_scored: int = field(default=0, compare=False)
+    blocks_total: int = field(default=0, compare=False)
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
@@ -87,31 +108,181 @@ class SupportSet:
         return len(self.indices)
 
 
-def _correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """l1 norm of each column's correlation row against the residual."""
-    n = dinv.shape[1]
-    scores = np.empty(n)
-    # one correlation buffer, reused by every block
-    buf = np.empty((min(_SCAN_BLOCK, n), residual.shape[1]))
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, n)
-        corr = buf[:stop - start]
-        np.matmul(dinv[:, start:stop].T, residual, out=corr)
-        np.abs(corr, out=corr)
-        corr.sum(axis=1, out=scores[start:stop])
-    return scores
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u), u the unit roundoff: the relative forward
+    error bound of a sum or dot product of n float64 terms (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, section 3.1)."""
+    u = np.finfo(np.float64).eps / 2
+    return n * u / (1.0 - n * u)
 
 
-def atom_select(dinv: np.ndarray, residual: np.ndarray, exclude=()) -> int:
-    """Index of the unselected column with the largest total correlation.
+def _score_block(dinv: np.ndarray, residual: np.ndarray, start: int, stop: int,
+                 buf: np.ndarray, out: np.ndarray) -> None:
+    """l1 norms of the correlation rows of columns start:stop against the
+    residual, written to out through the reused buffer buf."""
+    corr = buf[:stop - start]
+    np.matmul(dinv[:, start:stop].T, residual, out=corr)
+    np.abs(corr, out=corr)
+    corr.sum(axis=1, out=out)
 
-    Ties break toward the smallest index, which keeps the whole pursuit
-    deterministic regardless of how the scan is parallelized.
+
+class _BoundedScan:
+    """SOMP's column scan over ``_SCAN_BLOCK`` blocks, skipping the blocks that
+    cannot hold the pick.
+
+    Write s_j for the exact score ||R^T d_j||_1 of column d_j against the
+    residual R that the loop computed.  For every unselected column the scan
+    keeps a bound with s_j <= bound[j] + eta ||d_j||_2, where eta, one number
+    per pick, absorbs every rounding error.  A pick scores blocks in
+    decreasing order of their largest bound plus slack, and stops at the
+    first block whose bound is strictly below the best score found.  Scores
+    come from the full scan's GEMM, abs and row sum on the same block
+    boundaries, so they and the pick are bitwise the full scan's; a block
+    that could tie the best is scanned, so ties still go to the lowest index.
     """
-    scores = _correlation_scores(dinv, residual)
-    for i in exclude:
-        scores[i] = -np.inf
-    return int(np.argmax(scores))
+
+    def __init__(self, dinv: np.ndarray, coeffs: np.ndarray):
+        k, n = dinv.shape
+        t = coeffs.shape[1]
+        self.dinv = dinv
+        self.starts = np.arange(0, n, _SCAN_BLOCK)
+        self.blocks_scored = 0
+        # every rounding error below is one of a dot product, a sum or a
+        # Frobenius norm of at most k t + k + t terms, or of a few flops
+        self.gamma = _gamma(k * t + k + t)
+        self.root_t = math.sqrt(t)
+        block = min(_SCAN_BLOCK, n)
+        self._corr = np.empty((block, t))
+        self.bound = np.empty(n)
+        self.keeps_bounds = len(self.starts) > 1
+        if not self.keeps_bounds:
+            return  # a lone block is scored at every pick, whatever its bound
+        self._g = np.empty(block)
+        self._tmp = np.empty(block)
+        # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
+        # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
+        self.nu2 = np.einsum("ij,ij->j", dinv, dinv)
+        self.kappa = self.gamma
+        self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
+                     * (1.0 + 2.0 * self.gamma))
+        self.bound.fill(np.inf)
+        self.eta, scale = self._norm_bound(coeffs, np.zeros((k, 0)))
+        self._sweep(scale)
+
+    def _rho(self, residual: np.ndarray) -> float:
+        """Upper bound on ||residual||_F."""
+        return float(np.linalg.norm(residual)) * (1.0 + self.gamma)
+
+    def pick(self, residual: np.ndarray, selected: list) -> int:
+        """Index of the unselected column with the largest score, ties to the
+        lowest index: the full scan's pick."""
+        n = self.dinv.shape[1]
+        order, block_bound = [0], [np.inf]
+        if self.keeps_bounds:
+            rho = self._rho(residual)
+            # |computed score - s_j| <= eta_scan ||d_j||: gamma_k on each dot
+            # product against |d_j|^T |r_c| <= ||d_j|| ||r_c||, gamma_t on the
+            # row sum; the last 4 gamma covers rounding the block bound itself
+            eta_scan = 2.0 * self.gamma * self.root_t * rho
+            slack = self.eta + eta_scan + 4.0 * self.gamma * self.root_t * rho
+            block_bound = np.maximum.reduceat(self.bound, self.starts) + slack * self.dmax
+            order = np.argsort(-block_bound, kind="stable")
+        sel = np.asarray(selected, dtype=np.int64)
+        best, best_j = -np.inf, -1
+        for b in order:
+            if block_bound[b] < best:
+                break
+            start = int(self.starts[b])
+            stop = min(start + _SCAN_BLOCK, n)
+            scores = self.bound[start:stop]
+            _score_block(self.dinv, residual, start, stop, self._corr, scores)
+            scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
+            i = int(np.argmax(scores))
+            if scores[i] > best or (scores[i] == best and start + i < best_j):
+                best, best_j = scores[i], start + i
+            self.blocks_scored += 1
+        if self.keeps_bounds:
+            # the scored columns' bounds are now their computed scores
+            self.eta = max(self.eta, eta_scan)
+            self.bound[best_j] = -np.inf
+        return best_j
+
+    def advance(self, basis: np.ndarray, residual: np.ndarray,
+                next_residual: np.ndarray) -> None:
+        """Carry the bounds from residual to next_residual, the residual once
+        q, the last column of basis, joined the others.
+
+        Triangle bound: next_residual = residual - q (q^T residual) + F
+        exactly, F the defect of the recomputation, so
+        s_j' <= s_j + |d_j^T q| ||q^T residual||_1 + sqrt(t) ||F||_F ||d_j||.
+        Evaluating F, taking |d_j^T q| ||q^T residual||_1 from the computed
+        g = dinv^T q and h, and rounding bound + |g| h add at most 4, 4 and 1
+        gamma sqrt(t) ||q||^2 rho ||d_j||, rho bounding both residuals' norms.
+        Each column keeps the tighter of this and the norm bound.
+        """
+        if not self.keeps_bounds:
+            return
+        gamma = self.gamma
+        q = basis[:, -1]
+        w = q @ residual
+        h = float(np.abs(w).sum())
+        defect = next_residual - residual + np.outer(q, w)
+        rho = max(self._rho(residual), self._rho(next_residual))
+        qq = float(q @ q) * (1.0 + gamma)
+        eta_triangle = self.root_t * (float(np.linalg.norm(defect)) * (1.0 + gamma)
+                                      + 9.0 * gamma * qq * rho)
+        # downdating: |g_j^2 - (q^T d_j)^2| <= gamma (2 + gamma) ||q||^2 ||d_j||^2,
+        # and squaring and subtracting round by u each
+        self.kappa += 3.0 * gamma * qq
+        eta_norm, scale = self._norm_bound(next_residual, basis)
+        self.eta = max(self.eta + eta_triangle, eta_norm)
+        self._sweep(scale, q, h)
+
+    def _norm_bound(self, residual: np.ndarray, basis: np.ndarray) -> tuple:
+        """(eta, scale) of the norm bound s_j <= scale sqrt(nu2_j) + eta ||d_j||,
+        scale = sqrt(t) sigma_max(residual).
+
+        With P_perp = I - Q Q^T for the computed basis Q, exactly
+        R^T d = R^T P_perp d + (R^T Q) Q^T d, and
+        ||P_perp d||^2 <= nu2 + (kappa + delta (1 + delta)) ||d||^2 where
+        delta >= ||Q^T Q - I||_2 is measured, so that
+        s_j <= sqrt(t) [sigma (sqrt(nu2_j) + sqrt(kappa + delta (1 + delta)) ||d_j||)
+                        + ||R^T Q||_F sqrt(1 + delta) ||d_j||].
+        sigma_max comes from a backward-stable SVD, within gamma rho.
+        """
+        gamma, p = self.gamma, basis.shape[1]
+        rho = self._rho(residual)
+        sigma = float(np.linalg.norm(residual, 2)) + gamma * rho
+        gram = basis.T @ basis
+        frob2 = float(np.trace(gram)) * (1.0 + 2.0 * gamma)
+        delta = (float(np.linalg.norm(gram - np.eye(p))) + 2.0 * gamma * frob2) * (1.0 + gamma)
+        omega = ((float(np.linalg.norm(residual.T @ basis)) * (1.0 + gamma)
+                  + gamma * rho * math.sqrt(frob2)) * math.sqrt(1.0 + delta))
+        # the last 4 gamma covers rounding scale sqrt(nu2)
+        eta = self.root_t * (sigma * (math.sqrt(self.kappa + delta * (1.0 + delta))
+                                      + 4.0 * gamma) + omega)
+        return eta, self.root_t * sigma
+
+    def _sweep(self, scale: float, q=None, h: float = 0.0) -> None:
+        """bound_j <- min(bound_j + |d_j^T q| h, scale sqrt(nu2_j)), after
+        downdating nu2_j by (d_j^T q)^2; one block at a time, so that the
+        temporaries stay in cache."""
+        n = self.dinv.shape[1]
+        for start in self.starts:
+            stop = min(start + _SCAN_BLOCK, n)
+            nu2, bound = self.nu2[start:stop], self.bound[start:stop]
+            tmp = self._tmp[:stop - start]
+            if q is not None:
+                g = np.matmul(self.dinv[:, start:stop].T, q, out=self._g[:stop - start])
+                np.multiply(g, g, out=tmp)
+                nu2 -= tmp
+                np.abs(g, out=g)
+                g *= h
+                bound += g
+            np.maximum(nu2, 0.0, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp *= scale
+            np.minimum(bound, tmp, out=bound)
 
 
 def somp_select(
@@ -155,6 +326,7 @@ def somp_select(
         norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
         scan_dinv = dinv / np.where(norms > 0.0, norms, 1.0)
 
+    scan = _BoundedScan(scan_dinv, coeffs)
     selected: list[int] = []
     history: list[float] = []
     basis = np.zeros((k, 0))
@@ -163,7 +335,7 @@ def somp_select(
     while len(selected) < max_steps:
         if threshold >= 0.0 and np.linalg.norm(residual) <= threshold:
             break
-        j = atom_select(scan_dinv, residual, exclude=selected)
+        j = scan.pick(residual, selected)
         selected.append(j)
         col = dinv[:, j].astype(np.float64, copy=True)
         # orthogonalize twice; a second pass restores orthogonality lost
@@ -177,10 +349,15 @@ def somp_select(
                 "training set cannot support more samples"
             )
         basis = np.hstack([basis, (col / norm)[:, None]])
-        residual = coeffs - basis @ (basis.T @ coeffs)
+        next_residual = coeffs - basis @ (basis.T @ coeffs)
+        if len(selected) < max_steps:
+            scan.advance(basis, residual, next_residual)
+        residual = next_residual
         history.append(float(np.linalg.norm(residual)))
 
-    return SupportSet(indices=selected, residual_history=history)
+    return SupportSet(indices=selected, residual_history=history,
+                      blocks_scored=scan.blocks_scored,
+                      blocks_total=len(selected) * len(scan.starts))
 
 
 def support_to_directions(support: SupportSet, row_map: RowMap) -> list[HalfAngleDirection]:
@@ -254,16 +431,18 @@ def cumulative_coherence(dinv: np.ndarray, m: int) -> float:
     if np.any(norms == 0.0):
         raise ZeroColumnError("cannot normalize a zero column")
     unit = dinv / norms
+    # rows of the (rows, n) correlation block, the scan's one large temporary
+    rows = max(1, _COHERENCE_BLOCK_BYTES // (8 * n))
     best = 0.0
-    for start in range(0, n, _SCAN_BLOCK):
-        stop = min(start + _SCAN_BLOCK, n)
-        corr = np.abs(unit[:, start:stop].T @ unit)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        corr = unit[:, start:stop].T @ unit
+        np.abs(corr, out=corr)
         corr[np.arange(stop - start), np.arange(start, stop)] = 0.0
         if m < n - 1:
-            top = np.partition(corr, n - m, axis=1)[:, n - m:]
-        else:
-            top = corr
-        best = max(best, float(top.sum(axis=1).max()))
+            corr.partition(n - m, axis=1)
+            corr = corr[:, n - m:]
+        best = max(best, float(corr.sum(axis=1).max()))
     return best
 
 

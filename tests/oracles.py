@@ -29,7 +29,70 @@ from sparsebrdf.merl import (
     BrdfTensor,
     RowMap,
 )
-from sparsebrdf.somp import DEFAULT_COND_LIMIT, SupportSet, atom_select
+import sparsebrdf.somp as somp
+from sparsebrdf.somp import DEFAULT_COND_LIMIT, SampleBudget, SupportSet
+
+
+def correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """l1 norm of every column's correlation row against the residual: the
+    full scan, every block scored through one reused buffer."""
+    n = dinv.shape[1]
+    block = somp._SCAN_BLOCK
+    scores = np.empty(n)
+    buf = np.empty((min(block, n), residual.shape[1]))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        somp._score_block(dinv, residual, start, stop, buf, scores[start:stop])
+    return scores
+
+
+def atom_select(dinv: np.ndarray, residual: np.ndarray, exclude=()) -> int:
+    """Index of the unselected column with the largest total correlation,
+    ties to the smallest index, from a full scan."""
+    scores = correlation_scores(dinv, residual)
+    for i in exclude:
+        scores[i] = -np.inf
+    return int(np.argmax(scores))
+
+
+def full_scan_somp(dinv: np.ndarray, coeffs: np.ndarray, stop,
+                   normalize_atoms: bool = False) -> SupportSet:
+    """somp_select with every column scored at every pick.
+
+    The same loop and arithmetic as the library's, so its indices and
+    residual history must equal the bound-pruned scan's exactly.
+    """
+    dinv = np.asarray(dinv, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    k, n = dinv.shape
+    if isinstance(stop, SampleBudget):
+        max_steps, threshold = stop.m, -1.0
+    else:
+        max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
+        threshold = stop.epsilon
+    scan_dinv = dinv
+    if normalize_atoms:
+        norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
+        scan_dinv = dinv / np.where(norms > 0.0, norms, 1.0)
+    selected: list[int] = []
+    history: list[float] = []
+    basis = np.zeros((k, 0))
+    residual = coeffs.copy()
+    while len(selected) < max_steps:
+        if threshold >= 0.0 and np.linalg.norm(residual) <= threshold:
+            break
+        j = atom_select(scan_dinv, residual, exclude=selected)
+        selected.append(j)
+        col = dinv[:, j].astype(np.float64, copy=True)
+        for _ in range(2):
+            col -= basis @ (basis.T @ col)
+        norm = np.linalg.norm(col)
+        if norm <= np.linalg.norm(dinv[:, j]) / DEFAULT_COND_LIMIT:
+            raise RankCollapseError("selected columns became numerically dependent")
+        basis = np.hstack([basis, (col / norm)[:, None]])
+        residual = coeffs - basis @ (basis.T @ coeffs)
+        history.append(float(np.linalg.norm(residual)))
+    return SupportSet(indices=selected, residual_history=history)
 
 
 def residual_update(dinv: np.ndarray, support, coeffs: np.ndarray) -> np.ndarray:

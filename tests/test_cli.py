@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 import struct
 import tracemalloc
@@ -69,6 +70,7 @@ def test_select_samples_record(bundle_dir, tmp_path, capsys):
     for th, td, pd in record["directions_deg"]:
         assert 0.0 <= th < 90.0 and 0.0 <= td < 90.0 and 0.0 <= pd < 180.0
     assert "theta_h" in err  # human-facing table goes to stderr
+    assert re.search(r"^scan: scored \d+ of \d+ blocks over 5 picks$", err, re.M)
     assert json.loads(support_path.read_text()) == record
 
 
@@ -192,6 +194,19 @@ def test_coherence_command(bundle_dir, capsys):
     record = json.loads(out)
     assert set(record["mu1"].keys()) == {"1", "2"}
     assert all(v >= 0.0 for v in record["mu1"].values())
+
+
+def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatch):
+    import sparsebrdf.dictionary as dictionary
+
+    def refuse(*_):
+        raise AssertionError("inverse formed before the --max-atoms check")
+
+    monkeypatch.setattr(dictionary, "_derived_inverse", refuse)
+    code, out, err = run_cli(capsys, "coherence", "--dict", str(bundle_dir),
+                             "--max-atoms", "10")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "--max-atoms=10" in err
 
 
 def test_evaluate_with_config_file(tmp_path, capsys):

@@ -27,8 +27,10 @@ from sparsebrdf.evaluate import (
 from sparsebrdf.mapping import MappedBrdf
 from sparsebrdf.merl import BrdfResolution, corpus_mask, write_merl
 from sparsebrdf.reconstruct import measure, reconstruct_full
-from sparsebrdf.somp import SampleBudget, _correlation_scores, somp_select
+from sparsebrdf.somp import SampleBudget, somp_select
 from sparsebrdf.synthetic import MaterialSpec, gen_brdf
+
+from oracles import correlation_scores
 
 
 def test_kfold_even_split():
@@ -240,8 +242,8 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
             f_order = pca.inverse
             c_order = np.ascontiguousarray(f_order)
             assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
-            assert (_correlation_scores(f_order, pca.coeffs).tobytes()
-                    == _correlation_scores(c_order, pca.coeffs).tobytes())
+            assert (correlation_scores(f_order, pca.coeffs).tobytes()
+                    == correlation_scores(c_order, pca.coeffs).tobytes())
             for normalize in (False, True):
                 a, b = (somp_select(dinv, pca.coeffs, SampleBudget(k),
                                     normalize_atoms=normalize)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebrdf.errors import (
     BudgetTooLargeError,
@@ -16,7 +18,6 @@ from sparsebrdf.somp import (
     ErrorThreshold,
     SampleBudget,
     SupportSet,
-    atom_select,
     cumulative_coherence,
     direction_table,
     somp_residual_bound,
@@ -27,8 +28,11 @@ from sparsebrdf.somp import (
 from conftest import planted_instance
 from oracles import (
     allocating_correlation_scores,
+    atom_select,
     build_subsampling_operator,
+    correlation_scores,
     exact_somp,
+    full_scan_somp,
     residual_update,
 )
 
@@ -266,9 +270,11 @@ def test_chunked_scan_matches_unchunked(rng, monkeypatch):
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
     pieces = somp_select(dinv, coeffs, SampleBudget(5))
     assert whole.indices == pieces.indices
-    mu_whole = cumulative_coherence(dinv, 3)
-    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 16384)
-    assert abs(cumulative_coherence(dinv, 3) - mu_whole) < 1e-15
+    mu_whole = {m: cumulative_coherence(dinv, m) for m in (3, 99)}
+    # 7-row correlation blocks
+    monkeypatch.setattr(somp_mod, "_COHERENCE_BLOCK_BYTES", 7 * 8 * 100)
+    for m, mu in mu_whole.items():
+        assert abs(cumulative_coherence(dinv, m) - mu) < 1e-15
 
 
 @pytest.mark.parametrize("block", [7, 100, 16384])
@@ -279,7 +285,7 @@ def test_buffered_scan_matches_allocating_scan(rng, monkeypatch, block):
     residual = rng.standard_normal((6, 5))
     # C-order and F-order dinv, the latter being how train_pca lays it out
     for dinv in (rng.standard_normal((6, 100)), np.asfortranarray(rng.standard_normal((6, 100)))):
-        scores = somp_mod._correlation_scores(dinv, residual)
+        scores = correlation_scores(dinv, residual)
         assert np.array_equal(scores, allocating_correlation_scores(dinv, residual, block))
 
 
@@ -289,3 +295,151 @@ def test_residual_bound_values():
     assert somp_residual_bound(0.25, 2, 4, 0.0) == 0.0
     with pytest.raises(CoherenceBoundError):
         somp_residual_bound(0.5, 2, 4, 1.0)
+
+
+def assert_matches_full_scan(dinv, coeffs, stop, normalize_atoms=False):
+    """The bound-pruned scan picks what the full scan picks, bit for bit, or
+    fails as it does; returns the pruned support."""
+    try:
+        want = full_scan_somp(dinv, coeffs, stop, normalize_atoms)
+    except RankCollapseError:
+        with pytest.raises(RankCollapseError):
+            somp_select(dinv, coeffs, stop, normalize_atoms)
+        return None
+    got = somp_select(dinv, coeffs, stop, normalize_atoms)
+    assert got.indices == want.indices
+    assert got.residual_history == want.residual_history
+    assert got.blocks_scored <= got.blocks_total
+    return got
+
+
+def tied_instance(rng, k=6, n=40, t=4):
+    """Small-integer dinv, so that many scores tie exactly, with exact and
+    sign-flipped duplicates of columns placed in other 7-column blocks."""
+    dinv = rng.integers(-2, 3, size=(k, n)).astype(float)
+    for a, b in ((1, 8), (3, 38), (13, 20), (6, 7)):
+        dinv[:, b] = dinv[:, a] if b % 2 else -dinv[:, a]
+    coeffs = rng.integers(-3, 4, size=(k, t)).astype(float)
+    return dinv, coeffs
+
+
+def test_pruned_scan_matches_full_scan_on_planted_ties(monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    for seed in range(30):
+        dinv, coeffs = tied_instance(np.random.default_rng(seed))
+        for m in (1, 3, 6):
+            assert_matches_full_scan(dinv, coeffs, SampleBudget(m))
+            assert_matches_full_scan(dinv, coeffs, SampleBudget(m), normalize_atoms=True)
+        assert_matches_full_scan(np.asfortranarray(dinv), coeffs, SampleBudget(6))
+
+
+def test_pruned_scan_matches_full_scan_normalized(rng, monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    for _ in range(10):
+        dinv = rng.standard_normal((8, 60)) * rng.uniform(0.01, 100.0, size=60)
+        coeffs = rng.standard_normal((8, 5))
+        assert_matches_full_scan(dinv, coeffs, SampleBudget(8), normalize_atoms=True)
+
+
+def test_pruned_scan_matches_full_scan_threshold_mode(rng, monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    for _ in range(10):
+        dinv = rng.standard_normal((8, 50))
+        coeffs = rng.standard_normal((8, 6))
+        for eps in (0.0, 0.5 * np.linalg.norm(coeffs)):
+            for max_iters in (None, 3):
+                assert_matches_full_scan(dinv, coeffs, ErrorThreshold(eps, max_iters))
+                assert_matches_full_scan(dinv, coeffs, ErrorThreshold(eps, max_iters),
+                                         normalize_atoms=True)
+    # coefficients in the span of three columns from three blocks: the
+    # residual drops below the threshold after they are picked
+    dinv = rng.standard_normal((32, 40))
+    coeffs = dinv[:, [4, 11, 17]] @ rng.standard_normal((3, 5))
+    support = assert_matches_full_scan(dinv, coeffs, ErrorThreshold(1e-10, 10))
+    assert sorted(support.indices) == [4, 11, 17]
+
+
+def test_pruned_scan_zero_residual_picks_lowest_index(monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    dinv = np.random.default_rng(0).standard_normal((5, 30))
+    # every score ties at 0; each pick takes the lowest unselected column
+    support = assert_matches_full_scan(dinv, np.zeros((5, 3)), SampleBudget(4))
+    assert support.indices == [0, 1, 2, 3]
+    assert support.blocks_scored == support.blocks_total
+
+
+def test_pruned_scan_matches_full_scan_past_the_span(monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    # coefficients in the span of r columns, with more columns in that span:
+    # after r picks every score is roundoff, which only the slack covers
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        k, n, t, r = 6, int(rng.integers(8, 30)), 3, int(rng.integers(1, 5))
+        dinv = rng.standard_normal((k, n))
+        span = rng.choice(n, size=r, replace=False)
+        others = np.setdiff1d(np.arange(n), span)
+        for j in rng.choice(others, size=4, replace=False):
+            dinv[:, j] = dinv[:, span] @ rng.standard_normal(r)
+        coeffs = dinv[:, span] @ rng.standard_normal((r, t))
+        for normalize in (False, True):
+            assert_matches_full_scan(dinv, coeffs, SampleBudget(r + 2), normalize)
+
+
+def test_pruned_scan_matches_full_scan_with_zero_inverse_rows(rng, monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    for _ in range(10):
+        # the rows of a zero singular value: sigma_max of the coefficients is
+        # carried by the rest, and the last picks collapse
+        dinv = rng.standard_normal((6, 45))
+        dinv[4:] = 0.0
+        coeffs = rng.standard_normal((6, 5))
+        for m in (2, 4, 5):
+            assert_matches_full_scan(dinv, coeffs, SampleBudget(m))
+            assert_matches_full_scan(dinv, coeffs, SampleBudget(m), normalize_atoms=True)
+
+
+def test_pruned_scan_skips_blocks_of_small_columns(rng, monkeypatch):
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    # column norms fall tenfold per block: the norm bound rules out all but
+    # the first block
+    dinv = rng.standard_normal((6, 70)) * 10.0 ** -(np.arange(70) // 7)
+    coeffs = rng.standard_normal((6, 4))
+    support = assert_matches_full_scan(dinv, coeffs, SampleBudget(3))
+    assert support.blocks_total == 30
+    assert support.blocks_scored < 10
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7), n=st.integers(1, 40),
+       t=st.integers(1, 6), block=st.integers(1, 12), m=st.integers(1, 7),
+       integer=st.booleans(), normalize=st.booleans(), threshold=st.booleans())
+def test_pruned_scan_matches_full_scan_property(seed, k, n, t, block, m, integer,
+                                                normalize, threshold):
+    import sparsebrdf.somp as somp_mod
+
+    rng = np.random.default_rng(seed)
+    if integer:
+        dinv = rng.integers(-1, 2, size=(k, n)).astype(float)
+        coeffs = rng.integers(-2, 3, size=(k, t)).astype(float)
+    else:
+        dinv = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+        coeffs = rng.standard_normal((k, t))
+    stop = (ErrorThreshold(0.1 * np.linalg.norm(coeffs)) if threshold
+            else SampleBudget(min(m, k, n)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(somp_mod, "_SCAN_BLOCK", block)
+        assert_matches_full_scan(dinv, coeffs, stop, normalize)
