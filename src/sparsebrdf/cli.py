@@ -164,6 +164,8 @@ def cmd_reconstruct(args) -> int:
         "source": str(args.brdf), "bundle_digest": bundle.digest,
         "support": str(args.support), "eta": args.eta,
         "ridge_residuals": [float(r) for r in result.ridge_residuals],
+        "ridge_condition": result.ridge_condition,
+        "clamped_fraction": result.clamped_fraction,
     }
     Path(str(out) + ".json").write_text(json.dumps(sidecar, indent=2))
     print(json.dumps({"out": str(out),

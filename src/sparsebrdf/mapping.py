@@ -149,14 +149,20 @@ def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> M
     return MappedBrdf(rho, ref.key)
 
 
-def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> np.ndarray:
+def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> tuple[np.ndarray, int]:
     """Invert the mapping back to linear reflectance, clamped at zero.
 
-    The clamp only activates for mapped values below the image of rho = 0.
+    Returns the (3, n_valid) reflectance and the number of its values that
+    were clamped.  The clamp only activates for mapped values below the
+    image of rho = 0.
     """
     if mapped.provenance != ref.key:
         raise ProvenanceMismatchError(
             f"mapped data carries reference {mapped.provenance}, got {ref.key}"
         )
-    rho = np.exp(mapped.values) * (ref.values + ref.epsilon) - ref.epsilon
-    return np.maximum(rho, 0.0)
+    rho = np.exp(mapped.values)
+    rho *= ref.values + ref.epsilon
+    rho -= ref.epsilon
+    clamped = int(np.count_nonzero(rho < 0.0))
+    np.maximum(rho, 0.0, out=rho)
+    return rho, clamped

@@ -28,6 +28,9 @@ INVALID_SENTINEL = -1.0
 
 _HALF_PI = np.pi / 2.0
 
+# grid cells per block of write_merl's exactness check
+_WRITE_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class BrdfResolution:
@@ -85,11 +88,16 @@ class BrdfTensor:
             )
         if mask.shape != (n,):
             raise MerlFormatError(f"mask shape {mask.shape} does not match grid {n}")
-        valid = values[:, mask]
-        if valid.size and (not np.all(np.isfinite(valid)) or valid.min() < 0.0):
-            raise MerlFormatError("valid cells must hold finite nonnegative reflectance")
-        invalid = values[:, ~mask]
-        if invalid.size and invalid.max() >= 0.0:
+        # valid cells hold 0 <= v < inf and invalid ones v < 0 exactly when
+        # every channel is nonnegative just where the mask is set and no
+        # value is NaN or +inf (max propagates NaN); neither set is gathered
+        # unless a check fails, and then only to name the failing one
+        if not (all(np.array_equal(row >= 0.0, mask) for row in values)
+                and values.max() < np.inf):
+            finite_nonneg = (values >= 0.0) & (values < np.inf)
+            if not finite_nonneg[:, mask].all():
+                raise MerlFormatError(
+                    "valid cells must hold finite nonnegative reflectance")
             raise MerlFormatError("invalid cells must hold negative sentinels")
         self.resolution = resolution
         self.values = values
@@ -150,36 +158,39 @@ def read_merl_mask(path) -> MerlMask:
     return MerlMask(res, (stored >= 0.0).all(axis=0))
 
 
-def _exact_unscale(values: np.ndarray, scale: float) -> np.ndarray:
-    """Stored doubles whose read-back (stored * scale) reproduces `values`.
-
-    Plain division gives a stored value within half an ulp; when the product
-    does not round back exactly, one-ulp neighbours are tried.  An exact
-    preimage exists for every value produced by read_merl.
-    """
-    stored = values / scale
-    miss = stored * scale != values
-    if np.any(miss):
-        up = np.nextafter(stored[miss], np.inf)
-        stored[miss] = np.where(up * scale == values[miss], up, stored[miss])
-        miss = stored * scale != values
-    if np.any(miss):
-        dn = np.nextafter(stored[miss], -np.inf)
-        stored[miss] = np.where(dn * scale == values[miss], dn, stored[miss])
-    return stored
-
-
 def write_merl(brdf: BrdfTensor, path) -> None:
-    """Write a MERL binary file; read_merl(write_merl(b)) reproduces b."""
+    """Write a MERL binary file.
+
+    A valid value is stored as value / scale.  Where the read-back (stored *
+    scale) of that quotient is not the value, the one-ulp neighbour above is
+    stored if its read-back is, else the one below if its read-back is.  So
+    read_merl(write_merl(b)) reproduces b when every valid value has an exact
+    preimage, as every value read_merl produces has; any other value reads
+    back within one ulp.  Invalid cells store their sentinels verbatim.  The
+    read-back is checked over column blocks through one reused buffer.
+    """
     res = brdf.resolution
-    stored = brdf.values.copy()
-    for c in range(3):
-        stored[c, brdf.mask] = _exact_unscale(
-            brdf.values[c, brdf.mask], MERL_SCALES[c]
-        )
+    values, mask = brdf.values, brdf.mask
+    scales = MERL_SCALES[:, None]
+    stored = values / scales
+    n = values.shape[1]
+    back = np.empty((3, min(_WRITE_BLOCK, n)))
+    for start in range(0, n, _WRITE_BLOCK):
+        stop = min(start + _WRITE_BLOCK, n)
+        block, want = stored[:, start:stop], values[:, start:stop]
+        miss = np.multiply(block, scales, out=back[:, :stop - start]) != want
+        miss &= mask[start:stop]
+        if miss.any():
+            ch, col = np.nonzero(miss)
+            first, target, scale = block[ch, col], want[ch, col], MERL_SCALES[ch]
+            up = np.nextafter(first, np.inf)
+            dn = np.nextafter(first, -np.inf)
+            block[ch, col] = np.where(up * scale == target, up,
+                                      np.where(dn * scale == target, dn, first))
+        np.copyto(block, want, where=~mask[start:stop])
     with open(path, "wb") as fh:
         fh.write(struct.pack("<3i", res.n_theta_h, res.n_theta_d, res.n_phi_d))
-        stored.astype("<f8").tofile(fh)
+        stored.astype("<f8", copy=False).tofile(fh)
 
 
 def direction_to_index(d: HalfAngleDirection, res: BrdfResolution) -> int:

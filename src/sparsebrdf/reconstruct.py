@@ -50,6 +50,8 @@ class ReconstructionResult:
     mapped: MappedBrdf
     tensor: BrdfTensor
     ridge_residuals: np.ndarray  # (3,) squared data residual per channel
+    clamped_fraction: float  # share of the valid cells' values clamped on unmap
+    ridge_condition: float  # 2-norm condition number of the sampled rows
 
 
 def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> MeasurementVector:
@@ -107,6 +109,7 @@ def synthesize(
     ref: ReferenceBrdf,
     row_map: RowMap,
     ridge_residuals=None,
+    ridge_condition: float = np.nan,
 ) -> ReconstructionResult:
     """Expand coefficients through the dictionary and invert the mapping.
 
@@ -121,11 +124,16 @@ def synthesize(
     if coefficients.shape[1] < pca.n_atoms:
         pad = np.zeros((3, pca.n_atoms - coefficients.shape[1]))
         coefficients = np.hstack([coefficients, pad])
-    mapped_values = pca.atoms @ coefficients.T + pca.mean[:, None]  # (n, 3)
-    mapped = MappedBrdf(np.ascontiguousarray(mapped_values.T), ref.key)
-    linear = log_relative_unmap(mapped, ref)
+    product = pca.atoms @ coefficients.T  # (n, 3)
+    product += pca.mean[:, None]
+    mapped = MappedBrdf(np.ascontiguousarray(product.T), ref.key)
+    del product
+    linear, clamped = log_relative_unmap(mapped, ref)
     full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
-    full[:, row_map.grid_indices] = linear
+    for row, values in zip(full, linear):  # one channel at a time scatters faster
+        row[row_map.grid_indices] = values
+    clamped_fraction = clamped / linear.size
+    del linear
     tensor = BrdfTensor(row_map.resolution, full, row_map.mask())
     if ridge_residuals is None:
         ridge_residuals = np.full(3, np.nan)
@@ -134,6 +142,8 @@ def synthesize(
         mapped=mapped,
         tensor=tensor,
         ridge_residuals=np.asarray(ridge_residuals, dtype=np.float64),
+        clamped_fraction=clamped_fraction,
+        ridge_condition=float(ridge_condition),
     )
 
 
@@ -163,4 +173,5 @@ def reconstruct_full(
     rhs = (samples.values - mean_rows).T  # (m, 3)
     solution = ridge_solve(d_rows, rhs, eta)
     residuals = np.sum((rhs - d_rows @ solution) ** 2, axis=0)
-    return synthesize(pca, solution.T, bundle.reference, bundle.row_map, residuals)
+    return synthesize(pca, solution.T, bundle.reference, bundle.row_map, residuals,
+                      ridge_condition=np.linalg.cond(d_rows))

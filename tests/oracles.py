@@ -299,3 +299,51 @@ def allocating_log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf,
     """log_relative_map as one expression, with a temporary per operation."""
     rho = brdf.values[:, row_map.grid_indices]
     return MappedBrdf(np.log((rho + ref.epsilon) / (ref.values + ref.epsilon)), ref.key)
+
+
+def gathering_tensor_check(values: np.ndarray, mask: np.ndarray) -> None:
+    """BrdfTensor's two cell invariants, checked on gathered copies of the
+    valid and the invalid cells; raises what BrdfTensor raises."""
+    valid = values[:, mask]
+    if valid.size and (not np.all(np.isfinite(valid)) or valid.min() < 0.0):
+        raise MerlFormatError("valid cells must hold finite nonnegative reflectance")
+    invalid = values[:, ~mask]
+    if invalid.size and not invalid.max() < 0.0:
+        raise MerlFormatError("invalid cells must hold negative sentinels")
+
+
+def _exact_unscale(values: np.ndarray, scale: float) -> np.ndarray:
+    """Stored doubles whose read-back (stored * scale) reproduces `values`:
+    plain division, then one-ulp neighbours where the product misses."""
+    stored = values / scale
+    miss = stored * scale != values
+    if np.any(miss):
+        up = np.nextafter(stored[miss], np.inf)
+        stored[miss] = np.where(up * scale == values[miss], up, stored[miss])
+        miss = stored * scale != values
+    if np.any(miss):
+        dn = np.nextafter(stored[miss], -np.inf)
+        stored[miss] = np.where(dn * scale == values[miss], dn, stored[miss])
+    return stored
+
+
+def per_channel_write_merl(brdf: BrdfTensor, path) -> None:
+    """write_merl unscaling one channel's gathered valid cells at a time."""
+    res = brdf.resolution
+    stored = brdf.values.copy()
+    for c in range(3):
+        stored[c, brdf.mask] = _exact_unscale(brdf.values[c, brdf.mask], MERL_SCALES[c])
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<3i", res.n_theta_h, res.n_theta_d, res.n_phi_d))
+        stored.astype("<f8").tofile(fh)
+
+
+def allocating_synthesize(pca: PcaDictionary, coefficients: np.ndarray,
+                          ref: ReferenceBrdf, row_map: RowMap):
+    """synthesize's mapped (3, n_valid) values, full (3, grid) tensor values
+    and clamped count, one temporary per operation, for (3, k) coefficients."""
+    mapped = np.ascontiguousarray((pca.atoms @ coefficients.T + pca.mean[:, None]).T)
+    unclamped = np.exp(mapped) * (ref.values + ref.epsilon) - ref.epsilon
+    full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
+    full[:, row_map.grid_indices] = np.maximum(unclamped, 0.0)
+    return mapped, full, int(np.count_nonzero(unclamped < 0.0))

@@ -93,7 +93,15 @@ def test_reconstruct_roundtrip(bundle_dir, corpus_dir, tmp_path, capsys):
     truth = read_merl(target)
     assert recon.resolution == truth.resolution
     sidecar = json.loads((tmp_path / "recon.binary.json").read_text())
+    assert list(sidecar) == ["source", "bundle_digest", "support", "eta",
+                             "ridge_residuals", "ridge_condition", "clamped_fraction"]
     assert len(sidecar["ridge_residuals"]) == 3
+    rows = json.loads(support_path.read_text())["rows"]
+    sampled = load_bundle(bundle_dir).pca.atoms[rows, :5]
+    assert sidecar["ridge_condition"] == pytest.approx(np.linalg.cond(sampled), rel=1e-12)
+    # clamped values read back as exact zeros, and no other value here is 0
+    zeros = np.count_nonzero(recon.values[:, recon.mask] == 0.0)
+    assert sidecar["clamped_fraction"] == zeros / (3 * recon.mask.sum())
 
 
 def test_reconstruct_refuses_wrong_bundle(bundle_dir, corpus_dir, tmp_path, capsys):

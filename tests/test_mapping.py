@@ -114,7 +114,7 @@ def test_unmap_inverts_map(rng):
     rm = validity_mask(brdf)
     ref = compute_reference([brdf], rm)
     mapped = log_relative_map(brdf, ref, rm)
-    rho = log_relative_unmap(mapped, ref)
+    rho, _ = log_relative_unmap(mapped, ref)
     true = brdf.values[:, rm.grid_indices]
     assert np.allclose(rho, true, rtol=1e-12, atol=1e-15)
 
@@ -124,7 +124,9 @@ def test_unmap_zero_gives_reference():
     rm = validity_mask(brdf)
     ref = compute_reference([brdf], rm)
     mapped = MappedBrdf(np.zeros((3, rm.n_valid)), ref.key)
-    assert np.allclose(log_relative_unmap(mapped, ref), 0.3)
+    rho, clamped = log_relative_unmap(mapped, ref)
+    assert np.allclose(rho, 0.3)
+    assert clamped == 0
 
 
 def test_unmap_clamps_at_zero():
@@ -132,8 +134,9 @@ def test_unmap_clamps_at_zero():
     rm = validity_mask(brdf)
     ref = compute_reference([brdf], rm)
     mapped = MappedBrdf(np.full((3, rm.n_valid), -50.0), ref.key)
-    rho = log_relative_unmap(mapped, ref)
+    rho, clamped = log_relative_unmap(mapped, ref)
     assert np.all(rho == 0.0)
+    assert clamped == rho.size
 
 
 def test_map_is_strictly_increasing():

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebrdf.errors import DomainError, EmptyMaskError, MerlFormatError
 from sparsebrdf.merl import (
@@ -19,7 +21,13 @@ from sparsebrdf.merl import (
 )
 
 from conftest import make_random_tensor
-from oracles import allocating_read_merl, row_of_grid, validity_mask
+from oracles import (
+    allocating_read_merl,
+    gathering_tensor_check,
+    per_channel_write_merl,
+    row_of_grid,
+    validity_mask,
+)
 
 RES8 = BrdfResolution(8, 8, 8)
 
@@ -258,3 +266,209 @@ def test_corpus_mask_intersection(rng):
     rm = corpus_mask([a, b])
     expect = np.flatnonzero(a.mask & b.mask)
     assert np.array_equal(rm.grid_indices, expect)
+
+
+def _fix_up_kinds(values, scale):
+    """Masks of the values whose plain quotient misses on read-back and
+    whose one-ulp neighbour above, or else below, reproduces them."""
+    stored = values / scale
+    miss = stored * scale != values
+    up = miss & (np.nextafter(stored, np.inf) * scale == values)
+    down = miss & ~up & (np.nextafter(stored, -np.inf) * scale == values)
+    return up, down
+
+
+def _patch_scale(monkeypatch, channel, scale):
+    """Give one channel another scale, in the library and in the oracle."""
+    import oracles
+    import sparsebrdf.merl as merl_mod
+
+    scales = MERL_SCALES.copy()
+    scales[channel] = scale
+    monkeypatch.setattr(merl_mod, "MERL_SCALES", scales)
+    monkeypatch.setattr(oracles, "MERL_SCALES", scales)
+
+
+def _assert_writes_like_oracle(tmp_path, brdf):
+    new, old = tmp_path / "new.binary", tmp_path / "old.binary"
+    write_merl(brdf, new)
+    per_channel_write_merl(brdf, old)
+    assert new.read_bytes() == old.read_bytes()
+    return new
+
+
+def _binade_edges(low, high, ulps=3):
+    """Every power of two 2**low .. 2**high and its `ulps` neighbours on
+    each side."""
+    edges = [np.ldexp(1.0, np.arange(low, high + 1))]
+    below = above = edges[0]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        edges += [below, above]
+    return np.concatenate(edges)
+
+
+def test_write_matches_oracle_through_up_fix_up(tmp_path, rng, monkeypatch):
+    import sparsebrdf.merl as merl_mod
+
+    # for a scale of 1/93 the quotient of a power of two misses on read-back
+    # and its neighbour above does not
+    _patch_scale(monkeypatch, 0, 1.0 / 93.0)
+    res = BrdfResolution(16, 16, 16)
+    n = res.grid_size
+    values = rng.uniform(0.0, 1500.0, size=(3, n)) * merl_mod.MERL_SCALES[:, None]
+    values[:, ::3] = rng.uniform(0.0, 2.0, size=(3, len(range(0, n, 3))))
+    powers = np.ldexp(1.0, rng.integers(-60, 60, size=(3, len(range(1, n, 3)))))
+    values[:, 1::3] = powers
+    mask = rng.random(n) >= 0.1
+    values[:, ~mask] = -1.0
+    up, _ = _fix_up_kinds(values[0, mask], 1.0 / 93.0)
+    assert up.sum() > 100
+    brdf = BrdfTensor(res, values, mask)
+    for block in (merl_mod._WRITE_BLOCK, 7, n, n + 5):
+        monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", block)
+        path = _assert_writes_like_oracle(tmp_path, brdf)
+    exact = mask & (np.arange(n) % 3 != 0)
+    assert np.array_equal(read_merl(path).values[:, exact], values[:, exact])
+
+
+@pytest.mark.parametrize("scale", [*MERL_SCALES, 1.0 / 93.0])
+def test_write_matches_oracle_at_binade_edges(scale, tmp_path, monkeypatch):
+    import sparsebrdf.merl as merl_mod
+
+    _patch_scale(monkeypatch, 1, scale)
+    edges = _binade_edges(-1070, 1013)
+    up, down = _fix_up_kinds(edges, scale)
+    # A quotient is within half an ulp of the exact one, so a neighbour's
+    # product lies at least as far from the value; only the narrower
+    # spacing just below a power of two lets the neighbour above round back.
+    # No value needs the neighbour below, and at the MERL scales none needs
+    # either.
+    assert not down.any()
+    assert up.any() == (scale == 1.0 / 93.0)
+    n = edges.size
+    values = np.vstack([np.full(n, 0.5), edges, np.full(n, 0.25)])
+    brdf = BrdfTensor(BrdfResolution(n, 1, 1), values, np.ones(n, dtype=bool))
+    monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", 1000)
+    with np.errstate(over="ignore"):
+        _assert_writes_like_oracle(tmp_path, brdf)
+
+
+@pytest.mark.parametrize("case", ["negative-zero", "subnormal", "huge", "all-valid",
+                                  "all-invalid", "sibling-invalid"])
+def test_write_edge_values_match_oracle(case, tmp_path, rng, monkeypatch):
+    import sparsebrdf.merl as merl_mod
+
+    monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", 7)
+    n = RES8.grid_size
+    values = rng.uniform(0.0, 1500.0, size=(3, n)) * MERL_SCALES[:, None]
+    mask = rng.random(n) >= 0.2
+    if case == "negative-zero":
+        values[:, ::5] = -0.0
+    elif case == "subnormal":
+        values[:, ::2] = rng.uniform(0.0, 1.0, size=(3, n // 2)) * 5e-324 * 2**40
+        values[0, 1] = 5e-324
+    elif case == "huge":
+        values[:, ::4] = np.finfo(float).max * rng.uniform(0.5, 1.0, size=(3, n // 4))
+        values[1, 2] = 1e300
+    elif case == "all-valid":
+        mask[:] = True
+    elif case == "all-invalid":
+        mask[:] = False
+    values[:, ~mask] = -1.0
+    if case == "sibling-invalid":
+        # sentinels other than -1, and cells whose siblings carry the -1 a
+        # read gives them, as from a file negative in one channel only
+        values[0, ~mask] = -rng.uniform(0.5, 3.0, size=int((~mask).sum()))
+        values[2, ~mask] = -0.25
+    brdf = BrdfTensor(RES8, values, mask)
+    with np.errstate(over="ignore"):
+        path = _assert_writes_like_oracle(tmp_path, brdf)
+    if case != "huge":
+        assert np.array_equal(read_merl(path).values, values)
+
+
+def test_write_sibling_invalid_file_rewrites_unchanged(tmp_path, rng):
+    n = RES8.grid_size
+    payload = rng.uniform(0.0, 1500.0, size=(3, n))
+    payload[1, ::7] = -3.0  # invalid in green only
+    raw = tmp_path / "raw.binary"
+    _write_raw(raw, (8, 8, 8), payload)
+    brdf = read_merl(raw)
+    assert not brdf.mask[::7].any()
+    path = _assert_writes_like_oracle(tmp_path, brdf)
+    assert np.array_equal(read_merl(path).values, brdf.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 6)] * 3),
+       block=st.integers(1, 40), invalid_frac=st.sampled_from([0.0, 0.3, 1.0]),
+       decades=st.integers(-300, 300), exact=st.booleans())
+def test_write_matches_oracle_property(seed, dims, block, invalid_frac, decades, exact):
+    import tempfile
+    from pathlib import Path
+
+    import sparsebrdf.merl as merl_mod
+
+    rng = np.random.default_rng(seed)
+    res = BrdfResolution(*dims)
+    n = res.grid_size
+    values = rng.uniform(0.0, 1.0, size=(3, n)) * 10.0 ** decades
+    if exact:
+        values *= MERL_SCALES[:, None]
+    mask = rng.random(n) >= invalid_frac
+    values[:, ~mask] = -rng.uniform(0.0, 2.0, size=(3, int((~mask).sum()))) - 1e-3
+    brdf = BrdfTensor(res, values, mask)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp, \
+            np.errstate(over="ignore"):
+        mp.setattr(merl_mod, "_WRITE_BLOCK", block)
+        _assert_writes_like_oracle(Path(tmp), brdf)
+
+
+def _tensor_outcome(make):
+    try:
+        make()
+    except MerlFormatError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, -0.0, 0.0, 2.5])
+@pytest.mark.parametrize("where", ["valid", "invalid", "both"])
+def test_tensor_checks_match_gathering_oracle(bad, where, rng):
+    n = RES8.grid_size
+    values = rng.uniform(0.0, 1.0, size=(3, n))
+    mask = rng.random(n) >= 0.3
+    values[:, ~mask] = -1.0
+    cells = {"valid": np.flatnonzero(mask)[:2], "invalid": np.flatnonzero(~mask)[:2]}
+    for side in (["valid", "invalid"] if where == "both" else [where]):
+        values[1, cells[side][0]] = bad
+        values[2, cells[side][1]] = bad
+    got = _tensor_outcome(lambda: BrdfTensor(RES8, values.copy(), mask))
+    expect = _tensor_outcome(lambda: gathering_tensor_check(values, mask))
+    assert got == expect
+
+
+def test_tensor_rejects_nan_sentinel(tmp_path):
+    n = RES8.grid_size
+    values = np.full((3, n), 0.5)
+    mask = np.ones(n, dtype=bool)
+    mask[:2] = False
+    values[:, :2] = -1.0
+    values[0, 1] = np.nan
+    with pytest.raises(MerlFormatError, match="^invalid cells must hold negative sentinels$"):
+        BrdfTensor(RES8, values, mask)
+
+
+@pytest.mark.parametrize("mask_fill", [True, False])
+def test_tensor_checks_all_valid_and_all_invalid(mask_fill):
+    n = RES8.grid_size
+    mask = np.full(n, mask_fill)
+    good = np.full((3, n), 0.5 if mask_fill else -1.0)
+    BrdfTensor(RES8, good, mask)
+    bad = good.copy()
+    bad[2, -1] = -good[2, -1]
+    message = ("valid cells must hold finite nonnegative reflectance" if mask_fill
+               else "invalid cells must hold negative sentinels")
+    with pytest.raises(MerlFormatError, match=f"^{message}$"):
+        BrdfTensor(RES8, bad, mask)

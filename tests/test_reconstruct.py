@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from sparsebrdf.mapping import (
     log_relative_map,
     log_relative_unmap,
 )
-from sparsebrdf.merl import BrdfResolution, corpus_mask
+from sparsebrdf.merl import BrdfResolution, corpus_mask, read_merl, write_merl
 from sparsebrdf.reconstruct import (
     measure,
     reconstruct_full,
@@ -29,6 +31,7 @@ from sparsebrdf.somp import SampleBudget, SupportSet, somp_select
 from sparsebrdf.synthetic import gen_corpus
 
 from conftest import make_random_tensor
+from oracles import allocating_synthesize
 
 
 def ridge_gradient_descent(d_rows, b, eta, iters=200000, lr=None):
@@ -164,7 +167,7 @@ def test_synthesize_zero_coefficients(rng):
     result = synthesize(bundle.pca, np.zeros((3, bundle.pca.n_atoms)),
                         bundle.reference, bundle.row_map)
     assert np.allclose(result.mapped.values, bundle.pca.mean)
-    expect_linear = log_relative_unmap(
+    expect_linear, _ = log_relative_unmap(
         MappedBrdf(np.tile(bundle.pca.mean, (3, 1)), bundle.reference.key),
         bundle.reference,
     )
@@ -180,6 +183,55 @@ def test_synthesize_construction_identity(rng):
     assert np.array_equal(result.mapped.values, expect.T)
     # cells outside the row map are re-marked invalid
     assert np.array_equal(result.tensor.mask, bundle.row_map.mask())
+
+
+@pytest.mark.parametrize("shift", [0.0, -3.0, -50.0])
+def test_synthesize_matches_allocating_oracle(shift, rng):
+    # shifts push some, or all, mapped values below the image of rho = 0
+    bundle, _ = _trained_bundle(rng, k=4)
+    pca = bundle.pca
+    coeffs = rng.standard_normal((3, 4)) * 3.0
+    coeffs[:, 0] += shift / np.abs(pca.atoms[:, 0]).mean()
+    result = synthesize(pca, coeffs, bundle.reference, bundle.row_map)
+    mapped, full, clamped = allocating_synthesize(pca, coeffs, bundle.reference,
+                                                  bundle.row_map)
+    assert result.mapped.values.tobytes() == mapped.tobytes()
+    assert result.tensor.values.tobytes() == full.tobytes()
+    assert result.clamped_fraction == clamped / (3 * bundle.row_map.n_valid)
+    if shift == -50.0:
+        assert result.clamped_fraction > 0.5
+    elif shift == 0.0:
+        assert result.clamped_fraction < 0.5
+
+
+def test_reconstruct_reports_ridge_condition(rng):
+    bundle, mapped = _trained_bundle(rng, count=8, k=5)
+    support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(3))
+    result = reconstruct_full(measure(mapped[0], support), bundle)
+    svals = np.linalg.svd(bundle.pca.atoms[list(support.indices), :3], compute_uv=False)
+    assert result.ridge_condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
+    assert np.isnan(synthesize(bundle.pca, result.coefficients, bundle.reference,
+                               bundle.row_map).ridge_condition)
+
+
+def test_reconstruct_and_write_peak_memory(tmp_path, rng):
+    res = BrdfResolution(32, 32, 32)
+    bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
+    samples = measure(mapped[0], SupportSet(indices=tuple(range(0, 50, 10))))
+    del mapped
+    out = tmp_path / "recon.binary"
+    tensor_bytes = 3 * res.grid_size * 8
+    tracemalloc.start()
+    try:
+        write_merl(reconstruct_full(samples, bundle).tensor, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read_merl(out).resolution == res
+    # the mapped values, the unmapped copy and the tensor, then the tensor
+    # and its stored copy; the whole-array temporaries of unmapping and
+    # of gathering the cells to check or unscale them are gone
+    assert peak < 3.6 * tensor_bytes, peak / tensor_bytes
 
 
 def test_synthesize_zero_pads_short_coefficients(rng):
