@@ -265,7 +265,7 @@ def cmd_coherence(args) -> int:
         )
     dinv = bundle.pca.inverse
     values = {m: cumulative_coherence(dinv, m) for m in
-              sorted({int(v) for v in args.m.split(",")})}
+              sorted(set(_int_list(args.m, "--m")))}
     print(json.dumps({"bundle_digest": bundle.digest,
                       "mu1": {str(m): v for m, v in values.items()}}))
     return 0

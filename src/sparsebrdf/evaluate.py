@@ -181,8 +181,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown k policy {self.k_policy!r}")
         if self.k_policy == "fixed" and not self.k_fixed:
             raise ConfigError("fixed k policy requires k_fixed")
-        if self.stop_threshold is not None and self.k_policy != "fixed":
-            raise ConfigError("threshold stopping requires the fixed k policy")
+        if self.stop_threshold is not None:
+            if self.k_policy != "fixed":
+                raise ConfigError("threshold stopping requires the fixed k policy")
+            ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
         if not self.m_values and self.stop_threshold is None:
             raise ConfigError("at least one sample count required")
         if self.k_policy == "fixed" and self.stop_threshold is None:
@@ -191,6 +193,8 @@ class ExperimentConfig:
                     "the greedy selector cannot pick more samples than atoms; "
                     f"m_values must stay <= k_fixed={self.k_fixed}"
                 )
+        if self.eta < 0.0:
+            raise ConfigError(f"eta must be >= 0, got {self.eta}")
         if self.random_trials < 0 or self.folds < 2:
             raise ConfigError("need folds >= 2 and random_trials >= 0")
 

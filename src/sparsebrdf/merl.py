@@ -15,6 +15,7 @@ invalid measurements and are kept verbatim as sentinels.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -108,7 +109,9 @@ class BrdfTensor:
 
 def _read_stored(path) -> tuple[BrdfResolution, np.ndarray]:
     """Resolution and (3, grid_size) stored doubles of a MERL file, checked
-    for a whole header, positive dims and the payload length."""
+    for a whole header, positive dims and the payload length; the length is
+    checked before the payload is allocated, so a header claiming a huge
+    grid fails as a short file does."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) != 12:
@@ -118,11 +121,10 @@ def _read_stored(path) -> tuple[BrdfResolution, np.ndarray]:
             raise MerlFormatError(f"{path}: nonpositive header dims {dims}")
         res = BrdfResolution(*dims)
         n = res.grid_size
-        payload = np.fromfile(fh, dtype="<f8", count=3 * n + 1)
-    if payload.size != 3 * n:
-        raise MerlFormatError(
-            f"{path}: payload holds {payload.size} doubles, expected {3 * n}"
-        )
+        held = (os.fstat(fh.fileno()).st_size - 12) // 8
+        if held != 3 * n:
+            raise MerlFormatError(f"{path}: payload holds {held} doubles, expected {3 * n}")
+        payload = np.fromfile(fh, dtype="<f8", count=3 * n)
     return res, payload.reshape(3, n)
 
 

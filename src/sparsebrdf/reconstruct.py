@@ -19,6 +19,7 @@ import scipy.linalg
 
 from .dictionary import DictionaryBundle, PcaDictionary
 from .errors import (
+    ConfigError,
     IndexOutOfRangeError,
     ProvenanceMismatchError,
     ShapeMismatchError,
@@ -85,7 +86,7 @@ def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
             f"rows {d_rows.shape} incompatible with measurements {b.shape}"
         )
     if eta < 0.0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
+        raise ConfigError(f"eta must be >= 0, got {eta}")
     if eta == 0.0:
         svals = np.linalg.svd(d_rows, compute_uv=False)
         if (svals.size < d_rows.shape[1] or svals[0] == 0.0

@@ -16,12 +16,11 @@ smallest column index.
 Each pick scores only the ``_SCAN_BLOCK``-column blocks that can still hold
 it, in the manner of Minoux's accelerated greedy (*Accelerated greedy
 algorithms for maximizing submodular set functions*, 1978), made safe by
-explicit bounds since SOMP's objective is not submodular.  Every column keeps
-an upper bound on its score, the tighter of a triangle bound (its last score
-plus the most the last projection can add) and a norm bound
-(sqrt(t) sigma_max(residual) times its norm outside the selected span), both
-kept by one GEMV per pick.  Blocks are scored in decreasing order of their
-largest bound; the scan stops at the first block whose bound, plus a slack
+explicit bounds since SOMP's objective is not submodular.  A column's score
+is at most sqrt(t) sigma_max(residual) times its norm outside the selected
+span, and those norms are kept by one GEMV per pick; a block is bounded
+through the largest of them in it.  Blocks are scored in decreasing order of
+their bound; the scan stops at the first block whose bound, plus a slack
 taken from forward-error bounds, is strictly below the best score found.
 Guarantee: the scores computed are bitwise those of a full scan (the same
 block GEMM, abs and row sum on the same block boundaries), and every column
@@ -84,7 +83,9 @@ class ErrorThreshold:
 
     def __post_init__(self):
         if self.epsilon < 0.0:
-            raise ValueError(f"threshold must be >= 0, got {self.epsilon}")
+            raise ConfigError(f"threshold must be >= 0, got {self.epsilon}")
+        if self.max_iters is not None and self.max_iters < 1:
+            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 StoppingRule = SampleBudget | ErrorThreshold
@@ -131,14 +132,16 @@ class _BoundedScan:
     cannot hold the pick.
 
     Write s_j for the exact score ||R^T d_j||_1 of column d_j against the
-    residual R that the loop computed.  For every unselected column the scan
-    keeps a bound with s_j <= bound[j] + eta ||d_j||_2, where eta, one number
-    per pick, absorbs every rounding error.  A pick scores blocks in
-    decreasing order of their largest bound plus slack, and stops at the
-    first block whose bound is strictly below the best score found.  Scores
-    come from the full scan's GEMM, abs and row sum on the same block
-    boundaries, so they and the pick are bitwise the full scan's; a block
-    that could tie the best is scanned, so ties still go to the lowest index.
+    residual R that the loop computed.  Every unselected column obeys the norm
+    bound s_j <= scale sqrt(nu2_j) + eta ||d_j||_2 of _norm_bound, where nu2_j
+    tracks ||P_perp d_j||^2 and eta, one number per pick, absorbs every
+    rounding error.  A pick bounds each block through its largest nu2_j and
+    ||d_j||, scores blocks in decreasing order of that bound plus slack, and
+    stops at the first block whose bound is strictly below the best score
+    found.  Scores come from the full scan's GEMM, abs and row sum on the same
+    block boundaries, so they and the pick are bitwise the full scan's; a
+    block that could tie the best is scanned, so ties still go to the lowest
+    index.
     """
 
     def __init__(self, dinv: np.ndarray, coeffs: np.ndarray):
@@ -153,21 +156,17 @@ class _BoundedScan:
         self.root_t = math.sqrt(t)
         block = min(_SCAN_BLOCK, n)
         self._corr = np.empty((block, t))
-        self.bound = np.empty(n)
+        self._scores = np.empty(block)
         self.keeps_bounds = len(self.starts) > 1
         if not self.keeps_bounds:
             return  # a lone block is scored at every pick, whatever its bound
-        self._g = np.empty(block)
-        self._tmp = np.empty(block)
         # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
         # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
         self.nu2 = np.einsum("ij,ij->j", dinv, dinv)
         self.kappa = self.gamma
         self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
                      * (1.0 + 2.0 * self.gamma))
-        self.bound.fill(np.inf)
-        self.eta, scale = self._norm_bound(coeffs, np.zeros((k, 0)))
-        self._sweep(scale)
+        self.eta, self.scale = self._norm_bound(coeffs, np.zeros((k, 0)))
 
     def _rho(self, residual: np.ndarray) -> float:
         """Upper bound on ||residual||_F."""
@@ -185,7 +184,8 @@ class _BoundedScan:
             # row sum; the last 4 gamma covers rounding the block bound itself
             eta_scan = 2.0 * self.gamma * self.root_t * rho
             slack = self.eta + eta_scan + 4.0 * self.gamma * self.root_t * rho
-            block_bound = np.maximum.reduceat(self.bound, self.starts) + slack * self.dmax
+            nu2 = np.maximum(np.maximum.reduceat(self.nu2, self.starts), 0.0)
+            block_bound = self.scale * np.sqrt(nu2) + slack * self.dmax
             order = np.argsort(-block_bound, kind="stable")
         sel = np.asarray(selected, dtype=np.int64)
         best, best_j = -np.inf, -1
@@ -194,49 +194,27 @@ class _BoundedScan:
                 break
             start = int(self.starts[b])
             stop = min(start + _SCAN_BLOCK, n)
-            scores = self.bound[start:stop]
+            scores = self._scores[:stop - start]
             _score_block(self.dinv, residual, start, stop, self._corr, scores)
             scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
             i = int(np.argmax(scores))
             if scores[i] > best or (scores[i] == best and start + i < best_j):
                 best, best_j = scores[i], start + i
             self.blocks_scored += 1
-        if self.keeps_bounds:
-            # the scored columns' bounds are now their computed scores
-            self.eta = max(self.eta, eta_scan)
-            self.bound[best_j] = -np.inf
         return best_j
 
-    def advance(self, basis: np.ndarray, residual: np.ndarray,
-                next_residual: np.ndarray) -> None:
-        """Carry the bounds from residual to next_residual, the residual once
-        q, the last column of basis, joined the others.
-
-        Triangle bound: next_residual = residual - q (q^T residual) + F
-        exactly, F the defect of the recomputation, so
-        s_j' <= s_j + |d_j^T q| ||q^T residual||_1 + sqrt(t) ||F||_F ||d_j||.
-        Evaluating F, taking |d_j^T q| ||q^T residual||_1 from the computed
-        g = dinv^T q and h, and rounding bound + |g| h add at most 4, 4 and 1
-        gamma sqrt(t) ||q||^2 rho ||d_j||, rho bounding both residuals' norms.
-        Each column keeps the tighter of this and the norm bound.
-        """
+    def advance(self, basis: np.ndarray, residual: np.ndarray) -> None:
+        """Carry the bound to residual, the residual once q, the last column
+        of basis, joined the others: nu2_j drops by (d_j^T q)^2."""
         if not self.keeps_bounds:
             return
-        gamma = self.gamma
         q = basis[:, -1]
-        w = q @ residual
-        h = float(np.abs(w).sum())
-        defect = next_residual - residual + np.outer(q, w)
-        rho = max(self._rho(residual), self._rho(next_residual))
-        qq = float(q @ q) * (1.0 + gamma)
-        eta_triangle = self.root_t * (float(np.linalg.norm(defect)) * (1.0 + gamma)
-                                      + 9.0 * gamma * qq * rho)
+        g = q @ self.dinv
+        self.nu2 -= g * g
         # downdating: |g_j^2 - (q^T d_j)^2| <= gamma (2 + gamma) ||q||^2 ||d_j||^2,
         # and squaring and subtracting round by u each
-        self.kappa += 3.0 * gamma * qq
-        eta_norm, scale = self._norm_bound(next_residual, basis)
-        self.eta = max(self.eta + eta_triangle, eta_norm)
-        self._sweep(scale, q, h)
+        self.kappa += 3.0 * self.gamma * float(q @ q) * (1.0 + self.gamma)
+        self.eta, self.scale = self._norm_bound(residual, basis)
 
     def _norm_bound(self, residual: np.ndarray, basis: np.ndarray) -> tuple:
         """(eta, scale) of the norm bound s_j <= scale sqrt(nu2_j) + eta ||d_j||,
@@ -262,27 +240,6 @@ class _BoundedScan:
         eta = self.root_t * (sigma * (math.sqrt(self.kappa + delta * (1.0 + delta))
                                       + 4.0 * gamma) + omega)
         return eta, self.root_t * sigma
-
-    def _sweep(self, scale: float, q=None, h: float = 0.0) -> None:
-        """bound_j <- min(bound_j + |d_j^T q| h, scale sqrt(nu2_j)), after
-        downdating nu2_j by (d_j^T q)^2; one block at a time, so that the
-        temporaries stay in cache."""
-        n = self.dinv.shape[1]
-        for start in self.starts:
-            stop = min(start + _SCAN_BLOCK, n)
-            nu2, bound = self.nu2[start:stop], self.bound[start:stop]
-            tmp = self._tmp[:stop - start]
-            if q is not None:
-                g = np.matmul(self.dinv[:, start:stop].T, q, out=self._g[:stop - start])
-                np.multiply(g, g, out=tmp)
-                nu2 -= tmp
-                np.abs(g, out=g)
-                g *= h
-                bound += g
-            np.maximum(nu2, 0.0, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp *= scale
-            np.minimum(bound, tmp, out=bound)
 
 
 def somp_select(
@@ -349,10 +306,9 @@ def somp_select(
                 "training set cannot support more samples"
             )
         basis = np.hstack([basis, (col / norm)[:, None]])
-        next_residual = coeffs - basis @ (basis.T @ coeffs)
+        residual = coeffs - basis @ (basis.T @ coeffs)
         if len(selected) < max_steps:
-            scan.advance(basis, residual, next_residual)
-        residual = next_residual
+            scan.advance(basis, residual)
         history.append(float(np.linalg.norm(residual)))
 
     return SupportSet(indices=selected, residual_history=history,
@@ -426,7 +382,7 @@ def cumulative_coherence(dinv: np.ndarray, m: int) -> float:
     dinv = np.asarray(dinv, dtype=np.float64)
     n = dinv.shape[1]
     if not 1 <= m < n:
-        raise ValueError(f"m={m} must satisfy 1 <= m < n={n}")
+        raise ConfigError(f"m={m} must satisfy 1 <= m < n={n}")
     norms = np.linalg.norm(dinv, axis=0)
     if np.any(norms == 0.0):
         raise ZeroColumnError("cannot normalize a zero column")

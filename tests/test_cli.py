@@ -217,6 +217,52 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     assert err.count("\n") == 1 and "--max-atoms=10" in err
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("coherence", ["--m", "x"], "--m must be comma-separated integers"),
+    ("coherence", ["--m", "0"], "m=0 must satisfy 1 <= m < n"),
+    ("coherence", ["--m", "1,100000"], "m=100000 must satisfy 1 <= m < n"),
+    ("select-samples", ["--threshold", "-1"], "threshold must be >= 0"),
+    ("select-samples", ["--threshold", "0.1", "--max-iters", "0"],
+     "max_iters must be >= 1, got 0"),
+    ("select-samples", ["--threshold", "0.1", "--max-iters", "-3"],
+     "max_iters must be >= 1, got -3"),
+    ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
+], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
+        "select-max-iters-0", "select-max-iters-neg", "reconstruct-eta"])
+def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
+                                      tmp_path, capsys):
+    argv = [command, "--dict", str(bundle_dir), *flags]
+    if command == "reconstruct":
+        support = tmp_path / "support.json"
+        run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "3",
+                "--out", str(support))
+        argv += ["--support", str(support), "--out", str(tmp_path / "out"),
+                 "--brdf", str(sorted(corpus_dir.glob("*.binary"))[0])]
+    elif command == "select-samples":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("selection, message", [
+    ("stop = threshold\nthreshold = 0.1\nmax_iters = 0", "max_iters must be >= 1, got 0"),
+    ("eta = -1", "eta must be >= 0, got -1.0"),
+], ids=["max-iters", "eta"])
+def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
+                   "[dictionary]\nk_policy = fixed\nk_fixed = 4\n\n"
+                   f"[selection]\nm = 3\n{selection}\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_with_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(
@@ -378,6 +424,25 @@ def test_train_dict_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fa
     else:
         assert err == (f"error: MerlFormatError: {corpus / 'm99.binary'}: "
                        "payload holds 10 doubles, expected 1536\n")
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "train-dict"])
+def test_huge_merl_header_exit_1_with_one_line(command, bundle_dir, tmp_path, rng, capsys):
+    corpus = _write_corpus(tmp_path / "corpus", rng, 3, BrdfResolution(8, 8, 8))
+    huge = corpus / "m99.binary"
+    _write_truncated(huge, (2000, 2000, 2000), 0)
+    if command == "reconstruct":
+        support = tmp_path / "support.json"
+        run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "3",
+                "--out", str(support))
+        argv = ["reconstruct", "--dict", str(bundle_dir), "--support", str(support),
+                "--brdf", str(huge)]
+    else:
+        argv = ["train-dict", "--corpus", str(corpus), "--k", "2"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err == (f"error: MerlFormatError: {huge}: "
+                   "payload holds 0 doubles, expected 24000000000\n")
 
 
 def test_streamed_train_dict_peak_memory_bounded(tmp_path, rng, monkeypatch, capsys):

@@ -126,6 +126,9 @@ def test_read_merl_matches_allocating_reader(tmp_path, rng, posinf):
 @pytest.mark.parametrize("dims,payload,message", [
     ((0, 8, 8), [], "nonpositive header dims (0, 8, 8)"),
     ((8, 8, 8), np.zeros(10), "payload holds 10 doubles, expected 1536"),
+    ((2, 2, 2), np.zeros(26), "payload holds 26 doubles, expected 24"),
+    # a header-only file claiming 2000^3 cells would need 179 GiB to read
+    ((2000, 2000, 2000), [], "payload holds 0 doubles, expected 24000000000"),
 ])
 def test_mask_pass_rejects_as_read_merl(tmp_path, dims, payload, message):
     path = tmp_path / "bad.binary"
@@ -136,6 +139,15 @@ def test_mask_pass_rejects_as_read_merl(tmp_path, dims, payload, message):
     path.write_bytes(b"\0" * 11)
     with pytest.raises(MerlFormatError, match="truncated header"):
         read_merl_mask(path)
+
+
+def test_trailing_partial_double_is_ignored(tmp_path):
+    path = tmp_path / "tail.binary"
+    _write_raw(path, (2, 2, 2), np.zeros(24))
+    with open(path, "ab") as fh:
+        fh.write(b"\0" * 4)
+    assert read_merl(path).resolution == BrdfResolution(2, 2, 2)
+    assert read_merl_mask(path).mask.all()
 
 
 def test_read_missing_file():
