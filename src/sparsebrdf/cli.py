@@ -96,6 +96,8 @@ def cmd_gen_corpus(args) -> int:
 
 
 def cmd_train_dict(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
         args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
     corpus = ev.load_corpus(args.corpus, synthetic)
@@ -116,12 +118,18 @@ def cmd_train_dict(args) -> int:
 
 
 def cmd_select_samples(args) -> int:
-    bundle = load_bundle(args.dict)
     if args.threshold is not None:
         stop = ErrorThreshold(args.threshold, args.max_iters)
+    elif args.m < 1:
+        raise ConfigError(f"--m must be >= 1, got {args.m}")
     else:
         stop = SampleBudget(args.m)
-        bundle = bundle.for_budget(args.m)
+    bundle = load_bundle(args.dict)
+    if isinstance(stop, SampleBudget):
+        if args.m > bundle.pca.n_atoms:
+            raise ConfigError(
+                f"--m {args.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
+        bundle = bundle.truncate(args.m)
     support = somp_select(
         bundle.pca.inverse, bundle.pca.coeffs, stop,
         normalize_atoms=args.normalize_atoms,
@@ -252,6 +260,10 @@ def cmd_evaluate(args) -> int:
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps({"hash": report.config_hash, "rows": len(report.rows),
                       "summary": summary}))
+    if not summary:
+        _log(f"error: all {len(report.rows)} reconstructions failed, the first with "
+             f"{report.rows[0]['error']}; report written to {out_dir}")
+        return 1
     return 0
 
 

@@ -344,7 +344,8 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     }
     for name, arr in arrays.items():
         dtype = _BUNDLE_ARRAYS[name]
-        np.ascontiguousarray(arr).astype(dtype).tofile(directory / f"{name}.bin")
+        out = np.ascontiguousarray(arr).astype(dtype, copy=False)
+        out.tofile(directory / f"{name}.bin")
         manifest["arrays"][name] = {"shape": list(arr.shape), "dtype": dtype}
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
 

@@ -179,8 +179,13 @@ class ExperimentConfig:
             raise ConfigError("exactly one corpus source must be set")
         if self.k_policy not in ("coupled", "fixed"):
             raise ConfigError(f"unknown k policy {self.k_policy!r}")
-        if self.k_policy == "fixed" and not self.k_fixed:
-            raise ConfigError("fixed k policy requires k_fixed")
+        if self.k_policy == "fixed":
+            if self.k_fixed is None or self.k_fixed < 1:
+                raise ConfigError(
+                    f"fixed k policy requires k_fixed >= 1, got {self.k_fixed}")
+        elif self.k_fixed is not None:
+            raise ConfigError(
+                "k_fixed needs k_policy = fixed; the coupled policy sets k = m")
         if self.stop_threshold is not None:
             if self.k_policy != "fixed":
                 raise ConfigError("threshold stopping requires the fixed k policy")

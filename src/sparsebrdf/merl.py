@@ -29,9 +29,6 @@ INVALID_SENTINEL = -1.0
 
 _HALF_PI = np.pi / 2.0
 
-# grid cells per block of write_merl's exactness check
-_WRITE_BLOCK = 16384
-
 
 @dataclass(frozen=True)
 class BrdfResolution:
@@ -163,33 +160,16 @@ def read_merl_mask(path) -> MerlMask:
 def write_merl(brdf: BrdfTensor, path) -> None:
     """Write a MERL binary file.
 
-    A valid value is stored as value / scale.  Where the read-back (stored *
-    scale) of that quotient is not the value, the one-ulp neighbour above is
-    stored if its read-back is, else the one below if its read-back is.  So
-    read_merl(write_merl(b)) reproduces b when every valid value has an exact
-    preimage, as every value read_merl produces has; any other value reads
-    back within one ulp.  Invalid cells store their sentinels verbatim.  The
-    read-back is checked over column blocks through one reused buffer.
+    A valid value is stored as value / scale, correctly rounded; invalid
+    cells store their sentinels verbatim.  At the three MERL scales the
+    rounded quotient reads back (stored * scale) as the value whenever any
+    stored double does, so read_merl(write_merl(b)) reproduces b when every
+    valid value has an exact preimage, as every value read_merl produces
+    has; any other value reads back within one ulp.
     """
     res = brdf.resolution
-    values, mask = brdf.values, brdf.mask
-    scales = MERL_SCALES[:, None]
-    stored = values / scales
-    n = values.shape[1]
-    back = np.empty((3, min(_WRITE_BLOCK, n)))
-    for start in range(0, n, _WRITE_BLOCK):
-        stop = min(start + _WRITE_BLOCK, n)
-        block, want = stored[:, start:stop], values[:, start:stop]
-        miss = np.multiply(block, scales, out=back[:, :stop - start]) != want
-        miss &= mask[start:stop]
-        if miss.any():
-            ch, col = np.nonzero(miss)
-            first, target, scale = block[ch, col], want[ch, col], MERL_SCALES[ch]
-            up = np.nextafter(first, np.inf)
-            dn = np.nextafter(first, -np.inf)
-            block[ch, col] = np.where(up * scale == target, up,
-                                      np.where(dn * scale == target, dn, first))
-        np.copyto(block, want, where=~mask[start:stop])
+    stored = brdf.values / MERL_SCALES[:, None]
+    np.copyto(stored, brdf.values, where=~brdf.mask)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<3i", res.n_theta_h, res.n_theta_d, res.n_phi_d))
         stored.astype("<f8", copy=False).tofile(fh)

@@ -328,7 +328,9 @@ def _exact_unscale(values: np.ndarray, scale: float) -> np.ndarray:
 
 
 def per_channel_write_merl(brdf: BrdfTensor, path) -> None:
-    """write_merl unscaling one channel's gathered valid cells at a time."""
+    """write_merl unscaling one channel's gathered valid cells at a time,
+    with the one-ulp fix-up of _exact_unscale; write_merl stores the plain
+    quotient, so its bytes equal these only while no value needs the fix-up."""
     res = brdf.resolution
     stored = brdf.values.copy()
     for c in range(3):

@@ -226,9 +226,14 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
      "max_iters must be >= 1, got 0"),
     ("select-samples", ["--threshold", "0.1", "--max-iters", "-3"],
      "max_iters must be >= 1, got -3"),
+    ("select-samples", ["--m", "0"], "--m must be >= 1, got 0"),
+    ("select-samples", ["--m", "6"], "--m 6 exceeds the bundle's 5 atoms"),
     ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
+    ("train-dict", ["--k", "0"], "--k must be >= 1, got 0"),
+    ("train-dict", ["--k", "-2"], "--k must be >= 1, got -2"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
-        "select-max-iters-0", "select-max-iters-neg", "reconstruct-eta"])
+        "select-max-iters-0", "select-max-iters-neg", "select-m-0", "select-m-above-k",
+        "reconstruct-eta", "train-k-0", "train-k-neg"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys):
     argv = [command, "--dict", str(bundle_dir), *flags]
@@ -240,6 +245,9 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
                  "--brdf", str(sorted(corpus_dir.glob("*.binary"))[0])]
     elif command == "select-samples":
         argv += ["--out", str(tmp_path / "out")]
+    elif command == "train-dict":
+        argv = [command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
+                *flags]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("config error:")
@@ -260,6 +268,22 @@ def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys)
                              "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
     assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("dictionary, message", [
+    ("k_fixed = 4", "k_fixed needs k_policy = fixed"),
+    ("k_policy = fixed\nk_fixed = 0", "fixed k policy requires k_fixed >= 1, got 0"),
+    ("k_policy = fixed\nk_fixed = -3", "fixed k policy requires k_fixed >= 1, got -3"),
+], ids=["coupled-k-fixed", "fixed-k-0", "fixed-k-neg"])
+def test_bad_ini_dictionary_is_config_error(dictionary, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
+                   f"[dictionary]\n{dictionary}\n\n[selection]\nm = 3\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -308,6 +332,31 @@ def test_evaluate_flag_overrides_config(tmp_path, capsys):
     assert code == 0
     summary = json.loads(out)["summary"]
     assert {r["m"] for r in summary} == {3}
+
+
+def test_evaluate_with_every_row_an_error_exits_1(tmp_path, capsys, monkeypatch):
+    import sparsebrdf.evaluate as evaluate
+    from sparsebrdf.errors import SingularMatrixError
+
+    def fail(*_, **__):
+        raise SingularMatrixError("planted failure")
+
+    # the closed form falls back to the direct path, which then fails
+    monkeypatch.setattr(evaluate, "ridge_solve", fail)
+    monkeypatch.setattr(evaluate, "reconstruct_full", fail)
+    code, out, err = run_cli(capsys, "evaluate", "--seed", "2", "--folds", "3",
+                             "--m", "3", "--random-trials", "1",
+                             "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert json.loads(out)["summary"] == []
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("running experiment")
+    assert lines[1].startswith("error: all ")
+    assert "SingularMatrixError: planted failure" in lines[1]
+    rows = [json.loads(line) for line in
+            (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    results = [r for r in rows if r["record"] == "result"]
+    assert results and all(r["status"] == "error" for r in results)
 
 
 def test_evaluate_missing_config_is_config_error(tmp_path, capsys):

@@ -290,17 +290,6 @@ def _fix_up_kinds(values, scale):
     return up, down
 
 
-def _patch_scale(monkeypatch, channel, scale):
-    """Give one channel another scale, in the library and in the oracle."""
-    import oracles
-    import sparsebrdf.merl as merl_mod
-
-    scales = MERL_SCALES.copy()
-    scales[channel] = scale
-    monkeypatch.setattr(merl_mod, "MERL_SCALES", scales)
-    monkeypatch.setattr(oracles, "MERL_SCALES", scales)
-
-
 def _assert_writes_like_oracle(tmp_path, brdf):
     new, old = tmp_path / "new.binary", tmp_path / "old.binary"
     write_merl(brdf, new)
@@ -309,69 +298,46 @@ def _assert_writes_like_oracle(tmp_path, brdf):
     return new
 
 
-def _binade_edges(low, high, ulps=3):
-    """Every power of two 2**low .. 2**high and its `ulps` neighbours on
-    each side."""
-    edges = [np.ldexp(1.0, np.arange(low, high + 1))]
-    below = above = edges[0]
+def _neighbours(centres, ulps):
+    """The centres and their `ulps` neighbours on each side, the
+    nonnegative ones only."""
+    out = [centres]
+    below = above = centres
     for _ in range(ulps):
         below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
-        edges += [below, above]
-    return np.concatenate(edges)
+        out += [below, above]
+    out = np.concatenate(out)
+    return out[out >= 0.0]
 
 
-def test_write_matches_oracle_through_up_fix_up(tmp_path, rng, monkeypatch):
-    import sparsebrdf.merl as merl_mod
-
-    # for a scale of 1/93 the quotient of a power of two misses on read-back
-    # and its neighbour above does not
-    _patch_scale(monkeypatch, 0, 1.0 / 93.0)
-    res = BrdfResolution(16, 16, 16)
-    n = res.grid_size
-    values = rng.uniform(0.0, 1500.0, size=(3, n)) * merl_mod.MERL_SCALES[:, None]
-    values[:, ::3] = rng.uniform(0.0, 2.0, size=(3, len(range(0, n, 3))))
-    powers = np.ldexp(1.0, rng.integers(-60, 60, size=(3, len(range(1, n, 3)))))
-    values[:, 1::3] = powers
-    mask = rng.random(n) >= 0.1
-    values[:, ~mask] = -1.0
-    up, _ = _fix_up_kinds(values[0, mask], 1.0 / 93.0)
-    assert up.sum() > 100
-    brdf = BrdfTensor(res, values, mask)
-    for block in (merl_mod._WRITE_BLOCK, 7, n, n + 5):
-        monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", block)
-        path = _assert_writes_like_oracle(tmp_path, brdf)
-    exact = mask & (np.arange(n) % 3 != 0)
-    assert np.array_equal(read_merl(path).values[:, exact], values[:, exact])
-
-
-@pytest.mark.parametrize("scale", [*MERL_SCALES, 1.0 / 93.0])
-def test_write_matches_oracle_at_binade_edges(scale, tmp_path, monkeypatch):
-    import sparsebrdf.merl as merl_mod
-
-    _patch_scale(monkeypatch, 1, scale)
-    edges = _binade_edges(-1070, 1013)
-    up, down = _fix_up_kinds(edges, scale)
+@pytest.mark.parametrize("scale", MERL_SCALES)
+def test_write_matches_oracle_at_binade_edges(scale, tmp_path):
+    # every power of two that is a double, and the values whose quotient
+    # overflows or just fails to
+    edges = np.concatenate([
+        _neighbours(np.ldexp(1.0, np.arange(-1074, 1024)), 3),
+        _neighbours(np.array([np.finfo(float).max * scale]), 16),
+    ])
+    with np.errstate(over="ignore"):
+        up, down = _fix_up_kinds(edges, scale)
     # A quotient is within half an ulp of the exact one, so a neighbour's
     # product lies at least as far from the value; only the narrower
-    # spacing just below a power of two lets the neighbour above round back.
-    # No value needs the neighbour below, and at the MERL scales none needs
-    # either.
-    assert not down.any()
-    assert up.any() == (scale == 1.0 / 93.0)
+    # spacing just below a power of two could let the neighbour above round
+    # back.  At the MERL scales no value needs either neighbour, so the
+    # plain quotient write_merl stores is what the oracle's fix-up stores.
+    assert not up.any() and not down.any()
+    channel = int(np.flatnonzero(MERL_SCALES == scale)[0])
     n = edges.size
-    values = np.vstack([np.full(n, 0.5), edges, np.full(n, 0.25)])
+    values = np.full((3, n), 0.5)
+    values[channel] = edges
     brdf = BrdfTensor(BrdfResolution(n, 1, 1), values, np.ones(n, dtype=bool))
-    monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", 1000)
     with np.errstate(over="ignore"):
         _assert_writes_like_oracle(tmp_path, brdf)
 
 
 @pytest.mark.parametrize("case", ["negative-zero", "subnormal", "huge", "all-valid",
                                   "all-invalid", "sibling-invalid"])
-def test_write_edge_values_match_oracle(case, tmp_path, rng, monkeypatch):
-    import sparsebrdf.merl as merl_mod
-
-    monkeypatch.setattr(merl_mod, "_WRITE_BLOCK", 7)
+def test_write_edge_values_match_oracle(case, tmp_path, rng):
     n = RES8.grid_size
     values = rng.uniform(0.0, 1500.0, size=(3, n)) * MERL_SCALES[:, None]
     mask = rng.random(n) >= 0.2
@@ -414,13 +380,11 @@ def test_write_sibling_invalid_file_rewrites_unchanged(tmp_path, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 6)] * 3),
-       block=st.integers(1, 40), invalid_frac=st.sampled_from([0.0, 0.3, 1.0]),
+       invalid_frac=st.sampled_from([0.0, 0.3, 1.0]),
        decades=st.integers(-300, 300), exact=st.booleans())
-def test_write_matches_oracle_property(seed, dims, block, invalid_frac, decades, exact):
+def test_write_matches_oracle_property(seed, dims, invalid_frac, decades, exact):
     import tempfile
     from pathlib import Path
-
-    import sparsebrdf.merl as merl_mod
 
     rng = np.random.default_rng(seed)
     res = BrdfResolution(*dims)
@@ -431,9 +395,7 @@ def test_write_matches_oracle_property(seed, dims, block, invalid_frac, decades,
     mask = rng.random(n) >= invalid_frac
     values[:, ~mask] = -rng.uniform(0.0, 2.0, size=(3, int((~mask).sum()))) - 1e-3
     brdf = BrdfTensor(res, values, mask)
-    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp, \
-            np.errstate(over="ignore"):
-        mp.setattr(merl_mod, "_WRITE_BLOCK", block)
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(over="ignore"):
         _assert_writes_like_oracle(Path(tmp), brdf)
 
 
