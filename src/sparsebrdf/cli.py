@@ -118,17 +118,16 @@ def cmd_train_dict(args) -> int:
 
 
 def cmd_select_samples(args) -> int:
+    if args.threshold is None and args.m < 1:
+        raise ConfigError(f"--m must be >= 1, got {args.m}")
+    bundle = load_bundle(args.dict)
     if args.threshold is not None:
         stop = ErrorThreshold(args.threshold, args.max_iters)
-    elif args.m < 1:
-        raise ConfigError(f"--m must be >= 1, got {args.m}")
     else:
-        stop = SampleBudget(args.m)
-    bundle = load_bundle(args.dict)
-    if isinstance(stop, SampleBudget):
         if args.m > bundle.pca.n_atoms:
             raise ConfigError(
                 f"--m {args.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
+        stop = SampleBudget(args.m)
         bundle = bundle.truncate(args.m)
     support = somp_select(
         bundle.pca.inverse, bundle.pca.coeffs, stop,

@@ -268,6 +268,7 @@ def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys)
                              "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
     assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("dictionary, message", [
