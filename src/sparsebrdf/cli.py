@@ -37,6 +37,7 @@ from .somp import (
     cumulative_coherence,
     direction_table,
     read_support_record,
+    require_samples,
     somp_select,
     support_record_fields,
     support_to_directions,
@@ -128,13 +129,15 @@ def cmd_select_samples(args) -> int:
             raise ConfigError(
                 f"--m {args.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
         stop = SampleBudget(args.m)
-        bundle = bundle.truncate(args.m)
-    support = somp_select(
+        bundle = bundle.for_budget(args.m)
+    support = require_samples(somp_select(
         bundle.pca.inverse, bundle.pca.coeffs, stop,
         normalize_atoms=args.normalize_atoms,
-    )
+    ), stop, bundle.pca.coeffs)
     _log(f"scan: scored {support.blocks_scored} of {support.blocks_total} blocks "
          f"over {len(support)} picks")
+    # the bundle reconstruct reads the support with, in either stop mode
+    bundle = bundle.for_budget(len(support))
     record = {
         "version": SUPPORT_RECORD_VERSION,
         **support_record_fields(support, bundle.row_map),
@@ -193,6 +196,12 @@ _INI_OPTIONS = {
     ("experiment", "random_trials"): ("random_trials", "getint"),
     ("output", "dir"): ("_out_dir", "get"),
 }
+# every (section, key) an INI file may hold
+_INI_KEYS = {
+    *_INI_OPTIONS,
+    *(("corpus", key) for key in ("source", "path", "seed", "count", "res")),
+    *(("selection", key) for key in ("m", "stop", "threshold", "max_iters")),
+}
 
 
 def _config_from_ini(path: Path) -> dict:
@@ -208,6 +217,14 @@ def _config_from_ini(path: Path) -> dict:
 def _read_ini(path: Path) -> dict:
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     parser.read(path)
+    if parser.defaults():
+        raise ConfigError(f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if not any(section == known for known, _ in _INI_KEYS):
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if (section, key) not in _INI_KEYS:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
     raw: dict = {}
     get = parser.get
 
@@ -229,10 +246,13 @@ def _read_ini(path: Path) -> dict:
             raw[name] = getattr(parser, getter)(section, key)
     if parser.has_option("selection", "m"):
         raw["m_values"] = tuple(_int_list(get("selection", "m"), "m"))
-    if get("selection", "stop", fallback="budget") == "threshold":
+    stop = get("selection", "stop", fallback="budget")
+    if stop == "threshold":
         raw["stop_threshold"] = parser.getfloat("selection", "threshold")
         if parser.has_option("selection", "max_iters"):
             raw["stop_max_iters"] = parser.getint("selection", "max_iters")
+    elif stop != "budget":
+        raise ConfigError(f"unknown stop rule {stop!r}")
     return raw
 
 
@@ -246,10 +266,7 @@ def cmd_evaluate(args) -> int:
             raw[key] = getattr(args, key)
     if args.m is not None:
         raw["m_values"] = tuple(_int_list(args.m, "--m"))
-    try:
-        config = ev.ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = ev.ExperimentConfig(**raw)
     _log(f"running experiment {config.config_hash()}")
     report = ev.run_experiment(config)
     out_dir.mkdir(parents=True, exist_ok=True)

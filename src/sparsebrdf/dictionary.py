@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sized
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -257,14 +258,15 @@ class DictionaryBundle:
         return replace(self, pca=self.pca.truncate(k))
 
     def for_budget(self, m: int) -> "DictionaryBundle":
-        """The bundle a budget of m samples works with: the m leading atoms
-        when m <= k, all k atoms otherwise."""
-        return self.truncate(m) if m <= self.pca.n_atoms else self
+        """The bundle a support of m rows is recorded against and
+        reconstructed with, in either stop mode: the m leading atoms when
+        m <= k, all k atoms otherwise."""
+        return self.truncate(m) if m < self.pca.n_atoms else self
 
 
 def train_bundle(corpus, row_map: RowMap, k: int, *,
-                 epsilon: float = DEFAULT_EPSILON, statistic: str = "median",
-                 config_hash: str = "") -> DictionaryBundle:
+                 epsilon: float = DEFAULT_EPSILON,
+                 statistic: str = "median") -> DictionaryBundle:
     """Train a k-atom bundle from (material_id, BrdfTensor) pairs.
 
     The mapping reference is computed from the same materials the dictionary
@@ -298,7 +300,6 @@ def train_bundle(corpus, row_map: RowMap, k: int, *,
         row_map=row_map,
         reference=reference,
         material_ids=tuple(ids),
-        config_hash=config_hash,
     )
 
 
@@ -368,28 +369,65 @@ def _read_manifest(path: Path) -> dict:
     arrays = manifest["arrays"]
     if not (isinstance(arrays, dict) and set(arrays) == set(_BUNDLE_ARRAYS) and all(
             isinstance(meta, dict) and meta.get("dtype") == _BUNDLE_ARRAYS[name]
-            and isinstance(meta.get("shape"), list) for name, meta in arrays.items())):
+            and isinstance(meta.get("shape"), list)
+            and all(isinstance(v, int) and v >= 0 for v in meta["shape"])
+            for name, meta in arrays.items())):
         raise BundleFormatError(
             f"{path}: arrays must be {', '.join(_BUNDLE_ARRAYS)}, each with "
-            "its dtype and a shape"
+            "its dtype and a shape of nonnegative integers"
         )
     res = manifest["resolution"]
     if not (isinstance(res, list) and len(res) == 3
             and all(isinstance(v, int) for v in res)):
         raise BundleFormatError(f"{path}: resolution must be three integers")
+    if type(manifest["epsilon"]) not in (int, float):
+        raise BundleFormatError(f"{path}: epsilon must be a number")
+    if not isinstance(manifest["materials"], list):
+        raise BundleFormatError(f"{path}: materials must be a list")
     return manifest
+
+
+# array name -> its axes: n rows, k atoms, t training signals
+_BUNDLE_AXES = {"mean": "n", "atoms": "nk", "coeffs": "kt", "sigma": "k",
+                "reference": "n", "rows": "n"}
+
+
+def _check_arrays(path: Path, arrays: dict, res: BrdfResolution) -> None:
+    """Raise BundleFormatError unless the arrays agree on n, k and t, each at
+    least 1, and the rows are strictly increasing cells of the grid."""
+    atoms, coeffs = arrays["atoms"], arrays["coeffs"]
+    if atoms.ndim != 2 or coeffs.ndim != 2 or 0 in atoms.shape or 0 in coeffs.shape:
+        raise BundleFormatError(
+            f"{path}: atoms and coeffs must be nonempty matrices, got shapes "
+            f"{list(atoms.shape)} and {list(coeffs.shape)}"
+        )
+    dims = {"n": atoms.shape[0], "k": atoms.shape[1], "t": coeffs.shape[1]}
+    for name, axes in _BUNDLE_AXES.items():
+        want = tuple(dims[a] for a in axes)
+        if arrays[name].shape != want:
+            raise BundleFormatError(
+                f"{path}: {name} has shape {list(arrays[name].shape)}, expected "
+                f"({', '.join(axes)}) = {list(want)} from atoms and coeffs"
+            )
+    rows = arrays["rows"]
+    if rows[0] < 0 or rows[-1] >= res.grid_size or np.any(rows[1:] <= rows[:-1]):
+        raise BundleFormatError(
+            f"{path}: rows must be strictly increasing cells of the "
+            f"{res.grid_size}-cell grid"
+        )
 
 
 def load_bundle(directory) -> DictionaryBundle:
     directory = Path(directory)
-    manifest = _read_manifest(directory / "manifest.json")
+    manifest_path = directory / "manifest.json"
+    manifest = _read_manifest(manifest_path)
     if manifest["version"] != BUNDLE_VERSION:
         raise ConfigError(f"unsupported bundle version {manifest['version']}")
     arrays = {}
     for name, meta in manifest["arrays"].items():
         path = directory / f"{name}.bin"
         data = np.fromfile(path, dtype=meta["dtype"])
-        expected = int(np.prod(meta["shape"]))
+        expected = math.prod(meta["shape"])
         if data.size != expected:
             raise BundleFormatError(
                 f"{path}: holds {data.size} elements, manifest shape "
@@ -397,14 +435,16 @@ def load_bundle(directory) -> DictionaryBundle:
             )
         arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"),
                                                          copy=False)
-    pca = PcaDictionary(arrays["mean"], arrays["atoms"], arrays["coeffs"],
-                        arrays["sigma"])
-    res = BrdfResolution(*manifest["resolution"])
-    row_map = RowMap(res, arrays["rows"])
-    reference = ReferenceBrdf(arrays["reference"], manifest["epsilon"])
+    try:
+        res = BrdfResolution(*manifest["resolution"])
+        reference = ReferenceBrdf(arrays["reference"], manifest["epsilon"])
+    except ValueError as exc:  # DomainError included
+        raise BundleFormatError(f"{manifest_path}: {exc}") from exc
+    _check_arrays(manifest_path, arrays, res)
     return DictionaryBundle(
-        pca=pca,
-        row_map=row_map,
+        pca=PcaDictionary(arrays["mean"], arrays["atoms"], arrays["coeffs"],
+                          arrays["sigma"]),
+        row_map=RowMap(res, arrays["rows"]),
         reference=reference,
         material_ids=tuple(manifest["materials"]),
         config_hash=manifest["config_hash"],

@@ -37,20 +37,12 @@ class InconsistentCorpusError(SparseBrdfError):
     """Training inputs were mapped against different references or masks."""
 
 
-class InvalidKError(SparseBrdfError, ValueError):
-    """Requested atom or fold count is out of range."""
-
-
 class SingularMatrixError(SparseBrdfError):
     """A matrix that must be invertible (or full rank) is numerically singular."""
 
 
 class RankCollapseError(SparseBrdfError):
     """Selected dictionary columns became numerically dependent."""
-
-
-class BudgetTooLargeError(SparseBrdfError, ValueError):
-    """Sample budget exceeds what the dictionary can support."""
 
 
 class ZeroColumnError(SparseBrdfError):
@@ -81,9 +73,17 @@ class TooLargeError(SparseBrdfError):
     """An exhaustive enumeration would exceed its safety bound."""
 
 
-class InvalidMError(SparseBrdfError, ValueError):
-    """Requested sample count is out of range."""
-
-
 class ConfigError(SparseBrdfError):
     """Invalid or inconsistent run configuration."""
+
+
+class InvalidKError(ConfigError, ValueError):
+    """Requested atom or fold count is out of range."""
+
+
+class BudgetTooLargeError(ConfigError, ValueError):
+    """Sample budget exceeds what the dictionary can support."""
+
+
+class InvalidMError(ConfigError, ValueError):
+    """Requested sample count is out of range."""

@@ -43,6 +43,7 @@ from .somp import (
     ErrorThreshold,
     SampleBudget,
     SupportSet,
+    require_samples,
     somp_select,
     support_record_fields,
 )
@@ -190,6 +191,8 @@ class ExperimentConfig:
             if self.k_policy != "fixed":
                 raise ConfigError("threshold stopping requires the fixed k policy")
             ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
+        for m in self.m_values:
+            SampleBudget(m)  # rejects m < 1
         if not self.m_values and self.stop_threshold is None:
             raise ConfigError("at least one sample count required")
         if self.k_policy == "fixed" and self.stop_threshold is None:
@@ -328,7 +331,7 @@ def _direct_metrics(mapped_true: MappedBrdf, support: SupportSet, bundle, eta: f
         recon = reconstruct_full(measure(mapped_true, support), bundle, eta=eta)
         return _metrics(mse_mapped(mapped_true, recon.mapped),
                         snr_db(mapped_true, recon.mapped))
-    except Exception as exc:  # partial results keep a failure marker
+    except (SparseBrdfError, ValueError) as exc:  # partial results keep a failure marker
         return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
@@ -357,7 +360,6 @@ class _HeldOut:
     def __init__(self, mapped: list, bundle):
         pca = bundle.pca
         self.mapped = mapped
-        self.provenance = bundle.reference.key
         x = np.concatenate([mb.values for mb in mapped])  # (3M, n), material-major
         self.n_cells = x.size // len(mapped)
         self.signal = np.sum((x * x).reshape(len(mapped), -1), axis=1)
@@ -374,22 +376,17 @@ class _HeldOut:
 
     def metrics(self, support: SupportSet, bundle, eta: float) -> list:
         """One metrics dict per held-out material for reconstructing it from
-        support with bundle (which must share the fold's mean and leading
-        atoms).  Materials whose closed form is unreliable, and every
-        material when a check fails, go through the direct path, so errors
-        carry its exact messages."""
+        support with bundle (which must share the fold's reference, mean and
+        leading atoms).  Materials whose closed form is unreliable, and every
+        material when the ridge solve fails, go through the direct path, so
+        errors carry its exact messages."""
         rows = list(support.indices)
-        n = self.centred.shape[1]
-        solution = None
-        if (bundle.reference.key == self.provenance and rows
-                and min(rows) >= 0 and max(rows) < n):
-            k = min(len(rows), bundle.pca.n_atoms)
-            try:
-                solution = ridge_solve(bundle.pca.atoms[rows, :k],
-                                       self.centred[:, rows].T, eta)  # (k, 3M)
-            except (SparseBrdfError, ValueError):
-                pass
-        if solution is None:
+        bundle = bundle.for_budget(len(rows))
+        k = bundle.pca.n_atoms
+        try:
+            solution = ridge_solve(bundle.pca.atoms[rows],
+                                   self.centred[:, rows].T, eta)  # (k, 3M)
+        except (SparseBrdfError, ValueError):
             return [_direct_metrics(mb, support, bundle, eta) for mb in self.mapped]
 
         fit = np.sum(solution * (self.gram[:k, :k] @ solution), axis=0)
@@ -430,12 +427,12 @@ def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
     keyed = []  # (sort key, row)
     for bundle, stop in stops:
         t0 = time.perf_counter()
-        support = somp_select(
+        support = require_samples(somp_select(
             bundle.pca.inverse,
             bundle.pca.coeffs,
             stop,
             normalize_atoms=config.normalize_atoms,
-        )
+        ), stop, bundle.pca.coeffs)
         select_seconds = time.perf_counter() - t0
         m = len(support)
         supports.append({
@@ -474,7 +471,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     ids = list(tensors)
     row_map = corpus_mask(tensors.values())
     plan = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
-    config_hash = config.config_hash()
 
     threshold_mode = config.stop_threshold is not None
     k_max = config.k_fixed if threshold_mode else max(config.k_for(m) for m in config.m_values)
@@ -493,7 +489,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             k_max,
             epsilon=config.epsilon,
             statistic=config.reference_statistic,
-            config_hash=config_hash,
         )
         rows.extend(_evaluate_fold(config, fold, test_ids, bundle_full, tensors, supports))
 

@@ -41,10 +41,11 @@ class ReferenceBrdf:
     key: str = field(init=False)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.values.size and self.values.min() < REFERENCE_FLOOR:
-            raise ValueError("reference values must be floored at 1e-6")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if self.values.size and not (self.values.min() >= REFERENCE_FLOOR
+                                     and self.values.max() < np.inf):
+            raise ValueError("reference values must be finite and floored at 1e-6")
         self.values.setflags(write=False)
         digest = hashlib.sha256()
         digest.update(np.float64(self.epsilon).tobytes())

@@ -7,12 +7,12 @@ Per channel, the coefficients s minimize the ridge objective
 over the dictionary rows at the selected sample locations; the full mapped
 signal is then D s + mean and the linear BRDF follows by inverting the
 log-relative map.  Because the dictionary atoms are ordered by importance,
-only the first m atoms are used when m samples are available.
+a support of m rows reads the atoms of ``DictionaryBundle.for_budget(m)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -50,9 +50,11 @@ class ReconstructionResult:
     coefficients: np.ndarray  # (3, k)
     mapped: MappedBrdf
     tensor: BrdfTensor
-    ridge_residuals: np.ndarray  # (3,) squared data residual per channel
     clamped_fraction: float  # share of the valid cells' values clamped on unmap
-    ridge_condition: float  # 2-norm condition number of the sampled rows
+    # the fit's diagnostics, set by reconstruct_full: the squared data
+    # residual per channel and the 2-norm condition number of the sampled rows
+    ridge_residuals: np.ndarray = field(default_factory=lambda: np.full(3, np.nan))
+    ridge_condition: float = np.nan
 
 
 def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> MeasurementVector:
@@ -109,22 +111,17 @@ def synthesize(
     coefficients: np.ndarray,
     ref: ReferenceBrdf,
     row_map: RowMap,
-    ridge_residuals=None,
-    ridge_condition: float = np.nan,
 ) -> ReconstructionResult:
-    """Expand coefficients through the dictionary and invert the mapping.
+    """Expand (3, k) coefficients, one per channel and atom, through the
+    dictionary and invert the mapping.
 
-    Coefficients shorter than the atom count are zero-padded; cells outside
-    the row map are re-marked invalid in the output tensor.
+    Cells outside the row map are re-marked invalid in the output tensor.
     """
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
-    if coefficients.shape[0] != 3 or coefficients.shape[1] > pca.n_atoms:
+    if coefficients.shape != (3, pca.n_atoms):
         raise ShapeMismatchError(
-            f"expected (3, <= {pca.n_atoms}) coefficients, got {coefficients.shape}"
+            f"expected (3, {pca.n_atoms}) coefficients, got {coefficients.shape}"
         )
-    if coefficients.shape[1] < pca.n_atoms:
-        pad = np.zeros((3, pca.n_atoms - coefficients.shape[1]))
-        coefficients = np.hstack([coefficients, pad])
     product = pca.atoms @ coefficients.T  # (n, 3)
     product += pca.mean[:, None]
     mapped = MappedBrdf(np.ascontiguousarray(product.T), ref.key)
@@ -136,15 +133,11 @@ def synthesize(
     clamped_fraction = clamped / linear.size
     del linear
     tensor = BrdfTensor(row_map.resolution, full, row_map.mask())
-    if ridge_residuals is None:
-        ridge_residuals = np.full(3, np.nan)
     return ReconstructionResult(
         coefficients=coefficients,
         mapped=mapped,
         tensor=tensor,
-        ridge_residuals=np.asarray(ridge_residuals, dtype=np.float64),
         clamped_fraction=clamped_fraction,
-        ridge_condition=float(ridge_condition),
     )
 
 
@@ -153,26 +146,26 @@ def reconstruct_full(
     bundle: DictionaryBundle,
     eta: float = DEFAULT_ETA,
 ) -> ReconstructionResult:
-    """Ridge-fit the three channels at the sampled rows, then synthesize.
+    """Ridge-fit the three channels at the sampled rows, then synthesize,
+    both through the atoms of ``bundle.for_budget(m)``.
 
-    The min(m, k) leading atoms are used, matching the m = k coupling.  The
-    channels share the sampled rows, so one factorization serves all three.
+    The channels share the sampled rows, so one factorization serves all three.
     """
     if samples.provenance != bundle.reference.key:
         raise ProvenanceMismatchError(
             "measurements were mapped against a different reference than the bundle"
         )
-    pca = bundle.pca
     rows = list(samples.support.indices)
-    if any(r < 0 or r >= pca.n_rows for r in rows):
+    if any(r < 0 or r >= bundle.pca.n_rows for r in rows):
         raise IndexOutOfRangeError("support indices outside dictionary rows")
     if not rows:
         raise IndexOutOfRangeError("empty support")
-    k_used = min(len(rows), pca.n_atoms)
-    d_rows = pca.atoms[rows, :k_used]
-    mean_rows = pca.mean[rows]
-    rhs = (samples.values - mean_rows).T  # (m, 3)
+    bundle = bundle.for_budget(len(rows))
+    pca = bundle.pca
+    d_rows = pca.atoms[rows]
+    rhs = (samples.values - pca.mean[rows]).T  # (m, 3)
     solution = ridge_solve(d_rows, rhs, eta)
-    residuals = np.sum((rhs - d_rows @ solution) ** 2, axis=0)
-    return synthesize(pca, solution.T, bundle.reference, bundle.row_map, residuals,
-                      ridge_condition=np.linalg.cond(d_rows))
+    result = synthesize(pca, solution.T, bundle.reference, bundle.row_map)
+    return replace(result,
+                   ridge_residuals=np.sum((rhs - d_rows @ solution) ** 2, axis=0),
+                   ridge_condition=float(np.linalg.cond(d_rows)))

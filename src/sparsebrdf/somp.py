@@ -316,6 +316,19 @@ def somp_select(
                       blocks_total=len(selected) * len(scan.starts))
 
 
+def require_samples(support: SupportSet, stop: StoppingRule,
+                    coeffs: np.ndarray) -> SupportSet:
+    """support, unless it is empty: only a threshold at or above the initial
+    residual ||coeffs|| selects nothing, and no record or reconstruction can
+    use an empty support."""
+    if len(support) == 0:
+        raise ConfigError(
+            f"threshold {stop.epsilon} is at or above the initial residual "
+            f"{float(np.linalg.norm(coeffs))}: no sample was selected"
+        )
+    return support
+
+
 def support_to_directions(support: SupportSet, row_map: RowMap) -> list[HalfAngleDirection]:
     """Bin-center directions of the selected dense rows."""
     grid = row_map.grid_indices
@@ -345,7 +358,7 @@ def support_record_fields(support: SupportSet, row_map: RowMap) -> dict:
 def read_support_record(path) -> dict:
     """Load a support record, raising ConfigError unless it is a JSON object
     of the current version that names its bundle digest and whose rows hold
-    m distinct integers."""
+    m >= 1 distinct integers."""
     try:
         record = json.loads(Path(path).read_text())
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -358,9 +371,9 @@ def read_support_record(path) -> dict:
         raise ConfigError(f"support record {path} lacks {', '.join(missing)}")
     rows = record["rows"]
     if not (isinstance(rows, list) and all(type(r) is int for r in rows)
-            and len(set(rows)) == len(rows) == record["m"]):
+            and len(set(rows)) == len(rows) == record["m"] and rows):
         raise ConfigError(f"support record {path}: rows must hold m={record['m']} "
-                          "distinct integers")
+                          ">= 1 distinct integers")
     return record
 
 

@@ -10,7 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsebrdf.dictionary import CHANNEL_NAMES, PcaDictionary, TrainingMatrix
+from sparsebrdf.dictionary import (
+    CHANNEL_NAMES,
+    DictionaryBundle,
+    PcaDictionary,
+    TrainingMatrix,
+)
 from sparsebrdf.errors import (
     EmptyCorpusError,
     EmptyMaskError,
@@ -30,6 +35,7 @@ from sparsebrdf.merl import (
     RowMap,
 )
 import sparsebrdf.somp as somp
+from sparsebrdf.reconstruct import MeasurementVector, ridge_solve
 from sparsebrdf.somp import DEFAULT_COND_LIMIT, SampleBudget, SupportSet
 
 
@@ -349,3 +355,18 @@ def allocating_synthesize(pca: PcaDictionary, coefficients: np.ndarray,
     full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
     full[:, row_map.grid_indices] = np.maximum(unclamped, 0.0)
     return mapped, full, int(np.count_nonzero(unclamped < 0.0))
+
+
+def zero_padded_reconstruct(samples: MeasurementVector, bundle: DictionaryBundle,
+                            eta: float):
+    """allocating_synthesize's outputs for reconstruct_full: the ridge fit over
+    the min(m, k) leading atoms, its coefficients zero-padded to all k atoms
+    and expanded through the whole dictionary."""
+    pca = bundle.pca
+    rows = list(samples.support.indices)
+    k_used = min(len(rows), pca.n_atoms)
+    solution = ridge_solve(pca.atoms[rows, :k_used],
+                           (samples.values - pca.mean[rows]).T, eta)
+    padded = np.zeros((3, pca.n_atoms))
+    padded[:, :k_used] = solution.T
+    return allocating_synthesize(pca, padded, bundle.reference, bundle.row_map)

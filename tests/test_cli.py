@@ -2,11 +2,14 @@ import json
 import re
 import shutil
 import struct
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparsebrdf.cli import main
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
@@ -163,7 +166,7 @@ def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "malformed-json", "wrong-version", "missing-digest", "duplicate-rows",
-    "rows-not-m",
+    "rows-not-m", "empty",
 ])
 def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
                                             tmp_path, capsys):
@@ -180,6 +183,8 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
             del record["bundle_digest"]
         elif case == "duplicate-rows":
             record["rows"][1] = record["rows"][0]
+        elif case == "empty":
+            record["m"], record["rows"] = 0, []
         else:
             record["rows"] = record["rows"][:-1]
         support_path.write_text(json.dumps(record))
@@ -231,9 +236,16 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
     ("train-dict", ["--k", "0"], "--k must be >= 1, got 0"),
     ("train-dict", ["--k", "-2"], "--k must be >= 1, got -2"),
+    ("train-dict", ["--k", "30"], "k=30 must satisfy 1 <= k < t=30"),
+    ("select-samples", ["--threshold", "3"],
+     "threshold 3.0 is at or above the initial residual 2.236"),
+    ("evaluate", ["--m", "0"], "sample budget must be >= 1, got 0"),
+    ("evaluate", ["--m", "5,-1"], "sample budget must be >= 1, got -1"),
+    ("evaluate", ["--folds", "60"], "fold count 60 outside [2, 50]"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
         "select-max-iters-0", "select-max-iters-neg", "select-m-0", "select-m-above-k",
-        "reconstruct-eta", "train-k-0", "train-k-neg"])
+        "reconstruct-eta", "train-k-0", "train-k-neg", "train-k-t",
+        "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys):
     argv = [command, "--dict", str(bundle_dir), *flags]
@@ -248,7 +260,12 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
     elif command == "train-dict":
         argv = [command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
                 *flags]
+    elif command == "evaluate":
+        argv = [command, "--out", str(tmp_path / "out"), *flags]
     code, out, err = run_cli(capsys, *argv)
+    if "--folds" in flags:  # checked against the corpus, once the run has started
+        assert err.startswith("running experiment ")
+        err = err.split("\n", 1)[1]
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert message in err
@@ -381,6 +398,219 @@ def test_non_numeric_ini_value_is_config_error(section, key, value, tmp_path, ca
     assert err.startswith("config error:") and value in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[experimnt]\nfolds = 3\n", "unknown section [experimnt]"),
+    ("[selection]\netaa = 5\n", "unknown key 'etaa' in [selection]"),
+    ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ("[selection]\nstop = thresold\n", "unknown stop rule 'thresold'"),
+], ids=["section", "key", "default-section", "stop-rule"])
+def test_unknown_ini_entry_is_config_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_directory_corpus_from_config(corpus_dir, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[corpus]\nsource = directory\npath = {corpus_dir}\n\n"
+                   "[selection]\nm = 3\n\n[experiment]\nfolds = 2\nrandom_trials = 1\n")
+    code, out, _ = run_cli(capsys, "evaluate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0
+    records = [json.loads(line) for line in
+               (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    assert records[0]["config"]["corpus_dir"] == str(corpus_dir)
+    assert records[0]["config"]["synthetic"] is None
+    materials = {r["material"] for r in records if r["record"] == "result"}
+    assert materials == {p.stem for p in corpus_dir.glob("*.binary")}
+
+
+def test_evaluate_empty_threshold_support_is_config_error(tmp_path, capsys):
+    # the coefficients' rows are orthonormal: the initial residual is sqrt(k) = 2
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
+                   "[dictionary]\nk_policy = fixed\nk_fixed = 4\n\n"
+                   "[selection]\nstop = threshold\nthreshold = 2.5\n\n"
+                   "[experiment]\nfolds = 3\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("running experiment")
+    assert re.fullmatch(r"config error: threshold 2\.5 is at or above the initial "
+                        r"residual 2\.0\d*: no sample was selected", lines[1])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def threshold_bundle(tmp_path_factory):
+    """The 12-material, k = 10 bundle of the threshold round trip."""
+    root = tmp_path_factory.mktemp("threshold")
+    assert main(["gen-corpus", "--seed", "42", "--count", "12", "--res", "8",
+                 "--out", str(root / "corpus")]) == 0
+    assert main(["train-dict", "--corpus", str(root / "corpus"), "--k", "10",
+                 "--out", str(root / "bundle")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("threshold, m", [("2", 7), ("1", 10)])
+def test_threshold_support_reconstructs(threshold, m, threshold_bundle, tmp_path,
+                                        capsys):
+    root = threshold_bundle
+    support = tmp_path / "support.json"
+    code, out, _ = run_cli(capsys, "select-samples", "--dict", str(root / "bundle"),
+                           "--threshold", threshold, "--out", str(support))
+    assert code == 0
+    record = json.loads(out)
+    assert record["m"] == m
+    bundle = load_bundle(root / "bundle")
+    assert record["bundle_digest"] == bundle.for_budget(m).digest
+    if m == bundle.pca.n_atoms:  # the whole bundle, as a budget-mode record names it
+        assert record["bundle_digest"] == bundle.digest
+    target = sorted((root / "corpus").glob("*.binary"))[0]
+    code, out, err = run_cli(capsys, "reconstruct", "--dict", str(root / "bundle"),
+                             "--support", str(support), "--brdf", str(target),
+                             "--out", str(tmp_path / "recon.binary"))
+    assert code == 0, err
+    sidecar = json.loads((tmp_path / "recon.binary.json").read_text())
+    assert sidecar["bundle_digest"] == record["bundle_digest"]
+    assert read_merl(tmp_path / "recon.binary").resolution == read_merl(target).resolution
+
+
+def _rewrite_bundle(directory, arrays, manifest):
+    """Write arrays, and manifest with their shapes, into directory."""
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        arr.astype(manifest["arrays"][name]["dtype"]).tofile(directory / f"{name}.bin")
+        manifest["arrays"][name]["shape"] = list(arr.shape)
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _set_shape(name, shape):
+    def edit(manifest):
+        manifest["arrays"][name]["shape"] = shape
+    return edit
+
+
+def _set_key(key, value):
+    def edit(manifest):
+        manifest[key] = value
+    return edit
+
+
+def _set_cell(name, index, value):
+    def edit(arrays):
+        arrays[name][index] = value
+    return edit
+
+
+def _resize(name, fn):
+    def edit(arrays):
+        arrays[name] = fn(arrays[name])
+    return edit
+
+
+@pytest.mark.parametrize("edit_arrays, edit_manifest, message", [
+    (_resize("sigma", lambda a: np.append(a, 1.0)), None,
+     "sigma has shape [6], expected (k) = [5]"),
+    (_resize("mean", lambda a: a[:-1]), None, "mean has shape"),
+    (_resize("reference", lambda a: a[:-1]), None, "reference has shape"),
+    (_resize("rows", lambda a: a[:-1]), None, "rows has shape"),
+    (_resize("coeffs", lambda a: a[:-1]), None, "coeffs has shape [4, 30], expected"),
+    (_resize("atoms", lambda a: a[:, :0]), None, "atoms and coeffs must be nonempty"),
+    (_resize("atoms", np.ravel), None, "atoms and coeffs must be nonempty"),
+    (None, _set_shape("atoms", [5, 388]), "mean has shape [388], expected (n) = [5]"),
+    (_set_cell("rows", -1, 10**9), None, "rows must be strictly increasing cells"),
+    (_set_cell("rows", 0, -1), None, "rows must be strictly increasing cells"),
+    (_resize("rows", lambda a: a[::-1]), None, "rows must be strictly increasing"),
+    (None, _set_key("epsilon", -1), "epsilon must be positive and finite, got -1"),
+    (None, _set_key("epsilon", float("nan")), "epsilon must be positive and finite"),
+    (None, _set_key("epsilon", "x"), "epsilon must be a number"),
+    (_set_cell("reference", 0, 0.0), None, "reference values must be finite and floored"),
+    (_set_cell("reference", 0, np.nan), None, "reference values must be finite"),
+    (_set_cell("reference", 0, np.inf), None, "reference values must be finite"),
+    (None, _set_key("resolution", [0, 8, 8]), "resolution counts must be >= 1"),
+    (None, _set_shape("mean", [-1, -388]), "shape of nonnegative integers"),
+    (None, _set_shape("mean", [388.0]), "shape of nonnegative integers"),
+    (None, _set_key("materials", 3), "materials must be a list"),
+], ids=["sigma-long", "mean-short", "reference-short", "rows-short", "coeffs-k",
+        "atoms-k-0", "atoms-1d", "atoms-transposed", "row-outside-grid", "row-negative",
+        "rows-decreasing", "epsilon-negative", "epsilon-nan", "epsilon-text",
+        "reference-zero", "reference-nan", "reference-inf", "resolution-zero", "shape-negative", "shape-float", "materials-int"])
+def test_inconsistent_bundle_is_one_line_error(edit_arrays, edit_manifest, message,
+                                              bundle_dir, tmp_path, capsys):
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    arrays = {name: np.fromfile(broken / f"{name}.bin", dtype=meta["dtype"])
+              .reshape(meta["shape"]) for name, meta in manifest["arrays"].items()}
+    assert arrays["atoms"].shape == (388, 5)  # the sizes the messages name
+    if edit_arrays:
+        edit_arrays(arrays)
+    _rewrite_bundle(broken, arrays, manifest)
+    if edit_manifest:
+        edit_manifest(manifest)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken),
+                             "--m", "3")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: BundleFormatError:") and message in err
+
+
+_DIM = st.integers(0, 6)
+
+
+@st.composite
+def _bundle_shapes(draw):
+    """Array shapes for a bundle over a 2 x 2 x 2 grid: each is either its
+    consistent shape or an arbitrary one."""
+    n, k, t = draw(_DIM), draw(_DIM), draw(_DIM)
+    consistent = {"mean": [n], "atoms": [n, k], "coeffs": [k, t], "sigma": [k],
+                  "reference": [n], "rows": [n]}
+    return {name: draw(st.one_of(st.just(shape), st.lists(_DIM, max_size=3)))
+            for name, shape in consistent.items()}
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(shapes=_bundle_shapes())
+def test_bundle_shapes_exit_0_1_or_3(shapes, bundle_dir, capsys):
+    fill = np.random.default_rng(0)
+    res = BrdfResolution(2, 2, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        manifest = json.loads((bundle_dir / "manifest.json").read_text())
+        manifest["resolution"] = [2, 2, 2]
+        arrays = {}
+        for name, shape in shapes.items():
+            size = int(np.prod(shape))
+            if name == "rows":
+                arrays[name] = np.arange(size).reshape(shape)
+            elif name in ("reference", "sigma"):
+                arrays[name] = np.full(shape, 0.5)
+            else:
+                arrays[name] = 0.1 * fill.standard_normal(shape)
+        _rewrite_bundle(tmp, arrays, manifest)
+        brdf = tmp / "m.binary"
+        write_merl(make_random_tensor(fill, res=res, invalid_frac=0.0), brdf)
+        runs = [("select-samples", "--dict", tmp, "--m", 1, "--out", tmp / "s.json"),
+                ("reconstruct", "--dict", tmp, "--support", tmp / "s.json",
+                 "--brdf", brdf, "--out", tmp / "r.binary")]
+        for argv in runs:
+            code, out, err = run_cli(capsys, *map(str, argv))
+            assert code in (0, 1, 3), err
+            if code:
+                assert out == "" and err.count("\n") == 1, err
+                assert err.startswith(("error:", "config error:")), err
+                break
 
 
 def test_unknown_flag_usage_error(capsys):

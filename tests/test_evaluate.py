@@ -205,6 +205,21 @@ def test_experiment_training_residual_monotone_in_m(small_report):
         assert finals[(fold, 5)] <= finals[(fold, 3)] + 1e-10 * scale
 
 
+def test_programming_error_in_reconstruction_escapes(monkeypatch):
+    from sparsebrdf.errors import SingularMatrixError
+
+    def singular(*_, **__):
+        raise SingularMatrixError("planted: take the direct path")
+
+    def planted(*_, **__):
+        raise TypeError("planted programming error")
+
+    monkeypatch.setattr(evaluate, "ridge_solve", singular)
+    monkeypatch.setattr(evaluate, "reconstruct_full", planted)
+    with pytest.raises(TypeError, match="planted programming error"):
+        run_experiment(SMALL_CONFIG)
+
+
 def test_experiment_deterministic_across_reruns(tmp_path):
     a = run_experiment(SMALL_CONFIG)
     b = run_experiment(SMALL_CONFIG)

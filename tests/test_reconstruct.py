@@ -31,7 +31,7 @@ from sparsebrdf.somp import SampleBudget, SupportSet, somp_select
 from sparsebrdf.synthetic import gen_corpus
 
 from conftest import make_random_tensor
-from oracles import allocating_synthesize
+from oracles import allocating_synthesize, zero_padded_reconstruct
 
 
 def ridge_gradient_descent(d_rows, b, eta, iters=200000, lr=None):
@@ -210,8 +210,8 @@ def test_reconstruct_reports_ridge_condition(rng):
     result = reconstruct_full(measure(mapped[0], support), bundle)
     svals = np.linalg.svd(bundle.pca.atoms[list(support.indices), :3], compute_uv=False)
     assert result.ridge_condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
-    assert np.isnan(synthesize(bundle.pca, result.coefficients, bundle.reference,
-                               bundle.row_map).ridge_condition)
+    assert np.isnan(synthesize(bundle.for_budget(3).pca, result.coefficients,
+                               bundle.reference, bundle.row_map).ridge_condition)
 
 
 def test_reconstruct_and_write_peak_memory(tmp_path, rng):
@@ -234,12 +234,28 @@ def test_reconstruct_and_write_peak_memory(tmp_path, rng):
     assert peak < 3.6 * tensor_bytes, peak / tensor_bytes
 
 
-def test_synthesize_zero_pads_short_coefficients(rng):
+def test_synthesize_rejects_short_coefficients(rng):
     bundle, _ = _trained_bundle(rng, k=4)
-    short = rng.standard_normal((3, 2))
-    result = synthesize(bundle.pca, short, bundle.reference, bundle.row_map)
-    assert result.coefficients.shape == (3, 4)
-    assert np.all(result.coefficients[:, 2:] == 0.0)
+    with pytest.raises(ShapeMismatchError, match=r"expected \(3, 4\) coefficients"):
+        synthesize(bundle.pca, rng.standard_normal((3, 2)), bundle.reference,
+                   bundle.row_map)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 11])
+@pytest.mark.parametrize("eta", [0.0, 40.0])
+def test_reconstruct_matches_zero_padded_oracle(m, eta, rng):
+    # m < k reads the m leading atoms of for_budget(m); the zero-padded
+    # synthesis through all k atoms must give the same bytes
+    res = BrdfResolution(8, 8, 16)
+    bundle, mapped = _trained_bundle(rng, count=10, k=8, res=res)
+    rows = rng.choice(bundle.pca.n_rows, size=m, replace=False)
+    samples = measure(mapped[3], SupportSet(indices=[int(r) for r in rows]))
+    result = reconstruct_full(samples, bundle, eta=eta)
+    want_mapped, want_full, want_clamped = zero_padded_reconstruct(samples, bundle, eta)
+    assert result.coefficients.shape == (3, min(m, 8))
+    assert result.mapped.values.tobytes() == want_mapped.tobytes()
+    assert result.tensor.values.tobytes() == want_full.tobytes()
+    assert result.clamped_fraction == want_clamped / (3 * bundle.row_map.n_valid)
 
 
 def test_in_span_exact_recovery(rng):
