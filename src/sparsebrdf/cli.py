@@ -26,7 +26,7 @@ from pathlib import Path
 from . import evaluate as ev
 from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
-from .mapping import DEFAULT_EPSILON, log_relative_map
+from .mapping import DEFAULT_EPSILON, check_mapping, log_relative_map
 from .merl import BrdfResolution, corpus_mask, read_merl, write_merl
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full
 from .somp import (
@@ -37,8 +37,7 @@ from .somp import (
     cumulative_coherence,
     direction_table,
     read_support_record,
-    require_samples,
-    somp_select,
+    select_support,
     support_record_fields,
     support_to_directions,
 )
@@ -71,11 +70,14 @@ def _parse_res(text: str) -> BrdfResolution:
         parts = parts * 3
     if len(parts) != 3:
         raise ConfigError(f"resolution must be N or N,N,N, got {text!r}")
+    if min(parts) < 1:
+        raise ConfigError(f"resolution counts must be >= 1, got {text!r}")
     return BrdfResolution(*parts)
 
 
 def cmd_gen_corpus(args) -> int:
     res = _parse_res(args.res)
+    ev.SyntheticCorpusSpec(args.seed, args.count, res)  # rejects count < 1
     out = _resolve_out(args.out, "corpus")
     out.mkdir(parents=True, exist_ok=True)
     corpus = gen_corpus(args.seed, args.count, res)
@@ -99,6 +101,7 @@ def cmd_gen_corpus(args) -> int:
 def cmd_train_dict(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
+    check_mapping(args.epsilon, args.statistic)
     synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
         args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
     corpus = ev.load_corpus(args.corpus, synthetic)
@@ -119,21 +122,20 @@ def cmd_train_dict(args) -> int:
 
 
 def cmd_select_samples(args) -> int:
-    if args.threshold is None and args.m < 1:
-        raise ConfigError(f"--m must be >= 1, got {args.m}")
-    bundle = load_bundle(args.dict)
     if args.threshold is not None:
         stop = ErrorThreshold(args.threshold, args.max_iters)
+    elif args.max_iters is not None:
+        raise ConfigError("--max-iters needs --threshold; a budget selection "
+                          "stops after --m picks")
     else:
-        if args.m > bundle.pca.n_atoms:
-            raise ConfigError(
-                f"--m {args.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
         stop = SampleBudget(args.m)
-        bundle = bundle.for_budget(args.m)
-    support = require_samples(somp_select(
-        bundle.pca.inverse, bundle.pca.coeffs, stop,
-        normalize_atoms=args.normalize_atoms,
-    ), stop, bundle.pca.coeffs)
+    bundle = load_bundle(args.dict)
+    if isinstance(stop, SampleBudget):
+        if stop.m > bundle.pca.n_atoms:
+            raise ConfigError(
+                f"--m {stop.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
+        bundle = bundle.for_budget(stop.m)
+    support = select_support(bundle.pca, stop, args.normalize_atoms)
     _log(f"scan: scored {support.blocks_scored} of {support.blocks_total} blocks "
          f"over {len(support)} picks")
     # the bundle reconstruct reads the support with, in either stop mode
@@ -253,6 +255,11 @@ def _read_ini(path: Path) -> dict:
             raw["stop_max_iters"] = parser.getint("selection", "max_iters")
     elif stop != "budget":
         raise ConfigError(f"unknown stop rule {stop!r}")
+    else:
+        for key in ("threshold", "max_iters"):
+            if parser.has_option("selection", key):
+                raise ConfigError(f"[selection] {key} needs stop = threshold; "
+                                  "stop = budget would ignore it")
     return raw
 
 
@@ -266,9 +273,7 @@ def cmd_evaluate(args) -> int:
             raw[key] = getattr(args, key)
     if args.m is not None:
         raw["m_values"] = tuple(_int_list(args.m, "--m"))
-    config = ev.ExperimentConfig(**raw)
-    _log(f"running experiment {config.config_hash()}")
-    report = ev.run_experiment(config)
+    report = ev.run_experiment(ev.ExperimentConfig(**raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_jsonl(out_dir / "report.jsonl")
     report.series_csv(out_dir / "series.csv")

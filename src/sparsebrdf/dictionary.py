@@ -30,7 +30,7 @@ from .errors import (
 from .mapping import (
     DEFAULT_EPSILON,
     ReferenceBrdf,
-    check_statistic,
+    check_mapping,
     map_in_place,
     matrix_reference,
 )
@@ -59,10 +59,6 @@ class TrainingMatrix:
 def _write_material(entries: np.ndarray, i: int, values: np.ndarray) -> None:
     """Write material i's (3, n_valid) values into its three columns."""
     entries[:, 3 * i:3 * i + 3] = values.T
-
-
-def _labels(material_ids) -> tuple:
-    return tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
 
 
 def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
@@ -94,7 +90,8 @@ def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> Tra
         raise InconsistentCorpusError("one material id per mapped BRDF required")
     if not material_ids:
         raise InconsistentCorpusError("empty training corpus")
-    return TrainingMatrix(entries, _labels(material_ids), row_map, provenance)
+    labels = tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
+    return TrainingMatrix(entries, labels, row_map, provenance)
 
 
 class PcaDictionary:
@@ -158,17 +155,20 @@ def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return u.T
 
 
-def train_pca(matrix: TrainingMatrix, k: int, *,
-              overwrite_entries: bool = False) -> PcaDictionary:
-    """Train the k-atom PCA dictionary from a training matrix.
+def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
+    """Train the k-atom PCA dictionary from a training matrix, whose entries
+    are left unchanged.
 
     Requires 1 <= k < t.  Rank deficiency is not an error: trailing singular
     values may be (numerically) zero, in which case the corresponding atoms
-    are zeroed.  The matrix is centred in a copy, unless overwrite_entries
-    is set: then it is centred in place, and its entries must not be read
-    after the call.
+    are zeroed.
     """
-    entries = matrix.entries
+    return _train_in_place(matrix.entries.copy(order="K"), k)
+
+
+def _train_in_place(entries: np.ndarray, k: int) -> PcaDictionary:
+    """train_pca over an (n, t) array, which is centred in place and must not
+    be read after the call."""
     n, t = entries.shape
     if not 1 <= k < t:
         raise InvalidKError(f"k={k} must satisfy 1 <= k < t={t}")
@@ -178,13 +178,8 @@ def train_pca(matrix: TrainingMatrix, k: int, *,
     mean = entries.mean(axis=1)
     # the zero rule below reads the norm before centering
     norm = float(np.linalg.norm(entries))
-    if overwrite_entries:
-        centered = entries
-        centered.setflags(write=True)
-        centered -= mean[:, None]
-    else:
-        centered = entries - mean[:, None]
-    gram = centered.T @ centered
+    entries -= mean[:, None]
+    gram = entries.T @ entries
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
     sigma = np.sqrt(np.clip(eigvals[order], 0.0, None))
@@ -201,11 +196,12 @@ def train_pca(matrix: TrainingMatrix, k: int, *,
         eps * max(n, t) * norm,
     )
     sigma[sigma <= tiny] = 0.0
-    # only the k kept columns of U are formed, and centered is freed right
-    # after; at least two, since a one-column product goes through GEMV,
-    # whose sums differ in the last bit from the GEMM of wider products
-    u = (centered @ v[:, :max(k, 2)])[:, :k]
-    del centered
+    # only the k kept columns of U are formed, and the centred entries are
+    # dropped right after; at least two, since a one-column product goes
+    # through GEMV, whose sums differ in the last bit from the GEMM of wider
+    # products
+    u = (entries @ v[:, :max(k, 2)])[:, :k]
+    del entries
     sigma, v = sigma[:k], v[:, :k]
     u /= np.where(sigma > 0.0, sigma, 1.0)
     u[:, sigma == 0.0] = 0.0
@@ -254,14 +250,11 @@ class DictionaryBundle:
         h.update(np.float64(self.reference.epsilon).tobytes())
         return h.hexdigest()[:16]
 
-    def truncate(self, k: int) -> "DictionaryBundle":
-        return replace(self, pca=self.pca.truncate(k))
-
     def for_budget(self, m: int) -> "DictionaryBundle":
         """The bundle a support of m rows is recorded against and
         reconstructed with, in either stop mode: the m leading atoms when
         m <= k, all k atoms otherwise."""
-        return self.truncate(m) if m < self.pca.n_atoms else self
+        return replace(self, pca=self.pca.truncate(m)) if m < self.pca.n_atoms else self
 
 
 def train_bundle(corpus, row_map: RowMap, k: int, *,
@@ -277,7 +270,7 @@ def train_bundle(corpus, row_map: RowMap, k: int, *,
     once, so one that reads its tensors lazily holds one at a time; any
     other iterable is listed first.
     """
-    check_statistic(statistic)
+    check_mapping(epsilon, statistic)
     if not isinstance(corpus, Sized):
         corpus = list(corpus)
     if not len(corpus):
@@ -294,9 +287,8 @@ def train_bundle(corpus, row_map: RowMap, k: int, *,
         ids.append(mid)
     reference = matrix_reference(entries, epsilon, statistic)
     map_in_place(entries, reference)
-    matrix = TrainingMatrix(entries, _labels(ids), row_map, reference.key)
     return DictionaryBundle(
-        pca=train_pca(matrix, k, overwrite_entries=True),
+        pca=_train_in_place(entries, k),
         row_map=row_map,
         reference=reference,
         material_ids=tuple(ids),

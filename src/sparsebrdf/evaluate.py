@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dictionary import CHANNEL_NAMES, train_bundle
+from .dictionary import train_bundle
 from .errors import (
     ConfigError,
     InvalidKError,
@@ -36,15 +36,14 @@ from .errors import (
     SparseBrdfError,
     TooLargeError,
 )
-from .mapping import DEFAULT_EPSILON, MappedBrdf, log_relative_map
+from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, log_relative_map
 from .merl import BrdfResolution, RowMap, corpus_mask, read_merl, read_merl_mask
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
     SampleBudget,
     SupportSet,
-    require_samples,
-    somp_select,
+    select_support,
     support_record_fields,
 )
 from .synthetic import gen_corpus
@@ -149,6 +148,10 @@ class SyntheticCorpusSpec:
     count: int = 50
     resolution: BrdfResolution = BrdfResolution(16, 16, 16)
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -178,6 +181,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if (self.corpus_dir is None) == (self.synthetic is None):
             raise ConfigError("exactly one corpus source must be set")
+        check_mapping(self.epsilon, self.reference_statistic)
         if self.k_policy not in ("coupled", "fixed"):
             raise ConfigError(f"unknown k policy {self.k_policy!r}")
         if self.k_policy == "fixed":
@@ -191,6 +195,9 @@ class ExperimentConfig:
             if self.k_policy != "fixed":
                 raise ConfigError("threshold stopping requires the fixed k policy")
             ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
+        elif self.stop_max_iters is not None:
+            raise ConfigError("stop_max_iters needs stop_threshold; a budget "
+                              "selection would ignore it")
         for m in self.m_values:
             SampleBudget(m)  # rejects m < 1
         if not self.m_values and self.stop_threshold is None:
@@ -422,17 +429,12 @@ def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
         stops = [(bundle_full,
                   ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
     else:
-        stops = [(bundle_full.truncate(config.k_for(m)), SampleBudget(m))
+        stops = [(bundle_full.for_budget(config.k_for(m)), SampleBudget(m))
                  for m in config.m_values]
     keyed = []  # (sort key, row)
     for bundle, stop in stops:
         t0 = time.perf_counter()
-        support = require_samples(somp_select(
-            bundle.pca.inverse,
-            bundle.pca.coeffs,
-            stop,
-            normalize_atoms=config.normalize_atoms,
-        ), stop, bundle.pca.coeffs)
+        support = select_support(bundle.pca, stop, config.normalize_atoms)
         select_seconds = time.perf_counter() - t0
         m = len(support)
         supports.append({
@@ -477,14 +479,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     supports = []
     rows = []
     for fold, test_ids in enumerate(plan.folds):
-        train_ids = plan.train_ids(fold, ids)
-        n_signals = len(CHANNEL_NAMES) * len(train_ids)
-        if k_max >= n_signals:
-            raise ConfigError(
-                f"k={k_max} needs more training signals than {n_signals}"
-            )
         bundle_full = train_bundle(
-            ((i, tensors[i]) for i in train_ids),
+            ((i, tensors[i]) for i in plan.train_ids(fold, ids)),
             row_map,
             k_max,
             epsilon=config.epsilon,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyCorpusError,
     ProvenanceMismatchError,
     ShapeMismatchError,
@@ -64,9 +65,13 @@ class MappedBrdf:
         self.values.setflags(write=False)
 
 
-def check_statistic(statistic: str) -> None:
+def check_mapping(epsilon: float, statistic: str) -> None:
+    """Raise ConfigError unless epsilon is positive and finite and the
+    reference statistic is median or mean."""
+    if not 0.0 < epsilon < np.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon}")
     if statistic not in ("median", "mean"):
-        raise ValueError(f"unknown statistic {statistic!r}")
+        raise ConfigError(f"unknown statistic {statistic!r}")
 
 
 def compute_reference(
@@ -86,7 +91,6 @@ def compute_reference(
     training = list(training)
     if not training:
         raise EmptyCorpusError("reference needs at least one training BRDF")
-    check_statistic(statistic)
     rows = row_map.grid_indices
     blocks = ((start, np.concatenate(
         [b.values[:, rows[start:start + _REFERENCE_BLOCK]] for b in training]))
@@ -99,7 +103,6 @@ def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> Ref
     one row per valid row and one column per training channel, in the
     material order compute_reference stacks them.  entries is left as it is.
     """
-    check_statistic(statistic)
     n = entries.shape[0]
     # a copied row block, transposed, has the memory layout of
     # compute_reference's stacked block, which fixes the order np.mean sums
@@ -112,7 +115,9 @@ def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> Ref
 def _reference(blocks, n: int, epsilon: float, statistic: str) -> ReferenceBrdf:
     """The floored per-row statistic of (start, block) pairs, where block is
     (q, B): the q training channels of rows start..start+B.  The median
-    reorders each block."""
+    reorders each block.  The blocks are read only once the settings pass
+    check_mapping."""
+    check_mapping(epsilon, statistic)
     ref = np.empty(n)
     for start, block in blocks:
         q, size = block.shape

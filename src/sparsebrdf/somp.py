@@ -316,15 +316,15 @@ def somp_select(
                       blocks_total=len(selected) * len(scan.starts))
 
 
-def require_samples(support: SupportSet, stop: StoppingRule,
-                    coeffs: np.ndarray) -> SupportSet:
-    """support, unless it is empty: only a threshold at or above the initial
-    residual ||coeffs|| selects nothing, and no record or reconstruction can
-    use an empty support."""
+def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> SupportSet:
+    """somp_select over a PcaDictionary's inverse and coefficients, refusing
+    an empty support: only a threshold at or above the initial residual
+    ||coeffs|| selects nothing, and no record or reconstruction can use it."""
+    support = somp_select(pca.inverse, pca.coeffs, stop, normalize_atoms=normalize_atoms)
     if len(support) == 0:
         raise ConfigError(
             f"threshold {stop.epsilon} is at or above the initial residual "
-            f"{float(np.linalg.norm(coeffs))}: no sample was selected"
+            f"{float(np.linalg.norm(pca.coeffs))}: no sample was selected"
         )
     return support
 

@@ -231,7 +231,7 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
      "max_iters must be >= 1, got 0"),
     ("select-samples", ["--threshold", "0.1", "--max-iters", "-3"],
      "max_iters must be >= 1, got -3"),
-    ("select-samples", ["--m", "0"], "--m must be >= 1, got 0"),
+    ("select-samples", ["--m", "0"], "sample budget must be >= 1, got 0"),
     ("select-samples", ["--m", "6"], "--m 6 exceeds the bundle's 5 atoms"),
     ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
     ("train-dict", ["--k", "0"], "--k must be >= 1, got 0"),
@@ -242,10 +242,30 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("evaluate", ["--m", "0"], "sample budget must be >= 1, got 0"),
     ("evaluate", ["--m", "5,-1"], "sample budget must be >= 1, got -1"),
     ("evaluate", ["--folds", "60"], "fold count 60 outside [2, 50]"),
+    ("train-dict", ["--k", "3", "--epsilon", "0"],
+     "epsilon must be positive and finite, got 0.0"),
+    ("train-dict", ["--k", "3", "--epsilon", "-1"],
+     "epsilon must be positive and finite, got -1.0"),
+    ("train-dict", ["--k", "3", "--epsilon", "nan"],
+     "epsilon must be positive and finite, got nan"),
+    ("train-dict", ["--synthetic-count", "4", "--res", "8", "--k", "3", "--epsilon", "0"],
+     "epsilon must be positive and finite, got 0.0"),
+    ("train-dict", ["--synthetic-count", "0", "--res", "8", "--k", "3"],
+     "corpus count must be >= 1, got 0"),
+    ("select-samples", ["--max-iters", "0"], "--max-iters needs --threshold"),
+    ("select-samples", ["--m", "3", "--max-iters", "5"], "--max-iters needs --threshold"),
+    ("gen-corpus", ["--count", "0", "--res", "8"], "corpus count must be >= 1, got 0"),
+    ("gen-corpus", ["--count", "2", "--res", "0"], "resolution counts must be >= 1, got '0'"),
+    ("gen-corpus", ["--count", "2", "--res", "8,0,8"],
+     "resolution counts must be >= 1, got '8,0,8'"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
         "select-max-iters-0", "select-max-iters-neg", "select-m-0", "select-m-above-k",
         "reconstruct-eta", "train-k-0", "train-k-neg", "train-k-t",
-        "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds"])
+        "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds",
+        "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
+        "train-synthetic-epsilon", "train-synthetic-count-0",
+        "select-max-iters-no-threshold", "select-max-iters-budget",
+        "gen-count-0", "gen-res-0", "gen-res-axis-0"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys):
     argv = [command, "--dict", str(bundle_dir), *flags]
@@ -257,15 +277,12 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
                  "--brdf", str(sorted(corpus_dir.glob("*.binary"))[0])]
     elif command == "select-samples":
         argv += ["--out", str(tmp_path / "out")]
-    elif command == "train-dict":
+    elif command == "train-dict" and "--synthetic-count" not in flags:
         argv = [command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
                 *flags]
-    elif command == "evaluate":
+    elif command in ("train-dict", "evaluate", "gen-corpus"):
         argv = [command, "--out", str(tmp_path / "out"), *flags]
     code, out, err = run_cli(capsys, *argv)
-    if "--folds" in flags:  # checked against the corpus, once the run has started
-        assert err.startswith("running experiment ")
-        err = err.split("\n", 1)[1]
     assert code == 3 and out == ""
     assert err.count("\n") == 1 and err.startswith("config error:")
     assert message in err
@@ -275,12 +292,37 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
 @pytest.mark.parametrize("selection, message", [
     ("stop = threshold\nthreshold = 0.1\nmax_iters = 0", "max_iters must be >= 1, got 0"),
     ("eta = -1", "eta must be >= 0, got -1.0"),
-], ids=["max-iters", "eta"])
+    ("threshold = 0.5",
+     "[selection] threshold needs stop = threshold; stop = budget would ignore it"),
+    ("stop = budget\nmax_iters = 3",
+     "[selection] max_iters needs stop = threshold; stop = budget would ignore it"),
+], ids=["max-iters", "eta", "budget-threshold", "budget-max-iters"])
 def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
                    "[dictionary]\nk_policy = fixed\nk_fixed = 4\n\n"
                    f"[selection]\nm = 3\n{selection}\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 3 and out == ""
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sections, message", [
+    ("[mapping]\nepsilon = 0", "epsilon must be positive and finite, got 0.0"),
+    ("[mapping]\nepsilon = nan", "epsilon must be positive and finite, got nan"),
+    ("[mapping]\nstatistic = mode", "unknown statistic 'mode'"),
+    ("[corpus]\nsource = synthetic\ncount = 0\nres = 8",
+     "corpus count must be >= 1, got 0"),
+    ("[corpus]\nsource = synthetic\ncount = 9\nres = 0",
+     "resolution counts must be >= 1, got '0'"),
+], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0"])
+def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    if "[corpus]" not in sections:
+        sections += "\n\n[corpus]\nsource = synthetic\ncount = 9\nres = 8"
+    cfg.write_text(f"{sections}\n\n[selection]\nm = 3\n")
     code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
                              "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
@@ -368,9 +410,8 @@ def test_evaluate_with_every_row_an_error_exits_1(tmp_path, capsys, monkeypatch)
     assert code == 1
     assert json.loads(out)["summary"] == []
     lines = err.splitlines()
-    assert len(lines) == 2 and lines[0].startswith("running experiment")
-    assert lines[1].startswith("error: all ")
-    assert "SingularMatrixError: planted failure" in lines[1]
+    assert len(lines) == 1 and lines[0].startswith("error: all ")
+    assert "SingularMatrixError: planted failure" in lines[0]
     rows = [json.loads(line) for line in
             (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
     results = [r for r in rows if r["record"] == "result"]
@@ -443,9 +484,9 @@ def test_evaluate_empty_threshold_support_is_config_error(tmp_path, capsys):
                              "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
     lines = err.splitlines()
-    assert len(lines) == 2 and lines[0].startswith("running experiment")
+    assert len(lines) == 1
     assert re.fullmatch(r"config error: threshold 2\.5 is at or above the initial "
-                        r"residual 2\.0\d*: no sample was selected", lines[1])
+                        r"residual 2\.0\d*: no sample was selected", lines[0])
     assert not (tmp_path / "out").exists()
 
 

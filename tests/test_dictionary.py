@@ -259,6 +259,17 @@ def test_train_pca_matches_full_copy_oracle(rng, n, t, ks):
         _assert_pca_identical(train_pca(matrix, k), full_copy_train_pca(matrix, k))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_train_pca_leaves_entries_unchanged(rng, order):
+    entries = np.asarray(np.exp(rng.standard_normal((500, 12))), order=order)
+    before = entries.tobytes(order="A")
+    matrix = TrainingMatrix(entries, tuple(("m", "R") for _ in range(12)),
+                            toy_row_map(500), "ref")
+    train_pca(matrix, 5)
+    assert matrix.entries is entries and not entries.flags.writeable
+    assert entries.tobytes(order="A") == before
+
+
 def test_train_pca_rank_deficient_matches_oracle(rng):
     base = rng.standard_normal((200, 4))
     col = rng.standard_normal((200, 1))
@@ -346,7 +357,7 @@ def test_digest_matches_tobytes_formula(tmp_path, rng):
         PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma),
         rm, bundle.reference, tuple(ids))
     save_bundle(bundle, tmp_path / "bundle")
-    for b in (bundle, bundle.truncate(2), strided, load_bundle(tmp_path / "bundle")):
+    for b in (bundle, bundle.for_budget(2), strided, load_bundle(tmp_path / "bundle")):
         assert b.digest == _tobytes_digest(b)
     assert strided.digest == bundle.digest
 

@@ -8,6 +8,7 @@ from scipy import stats
 from sparsebrdf import evaluate
 from sparsebrdf.dictionary import train_bundle
 from sparsebrdf.errors import (
+    ConfigError,
     InvalidKError,
     InvalidMError,
     ProvenanceMismatchError,
@@ -253,7 +254,7 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
         bundle = train_bundle(((i, tensors[i]) for i in plan.train_ids(fold, ids)),
                               row_map, 20)
         for k in (5, 10):
-            pca = bundle.truncate(k).pca
+            pca = bundle.for_budget(k).pca
             f_order = pca.inverse
             c_order = np.ascontiguousarray(f_order)
             assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
@@ -302,6 +303,13 @@ def test_threshold_mode_requires_fixed_k():
 
     with pytest.raises(Exception):
         dataclasses.replace(SMALL_CONFIG, stop_threshold=1e-3)
+
+
+def test_max_iters_without_threshold_is_config_error():
+    import dataclasses
+
+    with pytest.raises(ConfigError, match="stop_max_iters needs stop_threshold"):
+        dataclasses.replace(SMALL_CONFIG, stop_max_iters=3)
 
 
 def test_experiment_config_hash_stable():
