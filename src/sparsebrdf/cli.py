@@ -26,9 +26,9 @@ from pathlib import Path
 from . import evaluate as ev
 from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
-from .mapping import DEFAULT_EPSILON, check_mapping, log_relative_map
+from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_mask, read_merl, write_merl
-from .reconstruct import DEFAULT_ETA, measure, reconstruct_full
+from .reconstruct import DEFAULT_ETA, measure_brdf, reconstruct_full
 from .somp import (
     SUPPORT_RECORD_VERSION,
     ErrorThreshold,
@@ -163,11 +163,9 @@ def cmd_reconstruct(args) -> int:
             f"support record was computed against bundle {record['bundle_digest']}, "
             f"got {bundle.digest}"
         )
-    # the measured tensor and its mapped values are freed before reconstruction
-    support = SupportSet(indices=record["rows"])
-    samples = measure(log_relative_map(read_merl(args.brdf), bundle.reference,
-                                       bundle.row_map),
-                      support, material_id=Path(args.brdf).stem)
+    # the measured tensor is freed before reconstruction
+    samples = measure_brdf(read_merl(args.brdf), SupportSet(indices=record["rows"]),
+                           bundle, material_id=Path(args.brdf).stem)
     result = reconstruct_full(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
     out.parent.mkdir(parents=True, exist_ok=True)

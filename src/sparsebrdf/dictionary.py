@@ -13,6 +13,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
+import os
 from collections.abc import Sized
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -137,13 +139,14 @@ class PcaDictionary:
         return self.coeffs.shape[1]
 
     def truncate(self, k: int) -> "PcaDictionary":
-        """Keep the k leading atoms; no retraining needed."""
+        """Keep the k leading atoms; no retraining needed.  The arrays are
+        read-only views of this dictionary's, so nothing is copied."""
         if not 1 <= k <= self.n_atoms:
             raise InvalidKError(f"k={k} outside [1, {self.n_atoms}]")
         if k == self.n_atoms:
             return self
-        return PcaDictionary(self.mean, self.atoms[:, :k].copy(),
-                             self.coeffs[:k].copy(), self.sigma[:k].copy())
+        return PcaDictionary(self.mean, self.atoms[:, :k], self.coeffs[:k],
+                             self.sigma[:k])
 
 
 def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -308,12 +311,26 @@ _BUNDLE_ARRAYS = {
 }
 
 
+def _replace_file(path: Path, write) -> None:
+    """Call write(tmp) on a temporary path beside path, then rename tmp over
+    path.  A process that maps the old file keeps its inode, so it never
+    reads a truncated mapping; the temporary is removed if write fails."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_bundle(bundle: DictionaryBundle, directory) -> None:
     """Persist a dictionary bundle as raw binaries plus a JSON manifest.
 
     Layout: each array is a C-order little-endian flat binary (<name>.bin);
     shapes and dtypes live in manifest.json.  The dictionary inverse is not
     stored: a dictionary derives it from atoms and sigma when it is read.
+    Each file replaces its predecessor atomically, the manifest last, so a
+    bundle loaded from the directory before keeps reading its own values.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -338,9 +355,10 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     for name, arr in arrays.items():
         dtype = _BUNDLE_ARRAYS[name]
         out = np.ascontiguousarray(arr).astype(dtype, copy=False)
-        out.tofile(directory / f"{name}.bin")
+        _replace_file(directory / f"{name}.bin", out.tofile)
         manifest["arrays"][name] = {"shape": list(arr.shape), "dtype": dtype}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    text = json.dumps(manifest, indent=2)
+    _replace_file(directory / "manifest.json", lambda tmp: tmp.write_text(text))
 
 
 _MANIFEST_KEYS = ("version", "arrays", "resolution", "epsilon", "materials",
@@ -409,24 +427,36 @@ def _check_arrays(path: Path, arrays: dict, res: BrdfResolution) -> None:
         )
 
 
+def _map_array(path: Path, meta: dict) -> np.ndarray:
+    """The array a .bin file holds, as a read-only memory map of the file.
+
+    The file must hold the manifest shape's count of whole elements (a
+    trailing partial element is ignored); an empty array cannot be mapped
+    and is read from an empty buffer instead.
+    """
+    expected = math.prod(meta["shape"])
+    with open(path, "rb") as fh:
+        held = os.fstat(fh.fileno()).st_size // np.dtype(meta["dtype"]).itemsize
+        if held != expected:
+            raise BundleFormatError(
+                f"{path}: holds {held} elements, manifest shape "
+                f"{meta['shape']} needs {expected}"
+            )
+        buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if expected else b""
+    data = np.frombuffer(buffer, dtype=meta["dtype"], count=expected)
+    return data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"), copy=False)
+
+
 def load_bundle(directory) -> DictionaryBundle:
+    """The bundle save_bundle wrote to directory, checked against its
+    manifest.  Its arrays are read-only memory maps of the .bin files."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = _read_manifest(manifest_path)
     if manifest["version"] != BUNDLE_VERSION:
         raise ConfigError(f"unsupported bundle version {manifest['version']}")
-    arrays = {}
-    for name, meta in manifest["arrays"].items():
-        path = directory / f"{name}.bin"
-        data = np.fromfile(path, dtype=meta["dtype"])
-        expected = math.prod(meta["shape"])
-        if data.size != expected:
-            raise BundleFormatError(
-                f"{path}: holds {data.size} elements, manifest shape "
-                f"{meta['shape']} needs {expected}"
-            )
-        arrays[name] = data.reshape(meta["shape"]).astype(meta["dtype"].lstrip("<"),
-                                                         copy=False)
+    arrays = {name: _map_array(directory / f"{name}.bin", meta)
+              for name, meta in manifest["arrays"].items()}
     try:
         res = BrdfResolution(*manifest["resolution"])
         reference = ReferenceBrdf(arrays["reference"], manifest["epsilon"])

@@ -17,6 +17,10 @@ class DomainError(SparseBrdfError, ValueError):
     """An angle or grid index lies outside its admissible range."""
 
 
+class InvalidSampleError(SparseBrdfError):
+    """A measured BRDF holds no valid value at a cell that a support samples."""
+
+
 class EmptyMaskError(SparseBrdfError):
     """A validity mask contains no valid cells."""
 

@@ -135,12 +135,14 @@ def _reference(blocks, n: int, epsilon: float, statistic: str) -> ReferenceBrdf:
     return ReferenceBrdf(ref, epsilon)
 
 
-def map_in_place(rows: np.ndarray, ref: ReferenceBrdf) -> None:
+def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
     """Overwrite linear reflectance with its mapped value,
-    ln((rho + eps) / (rho_ref + eps)).  rows is (n_valid, c): one row per
-    valid row, one column per channel."""
+    ln((rho + eps) / (rho_ref + eps)).  rows is (r, c): one row per
+    reference row that at indexes (by default every valid row), one column
+    per channel.  Each value is mapped on its own, so a row's mapped values
+    do not depend on which other rows are mapped with it."""
     rows += ref.epsilon
-    rows /= (ref.values + ref.epsilon)[:, None]
+    rows /= (ref.values[at] + ref.epsilon)[:, None]
     np.log(rows, out=rows)
 
 

@@ -21,11 +21,12 @@ from .dictionary import DictionaryBundle, PcaDictionary
 from .errors import (
     ConfigError,
     IndexOutOfRangeError,
+    InvalidSampleError,
     ProvenanceMismatchError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap
+from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_in_place
 from .merl import INVALID_SENTINEL, BrdfTensor, RowMap
 from .somp import SupportSet
 
@@ -69,6 +70,44 @@ def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> M
         support=support,
         material_id=material_id,
         provenance=mapped.provenance,
+    )
+
+
+def measure_brdf(brdf: BrdfTensor, support: SupportSet, bundle: DictionaryBundle,
+                 material_id: str = "") -> MeasurementVector:
+    """measure(log_relative_map(brdf, ...), support), mapping only the
+    support's cells: the tensor is gathered at their grid cells and those
+    3m values are mapped, by the arithmetic of the whole-tensor map.
+
+    The tensor must have the bundle's resolution and a valid value at every
+    support cell; cells outside the support may be invalid.
+    """
+    row_map = bundle.row_map
+    if brdf.resolution != row_map.resolution:
+        raise ShapeMismatchError(
+            f"measured BRDF has resolution {brdf.resolution}, the bundle's "
+            f"row map has {row_map.resolution}"
+        )
+    if len(support) == 0:
+        raise IndexOutOfRangeError("empty support")
+    n = row_map.n_valid
+    if any(i < 0 or i >= n for i in support.indices):
+        raise IndexOutOfRangeError(f"support indices must lie in [0, {n})")
+    rows = np.asarray(support.indices, dtype=np.int64)
+    cells = row_map.grid_indices[rows]
+    invalid = np.flatnonzero(~brdf.mask[cells])
+    if invalid.size:
+        raise InvalidSampleError(
+            f"measured BRDF is invalid at grid cell {cells[invalid[0]]}, "
+            f"which support row {rows[invalid[0]]} samples"
+        )
+    values = brdf.values[:, cells]
+    map_in_place(values.T, bundle.reference, rows)
+    return MeasurementVector(
+        values=values,
+        support=support,
+        material_id=material_id,
+        provenance=bundle.reference.key,
     )
 
 
@@ -122,10 +161,9 @@ def synthesize(
         raise ShapeMismatchError(
             f"expected (3, {pca.n_atoms}) coefficients, got {coefficients.shape}"
         )
-    product = pca.atoms @ coefficients.T  # (n, 3)
-    product += pca.mean[:, None]
-    mapped = MappedBrdf(np.ascontiguousarray(product.T), ref.key)
-    del product
+    product = coefficients @ pca.atoms.T  # (3, n)
+    product += pca.mean
+    mapped = MappedBrdf(product, ref.key)
     linear, clamped = log_relative_unmap(mapped, ref)
     full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
     for row, values in zip(full, linear):  # one channel at a time scatters faster

@@ -4,6 +4,7 @@ import shutil
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,38 @@ def test_reconstruct_refuses_wrong_bundle(bundle_dir, corpus_dir, tmp_path, caps
     )
     assert code == 3
     assert "bundle" in err
+
+
+@pytest.mark.parametrize("case, message", [
+    ("res-10", "measured BRDF has resolution BrdfResolution(n_theta_h=10, n_theta_d=10, "
+               "n_phi_d=10), the bundle's row map has BrdfResolution(n_theta_h=8, "),
+    ("res-4", "measured BRDF has resolution BrdfResolution(n_theta_h=4, "),
+    ("invalid-cell", "InvalidSampleError: measured BRDF is invalid at grid cell "),
+], ids=["res-10", "res-4", "invalid-cell"])
+def test_reconstruct_bad_measurement_is_one_line_error(case, message, bundle_dir,
+                                                       corpus_dir, tmp_path, capsys):
+    support = tmp_path / "support.json"
+    run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "3",
+            "--out", str(support))
+    record = json.loads(support.read_text())
+    brdf = tmp_path / "m.binary"
+    if case == "invalid-cell":
+        # one channel's sentinel invalidates the cell in all three; the
+        # record's first cell is the one named
+        data = bytearray(sorted(corpus_dir.glob("*.binary"))[0].read_bytes())
+        struct.pack_into("<d", data, 12 + 8 * record["grid"][0], -1.0)
+        brdf.write_bytes(data)
+        message += f"{record['grid'][0]}, which support row {record['rows'][0]} samples"
+    else:
+        res = int(case.split("-")[1])
+        write_merl(make_random_tensor(np.random.default_rng(0),
+                                      res=BrdfResolution(res, res, res)), brdf)
+    code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                             "--support", str(support), "--brdf", str(brdf),
+                             "--out", str(tmp_path / "r.binary"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err, err
+    assert not (tmp_path / "r.binary").exists()
 
 
 def test_train_dict_matches_train_bundle(bundle_dir, corpus_dir, capsys):
@@ -652,6 +685,72 @@ def test_bundle_shapes_exit_0_1_or_3(shapes, bundle_dir, capsys):
                 assert out == "" and err.count("\n") == 1, err
                 assert err.startswith(("error:", "config error:")), err
                 break
+
+
+@pytest.fixture(scope="module")
+def support_m3(tmp_path_factory, bundle_dir):
+    path = tmp_path_factory.mktemp("support") / "support.json"
+    assert main(["select-samples", "--dict", str(bundle_dir), "--m", "3",
+                 "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.5, -0.0, 0.0, 1e300])
+
+
+@st.composite
+def _reconstruct_inputs(draw, record):
+    """A MERL file's bytes and a support record for reconstruct against the
+    8^3, k = 5 bundle.  Each part is mostly the valid one, so that later
+    checks are reached: header dims, payload length, special values (often
+    at the support's cells) and the record's rows and m."""
+    valid = st.integers(0, 3).map(bool)  # True three times in four
+    dims = (8, 8, 8) if draw(valid) else draw(st.tuples(*[st.integers(-1, 10)] * 3))
+    size = 3 * int(np.prod(np.maximum(dims, 0)))
+    count = size if draw(valid) else draw(st.integers(0, size + 4))
+    payload = np.random.default_rng(draw(st.integers(0, 3))).uniform(0.0, 1500.0, count)
+    sampled = [c * 512 + g for g in record["grid"] for c in range(3)]
+    for i, value in draw(st.lists(st.tuples(
+            st.one_of(st.sampled_from(sampled), st.integers(0, 3 * 512)), _SPECIAL),
+            max_size=3)):
+        if i < count:
+            payload[i] = value
+    data = struct.pack("<3i", *dims) + payload.astype("<f8").tobytes()
+    data += b"\0" * draw(st.sampled_from([0, 0, 3]))  # a trailing partial double
+    record = dict(record)
+    if not draw(valid):
+        record["rows"] = draw(st.lists(
+            st.one_of(st.integers(-2, 390), st.integers(-2**70, 2**70)),
+            max_size=4, unique=True))
+        record["m"] = draw(st.one_of(st.just(len(record["rows"])), st.integers(-1, 6)))
+    if not draw(valid):
+        record["rows"] = [*record["rows"][:1], draw(st.integers(-2, 390)),
+                          *record["rows"][2:]]
+    return data, record
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reconstruct_inputs_exit_0_1_or_3(data, bundle_dir, support_m3, capsys):
+    merl_bytes, record = data.draw(_reconstruct_inputs(support_m3))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "m.binary").write_bytes(merl_bytes)
+        (tmp / "s.json").write_text(json.dumps(record))
+        # a numpy warning on stderr would be a second line: fail on it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                                     "--support", str(tmp / "s.json"), "--brdf",
+                                     str(tmp / "m.binary"), "--out", str(tmp / "r.binary"))
+        assert code in (0, 1, 3), err
+        if code:
+            assert out == "" and err.count("\n") == 1, err
+            assert err.startswith(("error:", "config error:")), err
+            assert not (tmp / "r.binary").exists()
+        else:
+            assert read_merl(tmp / "r.binary").resolution == BrdfResolution(8, 8, 8)
 
 
 def test_unknown_flag_usage_error(capsys):

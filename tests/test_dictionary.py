@@ -15,6 +15,7 @@ from sparsebrdf.dictionary import (
     train_pca,
 )
 from sparsebrdf.errors import (
+    BundleFormatError,
     EmptyCorpusError,
     InconsistentCorpusError,
     InvalidKError,
@@ -202,6 +203,49 @@ def test_bundle_roundtrip(tmp_path, rng):
     assert np.array_equal(back.row_map.grid_indices, rm.grid_indices)
     assert back.reference.key == ref.key
     assert np.allclose(back.pca.inverse, pca.inverse)
+
+
+def _saved_bundle(rng, directory, count, k):
+    mapped, ids, rm = _mapped_corpus(rng, count)
+    pca = train_pca(assemble_training_matrix(mapped, ids, rm), k)
+    bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)), tuple(ids))
+    save_bundle(bundle, directory)
+    return bundle
+
+
+def test_loaded_bundle_survives_overwrite(tmp_path, rng):
+    # save_bundle renames new files over the old ones, so a bundle loaded
+    # before keeps mapping its own files rather than a truncated one
+    directory = tmp_path / "bundle"
+    old = _saved_bundle(rng, directory, 4, 3)
+    loaded = load_bundle(directory)
+    arrays = (loaded.pca.mean, loaded.pca.atoms, loaded.pca.coeffs, loaded.pca.sigma,
+              loaded.reference.values, loaded.row_map.grid_indices)
+    assert all(type(a) is np.ndarray and not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.pca.atoms[0, 0] = 1.0
+    new = _saved_bundle(rng, directory, 6, 5)
+    assert load_bundle(directory).digest == new.digest != old.digest
+    assert loaded.digest == old.digest
+    assert np.array_equal(loaded.pca.atoms, old.pca.atoms)
+    assert sorted(p.name for p in directory.iterdir()) == sorted(
+        ["manifest.json"] + [f"{name}.bin" for name in
+                             ("mean", "atoms", "coeffs", "sigma", "reference", "rows")])
+
+
+@pytest.mark.parametrize("extra, loads", [(b"", True), (b"\0" * 7, True),
+                                          (b"\0" * 8, False)])
+def test_bundle_array_length_counts_whole_elements(tmp_path, rng, extra, loads):
+    # a trailing partial element is ignored, a whole extra element is not
+    bundle = _saved_bundle(rng, tmp_path, 4, 3)
+    with open(tmp_path / "sigma.bin", "ab") as fh:
+        fh.write(extra)
+    if loads:
+        assert load_bundle(tmp_path).digest == bundle.digest
+    else:
+        with pytest.raises(BundleFormatError, match=r"sigma.bin: holds 4 elements, "
+                           r"manifest shape \[3\] needs 3"):
+            load_bundle(tmp_path)
 
 
 def _assert_pca_identical(pca, oracle):

@@ -6,10 +6,12 @@ import pytest
 from sparsebrdf.dictionary import (
     DictionaryBundle,
     assemble_training_matrix,
+    train_bundle,
     train_pca,
 )
 from sparsebrdf.errors import (
     IndexOutOfRangeError,
+    InvalidSampleError,
     ProvenanceMismatchError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -23,6 +25,7 @@ from sparsebrdf.mapping import (
 from sparsebrdf.merl import BrdfResolution, corpus_mask, read_merl, write_merl
 from sparsebrdf.reconstruct import (
     measure,
+    measure_brdf,
     reconstruct_full,
     ridge_solve,
     synthesize,
@@ -68,6 +71,49 @@ def test_measure_picks_rows_in_order():
     assert np.array_equal(out.values, mapped.values[:, :3])
     reordered = measure(mapped, SupportSet(indices=[5, 2]))
     assert np.array_equal(reordered.values[0], [5.0, 2.0])
+
+
+@pytest.mark.parametrize("support", ["m-1", "m-k", "random"])
+def test_measure_brdf_matches_whole_tensor_map(support, rng):
+    # mapping the m support cells alone gives the bytes of mapping the whole
+    # tensor and sampling it; the materials span the synthetic models'
+    # range, specular peaks included
+    corpus = [(spec.material_id, b)
+              for spec, b in gen_corpus(7, 11, BrdfResolution(16, 16, 16))]
+    bundle = train_bundle(corpus[:8], corpus_mask(b for _, b in corpus), 6)
+    n = bundle.pca.n_rows
+    rows = {"m-1": [int(rng.integers(n))], "m-k": list(range(n - 6, n)),
+            "random": [int(r) for r in rng.choice(n, size=11, replace=False)]}[support]
+    for _, brdf in corpus[8:]:
+        got = measure_brdf(brdf, SupportSet(indices=rows), bundle, material_id="x")
+        want = measure(log_relative_map(brdf, bundle.reference, bundle.row_map),
+                       SupportSet(indices=rows), material_id="x")
+        assert got.values.tobytes() == want.values.tobytes()
+        assert (got.provenance, got.material_id) == (want.provenance, want.material_id)
+
+
+def test_measure_brdf_errors(rng):
+    bundle, _ = _trained_bundle(rng)
+    rm = bundle.row_map
+    brdf = make_random_tensor(rng, invalid_frac=0.0)
+    with pytest.raises(ShapeMismatchError, match=r"n_theta_h=4.*n_theta_h=8"):
+        measure_brdf(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)),
+                     SupportSet(indices=[0]), bundle)
+    with pytest.raises(IndexOutOfRangeError):
+        measure_brdf(brdf, SupportSet(indices=[]), bundle)
+    with pytest.raises(IndexOutOfRangeError):
+        measure_brdf(brdf, SupportSet(indices=[0, rm.n_valid]), bundle)
+    with pytest.raises(IndexOutOfRangeError):
+        measure_brdf(brdf, SupportSet(indices=[-1]), bundle)
+    # only the support's cells must be valid
+    mask = np.ones(rm.resolution.grid_size, dtype=bool)
+    mask[rm.grid_indices[[3, 9]]] = False
+    values = np.where(mask, brdf.values, -1.0)
+    holey = type(brdf)(rm.resolution, values, mask)
+    assert measure_brdf(holey, SupportSet(indices=[0, 4]), bundle).values.shape == (3, 2)
+    with pytest.raises(InvalidSampleError,
+                       match=rf"grid cell {rm.grid_indices[9]}, which support row 9"):
+        measure_brdf(holey, SupportSet(indices=[0, 9, 3]), bundle)
 
 
 def test_measure_errors():
