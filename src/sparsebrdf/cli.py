@@ -27,7 +27,7 @@ from . import evaluate as ev
 from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
 from .mapping import DEFAULT_EPSILON, check_mapping
-from .merl import BrdfResolution, corpus_mask, read_merl, write_merl
+from .merl import BrdfResolution, corpus_matrix, read_merl, write_merl
 from .reconstruct import DEFAULT_ETA, measure_brdf, reconstruct_full
 from .somp import (
     SUPPORT_RECORD_VERSION,
@@ -104,10 +104,10 @@ def cmd_train_dict(args) -> int:
     check_mapping(args.epsilon, args.statistic)
     synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
         args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
-    corpus = ev.load_corpus(args.corpus, synthetic)
-    # a directory corpus is read twice: a mask pass, then one file at a time
-    row_map = corpus.row_map() if args.corpus else corpus_mask(b for _, b in corpus)
-    bundle = train_bundle(corpus, row_map, args.k,
+    corpus, row_map = ev.load_corpus(args.corpus, synthetic)
+    entries, ids = corpus_matrix(corpus, row_map)
+    del corpus
+    bundle = train_bundle(entries, ids, row_map, args.k,
                           epsilon=args.epsilon, statistic=args.statistic)
     snapshot = {"k": args.k, "epsilon": args.epsilon, "statistic": args.statistic,
                 "materials": list(bundle.material_ids)}

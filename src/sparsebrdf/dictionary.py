@@ -15,7 +15,6 @@ import json
 import math
 import mmap
 import os
-from collections.abc import Sized
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -25,14 +24,12 @@ import numpy as np
 from .errors import (
     BundleFormatError,
     ConfigError,
-    EmptyCorpusError,
     InconsistentCorpusError,
     InvalidKError,
 )
 from .mapping import (
     DEFAULT_EPSILON,
     ReferenceBrdf,
-    check_mapping,
     map_in_place,
     matrix_reference,
 )
@@ -58,11 +55,6 @@ class TrainingMatrix:
         return self.entries.shape[1]
 
 
-def _write_material(entries: np.ndarray, i: int, values: np.ndarray) -> None:
-    """Write material i's (3, n_valid) values into its three columns."""
-    entries[:, 3 * i:3 * i + 3] = values.T
-
-
 def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
     """Write mapped BRDFs into the n_valid x 3t training matrix.
 
@@ -85,7 +77,7 @@ def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> Tra
                 f"mapped BRDF {mid} has shape {mb.values.shape}, "
                 f"expected (3, {row_map.n_valid})"
             )
-        _write_material(entries, i, mb.values)
+        entries[:, 3 * i:3 * i + 3] = mb.values.T
         count += 1
     # zip stops at the shorter side: check both for leftovers
     if count != len(material_ids) or next(mapped_brdfs, None) is not None:
@@ -260,34 +252,17 @@ class DictionaryBundle:
         return replace(self, pca=self.pca.truncate(m)) if m < self.pca.n_atoms else self
 
 
-def train_bundle(corpus, row_map: RowMap, k: int, *,
+def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
                  epsilon: float = DEFAULT_EPSILON,
                  statistic: str = "median") -> DictionaryBundle:
-    """Train a k-atom bundle from (material_id, BrdfTensor) pairs.
+    """Train a k-atom bundle from the corpus_matrix of its training
+    materials over row_map, named in column order by ids.
 
     The mapping reference is computed from the same materials the dictionary
-    is trained on.  Every step works in one (n_valid, 3t) matrix: each
-    material's linear reflectance at the valid rows is written into its
-    columns, the reference is taken over the matrix's rows, and the matrix is
-    mapped and then centred in place.  A corpus with a length is iterated
-    once, so one that reads its tensors lazily holds one at a time; any
-    other iterable is listed first.
+    is trained on.  Every step works in entries: the reference is taken over
+    its rows, and it is then mapped and centred in place, so it must not be
+    read after the call.
     """
-    check_mapping(epsilon, statistic)
-    if not isinstance(corpus, Sized):
-        corpus = list(corpus)
-    if not len(corpus):
-        raise EmptyCorpusError("reference needs at least one training BRDF")
-    entries = np.empty((row_map.n_valid, 3 * len(corpus)))
-    ids = []
-    for i, (mid, brdf) in enumerate(corpus):
-        if brdf.resolution != row_map.resolution:
-            raise InconsistentCorpusError(
-                f"BRDF {mid} has resolution {brdf.resolution}, "
-                f"row map has {row_map.resolution}"
-            )
-        _write_material(entries, i, brdf.values[:, row_map.grid_indices])
-        ids.append(mid)
     reference = matrix_reference(entries, epsilon, statistic)
     map_in_place(entries, reference)
     return DictionaryBundle(

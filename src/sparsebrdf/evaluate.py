@@ -36,8 +36,8 @@ from .errors import (
     SparseBrdfError,
     TooLargeError,
 )
-from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, log_relative_map
-from .merl import BrdfResolution, RowMap, corpus_mask, read_merl, read_merl_mask
+from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
+from .merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, read_merl_mask
 from .reconstruct import DEFAULT_ETA, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
@@ -306,20 +306,19 @@ class MerlFiles:
     def __iter__(self):
         return ((p.stem, read_merl(p)) for p in self.paths)
 
-    def row_map(self) -> RowMap:
-        """corpus_mask of the files, from a mask pass that holds no tensor."""
-        return corpus_mask(read_merl_mask(p) for p in self.paths)
-
 
 def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
-    """The corpus as (material_id, BrdfTensor) pairs: generated from the
-    synthetic spec if one is given, else the MerlFiles of corpus_dir."""
+    """The corpus as (material_id, BrdfTensor) pairs, and its corpus_mask:
+    generated from the synthetic spec if one is given, else the MerlFiles of
+    corpus_dir, masked by a pass that holds no tensor."""
     if synthetic is not None:
-        return [
+        corpus = [
             (s.material_id, b)
             for s, b in gen_corpus(synthetic.seed, synthetic.count, synthetic.resolution)
         ]
-    return MerlFiles(corpus_dir)
+        return corpus, corpus_mask(b for _, b in corpus)
+    files = MerlFiles(corpus_dir)
+    return files, corpus_mask(read_merl_mask(p) for p in files.paths)
 
 
 def _metrics(mse: float, snr: float) -> dict:
@@ -362,16 +361,20 @@ class _HeldOut:
     Sigma^2, so the identity holds where the atoms are not quite orthogonal.
     A truncated bundle shares the fold's mean and leading atoms and slices
     these terms.
+
+    x holds the (3M, n) mapped held-out channels, material-major; it is left
+    as it is, since the direct path reads each material's rows of it.  Its
+    memory layout fixes the order the energies are summed in.
     """
 
-    def __init__(self, mapped: list, bundle):
+    def __init__(self, x: np.ndarray, bundle):
         pca = bundle.pca
-        self.mapped = mapped
-        x = np.concatenate([mb.values for mb in mapped])  # (3M, n), material-major
-        self.n_cells = x.size // len(mapped)
-        self.signal = np.sum((x * x).reshape(len(mapped), -1), axis=1)
-        x -= pca.mean
-        self.centred = x
+        materials = x.shape[0] // 3
+        self.mapped = [MappedBrdf(x[3 * i:3 * i + 3], bundle.reference.key)
+                       for i in range(materials)]
+        self.n_cells = x.size // materials
+        self.signal = np.sum((x * x).reshape(materials, -1), axis=1)
+        self.centred = x - pca.mean
         self.energy = np.sum(self.centred * self.centred, axis=1)
         self.projections = self.centred @ pca.atoms  # (3M, k_max)
         self.gram = pca.atoms.T @ pca.atoms
@@ -414,17 +417,12 @@ class _HeldOut:
 
 
 def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
-                   bundle_full, tensors: dict, supports: list) -> list:
+                   bundle_full, held_out: _HeldOut, supports: list) -> list:
     """Select the fold's supports, appending their records to supports, and
-    return the fold's result rows in report order.
-
-    The fold's held-out arrays live only for this call.
+    return the fold's result rows in report order, scoring test_ids through
+    held_out.
     """
     row_map = bundle_full.row_map
-    held_out = _HeldOut(
-        [log_relative_map(tensors[i], bundle_full.reference, row_map) for i in test_ids],
-        bundle_full,
-    )
     if config.stop_threshold is not None:
         stops = [(bundle_full,
                   ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
@@ -468,10 +466,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     split only; the greedy selector and the random baseline each produce
     supports per sample count; every held-out material is reconstructed from
     each support.  Rows are ordered by (fold, m, method, material, trial).
+    The corpus is gathered once into its corpus_matrix, and each fold takes
+    its training and held-out columns from that; no tensor is held.
     """
-    tensors = dict(load_corpus(config.corpus_dir, config.synthetic))
-    ids = list(tensors)
-    row_map = corpus_mask(tensors.values())
+    corpus, row_map = load_corpus(config.corpus_dir, config.synthetic)
+    linear, ids = corpus_matrix(corpus, row_map)
+    del corpus
+    first = {mid: 3 * i for i, mid in enumerate(ids)}  # each material's R column
     plan = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
 
     threshold_mode = config.stop_threshold is not None
@@ -479,14 +480,19 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     supports = []
     rows = []
     for fold, test_ids in enumerate(plan.folds):
+        # take() copies the columns in C order, the layout corpus_matrix
+        # fills, which fixes the order training sums in
+        train_ids = plan.train_ids(fold, ids)
         bundle_full = train_bundle(
-            ((i, tensors[i]) for i in plan.train_ids(fold, ids)),
-            row_map,
-            k_max,
-            epsilon=config.epsilon,
-            statistic=config.reference_statistic,
-        )
-        rows.extend(_evaluate_fold(config, fold, test_ids, bundle_full, tensors, supports))
+            linear.take([first[i] + c for i in train_ids for c in range(3)], axis=1),
+            train_ids, row_map, k_max,
+            epsilon=config.epsilon, statistic=config.reference_statistic)
+        # the transpose of this C-order block is the F-order x _HeldOut sums
+        # its energies over; a C-order copy of it would sum in another order
+        held = linear.take([first[i] + c for i in test_ids for c in range(3)], axis=1)
+        map_in_place(held, bundle_full.reference)
+        rows.extend(_evaluate_fold(config, fold, test_ids, bundle_full,
+                                   _HeldOut(held.T, bundle_full), supports))
 
     return ExperimentReport(
         config=config.snapshot(),

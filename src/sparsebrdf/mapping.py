@@ -18,13 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyCorpusError,
-    ProvenanceMismatchError,
-    ShapeMismatchError,
-)
-from .merl import BrdfTensor, RowMap
+from .errors import ConfigError, ProvenanceMismatchError, ShapeMismatchError
+from .merl import BrdfTensor, RowMap, corpus_matrix
 
 DEFAULT_EPSILON = 1e-3
 REFERENCE_FLOOR = 1e-6
@@ -80,48 +75,31 @@ def compute_reference(
     epsilon: float = DEFAULT_EPSILON,
     statistic: str = "median",
 ) -> ReferenceBrdf:
-    """Reference reflectance per valid row from a training corpus.
-
-    The statistic (median by default, mean optionally) is taken over all
-    training materials and all three channels, then floored at 1e-6.  Both
-    statistics are per row, so they are taken over blocks of
-    _REFERENCE_BLOCK rows, and only one block is stacked across materials
-    at a time.
-    """
-    training = list(training)
-    if not training:
-        raise EmptyCorpusError("reference needs at least one training BRDF")
-    rows = row_map.grid_indices
-    blocks = ((start, np.concatenate(
-        [b.values[:, rows[start:start + _REFERENCE_BLOCK]] for b in training]))
-        for start in range(0, rows.size, _REFERENCE_BLOCK))
-    return _reference(blocks, rows.size, epsilon, statistic)
+    """Reference reflectance per valid row from training BrdfTensors, each
+    of the row map's resolution: matrix_reference over their corpus_matrix."""
+    entries, _ = corpus_matrix(list(enumerate(training)), row_map)
+    return matrix_reference(entries, epsilon, statistic)
 
 
 def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> ReferenceBrdf:
-    """compute_reference over an (n_valid, 3t) matrix of linear reflectance,
-    one row per valid row and one column per training channel, in the
-    material order compute_reference stacks them.  entries is left as it is.
+    """Reference reflectance per row of an (n_valid, 3t) corpus_matrix.
+
+    The statistic (median, or mean) is taken over all training materials and
+    all three channels of a row, then floored at 1e-6.  Both statistics are
+    per row, so they are taken over blocks of _REFERENCE_BLOCK rows, one
+    copied block at a time; entries is left as it is.  The matrix is read
+    only once the settings pass check_mapping.
     """
-    n = entries.shape[0]
-    # a copied row block, transposed, has the memory layout of
-    # compute_reference's stacked block, which fixes the order np.mean sums
-    # in; and each row's channels are contiguous for the partition
-    blocks = ((start, entries[start:start + _REFERENCE_BLOCK].copy().T)
-              for start in range(0, n, _REFERENCE_BLOCK))
-    return _reference(blocks, n, epsilon, statistic)
-
-
-def _reference(blocks, n: int, epsilon: float, statistic: str) -> ReferenceBrdf:
-    """The floored per-row statistic of (start, block) pairs, where block is
-    (q, B): the q training channels of rows start..start+B.  The median
-    reorders each block.  The blocks are read only once the settings pass
-    check_mapping."""
     check_mapping(epsilon, statistic)
+    n, q = entries.shape
     ref = np.empty(n)
-    for start, block in blocks:
-        q, size = block.shape
-        out = ref[start:start + size]
+    for start in range(0, n, _REFERENCE_BLOCK):
+        # a copied row block, transposed, has the layout of the materials'
+        # (3, B) channel blocks stacked one above the other, which fixes the
+        # order np.mean sums in; and each row's channels are contiguous for
+        # the partition
+        block = entries[start:start + _REFERENCE_BLOCK].copy().T
+        out = ref[start:start + block.shape[1]]
         if statistic == "mean":
             block.mean(axis=0, out=out)
         else:
@@ -148,6 +126,11 @@ def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
 
 def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> MappedBrdf:
     """Map linear reflectance at the valid rows into the fitting domain."""
+    if brdf.resolution != row_map.resolution:
+        raise ShapeMismatchError(
+            f"BRDF has resolution {brdf.resolution}, the row map has "
+            f"{row_map.resolution}"
+        )
     if row_map.n_valid != ref.values.size:
         raise ShapeMismatchError(
             f"row map has {row_map.n_valid} rows, reference has {ref.values.size}"

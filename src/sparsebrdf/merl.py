@@ -22,7 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, EmptyMaskError, MerlFormatError
+from .errors import (
+    DomainError,
+    EmptyCorpusError,
+    EmptyMaskError,
+    InconsistentCorpusError,
+    MerlFormatError,
+)
 
 MERL_SCALES = np.array([1.0 / 1500.0, 1.15 / 1500.0, 1.66 / 1500.0])
 INVALID_SENTINEL = -1.0
@@ -271,3 +277,27 @@ def corpus_mask(brdfs) -> RowMap:
     if idx.size == 0:
         raise EmptyMaskError("no cell is valid across the whole corpus")
     return RowMap(res, idx)
+
+
+def corpus_matrix(corpus, row_map: RowMap) -> tuple[np.ndarray, list]:
+    """The corpus's linear reflectance at the valid rows, as an (n_valid, 3t)
+    C-order matrix, and the material ids in column order.
+
+    corpus holds (material_id, BrdfTensor) pairs, each of the row map's
+    resolution, and has a length.  Material i fills columns 3i, 3i+1, 3i+2
+    with its R, G, B channels.  The corpus is iterated once, so one that reads
+    its tensors lazily holds one at a time.
+    """
+    if not len(corpus):
+        raise EmptyCorpusError("corpus holds no material")
+    entries = np.empty((row_map.n_valid, 3 * len(corpus)))
+    ids = []
+    for i, (mid, brdf) in enumerate(corpus):
+        if brdf.resolution != row_map.resolution:
+            raise InconsistentCorpusError(
+                f"BRDF {mid} has resolution {brdf.resolution}, "
+                f"row map has {row_map.resolution}"
+            )
+        entries[:, 3 * i:3 * i + 3] = brdf.values[:, row_map.grid_indices].T
+        ids.append(mid)
+    return entries, ids

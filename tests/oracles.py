@@ -10,11 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparsebrdf import evaluate
 from sparsebrdf.dictionary import (
     CHANNEL_NAMES,
     DictionaryBundle,
     PcaDictionary,
     TrainingMatrix,
+    train_bundle,
 )
 from sparsebrdf.errors import (
     EmptyCorpusError,
@@ -26,13 +28,14 @@ from sparsebrdf.errors import (
     RankCollapseError,
     SingularMatrixError,
 )
-from sparsebrdf.mapping import REFERENCE_FLOOR, MappedBrdf, ReferenceBrdf
+from sparsebrdf.mapping import REFERENCE_FLOOR, MappedBrdf, ReferenceBrdf, log_relative_map
 from sparsebrdf.merl import (
     INVALID_SENTINEL,
     MERL_SCALES,
     BrdfResolution,
     BrdfTensor,
     RowMap,
+    corpus_mask,
 )
 import sparsebrdf.somp as somp
 from sparsebrdf.reconstruct import MeasurementVector, ridge_solve
@@ -370,3 +373,35 @@ def zero_padded_reconstruct(samples: MeasurementVector, bundle: DictionaryBundle
     padded = np.zeros((3, pca.n_atoms))
     padded[:, :k_used] = solution.T
     return allocating_synthesize(pca, padded, bundle.reference, bundle.row_map)
+
+
+def tensor_dict_experiment(config: evaluate.ExperimentConfig) -> tuple:
+    """run_experiment's result rows and support records, from a dict of every
+    BrdfTensor of the corpus: each fold gathers its training materials into a
+    fresh matrix, and maps each held-out tensor whole with log_relative_map
+    into an array of its own, which the direct path reads."""
+    corpus, _ = evaluate.load_corpus(config.corpus_dir, config.synthetic)
+    tensors = dict(corpus)
+    ids = list(tensors)
+    row_map = corpus_mask(tensors.values())
+    plan = evaluate.kfold_split(
+        ids, config.folds, evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
+    if config.stop_threshold is not None:
+        k_max = config.k_fixed
+    else:
+        k_max = max(config.k_for(m) for m in config.m_values)
+    rows, supports = [], []
+    for fold, test_ids in enumerate(plan.folds):
+        train_ids = plan.train_ids(fold, ids)
+        entries = np.empty((row_map.n_valid, 3 * len(train_ids)))
+        for i, mid in enumerate(train_ids):
+            entries[:, 3 * i:3 * i + 3] = tensors[mid].values[:, row_map.grid_indices].T
+        bundle = train_bundle(entries, train_ids, row_map, k_max,
+                              epsilon=config.epsilon, statistic=config.reference_statistic)
+        mapped = [log_relative_map(tensors[mid], bundle.reference, row_map)
+                  for mid in test_ids]
+        held_out = evaluate._HeldOut(np.concatenate([mb.values for mb in mapped]), bundle)
+        held_out.mapped = mapped
+        rows.extend(evaluate._evaluate_fold(config, fold, test_ids, bundle, held_out,
+                                            supports))
+    return rows, supports

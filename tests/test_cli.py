@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sparsebrdf.cli import main
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
 from sparsebrdf.evaluate import load_corpus
-from sparsebrdf.merl import BrdfResolution, corpus_mask, read_merl, write_merl
+from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
 
 from conftest import make_random_tensor
 from oracles import (
@@ -159,8 +159,8 @@ def test_reconstruct_bad_measurement_is_one_line_error(case, message, bundle_dir
 
 def test_train_dict_matches_train_bundle(bundle_dir, corpus_dir, capsys):
     manifest = json.loads((bundle_dir / "manifest.json").read_text())
-    corpus = load_corpus(corpus_dir, None)
-    bundle = train_bundle(corpus, corpus_mask(b for _, b in corpus), 5)
+    corpus, row_map = load_corpus(corpus_dir, None)
+    bundle = train_bundle(*corpus_matrix(corpus, row_map), row_map, 5)
     assert bundle.digest == manifest["digest"]
 
 
@@ -826,8 +826,11 @@ def _write_truncated(path, dims, doubles):
         np.zeros(doubles).tofile(fh)
 
 
-@pytest.mark.parametrize("fault", ["truncated", "mixed", "mixed-then-truncated"])
-def test_train_dict_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fault):
+_CORPUS_FAULTS = ["truncated", "mixed", "mixed-then-truncated"]
+
+
+def _faulty_corpus(tmp_path, rng, fault):
+    """A corpus directory holding the fault, and the one line it must give."""
     corpus = _write_corpus(tmp_path / "corpus", rng, 3, BrdfResolution(8, 8, 8))
     if fault != "truncated":
         write_merl(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)),
@@ -835,15 +838,32 @@ def test_train_dict_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fa
     if fault != "mixed":
         # sorted last, so it is read after the file of another resolution
         _write_truncated(corpus / "m99.binary", (8, 8, 8), 10)
+    if fault == "mixed":
+        return corpus, "error: MerlFormatError: corpus mixes resolutions\n"
+    return corpus, (f"error: MerlFormatError: {corpus / 'm99.binary'}: "
+                    "payload holds 10 doubles, expected 1536\n")
+
+
+@pytest.mark.parametrize("fault", _CORPUS_FAULTS)
+def test_train_dict_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fault):
+    corpus, message = _faulty_corpus(tmp_path, rng, fault)
     code, out, err = run_cli(capsys, "train-dict", "--corpus", str(corpus), "--k", "2",
                              "--out", str(tmp_path / "bundle"))
     assert code == 1
     assert out == ""
-    if fault == "mixed":
-        assert err == "error: MerlFormatError: corpus mixes resolutions\n"
-    else:
-        assert err == (f"error: MerlFormatError: {corpus / 'm99.binary'}: "
-                       "payload holds 10 doubles, expected 1536\n")
+    assert err == message
+
+
+@pytest.mark.parametrize("fault", _CORPUS_FAULTS)
+def test_evaluate_corpus_faults_exit_1_with_one_line(tmp_path, rng, capsys, fault):
+    corpus, message = _faulty_corpus(tmp_path, rng, fault)
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[corpus]\nsource = directory\npath = {corpus}\n"
+                   "[selection]\nm = 1\n[experiment]\nfolds = 2\nrandom_trials = 1\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(ini),
+                             "--out", str(tmp_path / "eval"))
+    assert (code, out, err) == (1, "", message)
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "train-dict"])

@@ -26,7 +26,7 @@ from sparsebrdf.mapping import (
     compute_reference,
     log_relative_map,
 )
-from sparsebrdf.merl import BrdfResolution, corpus_mask
+from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix
 
 from conftest import make_random_tensor, toy_row_map
 from oracles import (
@@ -340,7 +340,8 @@ def test_training_forms_no_inverse(rng):
     mapped, ids, rm = _mapped_corpus(rng, 4)
     assert "inverse" not in vars(train_pca(assemble_training_matrix(mapped, ids, rm), 5))
     tensors = [make_random_tensor(rng, invalid_frac=0.0) for _ in range(3)]
-    bundle = train_bundle(zip("abc", tensors), corpus_mask(tensors), 4)
+    rm = corpus_mask(tensors)
+    bundle = train_bundle(*corpus_matrix(list(zip("abc", tensors)), rm), rm, 4)
     assert "inverse" not in vars(bundle.pca)
 
 
@@ -353,7 +354,8 @@ def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(5)]
     rm = corpus_mask(tensors)
     ids = [f"m{i}" for i in range(5)]
-    bundle = train_bundle(zip(ids, tensors), rm, 6, epsilon=2e-3, statistic=statistic)
+    bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, 6,
+                          epsilon=2e-3, statistic=statistic)
     ref = stacked_reference(tensors, rm, 2e-3, statistic)
     matrix = stacked_training_matrix(
         [log_relative_map(b, ref, rm) for b in tensors], ids, rm)
@@ -373,7 +375,7 @@ def test_train_bundle_peak_memory_bounded(rng):
     matrix_bytes = rm.n_valid * 3 * len(corpus) * 8
     tracemalloc.start()
     try:
-        bundle = train_bundle(corpus, rm, 10)
+        bundle = train_bundle(*corpus_matrix(corpus, rm), rm, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -411,9 +413,10 @@ def test_train_bundle_rejects_other_resolution_and_empty_corpus(rng):
     rm = corpus_mask(tensors)
     other = make_random_tensor(rng, res=BrdfResolution(4, 4, 4), invalid_frac=0.0)
     with pytest.raises(InconsistentCorpusError, match="resolution"):
-        train_bundle([("a", tensors[0]), ("b", other), ("c", tensors[1])], rm, 2)
+        train_bundle(*corpus_matrix([("a", tensors[0]), ("b", other), ("c", tensors[1])],
+                                    rm), rm, 2)
     with pytest.raises(EmptyCorpusError):
-        train_bundle(iter([]), rm, 2)
+        train_bundle(*corpus_matrix([], rm), rm, 2)
 
 
 @pytest.mark.parametrize("k", [6, 4, 1])

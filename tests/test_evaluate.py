@@ -26,12 +26,12 @@ from sparsebrdf.evaluate import (
     snr_db,
 )
 from sparsebrdf.mapping import MappedBrdf
-from sparsebrdf.merl import BrdfResolution, corpus_mask, write_merl
+from sparsebrdf.merl import BrdfResolution, corpus_matrix, write_merl
 from sparsebrdf.reconstruct import measure, reconstruct_full
 from sparsebrdf.somp import SampleBudget, somp_select
-from sparsebrdf.synthetic import MaterialSpec, gen_brdf
+from sparsebrdf.synthetic import MaterialSpec, gen_brdf, gen_corpus
 
-from oracles import correlation_scores
+from oracles import correlation_scores, tensor_dict_experiment
 
 
 def test_kfold_even_split():
@@ -245,14 +245,14 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
     # selects the same supports, with and without normalized atoms
     config = ExperimentConfig(synthetic=SyntheticCorpusSpec(
         seed=42, count=50, resolution=BrdfResolution(16, 16, 16)), folds=5, seed=7)
-    tensors = dict(evaluate.load_corpus(None, config.synthetic))
-    ids = list(tensors)
-    row_map = corpus_mask(tensors.values())
+    corpus, row_map = evaluate.load_corpus(None, config.synthetic)
+    linear, ids = corpus_matrix(corpus, row_map)
     plan = kfold_split(ids, config.folds,
                        evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
     for fold in range(config.folds):
-        bundle = train_bundle(((i, tensors[i]) for i in plan.train_ids(fold, ids)),
-                              row_map, 20)
+        train_ids = plan.train_ids(fold, ids)
+        cols = [3 * ids.index(i) + c for i in train_ids for c in range(3)]
+        bundle = train_bundle(linear.take(cols, axis=1), train_ids, row_map, 20)
         for k in (5, 10):
             pca = bundle.for_budget(k).pca
             f_order = pca.inverse
@@ -416,3 +416,34 @@ def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
         assert all(r["status"] == "ok" and r["mse"] < 1e-20 for r in report.rows)
     elif name != "eta0":
         assert not direct_calls
+
+
+def _without_seconds(records) -> list:
+    return [json.dumps({k: v for k, v in rec.items() if k != "seconds"}, sort_keys=True)
+            for rec in records]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.parametrize("name", ["coupled", "fixed-k", "threshold", "eta0",
+                                  "eta0-in-span", "directory"])
+def test_folds_match_tensor_dict_oracle(name, tmp_path):
+    # the corpus matrix's column copies train and score each fold to the
+    # bytes of gathering and mapping every material's tensor afresh; eta0
+    # sends failing materials down the direct path, eta0-in-span every one
+    if name == "eta0-in-span":
+        config = ExperimentConfig(corpus_dir=_lambertian_corpus(tmp_path / "corpus"),
+                                  synthetic=None, eta=0.0, m_values=(1,), folds=3,
+                                  seed=3, random_trials=2)
+    elif name == "directory":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for spec, brdf in gen_corpus(42, 12, BrdfResolution(8, 8, 8)):
+            write_merl(brdf, corpus / f"{spec.material_id}.binary")
+        config = ExperimentConfig(corpus_dir=str(corpus), synthetic=None,
+                                  m_values=(3, 5), folds=3, seed=1, random_trials=2)
+    else:
+        config = _ORACLE_CONFIGS[name]
+    report = run_experiment(config)
+    rows, supports = tensor_dict_experiment(config)
+    assert _without_seconds(report.rows) == _without_seconds(rows)
+    assert _without_seconds(report.supports) == _without_seconds(supports)

@@ -5,6 +5,7 @@ import pytest
 
 from sparsebrdf.errors import (
     EmptyCorpusError,
+    InconsistentCorpusError,
     ProvenanceMismatchError,
     ShapeMismatchError,
 )
@@ -90,6 +91,18 @@ def test_reference_empty_corpus():
         compute_reference([], rm)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [4, 10])
+def test_reference_rejects_other_resolution(rng, n):
+    # a coarser tensor has fewer cells than the row map reaches, a finer one
+    # has other cells at the same indices
+    tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(2)]
+    rm = corpus_mask(tensors)
+    other = make_random_tensor(rng, res=BrdfResolution(n, n, n), invalid_frac=0.1)
+    with pytest.raises(InconsistentCorpusError, match=f"BRDF 1 has resolution .*{n}"):
+        compute_reference([tensors[0], other, tensors[1]], rm)
+
+
 def test_map_zero_at_reference():
     brdf = _constant_tensor(0.37)
     rm = validity_mask(brdf)
@@ -152,6 +165,17 @@ def test_map_shape_mismatch():
     ref = ReferenceBrdf(np.full(rm.n_valid - 1, 0.5))
     with pytest.raises(ShapeMismatchError):
         log_relative_map(brdf, ref, rm)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [4, 10])
+def test_map_rejects_other_resolution(rng, n):
+    tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(2)]
+    rm = corpus_mask(tensors)
+    ref = compute_reference(tensors, rm)
+    other = make_random_tensor(rng, res=BrdfResolution(n, n, n), invalid_frac=0.1)
+    with pytest.raises(ShapeMismatchError, match="BRDF has resolution .* the row map has"):
+        log_relative_map(other, ref, rm)
 
 
 def test_unmap_provenance_mismatch():

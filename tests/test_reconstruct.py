@@ -22,7 +22,7 @@ from sparsebrdf.mapping import (
     log_relative_map,
     log_relative_unmap,
 )
-from sparsebrdf.merl import BrdfResolution, corpus_mask, read_merl, write_merl
+from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
 from sparsebrdf.reconstruct import (
     measure,
     measure_brdf,
@@ -80,7 +80,8 @@ def test_measure_brdf_matches_whole_tensor_map(support, rng):
     # range, specular peaks included
     corpus = [(spec.material_id, b)
               for spec, b in gen_corpus(7, 11, BrdfResolution(16, 16, 16))]
-    bundle = train_bundle(corpus[:8], corpus_mask(b for _, b in corpus), 6)
+    row_map = corpus_mask(b for _, b in corpus)
+    bundle = train_bundle(*corpus_matrix(corpus[:8], row_map), row_map, 6)
     n = bundle.pca.n_rows
     rows = {"m-1": [int(rng.integers(n))], "m-k": list(range(n - 6, n)),
             "random": [int(r) for r in rng.choice(n, size=11, replace=False)]}[support]
