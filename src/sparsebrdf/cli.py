@@ -28,7 +28,7 @@ from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
 from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_matrix, read_merl, write_merl
-from .reconstruct import DEFAULT_ETA, measure_brdf, reconstruct_full
+from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, reconstruct_full
 from .somp import (
     SUPPORT_RECORD_VERSION,
     ErrorThreshold,
@@ -155,6 +155,7 @@ def cmd_select_samples(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    check_eta(args.eta)
     bundle = load_bundle(args.dict)
     record = read_support_record(args.support)
     bundle = bundle.for_budget(record["m"])

@@ -50,27 +50,19 @@ class TrainingMatrix:
     def __post_init__(self):
         self.entries.setflags(write=False)
 
-    @property
-    def n_signals(self) -> int:
-        return self.entries.shape[1]
-
 
 def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> TrainingMatrix:
-    """Write mapped BRDFs into the n_valid x 3t training matrix.
-
-    mapped_brdfs may be any iterable, a generator included, so that only
-    one mapped material need be alive at a time; the matrix is allocated
-    once and filled in place.
-    """
-    material_ids = list(material_ids)
+    """Write mapped BRDFs, one per material id, into the n_valid x 3t
+    training matrix: material i fills columns 3i to 3i + 2."""
+    mapped_brdfs, material_ids = list(mapped_brdfs), list(material_ids)
+    if len(mapped_brdfs) != len(material_ids):
+        raise InconsistentCorpusError("one material id per mapped BRDF required")
+    if not material_ids:
+        raise InconsistentCorpusError("empty training corpus")
+    provenance = mapped_brdfs[0].provenance
     entries = np.empty((row_map.n_valid, 3 * len(material_ids)))
-    mapped_brdfs = iter(mapped_brdfs)
-    provenance = None
-    count = 0
     for i, (mid, mb) in enumerate(zip(material_ids, mapped_brdfs)):
-        if provenance is None:
-            provenance = mb.provenance
-        elif mb.provenance != provenance:
+        if mb.provenance != provenance:
             raise InconsistentCorpusError("training BRDFs mapped against different references")
         if mb.values.shape != (3, row_map.n_valid):
             raise InconsistentCorpusError(
@@ -78,12 +70,6 @@ def assemble_training_matrix(mapped_brdfs, material_ids, row_map: RowMap) -> Tra
                 f"expected (3, {row_map.n_valid})"
             )
         entries[:, 3 * i:3 * i + 3] = mb.values.T
-        count += 1
-    # zip stops at the shorter side: check both for leftovers
-    if count != len(material_ids) or next(mapped_brdfs, None) is not None:
-        raise InconsistentCorpusError("one material id per mapped BRDF required")
-    if not material_ids:
-        raise InconsistentCorpusError("empty training corpus")
     labels = tuple((mid, c) for mid in material_ids for c in CHANNEL_NAMES)
     return TrainingMatrix(entries, labels, row_map, provenance)
 

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
 from .merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, read_merl_mask
-from .reconstruct import DEFAULT_ETA, measure, reconstruct_full, ridge_solve
+from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
     SampleBudget,
@@ -126,6 +126,8 @@ def brute_force_support(dinv: np.ndarray, coeffs: np.ndarray, m: int):
     """
     dinv = np.asarray(dinv, dtype=np.float64)
     n = dinv.shape[1]
+    if not 1 <= m <= n:
+        raise InvalidMError(f"m={m} outside [1, {n}]")
     if math.comb(n, m) > _ENUM_LIMIT:
         raise TooLargeError(
             f"C({n}, {m}) exceeds the enumeration bound of {_ENUM_LIMIT}"
@@ -208,8 +210,7 @@ class ExperimentConfig:
                     "the greedy selector cannot pick more samples than atoms; "
                     f"m_values must stay <= k_fixed={self.k_fixed}"
                 )
-        if self.eta < 0.0:
-            raise ConfigError(f"eta must be >= 0, got {self.eta}")
+        check_eta(self.eta)
         if self.random_trials < 0 or self.folds < 2:
             raise ConfigError("need folds >= 2 and random_trials >= 0")
 

@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ProvenanceMismatchError, ShapeMismatchError
+from .errors import (
+    ConfigError,
+    InvalidSampleError,
+    ProvenanceMismatchError,
+    ShapeMismatchError,
+)
 from .merl import BrdfTensor, RowMap, corpus_matrix
 
 DEFAULT_EPSILON = 1e-3
@@ -124,20 +129,37 @@ def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
     np.log(rows, out=rows)
 
 
-def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> MappedBrdf:
-    """Map linear reflectance at the valid rows into the fitting domain."""
+def map_cells(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap,
+              rows=slice(None)) -> np.ndarray:
+    """The (3, r) mapped values of brdf at the row map's rows that rows
+    indexes (by default every valid row), in that order.  Only their cells
+    are gathered; each must be valid, and the tensor must have the row
+    map's resolution."""
     if brdf.resolution != row_map.resolution:
         raise ShapeMismatchError(
-            f"BRDF has resolution {brdf.resolution}, the row map has "
-            f"{row_map.resolution}"
+            f"measured BRDF has resolution {brdf.resolution}, the bundle's "
+            f"row map has {row_map.resolution}"
         )
+    cells = row_map.grid_indices[rows]
+    invalid = np.flatnonzero(~brdf.mask[cells])
+    if invalid.size:
+        row = np.arange(row_map.n_valid)[rows][invalid[0]]
+        raise InvalidSampleError(
+            f"measured BRDF is invalid at grid cell {cells[invalid[0]]}, "
+            f"which support row {row} samples"
+        )
+    values = brdf.values[:, cells]
+    map_in_place(values.T, ref, rows)
+    return values
+
+
+def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> MappedBrdf:
+    """Map linear reflectance at the valid rows into the fitting domain."""
     if row_map.n_valid != ref.values.size:
         raise ShapeMismatchError(
             f"row map has {row_map.n_valid} rows, reference has {ref.values.size}"
         )
-    rho = brdf.values[:, row_map.grid_indices]
-    map_in_place(rho.T, ref)
-    return MappedBrdf(rho, ref.key)
+    return MappedBrdf(map_cells(brdf, ref, row_map), ref.key)
 
 
 def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> tuple[np.ndarray, int]:

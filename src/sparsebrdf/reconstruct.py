@@ -21,12 +21,11 @@ from .dictionary import DictionaryBundle, PcaDictionary
 from .errors import (
     ConfigError,
     IndexOutOfRangeError,
-    InvalidSampleError,
     ProvenanceMismatchError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_in_place
+from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells
 from .merl import INVALID_SENTINEL, BrdfTensor, RowMap
 from .somp import SupportSet
 
@@ -58,15 +57,21 @@ class ReconstructionResult:
     ridge_condition: float = np.nan
 
 
-def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> MeasurementVector:
-    """Sample a mapped BRDF at the support rows, in selection order."""
+def _support_rows(support: SupportSet, n: int) -> np.ndarray:
+    """The support's rows, in selection order; at least one, each in [0, n)."""
     if len(support) == 0:
         raise IndexOutOfRangeError("empty support")
-    n = mapped.values.shape[1]
+    # checked as Python ints, which an out-of-range record may overflow
     if any(i < 0 or i >= n for i in support.indices):
         raise IndexOutOfRangeError(f"support indices must lie in [0, {n})")
+    return np.asarray(support.indices, dtype=np.int64)
+
+
+def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> MeasurementVector:
+    """Sample a mapped BRDF at the support rows, in selection order."""
+    rows = _support_rows(support, mapped.values.shape[1])
     return MeasurementVector(
-        values=mapped.values[:, support.indices].copy(),
+        values=mapped.values[:, rows].copy(),
         support=support,
         material_id=material_id,
         provenance=mapped.provenance,
@@ -76,39 +81,23 @@ def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> M
 def measure_brdf(brdf: BrdfTensor, support: SupportSet, bundle: DictionaryBundle,
                  material_id: str = "") -> MeasurementVector:
     """measure(log_relative_map(brdf, ...), support), mapping only the
-    support's cells: the tensor is gathered at their grid cells and those
-    3m values are mapped, by the arithmetic of the whole-tensor map.
-
-    The tensor must have the bundle's resolution and a valid value at every
-    support cell; cells outside the support may be invalid.
-    """
-    row_map = bundle.row_map
-    if brdf.resolution != row_map.resolution:
-        raise ShapeMismatchError(
-            f"measured BRDF has resolution {brdf.resolution}, the bundle's "
-            f"row map has {row_map.resolution}"
-        )
-    if len(support) == 0:
-        raise IndexOutOfRangeError("empty support")
-    n = row_map.n_valid
-    if any(i < 0 or i >= n for i in support.indices):
-        raise IndexOutOfRangeError(f"support indices must lie in [0, {n})")
-    rows = np.asarray(support.indices, dtype=np.int64)
-    cells = row_map.grid_indices[rows]
-    invalid = np.flatnonzero(~brdf.mask[cells])
-    if invalid.size:
-        raise InvalidSampleError(
-            f"measured BRDF is invalid at grid cell {cells[invalid[0]]}, "
-            f"which support row {rows[invalid[0]]} samples"
-        )
-    values = brdf.values[:, cells]
-    map_in_place(values.T, bundle.reference, rows)
+    support's cells (see map_cells): the tensor must have the bundle's
+    resolution and a valid value at every support cell."""
+    rows = _support_rows(support, bundle.row_map.n_valid)
     return MeasurementVector(
-        values=values,
+        values=map_cells(brdf, bundle.reference, bundle.row_map, rows),
         support=support,
         material_id=material_id,
         provenance=bundle.reference.key,
     )
+
+
+def check_eta(eta: float) -> None:
+    """Raise ConfigError unless the ridge weight eta is finite and >= 0."""
+    if not eta >= 0.0:  # NaN included
+        raise ConfigError(f"eta must be >= 0, got {eta}")
+    if eta == np.inf:
+        raise ConfigError(f"eta must be finite, got {eta}")
 
 
 def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
@@ -126,8 +115,7 @@ def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
         raise ShapeMismatchError(
             f"rows {d_rows.shape} incompatible with measurements {b.shape}"
         )
-    if eta < 0.0:
-        raise ConfigError(f"eta must be >= 0, got {eta}")
+    check_eta(eta)
     if eta == 0.0:
         svals = np.linalg.svd(d_rows, compute_uv=False)
         if (svals.size < d_rows.shape[1] or svals[0] == 0.0
@@ -193,11 +181,7 @@ def reconstruct_full(
         raise ProvenanceMismatchError(
             "measurements were mapped against a different reference than the bundle"
         )
-    rows = list(samples.support.indices)
-    if any(r < 0 or r >= bundle.pca.n_rows for r in rows):
-        raise IndexOutOfRangeError("support indices outside dictionary rows")
-    if not rows:
-        raise IndexOutOfRangeError("empty support")
+    rows = _support_rows(samples.support, bundle.pca.n_rows)
     bundle = bundle.for_budget(len(rows))
     pca = bundle.pca
     d_rows = pca.atoms[rows]

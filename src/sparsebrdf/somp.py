@@ -82,7 +82,7 @@ class ErrorThreshold:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:  # NaN included
             raise ConfigError(f"threshold must be >= 0, got {self.epsilon}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")

@@ -260,6 +260,7 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("coherence", ["--m", "0"], "m=0 must satisfy 1 <= m < n"),
     ("coherence", ["--m", "1,100000"], "m=100000 must satisfy 1 <= m < n"),
     ("select-samples", ["--threshold", "-1"], "threshold must be >= 0"),
+    ("select-samples", ["--threshold", "nan"], "threshold must be >= 0, got nan"),
     ("select-samples", ["--threshold", "0.1", "--max-iters", "0"],
      "max_iters must be >= 1, got 0"),
     ("select-samples", ["--threshold", "0.1", "--max-iters", "-3"],
@@ -267,6 +268,8 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("select-samples", ["--m", "0"], "sample budget must be >= 1, got 0"),
     ("select-samples", ["--m", "6"], "--m 6 exceeds the bundle's 5 atoms"),
     ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
+    ("reconstruct", ["--eta", "nan"], "eta must be >= 0, got nan"),
+    ("reconstruct", ["--eta", "inf"], "eta must be finite, got inf"),
     ("train-dict", ["--k", "0"], "--k must be >= 1, got 0"),
     ("train-dict", ["--k", "-2"], "--k must be >= 1, got -2"),
     ("train-dict", ["--k", "30"], "k=30 must satisfy 1 <= k < t=30"),
@@ -292,8 +295,9 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("gen-corpus", ["--count", "2", "--res", "8,0,8"],
      "resolution counts must be >= 1, got '8,0,8'"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
-        "select-max-iters-0", "select-max-iters-neg", "select-m-0", "select-m-above-k",
-        "reconstruct-eta", "train-k-0", "train-k-neg", "train-k-t",
+        "select-threshold-nan", "select-max-iters-0", "select-max-iters-neg",
+        "select-m-0", "select-m-above-k", "reconstruct-eta", "reconstruct-eta-nan",
+        "reconstruct-eta-inf", "train-k-0", "train-k-neg", "train-k-t",
         "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds",
         "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
         "train-synthetic-epsilon", "train-synthetic-count-0",
@@ -325,11 +329,15 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
 @pytest.mark.parametrize("selection, message", [
     ("stop = threshold\nthreshold = 0.1\nmax_iters = 0", "max_iters must be >= 1, got 0"),
     ("eta = -1", "eta must be >= 0, got -1.0"),
+    ("eta = nan", "eta must be >= 0, got nan"),
+    ("eta = inf", "eta must be finite, got inf"),
+    ("stop = threshold\nthreshold = nan", "threshold must be >= 0, got nan"),
     ("threshold = 0.5",
      "[selection] threshold needs stop = threshold; stop = budget would ignore it"),
     ("stop = budget\nmax_iters = 3",
      "[selection] max_iters needs stop = threshold; stop = budget would ignore it"),
-], ids=["max-iters", "eta", "budget-threshold", "budget-max-iters"])
+], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-threshold",
+        "budget-max-iters"])
 def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"

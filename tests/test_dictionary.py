@@ -52,6 +52,14 @@ def _mapped_corpus(rng, count, res=BrdfResolution(8, 8, 8)):
     return mapped, ids, rm
 
 
+def _trained_bundle(rng, count, k, res=BrdfResolution(8, 8, 8)):
+    """The bundle train-dict trains from count random tensors."""
+    tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(count)]
+    rm = corpus_mask(tensors)
+    ids = [f"m{i}" for i in range(count)]
+    return train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, k)
+
+
 def test_assemble_shape_and_order(rng):
     res = BrdfResolution(8, 8, 8)
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.0) for _ in range(2)]
@@ -70,7 +78,7 @@ def test_assemble_shape_and_order(rng):
 def test_assemble_single_material(rng):
     mapped, ids, rm = _mapped_corpus(rng, 1)
     matrix = assemble_training_matrix(mapped, ids, rm)
-    assert matrix.n_signals == 3
+    assert matrix.entries.shape == (rm.n_valid, 3)
     assert matrix.labels == (("m0", "R"), ("m0", "G"), ("m0", "B"))
 
 
@@ -188,9 +196,8 @@ def test_pseudo_inverse_singular(rng):
 
 
 def test_bundle_roundtrip(tmp_path, rng):
-    mapped, ids, rm = _mapped_corpus(rng, 4)
-    matrix = assemble_training_matrix(mapped, ids, rm)
-    pca = train_pca(matrix, 5)
+    trained = _trained_bundle(rng, 4, 5)
+    pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     ref = ReferenceBrdf(np.full(rm.n_valid, 0.25))
     bundle = DictionaryBundle(pca, rm, ref, tuple(ids), config_hash="abc123")
     save_bundle(bundle, tmp_path / "bundle")
@@ -206,8 +213,8 @@ def test_bundle_roundtrip(tmp_path, rng):
 
 
 def _saved_bundle(rng, directory, count, k):
-    mapped, ids, rm = _mapped_corpus(rng, count)
-    pca = train_pca(assemble_training_matrix(mapped, ids, rm), k)
+    trained = _trained_bundle(rng, count, k)
+    pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)), tuple(ids))
     save_bundle(bundle, directory)
     return bundle
@@ -365,6 +372,25 @@ def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
         full_copy_train_pca(matrix, 6), rm, ref, tuple(ids)).digest
 
 
+@pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
+@pytest.mark.parametrize("statistic", ["median", "mean"])
+def test_stage_functions_match_train_bundle(rng, statistic, epsilon):
+    # the stage sequence the release criteria run gives the bundle train-dict
+    # trains, bit for bit and in the same memory order
+    tensors = [make_random_tensor(rng, invalid_frac=0.05) for _ in range(5)]
+    rm = corpus_mask(tensors)
+    ids = [f"m{i}" for i in range(5)]
+    ref = compute_reference(tensors, rm, epsilon, statistic)
+    matrix = assemble_training_matrix(
+        [log_relative_map(b, ref, rm) for b in tensors], ids, rm)
+    for k in (3, 5, 8):
+        bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, k,
+                              epsilon=epsilon, statistic=statistic)
+        assert bundle.reference.values.tobytes() == ref.values.tobytes()
+        assert bundle.reference.key == matrix.provenance == ref.key
+        _assert_pca_identical(train_pca(matrix, k), bundle.pca)
+
+
 def test_train_bundle_peak_memory_bounded(rng):
     # 12 materials of 32^3: the training matrix is ~9 MB, far above the
     # interpreter's own allocations during the call
@@ -394,8 +420,8 @@ def _tobytes_digest(bundle):
 
 
 def test_digest_matches_tobytes_formula(tmp_path, rng):
-    mapped, ids, rm = _mapped_corpus(rng, 4)
-    pca = train_pca(assemble_training_matrix(mapped, ids, rm), 5)
+    trained = _trained_bundle(rng, 4, 5)
+    pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)),
                               tuple(ids))
     # a strided atoms view exercises the contiguous copy
@@ -421,8 +447,8 @@ def test_train_bundle_rejects_other_resolution_and_empty_corpus(rng):
 
 @pytest.mark.parametrize("k", [6, 4, 1])
 def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
-    mapped, ids, rm = _mapped_corpus(rng, 4)
-    pca = train_pca(assemble_training_matrix(mapped, ids, rm), 6)
+    trained = _trained_bundle(rng, 4, 6)
+    pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     pca = PcaDictionary(pca.mean, pca.atoms, pca.coeffs,
                         np.concatenate([pca.sigma[:5], [0.0]]))
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)), tuple(ids))

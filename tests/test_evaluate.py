@@ -146,6 +146,12 @@ def test_brute_force_m_equals_n(rng):
     assert residual < 1e-10  # six generic columns span R^4
 
 
+@pytest.mark.parametrize("m", [0, 7])
+def test_brute_force_rejects_m_outside_1_to_n(m):
+    with pytest.raises(InvalidMError, match=rf"m={m} outside \[1, 6\]"):
+        brute_force_support(np.eye(6), np.ones((6, 2)), m)
+
+
 def test_brute_force_enumeration_guard():
     with pytest.raises(TooLargeError):
         brute_force_support(np.zeros((4, 300)), np.zeros((4, 2)), 5)

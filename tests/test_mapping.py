@@ -6,6 +6,7 @@ import pytest
 from sparsebrdf.errors import (
     EmptyCorpusError,
     InconsistentCorpusError,
+    InvalidSampleError,
     ProvenanceMismatchError,
     ShapeMismatchError,
 )
@@ -174,8 +175,23 @@ def test_map_rejects_other_resolution(rng, n):
     rm = corpus_mask(tensors)
     ref = compute_reference(tensors, rm)
     other = make_random_tensor(rng, res=BrdfResolution(n, n, n), invalid_frac=0.1)
-    with pytest.raises(ShapeMismatchError, match="BRDF has resolution .* the row map has"):
+    with pytest.raises(ShapeMismatchError, match="BRDF has resolution .* row map has"):
         log_relative_map(other, ref, rm)
+
+
+@pytest.mark.filterwarnings("error")
+def test_map_rejects_invalid_row_map_cell(rng):
+    # a tensor invalid at cells the row map holds is refused, naming the
+    # first such row, rather than mapped into NaNs
+    tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(2)]
+    rm = corpus_mask(tensors)
+    ref = compute_reference(tensors, rm)
+    mask = tensors[0].mask.copy()
+    mask[rm.grid_indices[[9, 4]]] = False
+    holey = BrdfTensor(RES, np.where(mask, tensors[0].values, -1.0), mask)
+    with pytest.raises(InvalidSampleError,
+                       match=rf"grid cell {rm.grid_indices[4]}, which support row 4 "):
+        log_relative_map(holey, ref, rm)
 
 
 def test_unmap_provenance_mismatch():

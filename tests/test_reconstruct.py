@@ -3,12 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsebrdf.dictionary import (
-    DictionaryBundle,
-    assemble_training_matrix,
-    train_bundle,
-    train_pca,
-)
+from sparsebrdf.dictionary import train_bundle
 from sparsebrdf.errors import (
     IndexOutOfRangeError,
     InvalidSampleError,
@@ -16,12 +11,7 @@ from sparsebrdf.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from sparsebrdf.mapping import (
-    MappedBrdf,
-    compute_reference,
-    log_relative_map,
-    log_relative_unmap,
-)
+from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap
 from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
 from sparsebrdf.reconstruct import (
     measure,
@@ -34,7 +24,7 @@ from sparsebrdf.somp import SampleBudget, SupportSet, somp_select
 from sparsebrdf.synthetic import gen_corpus
 
 from conftest import make_random_tensor
-from oracles import allocating_synthesize, zero_padded_reconstruct
+from oracles import allocating_log_relative_map, allocating_synthesize, zero_padded_reconstruct
 
 
 def ridge_gradient_descent(d_rows, b, eta, iters=200000, lr=None):
@@ -55,13 +45,9 @@ def ridge_gradient_descent(d_rows, b, eta, iters=200000, lr=None):
 def _trained_bundle(rng, count=6, k=4, res=BrdfResolution(8, 8, 8)):
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(count)]
     rm = corpus_mask(tensors)
-    ref = compute_reference(tensors, rm)
     ids = [f"m{i}" for i in range(count)]
-    mapped = [log_relative_map(b, ref, rm) for b in tensors]
-    matrix = assemble_training_matrix(mapped, ids, rm)
-    pca = train_pca(matrix, k)
-    bundle = DictionaryBundle(pca, rm, ref, tuple(ids))
-    return bundle, mapped
+    bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, k)
+    return bundle, [log_relative_map(b, bundle.reference, rm) for b in tensors]
 
 
 def test_measure_picks_rows_in_order():
@@ -87,7 +73,7 @@ def test_measure_brdf_matches_whole_tensor_map(support, rng):
             "random": [int(r) for r in rng.choice(n, size=11, replace=False)]}[support]
     for _, brdf in corpus[8:]:
         got = measure_brdf(brdf, SupportSet(indices=rows), bundle, material_id="x")
-        want = measure(log_relative_map(brdf, bundle.reference, bundle.row_map),
+        want = measure(allocating_log_relative_map(brdf, bundle.reference, bundle.row_map),
                        SupportSet(indices=rows), material_id="x")
         assert got.values.tobytes() == want.values.tobytes()
         assert (got.provenance, got.material_id) == (want.provenance, want.material_id)
@@ -347,15 +333,11 @@ def test_reconstruct_full_merl_resolution():
     # measurement-grade resolution: ~1.1M valid rows, chunked scans engaged
     res = BrdfResolution(90, 90, 180)
     corpus = gen_corpus(3, 3, res)
-    tensors = [b for _, b in corpus]
-    rm = corpus_mask(tensors)
-    ref = compute_reference(tensors, rm)
-    ids = [s.material_id for s, _ in corpus]
-    mapped = [log_relative_map(b, ref, rm) for b in tensors]
-    matrix = assemble_training_matrix(mapped, ids, rm)
-    bundle = DictionaryBundle(train_pca(matrix, 6), rm, ref, tuple(ids))
+    rm = corpus_mask(b for _, b in corpus)
+    bundle = train_bundle(*corpus_matrix([(s.material_id, b) for s, b in corpus], rm),
+                          rm, 6)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(6))
-    result = reconstruct_full(measure(mapped[0], support), bundle)
+    result = reconstruct_full(measure_brdf(corpus[0][1], support, bundle), bundle)
     assert result.tensor.values.shape == (3, 90 * 90 * 180)
     assert result.tensor.resolution == res
 
