@@ -188,20 +188,24 @@ def cmd_reconstruct(args) -> int:
 _INI_OPTIONS = {
     ("mapping", "epsilon"): ("epsilon", "getfloat"),
     ("mapping", "statistic"): ("reference_statistic", "get"),
-    ("dictionary", "k_policy"): ("k_policy", "get"),
     ("dictionary", "k_fixed"): ("k_fixed", "getint"),
     ("selection", "eta"): ("eta", "getfloat"),
+    ("selection", "threshold"): ("stop_threshold", "getfloat"),
+    ("selection", "max_iters"): ("stop_max_iters", "getint"),
     ("selection", "normalize_atoms"): ("normalize_atoms", "getboolean"),
     ("experiment", "folds"): ("folds", "getint"),
     ("experiment", "seed"): ("seed", "getint"),
     ("experiment", "random_trials"): ("random_trials", "getint"),
     ("output", "dir"): ("_out_dir", "get"),
 }
+# the [corpus] keys each source reads, beside source itself
+_CORPUS_KEYS = {"directory": ("path",), "synthetic": ("seed", "count", "res")}
 # every (section, key) an INI file may hold
 _INI_KEYS = {
     *_INI_OPTIONS,
-    *(("corpus", key) for key in ("source", "path", "seed", "count", "res")),
-    *(("selection", key) for key in ("m", "stop", "threshold", "max_iters")),
+    ("corpus", "source"),
+    *(("corpus", key) for keys in _CORPUS_KEYS.values() for key in keys),
+    ("selection", "m"),
 }
 
 
@@ -231,34 +235,27 @@ def _read_ini(path: Path) -> dict:
 
     if parser.has_section("corpus"):
         source = get("corpus", "source", fallback="synthetic")
+        if source not in _CORPUS_KEYS:
+            raise ConfigError(f"unknown corpus source {source!r}")
+        for key in parser["corpus"]:
+            if key != "source" and key not in _CORPUS_KEYS[source]:
+                other = next(name for name, keys in _CORPUS_KEYS.items() if key in keys)
+                raise ConfigError(f"[corpus] {key} needs source = {other}; "
+                                  f"source = {source} would ignore it")
         if source == "directory":
             raw["corpus_dir"] = get("corpus", "path")
             raw["synthetic"] = None
-        elif source == "synthetic":
+        else:
             raw["synthetic"] = ev.SyntheticCorpusSpec(
                 seed=parser.getint("corpus", "seed", fallback=42),
                 count=parser.getint("corpus", "count", fallback=50),
                 resolution=_parse_res(get("corpus", "res", fallback="16")),
             )
-        else:
-            raise ConfigError(f"unknown corpus source {source!r}")
     for (section, key), (name, getter) in _INI_OPTIONS.items():
         if parser.has_option(section, key):
             raw[name] = getattr(parser, getter)(section, key)
     if parser.has_option("selection", "m"):
         raw["m_values"] = tuple(_int_list(get("selection", "m"), "m"))
-    stop = get("selection", "stop", fallback="budget")
-    if stop == "threshold":
-        raw["stop_threshold"] = parser.getfloat("selection", "threshold")
-        if parser.has_option("selection", "max_iters"):
-            raw["stop_max_iters"] = parser.getint("selection", "max_iters")
-    elif stop != "budget":
-        raise ConfigError(f"unknown stop rule {stop!r}")
-    else:
-        for key in ("threshold", "max_iters"):
-            if parser.has_option("selection", key):
-                raise ConfigError(f"[selection] {key} needs stop = threshold; "
-                                  "stop = budget would ignore it")
     return raw
 
 
@@ -272,6 +269,8 @@ def cmd_evaluate(args) -> int:
             raw[key] = getattr(args, key)
     if args.m is not None:
         raw["m_values"] = tuple(_int_list(args.m, "--m"))
+    if "m_values" in raw and "stop_threshold" in raw:
+        raise ConfigError("m and threshold are two stop rules for one run; set one")
     report = ev.run_experiment(ev.ExperimentConfig(**raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_jsonl(out_dir / "report.jsonl")

@@ -16,11 +16,14 @@ sub-streams, so identical configs reproduce identical reports.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import itertools
 import json
 import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -161,8 +164,9 @@ class ExperimentConfig:
 
     Selection runs in budget mode (one support per entry of m_values) unless
     stop_threshold is set, in which case a single support is grown per fold
-    until the training residual drops below the threshold.  Threshold mode
-    needs a fixed atom count since there is no m to couple k to.
+    until the training residual drops below the threshold.  The atom count is
+    k_fixed when set, else each m; threshold mode needs k_fixed, since there
+    is no m to couple k to.
     """
 
     corpus_dir: str | None = None
@@ -170,7 +174,6 @@ class ExperimentConfig:
     epsilon: float = DEFAULT_EPSILON
     reference_statistic: str = "median"
     m_values: tuple = (5, 10, 20)
-    k_policy: str = "coupled"  # "coupled": k = m; "fixed": k = k_fixed
     k_fixed: int | None = None
     eta: float = DEFAULT_ETA
     stop_threshold: float | None = None
@@ -184,18 +187,11 @@ class ExperimentConfig:
         if (self.corpus_dir is None) == (self.synthetic is None):
             raise ConfigError("exactly one corpus source must be set")
         check_mapping(self.epsilon, self.reference_statistic)
-        if self.k_policy not in ("coupled", "fixed"):
-            raise ConfigError(f"unknown k policy {self.k_policy!r}")
-        if self.k_policy == "fixed":
-            if self.k_fixed is None or self.k_fixed < 1:
-                raise ConfigError(
-                    f"fixed k policy requires k_fixed >= 1, got {self.k_fixed}")
-        elif self.k_fixed is not None:
-            raise ConfigError(
-                "k_fixed needs k_policy = fixed; the coupled policy sets k = m")
+        if self.k_fixed is not None and self.k_fixed < 1:
+            raise ConfigError(f"k_fixed must be >= 1, got {self.k_fixed}")
         if self.stop_threshold is not None:
-            if self.k_policy != "fixed":
-                raise ConfigError("threshold stopping requires the fixed k policy")
+            if self.k_fixed is None:
+                raise ConfigError("threshold stopping requires k_fixed")
             ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
         elif self.stop_max_iters is not None:
             raise ConfigError("stop_max_iters needs stop_threshold; a budget "
@@ -204,7 +200,7 @@ class ExperimentConfig:
             SampleBudget(m)  # rejects m < 1
         if not self.m_values and self.stop_threshold is None:
             raise ConfigError("at least one sample count required")
-        if self.k_policy == "fixed" and self.stop_threshold is None:
+        if self.k_fixed is not None and self.stop_threshold is None:
             if any(m > self.k_fixed for m in self.m_values):
                 raise ConfigError(
                     "the greedy selector cannot pick more samples than atoms; "
@@ -215,7 +211,7 @@ class ExperimentConfig:
             raise ConfigError("need folds >= 2 and random_trials >= 0")
 
     def k_for(self, m: int) -> int:
-        return m if self.k_policy == "coupled" else int(self.k_fixed)
+        return m if self.k_fixed is None else self.k_fixed
 
     def snapshot(self) -> dict:
         """Every field, in JSON-serializable form."""
@@ -349,6 +345,44 @@ _CANCELLATION = 1e-8
 _UNMAP_LIMIT = float(np.log(np.finfo(np.float64).max)) - 1.0
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
+    or None when numpy links another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        if hasattr(handle, "scipy_openblas_set_num_threads64_"):
+            get = handle.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put = handle.scipy_openblas_set_num_threads64_
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread.
+
+    OpenBLAS splits a product with a long inner dimension across its threads
+    along that dimension, so the product's sums, and the reports scored from
+    them, would depend on the thread count.  evaluate calls BLAS from one
+    thread, so setting the library's global count is safe.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 class _HeldOut:
     """A fold's held-out materials, prepared for closed-form scoring.
 
@@ -377,8 +411,10 @@ class _HeldOut:
         self.signal = np.sum((x * x).reshape(materials, -1), axis=1)
         self.centred = x - pca.mean
         self.energy = np.sum(self.centred * self.centred, axis=1)
-        self.projections = self.centred @ pca.atoms  # (3M, k_max)
-        self.gram = pca.atoms.T @ pca.atoms
+        # both products sum over the n grid rows
+        with _one_blas_thread():
+            self.projections = self.centred @ pca.atoms  # (3M, k_max)
+            self.gram = pca.atoms.T @ pca.atoms
         # unmap exponentiates a reconstruction's mapped value plus
         # log(reference + epsilon); that is at most mean_peak + |s| . atom_peak
         self.mean_peak = float(pca.mean.max()) + float(

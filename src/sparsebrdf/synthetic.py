@@ -7,7 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterRangeError
-from .merl import INVALID_SENTINEL, BrdfResolution, BrdfTensor, bin_center_angles
+from .merl import (
+    INVALID_SENTINEL,
+    MERL_SCALES,
+    BrdfResolution,
+    BrdfTensor,
+    bin_center_angles,
+)
 
 MODELS = ("lambertian", "blinn-phong", "ggx")
 
@@ -93,7 +99,9 @@ def gen_brdf(spec: MaterialSpec, res: BrdfResolution) -> BrdfTensor:
 
     Bins whose reconstructed incident or outgoing direction dips below the
     horizon are masked invalid, so masking code paths see the same structure
-    as measured data.  The mask depends only on the resolution.
+    as measured data.  The mask depends only on the resolution.  Each value
+    is one a MERL file can hold, as read_merl reads it back, so a written
+    corpus evaluates exactly as the generated one.
     """
     theta_h, theta_d, phi_d = bin_center_angles(res)
     wi, wo = halfdiff_to_io(theta_h, theta_d, phi_d)
@@ -105,7 +113,8 @@ def gen_brdf(spec: MaterialSpec, res: BrdfResolution) -> BrdfTensor:
     vals = _eval_channels(
         spec, theta_h[mask], theta_d[mask], cos_i[mask], cos_o[mask]
     )
-    values[:, mask] = np.maximum(vals, 0.0)
+    scale = MERL_SCALES[:, None]
+    values[:, mask] = np.maximum(vals, 0.0) / scale * scale
     return BrdfTensor(res, values, mask)
 
 

@@ -1,7 +1,10 @@
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparsebrdf
 from sparsebrdf.cli import main
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
 from sparsebrdf.evaluate import load_corpus
@@ -326,25 +330,27 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("selection, message", [
-    ("stop = threshold\nthreshold = 0.1\nmax_iters = 0", "max_iters must be >= 1, got 0"),
-    ("eta = -1", "eta must be >= 0, got -1.0"),
-    ("eta = nan", "eta must be >= 0, got nan"),
-    ("eta = inf", "eta must be finite, got inf"),
-    ("stop = threshold\nthreshold = nan", "threshold must be >= 0, got nan"),
-    ("threshold = 0.5",
-     "[selection] threshold needs stop = threshold; stop = budget would ignore it"),
-    ("stop = budget\nmax_iters = 3",
-     "[selection] max_iters needs stop = threshold; stop = budget would ignore it"),
-], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-threshold",
-        "budget-max-iters"])
-def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
+@pytest.mark.parametrize("selection, flags, message", [
+    ("threshold = 0.1\nmax_iters = 0", [], "max_iters must be >= 1, got 0"),
+    ("m = 3\neta = -1", [], "eta must be >= 0, got -1.0"),
+    ("m = 3\neta = nan", [], "eta must be >= 0, got nan"),
+    ("m = 3\neta = inf", [], "eta must be finite, got inf"),
+    ("threshold = nan", [], "threshold must be >= 0, got nan"),
+    ("m = 3\nmax_iters = 3", [],
+     "stop_max_iters needs stop_threshold; a budget selection would ignore it"),
+    ("m = 3\nthreshold = 0.5", [],
+     "m and threshold are two stop rules for one run; set one"),
+    ("threshold = 0.5", ["--m", "3"],
+     "m and threshold are two stop rules for one run; set one"),
+], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-max-iters",
+        "m-threshold", "flag-m-threshold"])
+def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
-                   "[dictionary]\nk_policy = fixed\nk_fixed = 4\n\n"
-                   f"[selection]\nm = 3\n{selection}\n")
+                   "[dictionary]\nk_fixed = 4\n\n"
+                   f"[selection]\n{selection}\n")
     code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
-                             "--out", str(tmp_path / "out"))
+                             "--out", str(tmp_path / "out"), *flags)
     assert code == 3 and out == ""
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -358,7 +364,12 @@ def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys)
      "corpus count must be >= 1, got 0"),
     ("[corpus]\nsource = synthetic\ncount = 9\nres = 0",
      "resolution counts must be >= 1, got '0'"),
-], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0"])
+    ("[corpus]\npath = /does/not/exist\ncount = 9\nres = 8",
+     "[corpus] path needs source = directory; source = synthetic would ignore it"),
+    ("[corpus]\nsource = directory\npath = /does/not/exist\ncount = 500\nseed = 99",
+     "[corpus] count needs source = synthetic; source = directory would ignore it"),
+], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0",
+        "synthetic-path", "directory-count"])
 def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     if "[corpus]" not in sections:
@@ -372,10 +383,9 @@ def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, 
 
 
 @pytest.mark.parametrize("dictionary, message", [
-    ("k_fixed = 4", "k_fixed needs k_policy = fixed"),
-    ("k_policy = fixed\nk_fixed = 0", "fixed k policy requires k_fixed >= 1, got 0"),
-    ("k_policy = fixed\nk_fixed = -3", "fixed k policy requires k_fixed >= 1, got -3"),
-], ids=["coupled-k-fixed", "fixed-k-0", "fixed-k-neg"])
+    ("k_fixed = 0", "k_fixed must be >= 1, got 0"),
+    ("k_fixed = -3", "k_fixed must be >= 1, got -3"),
+], ids=["fixed-k-0", "fixed-k-neg"])
 def test_bad_ini_dictionary_is_config_error(dictionary, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
@@ -486,8 +496,11 @@ def test_non_numeric_ini_value_is_config_error(section, key, value, tmp_path, ca
     ("[experimnt]\nfolds = 3\n", "unknown section [experimnt]"),
     ("[selection]\netaa = 5\n", "unknown key 'etaa' in [selection]"),
     ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
-    ("[selection]\nstop = thresold\n", "unknown stop rule 'thresold'"),
-], ids=["section", "key", "default-section", "stop-rule"])
+    ("[dictionary]\nk_policy = fixed\nk_fixed = 4\n",
+     "unknown key 'k_policy' in [dictionary]"),
+    ("[selection]\nstop = threshold\nthreshold = 0.5\n",
+     "unknown key 'stop' in [selection]"),
+], ids=["section", "key", "default-section", "k-policy", "stop"])
 def test_unknown_ini_entry_is_config_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
@@ -514,20 +527,73 @@ def test_evaluate_directory_corpus_from_config(corpus_dir, tmp_path, capsys):
     assert materials == {p.stem for p in corpus_dir.glob("*.binary")}
 
 
+def _evaluate_outputs(out):
+    """summary.json and series.csv bytes, and the report records without
+    their timing fields."""
+    records = [json.loads(line)
+               for line in (out / "report.jsonl").read_text().splitlines()]
+    for record in records:
+        record.pop("seconds", None)
+    return ((out / "summary.json").read_bytes(), (out / "series.csv").read_bytes(),
+            records)
+
+
+def test_directory_corpus_evaluates_as_its_synthetic_spec(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "gen-corpus", "--seed", "42", "--count", "12",
+                         "--res", "8", "--out", str(tmp_path / "corpus"))
+    assert code == 0
+    common = "[selection]\nm = 3,5\n\n[experiment]\nfolds = 3\nrandom_trials = 2\n"
+    sources = {"dir": f"source = directory\npath = {tmp_path / 'corpus'}",
+               "syn": "source = synthetic\nseed = 42\ncount = 12\nres = 8"}
+    outputs = {}
+    for name, corpus in sources.items():
+        (tmp_path / f"{name}.ini").write_text(f"[corpus]\n{corpus}\n\n{common}")
+        code, _, err = run_cli(capsys, "evaluate", "--config",
+                               str(tmp_path / f"{name}.ini"), "--out", str(tmp_path / name))
+        assert code == 0, err
+        summary, series, records = _evaluate_outputs(tmp_path / name)
+        assert records[0]["record"] == "config"
+        outputs[name] = summary, series, records[1:]
+    assert outputs["dir"] == outputs["syn"]
+
+
+def test_evaluate_is_the_same_at_any_blas_thread_count(tmp_path, capsys):
+    # the criterion-3 config read from files: its held-out products are
+    # large enough that OpenBLAS splits them across threads
+    code, _, _ = run_cli(capsys, "gen-corpus", "--seed", "42", "--count", "50",
+                         "--res", "16", "--out", str(tmp_path / "corpus"))
+    assert code == 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[corpus]\nsource = directory\npath = {tmp_path / 'corpus'}\n")
+    src = str(Path(sparsebrdf.__file__).resolve().parents[1])
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-m", "sparsebrdf", "evaluate",
+                              "--config", str(cfg), "--out", str(out)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(_evaluate_outputs(out))
+    assert outputs[0] == outputs[1]
+
+
 def test_evaluate_empty_threshold_support_is_config_error(tmp_path, capsys):
     # the coefficients' rows are orthonormal: the initial residual is sqrt(k) = 2
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
-                   "[dictionary]\nk_policy = fixed\nk_fixed = 4\n\n"
-                   "[selection]\nstop = threshold\nthreshold = 2.5\n\n"
+                   "[dictionary]\nk_fixed = 4\n\n"
+                   "[selection]\nthreshold = 2.5\n\n"
                    "[experiment]\nfolds = 3\n")
     code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
                              "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert re.fullmatch(r"config error: threshold 2\.5 is at or above the initial "
-                        r"residual 2\.0\d*: no sample was selected", lines[0])
+    match = re.fullmatch(r"config error: threshold 2\.5 is at or above the initial "
+                         r"residual (\S+): no sample was selected", lines[0])
+    assert match and abs(float(match[1]) - 2.0) <= 1e-12
     assert not (tmp_path / "out").exists()
 
 

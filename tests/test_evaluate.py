@@ -289,7 +289,6 @@ def test_experiment_threshold_stopping():
         synthetic=SyntheticCorpusSpec(seed=5, count=12,
                                       resolution=BrdfResolution(8, 8, 8)),
         m_values=(),
-        k_policy="fixed",
         k_fixed=6,
         stop_threshold=1e-6,
         folds=3,
@@ -356,11 +355,10 @@ def _lambertian_corpus(directory):
 _R8 = SyntheticCorpusSpec(seed=5, count=12, resolution=BrdfResolution(8, 8, 8))
 _ORACLE_CONFIGS = {
     "coupled": SMALL_CONFIG,
-    "fixed-k": ExperimentConfig(synthetic=_R8, m_values=(2, 4), k_policy="fixed",
-                                k_fixed=6, folds=3, seed=4, random_trials=2),
-    "threshold": ExperimentConfig(synthetic=_R8, m_values=(), k_policy="fixed",
-                                  k_fixed=6, stop_threshold=1e-6, folds=3, seed=9,
-                                  random_trials=2),
+    "fixed-k": ExperimentConfig(synthetic=_R8, m_values=(2, 4), k_fixed=6, folds=3,
+                                seed=4, random_trials=2),
+    "threshold": ExperimentConfig(synthetic=_R8, m_values=(), k_fixed=6,
+                                  stop_threshold=1e-6, folds=3, seed=9, random_trials=2),
     "normalize-atoms": ExperimentConfig(synthetic=_R8, m_values=(3, 5),
                                         normalize_atoms=True, folds=3, seed=2,
                                         random_trials=2),
