@@ -269,8 +269,6 @@ def cmd_evaluate(args) -> int:
             raw[key] = getattr(args, key)
     if args.m is not None:
         raw["m_values"] = tuple(_int_list(args.m, "--m"))
-    if "m_values" in raw and "stop_threshold" in raw:
-        raise ConfigError("m and threshold are two stop rules for one run; set one")
     report = ev.run_experiment(ev.ExperimentConfig(**raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_jsonl(out_dir / "report.jsonl")

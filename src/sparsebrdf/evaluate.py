@@ -40,7 +40,7 @@ from .errors import (
     TooLargeError,
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
-from .merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, read_merl_mask
+from .merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl_mask
 from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
@@ -162,18 +162,19 @@ class SyntheticCorpusSpec:
 class ExperimentConfig:
     """Full description of one evaluation run; hashable into artifacts.
 
-    Selection runs in budget mode (one support per entry of m_values) unless
-    stop_threshold is set, in which case a single support is grown per fold
-    until the training residual drops below the threshold.  The atom count is
-    k_fixed when set, else each m; threshold mode needs k_fixed, since there
-    is no m to couple k to.
+    Selection runs in budget mode (one support per entry of m_values,
+    (5, 10, 20) unless set) unless stop_threshold is set, in which case a
+    single support is grown per fold until the training residual drops below
+    the threshold, and m_values stays empty.  The atom count is k_fixed when
+    set, else each m; threshold mode needs k_fixed, since there is no m to
+    couple k to.
     """
 
     corpus_dir: str | None = None
     synthetic: SyntheticCorpusSpec | None = field(default_factory=SyntheticCorpusSpec)
     epsilon: float = DEFAULT_EPSILON
     reference_statistic: str = "median"
-    m_values: tuple = (5, 10, 20)
+    m_values: tuple | None = None
     k_fixed: int | None = None
     eta: float = DEFAULT_ETA
     stop_threshold: float | None = None
@@ -190,12 +191,17 @@ class ExperimentConfig:
         if self.k_fixed is not None and self.k_fixed < 1:
             raise ConfigError(f"k_fixed must be >= 1, got {self.k_fixed}")
         if self.stop_threshold is not None:
+            if self.m_values:
+                raise ConfigError("m and threshold are two stop rules for one run; set one")
             if self.k_fixed is None:
                 raise ConfigError("threshold stopping requires k_fixed")
             ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
+            object.__setattr__(self, "m_values", ())
         elif self.stop_max_iters is not None:
             raise ConfigError("stop_max_iters needs stop_threshold; a budget "
                               "selection would ignore it")
+        elif self.m_values is None:
+            object.__setattr__(self, "m_values", (5, 10, 20))
         for m in self.m_values:
             SampleBudget(m)  # rejects m < 1
         if not self.m_values and self.stop_threshold is None:
@@ -287,35 +293,21 @@ class ExperimentReport:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-class MerlFiles:
-    """The .binary files of a corpus directory in name order, as
-    (material_id, BrdfTensor) pairs read one file at a time as they are
-    iterated."""
-
-    def __init__(self, corpus_dir):
-        self.paths = sorted(Path(corpus_dir).glob("*.binary"))
-        if not self.paths:
-            raise ConfigError(f"no .binary MERL files under {corpus_dir}")
-
-    def __len__(self) -> int:
-        return len(self.paths)
-
-    def __iter__(self):
-        return ((p.stem, read_merl(p)) for p in self.paths)
-
-
 def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
-    """The corpus as (material_id, BrdfTensor) pairs, and its corpus_mask:
-    generated from the synthetic spec if one is given, else the MerlFiles of
-    corpus_dir, masked by a pass that holds no tensor."""
+    """The corpus as (material_id, source) pairs for corpus_matrix, and its
+    corpus_mask: BrdfTensors generated from the synthetic spec if one is
+    given, else the .binary files of corpus_dir in name order, masked by a
+    pass that holds no tensor."""
     if synthetic is not None:
         corpus = [
             (s.material_id, b)
             for s, b in gen_corpus(synthetic.seed, synthetic.count, synthetic.resolution)
         ]
         return corpus, corpus_mask(b for _, b in corpus)
-    files = MerlFiles(corpus_dir)
-    return files, corpus_mask(read_merl_mask(p) for p in files.paths)
+    paths = sorted(Path(corpus_dir).glob("*.binary"))
+    if not paths:
+        raise ConfigError(f"no .binary MERL files under {corpus_dir}")
+    return [(p.stem, p) for p in paths], corpus_mask(read_merl_mask(p) for p in paths)
 
 
 def _metrics(mse: float, snr: float) -> dict:

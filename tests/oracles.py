@@ -36,6 +36,7 @@ from sparsebrdf.merl import (
     BrdfTensor,
     RowMap,
     corpus_mask,
+    read_merl,
 )
 import sparsebrdf.somp as somp
 from sparsebrdf.reconstruct import MeasurementVector, ridge_solve
@@ -300,7 +301,29 @@ def allocating_read_merl(path) -> BrdfTensor:
     values[:, ~mask] = np.where(
         stored[:, ~mask] < 0.0, stored[:, ~mask], INVALID_SENTINEL
     )
+    if np.isposinf(values[:, mask]).any():
+        raise MerlFormatError(f"{path}: valid cells must hold finite nonnegative reflectance")
     return BrdfTensor(res, values, mask)
+
+
+def per_material_corpus_matrix(corpus, row_map: RowMap) -> tuple:
+    """corpus_matrix as a fill of each material's 3 strided columns from its
+    read_merl tensor, a file read only when its material's turn comes."""
+    if not len(corpus):
+        raise EmptyCorpusError("corpus holds no material")
+    entries = np.empty((row_map.n_valid, 3 * len(corpus)))
+    ids = []
+    for i, (mid, brdf) in enumerate(corpus):
+        if not isinstance(brdf, BrdfTensor):
+            brdf = read_merl(brdf)
+        if brdf.resolution != row_map.resolution:
+            raise InconsistentCorpusError(
+                f"BRDF {mid} has resolution {brdf.resolution}, "
+                f"row map has {row_map.resolution}"
+            )
+        entries[:, 3 * i:3 * i + 3] = brdf.values[:, row_map.grid_indices].T
+        ids.append(mid)
+    return entries, ids
 
 
 def allocating_log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf,
@@ -381,7 +404,7 @@ def tensor_dict_experiment(config: evaluate.ExperimentConfig) -> tuple:
     fresh matrix, and maps each held-out tensor whole with log_relative_map
     into an array of its own, which the direct path reads."""
     corpus, _ = evaluate.load_corpus(config.corpus_dir, config.synthetic)
-    tensors = dict(corpus)
+    tensors = {mid: s if isinstance(s, BrdfTensor) else read_merl(s) for mid, s in corpus}
     ids = list(tensors)
     row_map = corpus_mask(tensors.values())
     plan = evaluate.kfold_split(

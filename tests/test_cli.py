@@ -900,12 +900,24 @@ def _write_truncated(path, dims, doubles):
         np.zeros(doubles).tofile(fh)
 
 
-_CORPUS_FAULTS = ["truncated", "mixed", "mixed-then-truncated"]
+_CORPUS_FAULTS = ["truncated", "mixed", "mixed-then-truncated", "posinf"]
 
 
 def _faulty_corpus(tmp_path, rng, fault):
     """A corpus directory holding the fault, and the one line it must give."""
     corpus = _write_corpus(tmp_path / "corpus", rng, 3, BrdfResolution(8, 8, 8))
+    if fault == "posinf":
+        # +inf at a cell valid in m01 but outside the corpus intersection
+        path = corpus / "m01.binary"
+        stored = np.fromfile(path, dtype="<f8", offset=12).reshape(3, -1)
+        cell = np.flatnonzero((stored >= 0.0).all(axis=0)
+                              & ~read_merl(corpus / "m00.binary").mask)[0]
+        stored[1, cell] = np.inf
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<3i", 8, 8, 8))
+            stored.tofile(fh)
+        return corpus, (f"error: MerlFormatError: {path}: "
+                        "valid cells must hold finite nonnegative reflectance\n")
     if fault != "truncated":
         write_merl(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)),
                    corpus / "m01.binary")

@@ -306,8 +306,20 @@ def test_experiment_threshold_stopping():
 def test_threshold_mode_requires_fixed_k():
     import dataclasses
 
-    with pytest.raises(Exception):
-        dataclasses.replace(SMALL_CONFIG, stop_threshold=1e-3)
+    with pytest.raises(ConfigError, match="threshold stopping requires k_fixed"):
+        dataclasses.replace(SMALL_CONFIG, m_values=(), stop_threshold=1e-3)
+
+
+def test_m_values_default_follows_the_stop_rule():
+    import dataclasses
+
+    spec = SyntheticCorpusSpec(seed=5, count=12, resolution=BrdfResolution(8, 8, 8))
+    assert ExperimentConfig(synthetic=spec).snapshot()["m_values"] == [5, 10, 20]
+    threshold = ExperimentConfig(synthetic=spec, k_fixed=6, stop_threshold=1e-3)
+    assert threshold.snapshot()["m_values"] == []
+    assert dataclasses.replace(threshold, seed=1).m_values == ()
+    with pytest.raises(ConfigError, match="two stop rules for one run"):
+        ExperimentConfig(synthetic=spec, m_values=(3,), k_fixed=6, stop_threshold=1e-3)
 
 
 def test_max_iters_without_threshold_is_config_error():

@@ -6,13 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebrdf.errors import DomainError, EmptyMaskError, MerlFormatError
+from sparsebrdf.errors import (
+    DomainError,
+    EmptyMaskError,
+    IndexOutOfRangeError,
+    MerlFormatError,
+)
+from sparsebrdf.evaluate import load_corpus
 from sparsebrdf.merl import (
     MERL_SCALES,
     BrdfResolution,
     BrdfTensor,
     HalfAngleDirection,
+    RowMap,
     corpus_mask,
+    corpus_matrix,
     direction_to_index,
     index_to_direction,
     read_merl,
@@ -25,6 +33,7 @@ from oracles import (
     allocating_read_merl,
     gathering_tensor_check,
     per_channel_write_merl,
+    per_material_corpus_matrix,
     row_of_grid,
     validity_mask,
 )
@@ -112,6 +121,7 @@ def test_read_merl_matches_allocating_reader(tmp_path, rng, posinf):
                 reader(path)
             messages.append(str(exc.value))
         assert messages[0] == messages[1]
+        assert messages[0] == f"{path}: valid cells must hold finite nonnegative reflectance"
         return
     brdf, oracle = read_merl(path), allocating_read_merl(path)
     assert brdf.resolution == oracle.resolution
@@ -446,3 +456,54 @@ def test_tensor_checks_all_valid_and_all_invalid(mask_fill):
                else "invalid cells must hold negative sentinels")
     with pytest.raises(MerlFormatError, match=f"^{message}$"):
         BrdfTensor(RES8, bad, mask)
+
+
+# stored doubles read_merl treats apart: NaN and -inf mark a cell invalid,
+# +inf is an error at a valid cell only, -0.0 is valid
+_EDGE_DOUBLES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300, -1.0, 5e-324]
+
+
+def _outcome(fill):
+    try:
+        entries, ids = fill()
+    except MerlFormatError as exc:
+        return type(exc), str(exc)
+    return entries.tobytes(), ids
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.tuples(*[st.integers(1, 4)] * 3),
+       t=st.integers(1, 9), edges=st.integers(0, 6))
+def test_file_corpus_matrix_matches_per_material_oracle(seed, dims, t, edges):
+    """t runs over 1, multiples of the group size and the rest; each file
+    gets edge doubles at random cells and channels, so a cell may be invalid
+    in one channel only, and a +inf may sit at a valid or an invalid cell,
+    inside the corpus intersection or outside it."""
+    import tempfile
+    from pathlib import Path
+
+    rng = np.random.default_rng(seed)
+    n = BrdfResolution(*dims).grid_size
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(t):
+            stored = rng.uniform(0.0, 1500.0, size=(3, n))
+            cells = rng.integers(0, n, size=edges)
+            stored[rng.integers(0, 3, size=edges), cells] = rng.choice(_EDGE_DOUBLES, edges)
+            _write_raw(Path(tmp) / f"m{i}.binary", dims, stored.ravel())
+        try:
+            corpus, rm = load_corpus(tmp, None)
+        except EmptyMaskError:
+            return
+        got = _outcome(lambda: corpus_matrix(corpus, rm))
+        assert got == _outcome(lambda: per_material_corpus_matrix(corpus, rm))
+        if isinstance(got[0], bytes):  # the tensors fill as their files do
+            tensors = [(mid, read_merl(path)) for mid, path in corpus]
+            assert _outcome(lambda: corpus_matrix(tensors, rm)) == got
+
+
+def test_corpus_matrix_rejects_cells_outside_the_grid(rng):
+    brdf = make_random_tensor(rng)
+    for cells in ([0, RES8.grid_size], [-1, 3]):
+        rm = RowMap(RES8, np.array(cells, dtype=np.int64))
+        with pytest.raises(IndexOutOfRangeError, match="outside the 512-cell grid"):
+            corpus_matrix([("a", brdf)], rm)
