@@ -27,7 +27,7 @@ from . import evaluate as ev
 from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
 from .mapping import DEFAULT_EPSILON, check_mapping
-from .merl import BrdfResolution, corpus_matrix, read_merl, write_merl
+from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
 from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, reconstruct_full
 from .somp import (
     SUPPORT_RECORD_VERSION,
@@ -164,8 +164,8 @@ def cmd_reconstruct(args) -> int:
             f"support record was computed against bundle {record['bundle_digest']}, "
             f"got {bundle.digest}"
         )
-    # the measured tensor is freed before reconstruction
-    samples = measure_brdf(read_merl(args.brdf), SupportSet(indices=record["rows"]),
+    # the whole file is checked, but only the support's cells are read
+    samples = measure_brdf(open_merl(args.brdf), SupportSet(indices=record["rows"]),
                            bundle, material_id=Path(args.brdf).stem)
     result = reconstruct_full(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")

@@ -11,10 +11,12 @@ directly.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import mmap
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -217,17 +219,29 @@ class DictionaryBundle:
 
     @cached_property
     def digest(self) -> str:
-        """Content hash of the arrays; computed once per bundle object."""
-        h = hashlib.sha256()
-        for arr in (
+        """Content hash of the arrays; computed once per bundle object.
+
+        Each array is cut into chunks of about _DIGEST_CHUNK_BYTES of
+        C-order rows, and the chunks are hashed with SHA-256 on
+        _DIGEST_WORKERS threads.  The digest is SHA-256 over each array's
+        shape followed by its chunk digests, then epsilon.  Chunk bounds
+        depend only on shapes, so the digest does not depend on the thread
+        count, and a strided array is copied one chunk at a time."""
+        arrays = (
             self.pca.mean,
             self.pca.atoms,
             self.pca.coeffs,
             self.pca.sigma,
             self.row_map.grid_indices,
             self.reference.values,
-        ):
-            h.update(np.ascontiguousarray(arr))
+        )
+        chunks = [_row_chunks(arr) for arr in arrays]
+        h = hashlib.sha256()
+        with ThreadPoolExecutor(_DIGEST_WORKERS) as pool:
+            digests = pool.map(_chunk_digest, itertools.chain.from_iterable(chunks))
+            for arr, parts in zip(arrays, chunks):
+                h.update(np.array(arr.shape, dtype="<i8"))
+                h.update(b"".join(itertools.islice(digests, len(parts))))
         h.update(np.float64(self.reference.epsilon).tobytes())
         return h.hexdigest()[:16]
 
@@ -236,6 +250,27 @@ class DictionaryBundle:
         reconstructed with, in either stop mode: the m leading atoms when
         m <= k, all k atoms otherwise."""
         return replace(self, pca=self.pca.truncate(m)) if m < self.pca.n_atoms else self
+
+
+# C-order bytes per digest chunk: small enough that the chunk copies of a
+# strided truncation stay a few MiB at most, large enough that a chunk's
+# hash outweighs its task
+_DIGEST_CHUNK_BYTES = 1 << 20
+# one digest thread per CPU this process may run on; hashlib releases the
+# GIL while it hashes a chunk
+_DIGEST_WORKERS = len(os.sched_getaffinity(0))
+
+
+def _row_chunks(arr: np.ndarray) -> list:
+    """Views of arr's consecutive row blocks, each about _DIGEST_CHUNK_BYTES
+    of C-order bytes and at least one row."""
+    row_bytes = arr.itemsize * math.prod(arr.shape[1:])
+    step = max(1, _DIGEST_CHUNK_BYTES // max(1, row_bytes))
+    return [arr[start:start + step] for start in range(0, len(arr), step)]
+
+
+def _chunk_digest(chunk: np.ndarray) -> bytes:
+    return hashlib.sha256(np.ascontiguousarray(chunk)).digest()
 
 
 def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,

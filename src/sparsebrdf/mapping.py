@@ -24,7 +24,7 @@ from .errors import (
     ProvenanceMismatchError,
     ShapeMismatchError,
 )
-from .merl import BrdfTensor, RowMap, corpus_matrix
+from .merl import BrdfTensor, MerlFile, RowMap, corpus_matrix
 
 DEFAULT_EPSILON = 1e-3
 REFERENCE_FLOOR = 1e-6
@@ -129,26 +129,26 @@ def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
     np.log(rows, out=rows)
 
 
-def map_cells(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap,
+def map_cells(brdf: BrdfTensor | MerlFile, ref: ReferenceBrdf, row_map: RowMap,
               rows=slice(None)) -> np.ndarray:
-    """The (3, r) mapped values of brdf at the row map's rows that rows
-    indexes (by default every valid row), in that order.  Only their cells
-    are gathered; each must be valid, and the tensor must have the row
-    map's resolution."""
+    """The (3, r) mapped values of brdf, a tensor or an open_merl file, at
+    the row map's rows that rows indexes (by default every valid row), in
+    that order.  Only their cells are gathered; each must be valid, and brdf
+    must have the row map's resolution."""
     if brdf.resolution != row_map.resolution:
         raise ShapeMismatchError(
             f"measured BRDF has resolution {brdf.resolution}, the bundle's "
             f"row map has {row_map.resolution}"
         )
     cells = row_map.grid_indices[rows]
-    invalid = np.flatnonzero(~brdf.mask[cells])
+    values, valid = brdf.cells(cells)
+    invalid = np.flatnonzero(~valid)
     if invalid.size:
         row = np.arange(row_map.n_valid)[rows][invalid[0]]
         raise InvalidSampleError(
             f"measured BRDF is invalid at grid cell {cells[invalid[0]]}, "
             f"which support row {row} samples"
         )
-    values = brdf.values[:, cells]
     map_in_place(values.T, ref, rows)
     return values
 

@@ -114,14 +114,35 @@ class BrdfTensor:
         self.values.setflags(write=False)
         self.mask.setflags(write=False)
 
+    def cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The (3, r) values and (r,) mask at cells; map_cells reads a
+        MerlFile's cells through the same call."""
+        return self.values[:, cells], self.mask[cells]
 
-def _read_stored(path) -> tuple[BrdfResolution, np.ndarray]:
-    """Resolution and (3, grid_size) stored doubles of a MERL file, checked
-    for a whole header, positive dims and the payload length; the length is
-    checked before the payload is mapped, so a header claiming a huge grid
-    fails as a short file does.  The doubles are a read-only memory map of
-    the file: a pass over them reads the page cache in place, with no copy
-    into fresh memory."""
+
+class MerlFile(NamedTuple):
+    """Resolution and (3, grid_size) stored doubles of a MERL file, as a
+    read-only memory map of the file."""
+
+    resolution: BrdfResolution
+    stored: np.ndarray
+
+    def cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
+        """The (3, r) linear reflectance and (r,) validity at cells.  Only
+        those cells are read and scaled; at each valid one the reflectance
+        is read_merl's."""
+        values = self.stored[:, cells]
+        valid = (values >= 0.0).all(axis=0)
+        values *= MERL_SCALES[:, None]
+        return values, valid
+
+
+def _read_stored(path) -> MerlFile:
+    """A MERL file's stored doubles, checked for a whole header, positive
+    dims and the payload length; the length is checked before the payload
+    is mapped, so a header claiming a huge grid fails as a short file does.
+    A pass over the doubles reads the page cache in place, with no copy into
+    fresh memory."""
     with open(path, "rb") as fh:
         header = fh.read(12)
         if len(header) != 12:
@@ -136,7 +157,7 @@ def _read_stored(path) -> tuple[BrdfResolution, np.ndarray]:
             raise MerlFormatError(f"{path}: payload holds {held} doubles, expected {3 * n}")
         buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     payload = np.frombuffer(buffer, dtype="<f8", count=3 * n, offset=12)
-    return res, payload.reshape(3, n)
+    return MerlFile(res, payload.reshape(3, n))
 
 
 def _check_finite(path, stored) -> None:
@@ -148,6 +169,15 @@ def _check_finite(path, stored) -> None:
         if (stored[:, (stored >= 0.0).all(axis=0)] == np.inf).any():
             raise MerlFormatError(
                 f"{path}: valid cells must hold finite nonnegative reflectance")
+
+
+def open_merl(path) -> MerlFile:
+    """A MERL file checked as read_merl checks it, with the same errors, but
+    with no tensor built: its stored doubles stay memory-mapped, and
+    MerlFile.cells reads the cells a caller needs."""
+    merl = _read_stored(path)
+    _check_finite(path, merl.stored)
+    return merl
 
 
 def read_merl(path) -> BrdfTensor:
@@ -309,8 +339,7 @@ def _gather(mid, source, row_map: RowMap, out: np.ndarray) -> None:
     if isinstance(source, BrdfTensor):
         res, values, scales = source.resolution, source.values, None
     else:
-        res, values = _read_stored(source)
-        _check_finite(source, values)
+        res, values = open_merl(source)
         scales = MERL_SCALES[:, None]
     if res != row_map.resolution:
         raise InconsistentCorpusError(

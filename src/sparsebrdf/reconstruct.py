@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells
-from .merl import INVALID_SENTINEL, BrdfTensor, RowMap
+from .merl import INVALID_SENTINEL, BrdfTensor, MerlFile, RowMap
 from .somp import SupportSet
 
 DEFAULT_ETA = 40.0
@@ -78,11 +78,12 @@ def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> M
     )
 
 
-def measure_brdf(brdf: BrdfTensor, support: SupportSet, bundle: DictionaryBundle,
-                 material_id: str = "") -> MeasurementVector:
+def measure_brdf(brdf: BrdfTensor | MerlFile, support: SupportSet,
+                 bundle: DictionaryBundle, material_id: str = "") -> MeasurementVector:
     """measure(log_relative_map(brdf, ...), support), mapping only the
-    support's cells (see map_cells): the tensor must have the bundle's
-    resolution and a valid value at every support cell."""
+    support's cells (see map_cells): brdf, a tensor or an open_merl file,
+    must have the bundle's resolution and a valid value at every support
+    cell."""
     rows = _support_rows(support, bundle.row_map.n_valid)
     return MeasurementVector(
         values=map_cells(brdf, bundle.reference, bundle.row_map, rows),

@@ -56,7 +56,7 @@ _COHERENCE_BLOCK_BYTES = 128 << 20
 # a pick whose component outside earlier picks is below norm / this is dependent
 DEFAULT_COND_LIMIT = 1e12
 
-SUPPORT_RECORD_VERSION = 1
+SUPPORT_RECORD_VERSION = 2
 
 
 @dataclass(frozen=True)

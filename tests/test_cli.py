@@ -202,11 +202,11 @@ def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("case", [
-    "malformed-json", "wrong-version", "missing-digest", "duplicate-rows",
-    "rows-not-m", "empty",
+    "malformed-json", "wrong-version", "version-1", "missing-digest",
+    "duplicate-rows", "rows-not-m", "empty",
 ])
 def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
-                                            tmp_path, capsys):
+                                            tmp_path, capsys, monkeypatch):
     support_path = tmp_path / "support.json"
     run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "4",
             "--out", str(support_path))
@@ -216,6 +216,9 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
     else:
         if case == "wrong-version":
             record["version"] = 99
+        elif case == "version-1":
+            # a record of the single-level digest, which no bundle matches
+            record["version"] = 1
         elif case == "missing-digest":
             del record["bundle_digest"]
         elif case == "duplicate-rows":
@@ -226,6 +229,9 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
             record["rows"] = record["rows"][:-1]
         support_path.write_text(json.dumps(record))
     target = sorted(corpus_dir.glob("*.binary"))[0]
+    # the record is refused before the bundle is hashed
+    monkeypatch.setattr(DictionaryBundle, "digest", property(
+        lambda self: pytest.fail("digest computed for a refused record")))
     code, _, err = run_cli(
         capsys, "reconstruct", "--dict", str(bundle_dir),
         "--support", str(support_path), "--brdf", str(target),
@@ -234,6 +240,8 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
     assert code == 3
     assert err.count("\n") == 1
     assert "support record" in err and "Traceback" not in err
+    if case in ("wrong-version", "version-1"):
+        assert "is not a version 2 record" in err
     assert not (tmp_path / "r.binary").exists()
 
 

@@ -1,9 +1,12 @@
 import hashlib
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sparsebrdf import dictionary
 from sparsebrdf.dictionary import (
     DictionaryBundle,
     PcaDictionary,
@@ -409,29 +412,94 @@ def test_train_bundle_peak_memory_bounded(rng):
     assert peak <= 3 * matrix_bytes, peak / matrix_bytes
 
 
-def _tobytes_digest(bundle):
-    """DictionaryBundle.digest as computed through copies made by tobytes."""
+def _tobytes_digest(bundle, chunk_bytes):
+    """DictionaryBundle.digest computed serially through copies made by
+    tobytes: SHA-256 over each array's shape and the SHA-256 of each of its
+    chunks of whole rows, then epsilon."""
     h = hashlib.sha256()
     for arr in (bundle.pca.mean, bundle.pca.atoms, bundle.pca.coeffs,
                 bundle.pca.sigma, bundle.row_map.grid_indices, bundle.reference.values):
-        h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(np.array(arr.shape, dtype="<i8").tobytes())
+        data = arr.tobytes()
+        row_bytes = arr.itemsize * math.prod(arr.shape[1:])
+        step = max(1, chunk_bytes // row_bytes) * row_bytes
+        for start in range(0, len(data), step):
+            h.update(hashlib.sha256(data[start:start + step]).digest())
     h.update(np.float64(bundle.reference.epsilon).tobytes())
     return h.hexdigest()[:16]
 
 
-def test_digest_matches_tobytes_formula(tmp_path, rng):
+def test_digest_matches_tobytes_formula(tmp_path, rng, monkeypatch):
     trained = _trained_bundle(rng, 4, 5)
     pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)),
                               tuple(ids))
-    # a strided atoms view exercises the contiguous copy
+    # a strided atoms view exercises the chunk copies
     strided = DictionaryBundle(
         PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma),
         rm, bundle.reference, tuple(ids))
     save_bundle(bundle, tmp_path / "bundle")
-    for b in (bundle, bundle.for_budget(2), strided, load_bundle(tmp_path / "bundle")):
-        assert b.digest == _tobytes_digest(b)
-    assert strided.digest == bundle.digest
+    # one chunk per array, then many chunks of a few rows each
+    for chunk_bytes in (dictionary._DIGEST_CHUNK_BYTES, 100):
+        monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+        digests = []
+        for b in (bundle, bundle.for_budget(2), strided, load_bundle(tmp_path / "bundle")):
+            b = replace(b)  # a fresh object, whose digest is not cached
+            assert b.digest == _tobytes_digest(b, chunk_bytes)
+            digests.append(b.digest)
+        assert digests[2] == digests[0]
+
+
+def _random_bundle(rng, n, k=3, t=4):
+    """A bundle of random arrays with n rows; the digest reads no more."""
+    pca = PcaDictionary(rng.standard_normal(n), rng.standard_normal((n, k)),
+                        rng.standard_normal((k, t)), np.sort(rng.random(k))[::-1].copy())
+    return DictionaryBundle(pca, toy_row_map(n), ReferenceBrdf(rng.random(n) + 0.5), ())
+
+
+@pytest.mark.parametrize("chunks", ["one", "exactly-c", "c-plus-one"])
+def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
+    # 48 bytes hold 6 elements of the n-long arrays, so those arrays are one
+    # chunk at n = 6, exactly c = 4 at n = 24, and c + 1 at n = 25, the last
+    # one partial; the atoms hold 2 of their 3-atom rows per chunk
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", 48)
+    n = {"one": 6, "exactly-c": 24, "c-plus-one": 25}[chunks]
+    bundle = _random_bundle(rng, n)
+    digests = set()
+    for workers in (1, 5):
+        monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", workers)
+        for b in (bundle, bundle.for_budget(2)):
+            b = replace(b)
+            assert b.digest == _tobytes_digest(b, 48)
+            digests.add((b.pca.n_atoms, b.digest))
+    assert len(digests) == 2
+
+
+def test_digest_tells_shapes_apart(rng):
+    # the same bytes in every array, with the coefficients read as (t, k)
+    # instead of (k, t)
+    bundle = _random_bundle(rng, 10, k=3, t=4)
+    pca = bundle.pca
+    other = replace(bundle, pca=PcaDictionary(pca.mean, pca.atoms,
+                                              pca.coeffs.reshape(4, 3), pca.sigma))
+    assert other.digest != bundle.digest
+
+
+def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
+    chunk_bytes = 1 << 18
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    n, m = 1 << 18, 4
+    bundle = _random_bundle(rng, n, k=8).for_budget(m)
+    assert not bundle.pca.atoms.flags.c_contiguous
+    tracemalloc.start()
+    try:
+        bundle.digest
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a whole copy of the truncated atoms would be n * m * 8 bytes, 8 MiB
+    assert peak <= 4 * chunk_bytes, peak / chunk_bytes
 
 
 def test_train_bundle_rejects_other_resolution_and_empty_corpus(rng):

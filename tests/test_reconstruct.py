@@ -1,7 +1,12 @@
+import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsebrdf.dictionary import train_bundle
 from sparsebrdf.errors import (
@@ -12,7 +17,14 @@ from sparsebrdf.errors import (
     SingularMatrixError,
 )
 from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap
-from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
+from sparsebrdf.merl import (
+    BrdfResolution,
+    corpus_mask,
+    corpus_matrix,
+    open_merl,
+    read_merl,
+    write_merl,
+)
 from sparsebrdf.reconstruct import (
     measure,
     measure_brdf,
@@ -101,6 +113,71 @@ def test_measure_brdf_errors(rng):
     with pytest.raises(InvalidSampleError,
                        match=rf"grid cell {rm.grid_indices[9]}, which support row 9"):
         measure_brdf(holey, SupportSet(indices=[0, 9, 3]), bundle)
+
+
+# doubles a measured file may hold at any cell: NaN, infinities, sentinels,
+# signed zeros and subnormals
+_ODD_DOUBLES = st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0, 5e-324,
+                                -5e-324, 2.2250738585072014e-308 / 3, 1e300])
+_PARITY_RES = BrdfResolution(2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def parity_bundle():
+    rng = np.random.default_rng(5)
+    tensors = [make_random_tensor(rng, res=_PARITY_RES, invalid_frac=0.2)
+               for _ in range(4)]
+    rm = corpus_mask(tensors)
+    return train_bundle(*corpus_matrix(list(enumerate(tensors)), rm), rm, 2)
+
+
+@st.composite
+def _measured_file(draw, row_map):
+    """A MERL file's bytes and a support of row_map's rows.  Each part is
+    mostly well formed, so that later checks are reached: the resolution,
+    the support's range and odd doubles, often at the support's cells."""
+    usual = st.integers(0, 3).map(bool)  # True three times in four
+    res = _PARITY_RES if draw(usual) else draw(st.sampled_from(
+        [BrdfResolution(2, 3, 5), BrdfResolution(4, 3, 2), BrdfResolution(1, 1, 1)]))
+    n, n_valid = res.grid_size, row_map.n_valid
+    span = (0, n_valid - 1) if draw(usual) else (-2, n_valid + 1)
+    rows = draw(st.lists(st.integers(*span), min_size=1, max_size=4, unique=True))
+    payload = np.random.default_rng(draw(st.integers(0, 3))).uniform(0.0, 1500.0, (3, n))
+    cells = [int(row_map.grid_indices[r]) % n for r in rows if 0 <= r < n_valid]
+    at = st.tuples(st.integers(0, 2), st.one_of(st.sampled_from(cells or [0]),
+                                                st.integers(0, n - 1)))
+    for (channel, cell), value in draw(st.lists(st.tuples(at, _ODD_DOUBLES), max_size=4)):
+        payload[channel, cell] = value
+    data = struct.pack("<3i", res.n_theta_h, res.n_theta_d, res.n_phi_d)
+    data += payload.astype("<f8").tobytes()
+    return data[:len(data) - draw(st.sampled_from([0, 0, 0, 8]))], rows
+
+
+def _measured(read, path, rows, bundle):
+    """measure_brdf's values from the file read, or its error's type and
+    message."""
+    try:
+        return measure_brdf(read(path), SupportSet(indices=rows), bundle).values
+    except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_open_merl_measures_as_read_merl(data, parity_bundle):
+    # the support-cell read against the whole-tensor one: bit-equal values,
+    # or the same first error
+    merl_bytes, rows = data.draw(_measured_file(parity_bundle.row_map))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.binary"
+        path.write_bytes(merl_bytes)
+        want = _measured(read_merl, path, rows, parity_bundle)
+        got = _measured(open_merl, path, rows, parity_bundle)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 def test_measure_errors():
