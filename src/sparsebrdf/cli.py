@@ -30,7 +30,6 @@ from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
 from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, reconstruct_full
 from .somp import (
-    SUPPORT_RECORD_VERSION,
     ErrorThreshold,
     SampleBudget,
     SupportSet,
@@ -38,7 +37,7 @@ from .somp import (
     direction_table,
     read_support_record,
     select_support,
-    support_record_fields,
+    support_record,
     support_to_directions,
 )
 from .synthetic import gen_corpus
@@ -77,7 +76,7 @@ def _parse_res(text: str) -> BrdfResolution:
 
 def cmd_gen_corpus(args) -> int:
     res = _parse_res(args.res)
-    ev.SyntheticCorpusSpec(args.seed, args.count, res)  # rejects count < 1
+    ev.SyntheticCorpusSpec(args.seed, args.count, res)  # rejects count < 1 and seed < 0
     out = _resolve_out(args.out, "corpus")
     out.mkdir(parents=True, exist_ok=True)
     corpus = gen_corpus(args.seed, args.count, res)
@@ -140,12 +139,7 @@ def cmd_select_samples(args) -> int:
          f"over {len(support)} picks")
     # the bundle reconstruct reads the support with, in either stop mode
     bundle = bundle.for_budget(len(support))
-    record = {
-        "version": SUPPORT_RECORD_VERSION,
-        **support_record_fields(support, bundle.row_map),
-        "bundle_digest": bundle.digest,
-        "normalize_atoms": args.normalize_atoms,
-    }
+    record = support_record(support, bundle.row_map, bundle.digest, args.normalize_atoms)
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2))
         _log(f"support written to {args.out}")

@@ -217,6 +217,15 @@ class DictionaryBundle:
     material_ids: tuple
     config_hash: str = ""
 
+    @property
+    def arrays(self) -> dict:
+        """The bundle's arrays by the name of the .bin file each is saved
+        in, in the order the digest hashes them."""
+        pca = self.pca
+        return {"mean": pca.mean, "atoms": pca.atoms, "coeffs": pca.coeffs,
+                "sigma": pca.sigma, "rows": self.row_map.grid_indices,
+                "reference": self.reference.values}
+
     @cached_property
     def digest(self) -> str:
         """Content hash of the arrays; computed once per bundle object.
@@ -227,14 +236,7 @@ class DictionaryBundle:
         shape followed by its chunk digests, then epsilon.  Chunk bounds
         depend only on shapes, so the digest does not depend on the thread
         count, and a strided array is copied one chunk at a time."""
-        arrays = (
-            self.pca.mean,
-            self.pca.atoms,
-            self.pca.coeffs,
-            self.pca.sigma,
-            self.row_map.grid_indices,
-            self.reference.values,
-        )
+        arrays = self.arrays.values()
         chunks = [_row_chunks(arr) for arr in arrays]
         h = hashlib.sha256()
         with ThreadPoolExecutor(_DIGEST_WORKERS) as pool:
@@ -296,14 +298,15 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
 
 BUNDLE_VERSION = 1
 
-# array name -> (bundle attribute path, dtype); all stored C-order little-endian
+# array name -> (dtype, axes), in manifest order; every array is stored
+# C-order little-endian, and its axes are n rows, k atoms and t training signals
 _BUNDLE_ARRAYS = {
-    "mean": "<f8",
-    "atoms": "<f8",
-    "coeffs": "<f8",
-    "sigma": "<f8",
-    "reference": "<f8",
-    "rows": "<i8",
+    "mean": ("<f8", "n"),
+    "atoms": ("<f8", "nk"),
+    "coeffs": ("<f8", "kt"),
+    "sigma": ("<f8", "k"),
+    "reference": ("<f8", "n"),
+    "rows": ("<i8", "n"),
 }
 
 
@@ -331,14 +334,6 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     res = bundle.row_map.resolution
-    arrays = {
-        "mean": bundle.pca.mean,
-        "atoms": bundle.pca.atoms,
-        "coeffs": bundle.pca.coeffs,
-        "sigma": bundle.pca.sigma,
-        "reference": bundle.reference.values,
-        "rows": bundle.row_map.grid_indices,
-    }
     manifest = {
         "version": BUNDLE_VERSION,
         "resolution": [res.n_theta_h, res.n_theta_d, res.n_phi_d],
@@ -348,11 +343,11 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
         "digest": bundle.digest,
         "arrays": {},
     }
-    for name, arr in arrays.items():
-        dtype = _BUNDLE_ARRAYS[name]
-        out = np.ascontiguousarray(arr).astype(dtype, copy=False)
+    arrays = bundle.arrays
+    for name, (dtype, _) in _BUNDLE_ARRAYS.items():
+        out = np.ascontiguousarray(arrays[name]).astype(dtype, copy=False)
         _replace_file(directory / f"{name}.bin", out.tofile)
-        manifest["arrays"][name] = {"shape": list(arr.shape), "dtype": dtype}
+        manifest["arrays"][name] = {"shape": list(out.shape), "dtype": dtype}
     text = json.dumps(manifest, indent=2)
     _replace_file(directory / "manifest.json", lambda tmp: tmp.write_text(text))
 
@@ -374,7 +369,7 @@ def _read_manifest(path: Path) -> dict:
         raise BundleFormatError(f"{path}: missing {', '.join(missing)}")
     arrays = manifest["arrays"]
     if not (isinstance(arrays, dict) and set(arrays) == set(_BUNDLE_ARRAYS) and all(
-            isinstance(meta, dict) and meta.get("dtype") == _BUNDLE_ARRAYS[name]
+            isinstance(meta, dict) and meta.get("dtype") == _BUNDLE_ARRAYS[name][0]
             and isinstance(meta.get("shape"), list)
             and all(isinstance(v, int) and v >= 0 for v in meta["shape"])
             for name, meta in arrays.items())):
@@ -393,11 +388,6 @@ def _read_manifest(path: Path) -> dict:
     return manifest
 
 
-# array name -> its axes: n rows, k atoms, t training signals
-_BUNDLE_AXES = {"mean": "n", "atoms": "nk", "coeffs": "kt", "sigma": "k",
-                "reference": "n", "rows": "n"}
-
-
 def _check_arrays(path: Path, arrays: dict, res: BrdfResolution) -> None:
     """Raise BundleFormatError unless the arrays agree on n, k and t, each at
     least 1, and the rows are strictly increasing cells of the grid."""
@@ -408,7 +398,7 @@ def _check_arrays(path: Path, arrays: dict, res: BrdfResolution) -> None:
             f"{list(atoms.shape)} and {list(coeffs.shape)}"
         )
     dims = {"n": atoms.shape[0], "k": atoms.shape[1], "t": coeffs.shape[1]}
-    for name, axes in _BUNDLE_AXES.items():
+    for name, (_, axes) in _BUNDLE_ARRAYS.items():
         want = tuple(dims[a] for a in axes)
         if arrays[name].shape != want:
             raise BundleFormatError(

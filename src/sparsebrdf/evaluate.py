@@ -40,7 +40,7 @@ from .errors import (
     TooLargeError,
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
-from .merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl_mask
+from .merl import BrdfResolution, corpus_mask, corpus_matrix
 from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridge_solve
 from .somp import (
     ErrorThreshold,
@@ -156,6 +156,8 @@ class SyntheticCorpusSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
+        if self.seed < 0:
+            raise ConfigError(f"corpus seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,8 @@ class ExperimentConfig:
         check_eta(self.eta)
         if self.random_trials < 0 or self.folds < 2:
             raise ConfigError("need folds >= 2 and random_trials >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def k_for(self, m: int) -> int:
         return m if self.k_fixed is None else self.k_fixed
@@ -303,11 +307,11 @@ def load_corpus(corpus_dir, synthetic: SyntheticCorpusSpec | None):
             (s.material_id, b)
             for s, b in gen_corpus(synthetic.seed, synthetic.count, synthetic.resolution)
         ]
-        return corpus, corpus_mask(b for _, b in corpus)
-    paths = sorted(Path(corpus_dir).glob("*.binary"))
-    if not paths:
-        raise ConfigError(f"no .binary MERL files under {corpus_dir}")
-    return [(p.stem, p) for p in paths], corpus_mask(read_merl_mask(p) for p in paths)
+    else:
+        corpus = [(p.stem, p) for p in sorted(Path(corpus_dir).glob("*.binary"))]
+        if not corpus:
+            raise ConfigError(f"no .binary MERL files under {corpus_dir}")
+    return corpus, corpus_mask(source for _, source in corpus)
 
 
 def _metrics(mse: float, snr: float) -> dict:

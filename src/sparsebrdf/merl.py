@@ -127,6 +127,11 @@ class MerlFile(NamedTuple):
     resolution: BrdfResolution
     stored: np.ndarray
 
+    @property
+    def mask(self) -> np.ndarray:
+        """read_merl's mask: valid where every channel is nonnegative."""
+        return (self.stored >= 0.0).all(axis=0)
+
     def cells(self, cells) -> tuple[np.ndarray, np.ndarray]:
         """The (3, r) linear reflectance and (r,) validity at cells.  Only
         those cells are read and scaled; at each valid one the reflectance
@@ -160,23 +165,17 @@ def _read_stored(path) -> MerlFile:
     return MerlFile(res, payload.reshape(3, n))
 
 
-def _check_finite(path, stored) -> None:
-    """The one value check read_merl's tensor makes on a file: reject stored
-    doubles that put +inf at a valid cell (one nonnegative in every channel),
-    which scaling would keep; at an invalid cell a NaN or +inf becomes a
-    sentinel."""
-    if not stored.max() < np.inf:  # also taken by a NaN anywhere
-        if (stored[:, (stored >= 0.0).all(axis=0)] == np.inf).any():
-            raise MerlFormatError(
-                f"{path}: valid cells must hold finite nonnegative reflectance")
-
-
 def open_merl(path) -> MerlFile:
     """A MERL file checked as read_merl checks it, with the same errors, but
     with no tensor built: its stored doubles stay memory-mapped, and
-    MerlFile.cells reads the cells a caller needs."""
+    MerlFile.cells reads the cells a caller needs.  Beyond _read_stored's
+    checks, the one value check rejects +inf at a valid cell, which scaling
+    would keep; at an invalid cell a NaN or +inf becomes a sentinel."""
     merl = _read_stored(path)
-    _check_finite(path, merl.stored)
+    if not merl.stored.max() < np.inf:  # also taken by a NaN anywhere
+        if (merl.stored[:, merl.mask] == np.inf).any():
+            raise MerlFormatError(
+                f"{path}: valid cells must hold finite nonnegative reflectance")
     return merl
 
 
@@ -187,33 +186,14 @@ def read_merl(path) -> BrdfTensor:
     negative stored values are kept verbatim and masked invalid.  A cell
     negative in any channel is masked invalid in all three.
     """
-    res, stored = _read_stored(path)
-    values = np.array(stored, dtype=np.float64)
-    nonneg = values >= 0.0
-    mask = nonneg.all(axis=0)
-    np.multiply(values, MERL_SCALES[:, None], out=values, where=nonneg)
+    merl = open_merl(path)
+    values = np.array(merl.stored, dtype=np.float64)
+    mask = merl.mask
+    np.multiply(values, MERL_SCALES[:, None], out=values, where=values >= 0.0)
     # cells invalidated by a sibling channel must still carry a sentinel;
     # scaling kept every negative value negative and every other one not
     np.copyto(values, INVALID_SENTINEL, where=~((values < 0.0) | mask))
-    try:
-        return BrdfTensor(res, values, mask)
-    except MerlFormatError as exc:  # _check_finite's +inf, found without a pass of its own
-        raise MerlFormatError(f"{path}: {exc}") from None
-
-
-class MerlMask(NamedTuple):
-    """Resolution and validity mask of a MERL file, without its values."""
-
-    resolution: BrdfResolution
-    mask: np.ndarray
-
-
-def read_merl_mask(path) -> MerlMask:
-    """The mask read_merl gives a file, for a mask pass over a corpus that
-    does not hold its tensors; the file is checked as read_merl checks it,
-    short of the values of its valid cells."""
-    res, stored = _read_stored(path)
-    return MerlMask(res, (stored >= 0.0).all(axis=0))
+    return BrdfTensor(merl.resolution, values, mask)
 
 
 def write_merl(brdf: BrdfTensor, path) -> None:
@@ -304,17 +284,19 @@ class RowMap:
         return m
 
 
-def corpus_mask(brdfs) -> RowMap:
-    """Row map over cells valid in every tensor of the corpus.
+def corpus_mask(sources) -> RowMap:
+    """Row map over cells valid in every source of the corpus.
 
     Using the intersection gives all corpus matrices identical row
-    semantics.  brdfs may be BrdfTensors or the MerlMasks of a mask pass;
-    all of them are read before a mix of resolutions is reported, so a
-    malformed file is reported first, as it would be by reading the corpus.
+    semantics.  A source is a BrdfTensor or a MERL path, as in corpus_matrix;
+    a file is checked by _read_stored, with no value pass.  Every source is
+    read before a mix of resolutions is reported, so a malformed file is
+    reported first, as it would be by reading the corpus.
     """
     res = None
     mixed = False
-    for b in brdfs:
+    for source in sources:
+        b = source if isinstance(source, BrdfTensor) else _read_stored(source)
         if res is None:
             res = b.resolution
             mask = b.mask.copy()

@@ -355,10 +355,22 @@ def support_record_fields(support: SupportSet, row_map: RowMap) -> dict:
     }
 
 
+def support_record(support: SupportSet, row_map: RowMap, bundle_digest: str,
+                   normalize_atoms: bool) -> dict:
+    """The record select-samples writes of a support over the row map of
+    the bundle of that digest, which reconstruct reads it with."""
+    return {
+        "version": SUPPORT_RECORD_VERSION,
+        **support_record_fields(support, row_map),
+        "bundle_digest": bundle_digest,
+        "normalize_atoms": normalize_atoms,
+    }
+
+
 def read_support_record(path) -> dict:
     """Load a support record, raising ConfigError unless it is a JSON object
-    of the current version that names its bundle digest and whose rows hold
-    m >= 1 distinct integers."""
+    of the current version that names its bundle digest, whose m is an
+    integer and whose rows hold m >= 1 distinct integers."""
     try:
         record = json.loads(Path(path).read_text())
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -370,10 +382,11 @@ def read_support_record(path) -> dict:
     if missing:
         raise ConfigError(f"support record {path} lacks {', '.join(missing)}")
     rows = record["rows"]
-    if not (isinstance(rows, list) and all(type(r) is int for r in rows)
+    if not (type(record["m"]) is int and isinstance(rows, list)
+            and all(type(r) is int for r in rows)
             and len(set(rows)) == len(rows) == record["m"] and rows):
-        raise ConfigError(f"support record {path}: rows must hold m={record['m']} "
-                          ">= 1 distinct integers")
+        raise ConfigError(f"support record {path}: m must be an integer >= 1 and rows "
+                          f"m distinct integers, got m={record['m']!r}")
     return record
 
 

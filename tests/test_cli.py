@@ -20,6 +20,13 @@ from sparsebrdf.cli import main
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
 from sparsebrdf.evaluate import load_corpus
 from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
+from sparsebrdf.somp import (
+    ErrorThreshold,
+    SampleBudget,
+    read_support_record,
+    select_support,
+    support_record,
+)
 
 from conftest import make_random_tensor
 from oracles import (
@@ -80,6 +87,26 @@ def test_select_samples_record(bundle_dir, tmp_path, capsys):
     assert "theta_h" in err  # human-facing table goes to stderr
     assert re.search(r"^scan: scored \d+ of \d+ blocks over 5 picks$", err, re.M)
     assert json.loads(support_path.read_text()) == record
+
+
+@pytest.mark.parametrize("flags, rule, normalize", [
+    (["--m", "3", "--normalize-atoms"], SampleBudget(3), True),
+    (["--threshold", "1.5"], ErrorThreshold(1.5), False),
+], ids=["budget-normalized", "threshold"])
+def test_select_samples_writes_the_support_record(flags, rule, normalize, bundle_dir,
+                                                  tmp_path, capsys):
+    support_path = tmp_path / "support.json"
+    code, _, _ = run_cli(capsys, "select-samples", "--dict", str(bundle_dir), *flags,
+                         "--out", str(support_path))
+    assert code == 0
+    bundle = load_bundle(bundle_dir)
+    if isinstance(rule, SampleBudget):
+        bundle = bundle.for_budget(rule.m)
+    support = select_support(bundle.pca, rule, normalize)
+    bundle = bundle.for_budget(len(support))
+    record = support_record(support, bundle.row_map, bundle.digest, normalize)
+    assert support_path.read_text() == json.dumps(record, indent=2)
+    assert read_support_record(support_path) == record
 
 
 def test_reconstruct_roundtrip(bundle_dir, corpus_dir, tmp_path, capsys):
@@ -203,7 +230,7 @@ def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", [
     "malformed-json", "wrong-version", "version-1", "missing-digest",
-    "duplicate-rows", "rows-not-m", "empty",
+    "duplicate-rows", "rows-not-m", "empty", "float-m", "bool-m",
 ])
 def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
                                             tmp_path, capsys, monkeypatch):
@@ -225,6 +252,10 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
             record["rows"][1] = record["rows"][0]
         elif case == "empty":
             record["m"], record["rows"] = 0, []
+        elif case == "float-m":
+            record["m"] = float(record["m"])  # 4.0, with its four rows
+        elif case == "bool-m":
+            record["m"], record["rows"] = True, record["rows"][:1]
         else:
             record["rows"] = record["rows"][:-1]
         support_path.write_text(json.dumps(record))
@@ -242,6 +273,8 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
     assert "support record" in err and "Traceback" not in err
     if case in ("wrong-version", "version-1"):
         assert "is not a version 2 record" in err
+    if case in ("float-m", "bool-m"):
+        assert "m must be an integer" in err
     assert not (tmp_path / "r.binary").exists()
 
 
@@ -306,6 +339,11 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("gen-corpus", ["--count", "2", "--res", "0"], "resolution counts must be >= 1, got '0'"),
     ("gen-corpus", ["--count", "2", "--res", "8,0,8"],
      "resolution counts must be >= 1, got '8,0,8'"),
+    ("gen-corpus", ["--seed", "-1", "--count", "2", "--res", "8"],
+     "corpus seed must be >= 0, got -1"),
+    ("train-dict", ["--synthetic-seed", "-1", "--synthetic-count", "4", "--res", "8",
+                    "--k", "3"], "corpus seed must be >= 0, got -1"),
+    ("evaluate", ["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
         "select-threshold-nan", "select-max-iters-0", "select-max-iters-neg",
         "select-m-0", "select-m-above-k", "reconstruct-eta", "reconstruct-eta-nan",
@@ -314,7 +352,8 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
         "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
         "train-synthetic-epsilon", "train-synthetic-count-0",
         "select-max-iters-no-threshold", "select-max-iters-budget",
-        "gen-count-0", "gen-res-0", "gen-res-axis-0"])
+        "gen-count-0", "gen-res-0", "gen-res-axis-0", "gen-seed-neg",
+        "train-synthetic-seed-neg", "evaluate-seed-neg"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys):
     argv = [command, "--dict", str(bundle_dir), *flags]
@@ -376,8 +415,11 @@ def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, 
      "[corpus] path needs source = directory; source = synthetic would ignore it"),
     ("[corpus]\nsource = directory\npath = /does/not/exist\ncount = 500\nseed = 99",
      "[corpus] count needs source = synthetic; source = directory would ignore it"),
+    ("[corpus]\nsource = synthetic\nseed = -1\ncount = 9\nres = 8",
+     "corpus seed must be >= 0, got -1"),
+    ("[experiment]\nseed = -1", "seed must be >= 0, got -1"),
 ], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0",
-        "synthetic-path", "directory-count"])
+        "synthetic-path", "directory-count", "corpus-seed-neg", "experiment-seed-neg"])
 def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     if "[corpus]" not in sections:
@@ -804,7 +846,9 @@ def _reconstruct_inputs(draw, record):
         record["rows"] = draw(st.lists(
             st.one_of(st.integers(-2, 390), st.integers(-2**70, 2**70)),
             max_size=4, unique=True))
-        record["m"] = draw(st.one_of(st.just(len(record["rows"])), st.integers(-1, 6)))
+        record["m"] = draw(st.one_of(
+            st.just(len(record["rows"])), st.integers(-1, 6),
+            st.sampled_from([float(len(record["rows"])), True, False])))
     if not draw(valid):
         record["rows"] = [*record["rows"][:1], draw(st.integers(-2, 390)),
                           *record["rows"][2:]]

@@ -24,7 +24,6 @@ from sparsebrdf.merl import (
     direction_to_index,
     index_to_direction,
     read_merl,
-    read_merl_mask,
     write_merl,
 )
 
@@ -128,9 +127,9 @@ def test_read_merl_matches_allocating_reader(tmp_path, rng, posinf):
     assert brdf.values.tobytes() == oracle.values.tobytes()  # -0.0 included
     assert np.array_equal(brdf.mask, oracle.mask)
     assert not brdf.mask[[3, 4, 5, 7]].any() and brdf.mask[[6, 8, 9, 10]].all()
-    mask = read_merl_mask(path)
-    assert mask.resolution == brdf.resolution
-    assert np.array_equal(mask.mask, brdf.mask)
+    rm = corpus_mask([path])
+    assert rm.resolution == brdf.resolution
+    assert np.array_equal(rm.mask(), brdf.mask)
 
 
 @pytest.mark.parametrize("dims,payload,message", [
@@ -143,12 +142,12 @@ def test_read_merl_matches_allocating_reader(tmp_path, rng, posinf):
 def test_mask_pass_rejects_as_read_merl(tmp_path, dims, payload, message):
     path = tmp_path / "bad.binary"
     _write_raw(path, dims, payload)
-    for reader in (read_merl, read_merl_mask):
+    for reader in (read_merl, lambda p: corpus_mask([p])):
         with pytest.raises(MerlFormatError, match=re.escape(message)):
             reader(path)
     path.write_bytes(b"\0" * 11)
     with pytest.raises(MerlFormatError, match="truncated header"):
-        read_merl_mask(path)
+        corpus_mask([path])
 
 
 def test_trailing_partial_double_is_ignored(tmp_path):
@@ -157,7 +156,7 @@ def test_trailing_partial_double_is_ignored(tmp_path):
     with open(path, "ab") as fh:
         fh.write(b"\0" * 4)
     assert read_merl(path).resolution == BrdfResolution(2, 2, 2)
-    assert read_merl_mask(path).mask.all()
+    assert np.array_equal(corpus_mask([path]).grid_indices, np.arange(8))
 
 
 def test_read_missing_file():
@@ -288,6 +287,19 @@ def test_corpus_mask_intersection(rng):
     rm = corpus_mask([a, b])
     expect = np.flatnonzero(a.mask & b.mask)
     assert np.array_equal(rm.grid_indices, expect)
+
+
+def test_corpus_mask_of_tensors_and_paths_is_that_of_their_tensors(tmp_path, rng):
+    tensors = [make_random_tensor(rng, invalid_frac=0.2) for _ in range(3)]
+    paths = []
+    for i, tensor in enumerate(tensors):
+        paths.append(tmp_path / f"m{i}.binary")
+        write_merl(tensor, paths[-1])
+    expect = corpus_mask([read_merl(p) for p in paths])
+    for sources in ([tensors[0], *paths[1:]], [paths[0], tensors[1], paths[2]]):
+        rm = corpus_mask(sources)
+        assert rm.resolution == expect.resolution
+        assert np.array_equal(rm.grid_indices, expect.grid_indices)
 
 
 def _fix_up_kinds(values, scale):
