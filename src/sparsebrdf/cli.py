@@ -30,13 +30,12 @@ from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
 from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, reconstruct_full
 from .somp import (
-    ErrorThreshold,
     SampleBudget,
-    SupportSet,
     cumulative_coherence,
     direction_table,
     read_support_record,
     select_support,
+    stop_rules,
     support_record,
     support_to_directions,
 )
@@ -77,9 +76,9 @@ def _parse_res(text: str) -> BrdfResolution:
 def cmd_gen_corpus(args) -> int:
     res = _parse_res(args.res)
     ev.SyntheticCorpusSpec(args.seed, args.count, res)  # rejects count < 1 and seed < 0
+    corpus = gen_corpus(args.seed, args.count, res)
     out = _resolve_out(args.out, "corpus")
     out.mkdir(parents=True, exist_ok=True)
-    corpus = gen_corpus(args.seed, args.count, res)
     manifest = {"seed": args.seed, "count": args.count,
                 "resolution": [res.n_theta_h, res.n_theta_d, res.n_phi_d],
                 "materials": []}
@@ -101,9 +100,7 @@ def cmd_train_dict(args) -> int:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     check_mapping(args.epsilon, args.statistic)
-    synthetic = None if args.corpus else ev.SyntheticCorpusSpec(
-        args.synthetic_seed, args.synthetic_count, _parse_res(args.res))
-    corpus, row_map = ev.load_corpus(args.corpus, synthetic)
+    corpus, row_map = ev.load_corpus(args.corpus, None)
     entries, ids = corpus_matrix(corpus, row_map)
     del corpus
     bundle = train_bundle(entries, ids, row_map, args.k,
@@ -121,25 +118,15 @@ def cmd_train_dict(args) -> int:
 
 
 def cmd_select_samples(args) -> int:
-    if args.threshold is not None:
-        stop = ErrorThreshold(args.threshold, args.max_iters)
-    elif args.max_iters is not None:
-        raise ConfigError("--max-iters needs --threshold; a budget selection "
-                          "stops after --m picks")
-    else:
-        stop = SampleBudget(args.m)
+    (stop,) = stop_rules(None if args.m is None else (args.m,), args.threshold,
+                         args.max_iters, default=(20,))
     bundle = load_bundle(args.dict)
     if isinstance(stop, SampleBudget):
-        if stop.m > bundle.pca.n_atoms:
-            raise ConfigError(
-                f"--m {stop.m} exceeds the bundle's {bundle.pca.n_atoms} atoms")
         bundle = bundle.for_budget(stop.m)
     support = select_support(bundle.pca, stop, args.normalize_atoms)
     _log(f"scan: scored {support.blocks_scored} of {support.blocks_total} blocks "
          f"over {len(support)} picks")
-    # the bundle reconstruct reads the support with, in either stop mode
-    bundle = bundle.for_budget(len(support))
-    record = support_record(support, bundle.row_map, bundle.digest, args.normalize_atoms)
+    record = support_record(support, bundle, args.normalize_atoms)
     if args.out:
         Path(args.out).write_text(json.dumps(record, indent=2))
         _log(f"support written to {args.out}")
@@ -150,17 +137,10 @@ def cmd_select_samples(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     check_eta(args.eta)
-    bundle = load_bundle(args.dict)
-    record = read_support_record(args.support)
-    bundle = bundle.for_budget(record["m"])
-    if record["bundle_digest"] != bundle.digest:
-        raise ConfigError(
-            f"support record was computed against bundle {record['bundle_digest']}, "
-            f"got {bundle.digest}"
-        )
+    support, bundle = read_support_record(args.support, load_bundle(args.dict))
     # the whole file is checked, but only the support's cells are read
-    samples = measure_brdf(open_merl(args.brdf), SupportSet(indices=record["rows"]),
-                           bundle, material_id=Path(args.brdf).stem)
+    samples = measure_brdf(open_merl(args.brdf), support, bundle,
+                           material_id=Path(args.brdf).stem)
     result = reconstruct_full(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -311,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_corpus)
 
     p = sub.add_parser("train-dict", help="train a dictionary bundle")
-    p.add_argument("--corpus", help="directory of MERL .binary files")
-    p.add_argument("--synthetic-seed", type=int, default=42)
-    p.add_argument("--synthetic-count", type=int, default=50)
-    p.add_argument("--res", default="16")
+    p.add_argument("--corpus", required=True, help="directory of MERL .binary files")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.add_argument("--statistic", choices=("median", "mean"), default="median")
@@ -323,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-samples", help="compute optimal sample directions")
     p.add_argument("--dict", required=True)
-    p.add_argument("--m", type=int, default=20)
+    p.add_argument("--m", type=int, default=None, help="sample budget (default: 20)")
     p.add_argument("--threshold", type=float, default=None,
                    help="stop at this residual instead of a fixed budget")
     p.add_argument("--max-iters", type=int, default=None)
@@ -367,7 +344,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _log(f"config error: {exc}")
         return 3
-    except (SparseBrdfError, OSError) as exc:
+    except (SparseBrdfError, OSError, MemoryError) as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return 1
 

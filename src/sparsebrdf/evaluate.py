@@ -43,10 +43,10 @@ from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
 from .merl import BrdfResolution, corpus_mask, corpus_matrix
 from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridge_solve
 from .somp import (
-    ErrorThreshold,
     SampleBudget,
     SupportSet,
     select_support,
+    stop_rules,
     support_record_fields,
 )
 from .synthetic import gen_corpus
@@ -192,36 +192,31 @@ class ExperimentConfig:
         check_mapping(self.epsilon, self.reference_statistic)
         if self.k_fixed is not None and self.k_fixed < 1:
             raise ConfigError(f"k_fixed must be >= 1, got {self.k_fixed}")
-        if self.stop_threshold is not None:
-            if self.m_values:
-                raise ConfigError("m and threshold are two stop rules for one run; set one")
-            if self.k_fixed is None:
-                raise ConfigError("threshold stopping requires k_fixed")
-            ErrorThreshold(self.stop_threshold, self.stop_max_iters)  # rejects bad values
-            object.__setattr__(self, "m_values", ())
-        elif self.stop_max_iters is not None:
-            raise ConfigError("stop_max_iters needs stop_threshold; a budget "
-                              "selection would ignore it")
-        elif self.m_values is None:
-            object.__setattr__(self, "m_values", (5, 10, 20))
-        for m in self.m_values:
-            SampleBudget(m)  # rejects m < 1
-        if not self.m_values and self.stop_threshold is None:
-            raise ConfigError("at least one sample count required")
-        if self.k_fixed is not None and self.stop_threshold is None:
-            if any(m > self.k_fixed for m in self.m_values):
-                raise ConfigError(
-                    "the greedy selector cannot pick more samples than atoms; "
-                    f"m_values must stay <= k_fixed={self.k_fixed}"
-                )
+        rules = stop_rules(self.m_values, self.stop_threshold, self.stop_max_iters,
+                           default=(5, 10, 20))
+        object.__setattr__(self, "m_values", tuple(
+            rule.m for rule in rules if isinstance(rule, SampleBudget)))
+        if self.stop_threshold is not None and self.k_fixed is None:
+            raise ConfigError("threshold stopping requires k_fixed")
+        if self.k_fixed is not None and any(m > self.k_fixed for m in self.m_values):
+            raise ConfigError(
+                "the greedy selector cannot pick more samples than atoms; "
+                f"m_values must stay <= k_fixed={self.k_fixed}"
+            )
         check_eta(self.eta)
         if self.random_trials < 0 or self.folds < 2:
             raise ConfigError("need folds >= 2 and random_trials >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    def k_for(self, m: int) -> int:
-        return m if self.k_fixed is None else self.k_fixed
+    def selections(self) -> list:
+        """(atom count, stop rule) of each support a fold selects: k_fixed
+        atoms when set, which a threshold run always does, else m atoms for a
+        budget of m."""
+        rules = stop_rules(self.m_values, self.stop_threshold, self.stop_max_iters,
+                           default=())
+        return [(rule.m if self.k_fixed is None else self.k_fixed, rule)
+                for rule in rules]
 
     def snapshot(self) -> dict:
         """Every field, in JSON-serializable form."""
@@ -456,14 +451,9 @@ def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
     held_out.
     """
     row_map = bundle_full.row_map
-    if config.stop_threshold is not None:
-        stops = [(bundle_full,
-                  ErrorThreshold(config.stop_threshold, config.stop_max_iters))]
-    else:
-        stops = [(bundle_full.for_budget(config.k_for(m)), SampleBudget(m))
-                 for m in config.m_values]
     keyed = []  # (sort key, row)
-    for bundle, stop in stops:
+    for k, stop in config.selections():
+        bundle = bundle_full.for_budget(k)
         t0 = time.perf_counter()
         support = select_support(bundle.pca, stop, config.normalize_atoms)
         select_seconds = time.perf_counter() - t0
@@ -508,8 +498,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     first = {mid: 3 * i for i, mid in enumerate(ids)}  # each material's R column
     plan = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
 
-    threshold_mode = config.stop_threshold is not None
-    k_max = config.k_fixed if threshold_mode else max(config.k_for(m) for m in config.m_values)
+    k_max = max(k for k, _ in config.selections())
     supports = []
     rows = []
     for fold, test_ids in enumerate(plan.folds):

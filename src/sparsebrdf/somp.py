@@ -91,6 +91,22 @@ class ErrorThreshold:
 StoppingRule = SampleBudget | ErrorThreshold
 
 
+def stop_rules(m_values, threshold, max_iters, default) -> tuple:
+    """The stop rule of each support a run selects: one ErrorThreshold when
+    threshold is set, else one SampleBudget per m of m_values, or of default
+    when m_values is None."""
+    if threshold is not None:
+        if m_values:
+            raise ConfigError("m and threshold are two stop rules for one run; set one")
+        return (ErrorThreshold(threshold, max_iters),)
+    if max_iters is not None:
+        raise ConfigError("max_iters needs threshold; a budget selection would ignore it")
+    m_values = default if m_values is None else m_values
+    if not m_values:
+        raise ConfigError("at least one sample count required")
+    return tuple(SampleBudget(m) for m in m_values)
+
+
 @dataclass
 class SupportSet:
     """Ordered selected row indices with the residual after each iteration."""
@@ -318,8 +334,12 @@ def somp_select(
 
 def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> SupportSet:
     """somp_select over a PcaDictionary's inverse and coefficients, refusing
-    an empty support: only a threshold at or above the initial residual
+    a budget above the atom count before the inverse is derived, and an
+    empty support: only a threshold at or above the initial residual
     ||coeffs|| selects nothing, and no record or reconstruction can use it."""
+    if isinstance(stop, SampleBudget) and stop.m > pca.n_atoms:
+        raise BudgetTooLargeError(
+            f"sample budget {stop.m} exceeds the dictionary's {pca.n_atoms} atoms")
     support = somp_select(pca.inverse, pca.coeffs, stop, normalize_atoms=normalize_atoms)
     if len(support) == 0:
         raise ConfigError(
@@ -355,22 +375,26 @@ def support_record_fields(support: SupportSet, row_map: RowMap) -> dict:
     }
 
 
-def support_record(support: SupportSet, row_map: RowMap, bundle_digest: str,
-                   normalize_atoms: bool) -> dict:
-    """The record select-samples writes of a support over the row map of
-    the bundle of that digest, which reconstruct reads it with."""
+def support_record(support: SupportSet, bundle, normalize_atoms: bool) -> dict:
+    """The record select-samples writes of a support selected from a
+    DictionaryBundle.  It names the digest of bundle.for_budget(m), the
+    bundle reconstruct reads the support with."""
     return {
         "version": SUPPORT_RECORD_VERSION,
-        **support_record_fields(support, row_map),
-        "bundle_digest": bundle_digest,
+        **support_record_fields(support, bundle.row_map),
+        "bundle_digest": bundle.for_budget(len(support)).digest,
         "normalize_atoms": normalize_atoms,
     }
 
 
-def read_support_record(path) -> dict:
-    """Load a support record, raising ConfigError unless it is a JSON object
-    of the current version that names its bundle digest, whose m is an
-    integer and whose rows hold m >= 1 distinct integers."""
+def read_support_record(path, bundle) -> tuple:
+    """The support of a record and the truncation of bundle it was selected
+    against, as (SupportSet, bundle.for_budget(m)).
+
+    Raises ConfigError unless the record is a JSON object of the current
+    version that names its bundle digest, whose m is an integer and whose
+    rows hold m >= 1 distinct integers, and then unless that digest is the
+    truncation's; the bundle is hashed only once the record passes."""
     try:
         record = json.loads(Path(path).read_text())
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -387,7 +411,13 @@ def read_support_record(path) -> dict:
             and len(set(rows)) == len(rows) == record["m"] and rows):
         raise ConfigError(f"support record {path}: m must be an integer >= 1 and rows "
                           f"m distinct integers, got m={record['m']!r}")
-    return record
+    bundle = bundle.for_budget(record["m"])
+    if record["bundle_digest"] != bundle.digest:
+        raise ConfigError(
+            f"support record was computed against bundle {record['bundle_digest']}, "
+            f"got {bundle.digest}"
+        )
+    return SupportSet(indices=rows), bundle
 
 
 def direction_table(directions) -> str:

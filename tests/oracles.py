@@ -409,10 +409,8 @@ def tensor_dict_experiment(config: evaluate.ExperimentConfig) -> tuple:
     row_map = corpus_mask(tensors.values())
     plan = evaluate.kfold_split(
         ids, config.folds, evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
-    if config.stop_threshold is not None:
-        k_max = config.k_fixed
-    else:
-        k_max = max(config.k_for(m) for m in config.m_values)
+    # k_fixed atoms when set, which a threshold run needs; else the largest m
+    k_max = config.k_fixed if config.k_fixed is not None else max(config.m_values)
     rows, supports = [], []
     for fold, test_ids in enumerate(plan.folds):
         train_ids = plan.train_ids(fold, ids)

@@ -23,6 +23,7 @@ from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_mer
 from sparsebrdf.somp import (
     ErrorThreshold,
     SampleBudget,
+    SupportSet,
     read_support_record,
     select_support,
     support_record,
@@ -103,10 +104,13 @@ def test_select_samples_writes_the_support_record(flags, rule, normalize, bundle
     if isinstance(rule, SampleBudget):
         bundle = bundle.for_budget(rule.m)
     support = select_support(bundle.pca, rule, normalize)
-    bundle = bundle.for_budget(len(support))
-    record = support_record(support, bundle.row_map, bundle.digest, normalize)
+    record = support_record(support, bundle, normalize)
     assert support_path.read_text() == json.dumps(record, indent=2)
-    assert read_support_record(support_path) == record
+    read, read_bundle = read_support_record(support_path, load_bundle(bundle_dir))
+    assert read == SupportSet(indices=support.indices)
+    assert read_bundle.pca.n_atoms == min(len(support), 5)
+    assert read_bundle.digest == record["bundle_digest"] == bundle.for_budget(
+        len(support)).digest
 
 
 def test_reconstruct_roundtrip(bundle_dir, corpus_dir, tmp_path, capsys):
@@ -300,6 +304,38 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     assert err.count("\n") == 1 and "--max-atoms=10" in err
 
 
+def test_select_samples_refuses_a_budget_above_k_before_forming_inverse(
+        bundle_dir, tmp_path, capsys, monkeypatch):
+    import sparsebrdf.dictionary as dictionary
+
+    def refuse(*_):
+        raise AssertionError("inverse formed before the budget check")
+
+    monkeypatch.setattr(dictionary, "_derived_inverse", refuse)
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(bundle_dir),
+                             "--m", "6", "--out", str(tmp_path / "s.json"))
+    assert code == 3 and out == ""
+    assert err == "config error: sample budget 6 exceeds the dictionary's 5 atoms\n"
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--m", "5", "--threshold", "2"],
+     "m and threshold are two stop rules for one run; set one"),
+    (["--max-iters", "3"], "max_iters needs threshold; a budget selection would ignore it"),
+    (["--m", "0"], "sample budget must be >= 1, got 0"),
+    (["--threshold", "nan"], "threshold must be >= 0, got nan"),
+], ids=["m-threshold", "max-iters", "m-0", "threshold-nan"])
+def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
+        flags, message, tmp_path, capsys):
+    # no bundle exists: reading it would exit 1
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(tmp_path / "none"),
+                             *flags, "--out", str(tmp_path / "s.json"))
+    assert code == 3 and out == ""
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("coherence", ["--m", "x"], "--m must be comma-separated integers"),
     ("coherence", ["--m", "0"], "m=0 must satisfy 1 <= m < n"),
@@ -311,7 +347,7 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
     ("select-samples", ["--threshold", "0.1", "--max-iters", "-3"],
      "max_iters must be >= 1, got -3"),
     ("select-samples", ["--m", "0"], "sample budget must be >= 1, got 0"),
-    ("select-samples", ["--m", "6"], "--m 6 exceeds the bundle's 5 atoms"),
+    ("select-samples", ["--m", "6"], "sample budget 6 exceeds the dictionary's 5 atoms"),
     ("reconstruct", ["--eta", "-1"], "eta must be >= 0"),
     ("reconstruct", ["--eta", "nan"], "eta must be >= 0, got nan"),
     ("reconstruct", ["--eta", "inf"], "eta must be finite, got inf"),
@@ -329,20 +365,18 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
      "epsilon must be positive and finite, got -1.0"),
     ("train-dict", ["--k", "3", "--epsilon", "nan"],
      "epsilon must be positive and finite, got nan"),
-    ("train-dict", ["--synthetic-count", "4", "--res", "8", "--k", "3", "--epsilon", "0"],
-     "epsilon must be positive and finite, got 0.0"),
-    ("train-dict", ["--synthetic-count", "0", "--res", "8", "--k", "3"],
-     "corpus count must be >= 1, got 0"),
-    ("select-samples", ["--max-iters", "0"], "--max-iters needs --threshold"),
-    ("select-samples", ["--m", "3", "--max-iters", "5"], "--max-iters needs --threshold"),
+    ("select-samples", ["--max-iters", "0"],
+     "max_iters needs threshold; a budget selection would ignore it"),
+    ("select-samples", ["--m", "3", "--max-iters", "5"],
+     "max_iters needs threshold; a budget selection would ignore it"),
+    ("select-samples", ["--m", "5", "--threshold", "2"],
+     "m and threshold are two stop rules for one run; set one"),
     ("gen-corpus", ["--count", "0", "--res", "8"], "corpus count must be >= 1, got 0"),
     ("gen-corpus", ["--count", "2", "--res", "0"], "resolution counts must be >= 1, got '0'"),
     ("gen-corpus", ["--count", "2", "--res", "8,0,8"],
      "resolution counts must be >= 1, got '8,0,8'"),
     ("gen-corpus", ["--seed", "-1", "--count", "2", "--res", "8"],
      "corpus seed must be >= 0, got -1"),
-    ("train-dict", ["--synthetic-seed", "-1", "--synthetic-count", "4", "--res", "8",
-                    "--k", "3"], "corpus seed must be >= 0, got -1"),
     ("evaluate", ["--seed", "-1"], "seed must be >= 0, got -1"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
         "select-threshold-nan", "select-max-iters-0", "select-max-iters-neg",
@@ -350,10 +384,9 @@ def test_coherence_refuses_before_forming_inverse(bundle_dir, capsys, monkeypatc
         "reconstruct-eta-inf", "train-k-0", "train-k-neg", "train-k-t",
         "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds",
         "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
-        "train-synthetic-epsilon", "train-synthetic-count-0",
-        "select-max-iters-no-threshold", "select-max-iters-budget",
+        "select-max-iters-no-threshold", "select-max-iters-budget", "select-m-threshold",
         "gen-count-0", "gen-res-0", "gen-res-axis-0", "gen-seed-neg",
-        "train-synthetic-seed-neg", "evaluate-seed-neg"])
+        "evaluate-seed-neg"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys):
     argv = [command, "--dict", str(bundle_dir), *flags]
@@ -365,10 +398,10 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
                  "--brdf", str(sorted(corpus_dir.glob("*.binary"))[0])]
     elif command == "select-samples":
         argv += ["--out", str(tmp_path / "out")]
-    elif command == "train-dict" and "--synthetic-count" not in flags:
+    elif command == "train-dict":
         argv = [command, "--corpus", str(corpus_dir), "--out", str(tmp_path / "out"),
                 *flags]
-    elif command in ("train-dict", "evaluate", "gen-corpus"):
+    elif command in ("evaluate", "gen-corpus"):
         argv = [command, "--out", str(tmp_path / "out"), *flags]
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
@@ -384,7 +417,7 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
     ("m = 3\neta = inf", [], "eta must be finite, got inf"),
     ("threshold = nan", [], "threshold must be >= 0, got nan"),
     ("m = 3\nmax_iters = 3", [],
-     "stop_max_iters needs stop_threshold; a budget selection would ignore it"),
+     "max_iters needs threshold; a budget selection would ignore it"),
     ("m = 3\nthreshold = 0.5", [],
      "m and threshold are two stop rules for one run; set one"),
     ("threshold = 0.5", ["--m", "3"],
@@ -883,6 +916,31 @@ def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select-samples", "--bogus"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-dict", "--k", "3"],
+    ["train-dict", "--corpus", "c", "--k", "3", "--synthetic-count", "4"],
+], ids=["train-no-corpus", "train-synthetic-flag"])
+def test_usage_error_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["gen-corpus", "evaluate"])
+def test_allocation_the_machine_cannot_make_is_one_line_error(command, tmp_path, capsys):
+    # a 100000^3 grid asks numpy for petabytes, which it refuses at once
+    if command == "gen-corpus":
+        argv = ["gen-corpus", "--count", "1", "--res", "100000"]
+    else:
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[corpus]\nsource = synthetic\ncount = 1\nres = 100000\n")
+        argv = ["evaluate", "--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "allocate" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_usage_error(capsys):

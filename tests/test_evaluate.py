@@ -325,7 +325,8 @@ def test_m_values_default_follows_the_stop_rule():
 def test_max_iters_without_threshold_is_config_error():
     import dataclasses
 
-    with pytest.raises(ConfigError, match="stop_max_iters needs stop_threshold"):
+    with pytest.raises(ConfigError, match="max_iters needs threshold; a budget "
+                                          "selection would ignore it"):
         dataclasses.replace(SMALL_CONFIG, stop_max_iters=3)
 
 

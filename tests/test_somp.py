@@ -2,26 +2,31 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sparsebrdf.dictionary import train_bundle
 from sparsebrdf.errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
+    ConfigError,
     IndexOutOfRangeError,
     RankCollapseError,
     UnmappedRowError,
     ZeroColumnError,
 )
-from sparsebrdf.merl import BrdfResolution, RowMap
+from sparsebrdf.evaluate import SyntheticCorpusSpec, load_corpus
+from sparsebrdf.merl import BrdfResolution, RowMap, corpus_matrix
 from sparsebrdf.somp import (
     ErrorThreshold,
     SampleBudget,
     SupportSet,
     cumulative_coherence,
     direction_table,
+    select_support,
     somp_residual_bound,
     somp_select,
+    stop_rules,
     support_to_directions,
 )
 
@@ -122,6 +127,75 @@ def test_somp_budget_too_large():
         somp_select(np.eye(4), np.ones((4, 2)), SampleBudget(5))
     with pytest.raises(BudgetTooLargeError):
         SampleBudget(0)
+
+
+@pytest.mark.parametrize("m_values, threshold, max_iters, rules", [
+    (None, None, None, (SampleBudget(4), SampleBudget(6))),
+    ((3,), None, None, (SampleBudget(3),)),
+    (None, 0.5, 7, (ErrorThreshold(0.5, 7),)),
+    ((), 0.5, None, (ErrorThreshold(0.5),)),
+], ids=["default", "budget", "threshold", "threshold-empty-m"])
+def test_stop_rules(m_values, threshold, max_iters, rules):
+    assert stop_rules(m_values, threshold, max_iters, default=(4, 6)) == rules
+
+
+@pytest.mark.parametrize("m_values, threshold, max_iters, error, message", [
+    ((5,), 2.0, None, ConfigError, "m and threshold are two stop rules for one run"),
+    (None, None, 3, ConfigError, "max_iters needs threshold"),
+    ((), None, None, ConfigError, "at least one sample count required"),
+    ((3, 0), None, None, BudgetTooLargeError, "sample budget must be >= 1, got 0"),
+    (None, -1.0, None, ConfigError, "threshold must be >= 0"),
+], ids=["m-threshold", "max-iters", "no-m", "m-0", "threshold-neg"])
+def test_stop_rules_refuse(m_values, threshold, max_iters, error, message):
+    with pytest.raises(error, match=message):
+        stop_rules(m_values, threshold, max_iters, default=(4,))
+
+
+def test_select_support_refuses_a_budget_above_k(rng):
+    dinv = rng.standard_normal((3, 20))
+    pca = type("Pca", (), {"n_atoms": 3, "inverse": dinv, "coeffs": np.eye(3)})
+    assert len(select_support(pca, SampleBudget(3))) == 3
+    with pytest.raises(BudgetTooLargeError, match="budget 4 exceeds the dictionary's 3"):
+        select_support(pca, SampleBudget(4))
+
+
+@pytest.fixture(scope="module")
+def trained_pca():
+    """The k = 10 dictionary of 12 synthetic 8^3 materials (seed 42)."""
+    spec = SyntheticCorpusSpec(seed=42, count=12, resolution=BrdfResolution(8, 8, 8))
+    corpus, row_map = load_corpus(None, spec)
+    return train_bundle(*corpus_matrix(corpus, row_map), row_map, 10).pca
+
+
+def test_trained_coefficients_have_orthonormal_rows(trained_pca):
+    coeffs = trained_pca.coeffs
+    assert np.abs(coeffs @ coeffs.T - np.eye(coeffs.shape[0])).max() <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_any_support_leaves_the_residual_sqrt_k_minus_m(data, trained_pca):
+    # S = V_k^T has orthonormal rows, so projecting it off any m-dimensional
+    # span leaves sqrt(k - m), whichever rows span it
+    pca = trained_pca
+    k = pca.n_atoms
+    m = data.draw(st.integers(1, k))
+    rows = data.draw(st.lists(st.integers(0, pca.n_rows - 1), min_size=m, max_size=m,
+                              unique=True))
+    assume(np.linalg.cond(pca.inverse[:, rows]) < 1e8)  # the rows span m dimensions
+    residual = residual_update(pca.inverse, rows, pca.coeffs)
+    assert abs(np.linalg.norm(residual) - math.sqrt(k - m)) <= 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps2=st.floats(0.05, 9.95).filter(lambda e: 0.05 <= e % 1.0 <= 0.95))
+def test_threshold_stops_at_k_minus_floor_of_its_square(eps2, trained_pca):
+    # eps^2 is kept off the integers, where sqrt(k - m) and eps tie to roundoff
+    k = trained_pca.n_atoms
+    support = select_support(trained_pca, ErrorThreshold(math.sqrt(eps2)))
+    assert len(support) == k - math.floor(eps2)
+    expected = [math.sqrt(k - i) for i in range(1, len(support) + 1)]
+    assert np.allclose(support.residual_history, expected, rtol=0.0, atol=1e-13)
 
 
 def test_somp_planted_support_smoke():
