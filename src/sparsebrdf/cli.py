@@ -28,7 +28,7 @@ from .dictionary import load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
 from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
-from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, reconstruct_full
+from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, ridge_fit, write_reconstruction
 from .somp import (
     SampleBudget,
     cumulative_coherence,
@@ -141,16 +141,17 @@ def cmd_reconstruct(args) -> int:
     # the whole file is checked, but only the support's cells are read
     samples = measure_brdf(open_merl(args.brdf), support, bundle,
                            material_id=Path(args.brdf).stem)
-    result = reconstruct_full(samples, bundle, eta=args.eta)
+    fit = ridge_fit(samples, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_merl(result.tensor, out)
+    # the bundle is the support's truncation, so its atoms are the fit's
+    clamped_fraction = write_reconstruction(bundle, fit.coefficients, out)
     sidecar = {
         "source": str(args.brdf), "bundle_digest": bundle.digest,
         "support": str(args.support), "eta": args.eta,
-        "ridge_residuals": [float(r) for r in result.ridge_residuals],
-        "ridge_condition": result.ridge_condition,
-        "clamped_fraction": result.clamped_fraction,
+        "ridge_residuals": [float(r) for r in fit.residuals],
+        "ridge_condition": fit.condition,
+        "clamped_fraction": clamped_fraction,
     }
     Path(str(out) + ".json").write_text(json.dumps(sidecar, indent=2))
     print(json.dumps({"out": str(out),

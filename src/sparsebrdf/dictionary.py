@@ -87,7 +87,8 @@ class PcaDictionary:
 
     The inverse is derived from atoms and sigma when it is first read: only
     selection and the coherence scan read it, and at the full grid it is as
-    large as the atoms.
+    large as the atoms.  Trained atoms are C-ordered; a loaded dictionary's
+    are the transpose of its atom-major file.
     """
 
     def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
@@ -131,7 +132,8 @@ class PcaDictionary:
 
 def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(atoms / sigma^2)^T, with zero rows where sigma is zero.  It is built
-    in the buffer the atoms are divided into, and so is F-ordered."""
+    in the buffer the atoms are divided into, in their memory order: so it
+    is F-ordered for trained atoms and C-ordered for loaded ones."""
     safe = np.where(sigma > 0.0, sigma, 1.0)
     u = atoms / safe
     u *= np.where(sigma > 0.0, 1.0 / safe, 0.0)
@@ -220,30 +222,40 @@ class DictionaryBundle:
     @property
     def arrays(self) -> dict:
         """The bundle's arrays by the name of the .bin file each is saved
-        in, in the order the digest hashes them."""
+        in, in the order the digest hashes them, each in the layout it is
+        saved in: the atoms atom-major, as (k, n)."""
         pca = self.pca
-        return {"mean": pca.mean, "atoms": pca.atoms, "coeffs": pca.coeffs,
+        return {"mean": pca.mean, "atoms": pca.atoms.T, "coeffs": pca.coeffs,
                 "sigma": pca.sigma, "rows": self.row_map.grid_indices,
                 "reference": self.reference.values}
 
     @cached_property
     def digest(self) -> str:
-        """Content hash of the arrays; computed once per bundle object.
+        """Content hash of the saved arrays; computed once per bundle object.
 
-        Each array is cut into chunks of about _DIGEST_CHUNK_BYTES of
-        C-order rows, and the chunks are hashed with SHA-256 on
-        _DIGEST_WORKERS threads.  The digest is SHA-256 over each array's
-        shape followed by its chunk digests, then epsilon.  Chunk bounds
-        depend only on shapes, so the digest does not depend on the thread
-        count, and a strided array is copied one chunk at a time."""
+        Each row of each array (a 1-D array is one row, and each atom is a
+        row of the atoms) is cut into pieces of at most _DIGEST_CHUNK_BYTES,
+        and the pieces are hashed with SHA-256 on _DIGEST_WORKERS threads.
+        The digest is SHA-256 over each array's shape followed by its
+        pieces' digests, row by row, then epsilon.  Piece bounds depend only
+        on shapes, so the digest does not depend on the thread count, and a
+        truncation's atom pieces are the first pieces of the whole bundle's.
+        A loaded bundle's rows are contiguous and are hashed where they lie;
+        the atoms of a trained one are copied through a transposing buffer
+        of about _DIGEST_CHUNK_BYTES per thread."""
         arrays = self.arrays.values()
-        chunks = [_row_chunks(arr) for arr in arrays]
+        columns = [_column_blocks(arr if arr.ndim == 2 else arr[None]) for arr in arrays]
+        blocks = itertools.chain.from_iterable(itertools.chain.from_iterable(columns))
         h = hashlib.sha256()
         with ThreadPoolExecutor(_DIGEST_WORKERS) as pool:
-            digests = pool.map(_chunk_digest, itertools.chain.from_iterable(chunks))
-            for arr, parts in zip(arrays, chunks):
+            digests = pool.map(_row_digests, blocks)
+            for arr, column in zip(arrays, columns):
                 h.update(np.array(arr.shape, dtype="<i8"))
-                h.update(b"".join(itertools.islice(digests, len(parts))))
+                # the blocks of a column piece give that piece of every row;
+                # the digest takes the pieces row by row
+                pieces = [list(itertools.chain.from_iterable(
+                    itertools.islice(digests, len(piece)))) for piece in column]
+                h.update(b"".join(itertools.chain.from_iterable(zip(*pieces))))
         h.update(np.float64(self.reference.epsilon).tobytes())
         return h.hexdigest()[:16]
 
@@ -254,25 +266,70 @@ class DictionaryBundle:
         return replace(self, pca=self.pca.truncate(m)) if m < self.pca.n_atoms else self
 
 
-# C-order bytes per digest chunk: small enough that the chunk copies of a
-# strided truncation stay a few MiB at most, large enough that a chunk's
-# hash outweighs its task
+# bytes per digest piece of a row: large enough that a piece's hash
+# outweighs its task; also the size of the transposing buffer that reads or
+# writes a strided array
 _DIGEST_CHUNK_BYTES = 1 << 20
 # one digest thread per CPU this process may run on; hashlib releases the
-# GIL while it hashes a chunk
+# GIL while it hashes a piece
 _DIGEST_WORKERS = len(os.sched_getaffinity(0))
 
 
-def _row_chunks(arr: np.ndarray) -> list:
-    """Views of arr's consecutive row blocks, each about _DIGEST_CHUNK_BYTES
-    of C-order bytes and at least one row."""
-    row_bytes = arr.itemsize * math.prod(arr.shape[1:])
-    step = max(1, _DIGEST_CHUNK_BYTES // max(1, row_bytes))
-    return [arr[start:start + step] for start in range(0, len(arr), step)]
+def _column_blocks(rows: np.ndarray) -> list:
+    """The digest's tasks over a 2-D array: for each column piece, at most
+    _DIGEST_CHUNK_BYTES of every row, views of its blocks of rows.  A block
+    is one row where rows are contiguous, so that tasks are small and even;
+    otherwise it is every row, which one transposing buffer reads at once."""
+    step = max(1, _DIGEST_CHUNK_BYTES // rows.itemsize)
+    groups = ([rows[i:i + 1] for i in range(len(rows))] if _contiguous_rows(rows)
+              else [rows])
+    return [[group[:, start:start + step] for group in groups]
+            for start in range(0, rows.shape[1], step)]
 
 
-def _chunk_digest(chunk: np.ndarray) -> bytes:
-    return hashlib.sha256(np.ascontiguousarray(chunk)).digest()
+def _transposed_parts(rows: np.ndarray):
+    """(start, rows[:, start:start + w]) over a 2-D array's columns, each
+    part copied into one reused C-order buffer of about _DIGEST_CHUNK_BYTES
+    (at least one column) and valid until the next: a strided array read one
+    bounded buffer at a time."""
+    step = max(1, _DIGEST_CHUNK_BYTES // (rows.itemsize * max(1, len(rows))))
+    buf = np.empty((len(rows), min(step, rows.shape[1])), rows.dtype)
+    for start in range(0, rows.shape[1], step):
+        part = buf[:, :min(step, rows.shape[1] - start)]
+        np.copyto(part, rows[:, start:start + step])
+        yield start, part
+
+
+def _contiguous_rows(rows: np.ndarray) -> bool:
+    return rows.shape[1] < 2 or rows.strides[1] == rows.itemsize
+
+
+def _row_digests(block: np.ndarray) -> list:
+    """The SHA-256 digest of each row of a 2-D block."""
+    if _contiguous_rows(block):
+        return [hashlib.sha256(row).digest() for row in block]
+    hashers = [hashlib.sha256() for _ in block]
+    for _, part in _transposed_parts(block):
+        for hasher, row in zip(hashers, part):
+            hasher.update(row)
+    return [hasher.digest() for hasher in hashers]
+
+
+def _write_rows(path: Path, rows: np.ndarray) -> None:
+    """Write a 2-D array's rows one after another, the bytes of tofile of
+    its C-order copy, with no copy of the whole array: a strided one is
+    written one transposed part at a time, each row's piece at its offset.
+    Nothing is memory-mapped, so no dirty page of the file counts as this
+    process's memory."""
+    with open(path, "wb") as fh:
+        if _contiguous_rows(rows):
+            rows.tofile(fh)
+            return
+        row_bytes = rows.shape[1] * rows.itemsize
+        for start, part in _transposed_parts(rows):
+            for i, piece in enumerate(part):
+                fh.seek(i * row_bytes + start * rows.itemsize)
+                fh.write(piece)
 
 
 def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
@@ -296,13 +353,14 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
     )
 
 
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
 
 # array name -> (dtype, axes), in manifest order; every array is stored
-# C-order little-endian, and its axes are n rows, k atoms and t training signals
+# C-order little-endian, and its axes are n rows, k atoms and t training
+# signals.  The atoms are atom-major, so m leading atoms are a prefix of the file
 _BUNDLE_ARRAYS = {
     "mean": ("<f8", "n"),
-    "atoms": ("<f8", "nk"),
+    "atoms": ("<f8", "kn"),
     "coeffs": ("<f8", "kt"),
     "sigma": ("<f8", "k"),
     "reference": ("<f8", "n"),
@@ -325,8 +383,10 @@ def _replace_file(path: Path, write) -> None:
 def save_bundle(bundle: DictionaryBundle, directory) -> None:
     """Persist a dictionary bundle as raw binaries plus a JSON manifest.
 
-    Layout: each array is a C-order little-endian flat binary (<name>.bin);
-    shapes and dtypes live in manifest.json.  The dictionary inverse is not
+    Layout: each array is a C-order little-endian flat binary (<name>.bin),
+    the atoms as (k, n); shapes and dtypes live in manifest.json.  A trained
+    dictionary's (n, k) atoms are written through a bounded transposing
+    buffer, never transposed whole.  The dictionary inverse is not
     stored: a dictionary derives it from atoms and sigma when it is read.
     Each file replaces its predecessor atomically, the manifest last, so a
     bundle loaded from the directory before keeps reading its own values.
@@ -345,8 +405,9 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     }
     arrays = bundle.arrays
     for name, (dtype, _) in _BUNDLE_ARRAYS.items():
-        out = np.ascontiguousarray(arrays[name]).astype(dtype, copy=False)
-        _replace_file(directory / f"{name}.bin", out.tofile)
+        out = arrays[name].astype(dtype, copy=False)
+        rows = out if out.ndim == 2 else out[None]
+        _replace_file(directory / f"{name}.bin", lambda tmp: _write_rows(tmp, rows))
         manifest["arrays"][name] = {"shape": list(out.shape), "dtype": dtype}
     text = json.dumps(manifest, indent=2)
     _replace_file(directory / "manifest.json", lambda tmp: tmp.write_text(text))
@@ -397,7 +458,7 @@ def _check_arrays(path: Path, arrays: dict, res: BrdfResolution) -> None:
             f"{path}: atoms and coeffs must be nonempty matrices, got shapes "
             f"{list(atoms.shape)} and {list(coeffs.shape)}"
         )
-    dims = {"n": atoms.shape[0], "k": atoms.shape[1], "t": coeffs.shape[1]}
+    dims = {"k": atoms.shape[0], "n": atoms.shape[1], "t": coeffs.shape[1]}
     for name, (_, axes) in _BUNDLE_ARRAYS.items():
         want = tuple(dims[a] for a in axes)
         if arrays[name].shape != want:
@@ -435,7 +496,9 @@ def _map_array(path: Path, meta: dict) -> np.ndarray:
 
 def load_bundle(directory) -> DictionaryBundle:
     """The bundle save_bundle wrote to directory, checked against its
-    manifest.  Its arrays are read-only memory maps of the .bin files."""
+    manifest.  Its arrays are read-only memory maps of the .bin files; the
+    dictionary's (n, k) atoms are the transpose of the atom-major file, so
+    a truncation reads a prefix of it."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = _read_manifest(manifest_path)
@@ -450,7 +513,7 @@ def load_bundle(directory) -> DictionaryBundle:
         raise BundleFormatError(f"{manifest_path}: {exc}") from exc
     _check_arrays(manifest_path, arrays, res)
     return DictionaryBundle(
-        pca=PcaDictionary(arrays["mean"], arrays["atoms"], arrays["coeffs"],
+        pca=PcaDictionary(arrays["mean"], arrays["atoms"].T, arrays["coeffs"],
                           arrays["sigma"]),
         row_map=RowMap(res, arrays["rows"]),
         reference=reference,

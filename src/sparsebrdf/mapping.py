@@ -162,20 +162,29 @@ def log_relative_map(brdf: BrdfTensor, ref: ReferenceBrdf, row_map: RowMap) -> M
     return MappedBrdf(map_cells(brdf, ref, row_map), ref.key)
 
 
+def unmap_in_place(rows: np.ndarray, ref: ReferenceBrdf, at) -> int:
+    """Overwrite mapped values with their linear reflectance,
+    (rho_ref + eps) exp(v) - eps clamped at zero, and return how many were
+    clamped.  rows is (r, c), as map_in_place takes it: one row per
+    reference row that at indexes, one column per channel.  The clamp only
+    activates for mapped values below the image of rho = 0."""
+    np.exp(rows, out=rows)
+    rows *= (ref.values[at] + ref.epsilon)[:, None]
+    rows -= ref.epsilon
+    clamped = int(np.count_nonzero(rows < 0.0))
+    np.maximum(rows, 0.0, out=rows)
+    return clamped
+
+
 def log_relative_unmap(mapped: MappedBrdf, ref: ReferenceBrdf) -> tuple[np.ndarray, int]:
     """Invert the mapping back to linear reflectance, clamped at zero.
 
     Returns the (3, n_valid) reflectance and the number of its values that
-    were clamped.  The clamp only activates for mapped values below the
-    image of rho = 0.
+    were clamped (see unmap_in_place).
     """
     if mapped.provenance != ref.key:
         raise ProvenanceMismatchError(
             f"mapped data carries reference {mapped.provenance}, got {ref.key}"
         )
-    rho = np.exp(mapped.values)
-    rho *= ref.values + ref.epsilon
-    rho -= ref.epsilon
-    clamped = int(np.count_nonzero(rho < 0.0))
-    np.maximum(rho, 0.0, out=rho)
-    return rho, clamped
+    rho = mapped.values.copy()
+    return rho, unmap_in_place(rho.T, ref, slice(None))

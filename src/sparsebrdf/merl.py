@@ -40,6 +40,9 @@ _FILL_GROUP = 4
 
 _HALF_PI = np.pi / 2.0
 
+# what BrdfTensor, open_merl and store_cells say of a valid cell's bad value
+_BAD_VALID = "valid cells must hold finite nonnegative reflectance"
+
 
 @dataclass(frozen=True)
 class BrdfResolution:
@@ -105,8 +108,7 @@ class BrdfTensor:
                 and values.max() < np.inf):
             finite_nonneg = (values >= 0.0) & (values < np.inf)
             if not finite_nonneg[:, mask].all():
-                raise MerlFormatError(
-                    "valid cells must hold finite nonnegative reflectance")
+                raise MerlFormatError(_BAD_VALID)
             raise MerlFormatError("invalid cells must hold negative sentinels")
         self.resolution = resolution
         self.values = values
@@ -174,8 +176,7 @@ def open_merl(path) -> MerlFile:
     merl = _read_stored(path)
     if not merl.stored.max() < np.inf:  # also taken by a NaN anywhere
         if (merl.stored[:, merl.mask] == np.inf).any():
-            raise MerlFormatError(
-                f"{path}: valid cells must hold finite nonnegative reflectance")
+            raise MerlFormatError(f"{path}: {_BAD_VALID}")
     return merl
 
 
@@ -206,11 +207,28 @@ def write_merl(brdf: BrdfTensor, path) -> None:
     valid value has an exact preimage, as every value read_merl produces
     has; any other value reads back within one ulp.
     """
-    res = brdf.resolution
     stored = brdf.values / MERL_SCALES[:, None]
     np.copyto(stored, brdf.values, where=~brdf.mask)
+    write_stored(path, brdf.resolution, stored)
+
+
+def store_cells(stored: np.ndarray, cells, values: np.ndarray) -> None:
+    """Write (3, r) linear reflectance at cells of a (3, grid_size) buffer
+    of stored doubles as write_merl stores a valid value, one channel at a
+    time.  The values must pass the check BrdfTensor makes of a valid cell,
+    with its error; they are divided by the scales in place."""
+    if not (values.min() >= 0.0 and values.max() < np.inf):  # NaN fails too
+        raise MerlFormatError(_BAD_VALID)
+    values /= MERL_SCALES[:, None]
+    for row, channel in zip(stored, values):
+        row[cells] = channel
+
+
+def write_stored(path, resolution: BrdfResolution, stored: np.ndarray) -> None:
+    """Write a MERL file of (3, grid_size) stored doubles, in one write."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<3i", res.n_theta_h, res.n_theta_d, res.n_phi_d))
+        fh.write(struct.pack("<3i", resolution.n_theta_h, resolution.n_theta_d,
+                             resolution.n_phi_d))
         stored.astype("<f8", copy=False).tofile(fh)
 
 

@@ -13,6 +13,7 @@ a support of m rows reads the atoms of ``DictionaryBundle.for_budget(m)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -25,11 +26,15 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells
-from .merl import INVALID_SENTINEL, BrdfTensor, MerlFile, RowMap
+from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells, unmap_in_place
+from .merl import INVALID_SENTINEL, BrdfTensor, MerlFile, RowMap, store_cells, write_stored
 from .somp import SupportSet
 
 DEFAULT_ETA = 40.0
+
+# valid rows per block of write_reconstruction's pass, which rounds it up to
+# a multiple of 8 (see there)
+_WRITE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -168,13 +173,20 @@ def synthesize(
     )
 
 
-def reconstruct_full(
-    samples: MeasurementVector,
-    bundle: DictionaryBundle,
-    eta: float = DEFAULT_ETA,
-) -> ReconstructionResult:
-    """Ridge-fit the three channels at the sampled rows, then synthesize,
-    both through the atoms of ``bundle.for_budget(m)``.
+class RidgeFit(NamedTuple):
+    """The ridge fit of a support's measurements over the atoms of
+    ``bundle.for_budget(m)``: (3, min(m, k)) coefficients, the squared data
+    residual per channel and the 2-norm condition number of the sampled
+    rows."""
+
+    coefficients: np.ndarray
+    residuals: np.ndarray
+    condition: float
+
+
+def ridge_fit(samples: MeasurementVector, bundle: DictionaryBundle, eta: float) -> RidgeFit:
+    """Ridge-fit the three channels at the sampled rows, through the atoms of
+    ``bundle.for_budget(m)``.
 
     The channels share the sampled rows, so one factorization serves all three.
     """
@@ -183,12 +195,54 @@ def reconstruct_full(
             "measurements were mapped against a different reference than the bundle"
         )
     rows = _support_rows(samples.support, bundle.pca.n_rows)
-    bundle = bundle.for_budget(len(rows))
-    pca = bundle.pca
+    pca = bundle.for_budget(len(rows)).pca
     d_rows = pca.atoms[rows]
     rhs = (samples.values - pca.mean[rows]).T  # (m, 3)
     solution = ridge_solve(d_rows, rhs, eta)
-    result = synthesize(pca, solution.T, bundle.reference, bundle.row_map)
-    return replace(result,
-                   ridge_residuals=np.sum((rhs - d_rows @ solution) ** 2, axis=0),
-                   ridge_condition=float(np.linalg.cond(d_rows)))
+    return RidgeFit(solution.T, np.sum((rhs - d_rows @ solution) ** 2, axis=0),
+                    float(np.linalg.cond(d_rows)))
+
+
+def reconstruct_full(
+    samples: MeasurementVector,
+    bundle: DictionaryBundle,
+    eta: float = DEFAULT_ETA,
+) -> ReconstructionResult:
+    """ridge_fit, then synthesize through the same atoms."""
+    fit = ridge_fit(samples, bundle, eta)
+    bundle = bundle.for_budget(len(samples.support))
+    result = synthesize(bundle.pca, fit.coefficients, bundle.reference, bundle.row_map)
+    return replace(result, ridge_residuals=fit.residuals, ridge_condition=fit.condition)
+
+
+def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
+                         path) -> float:
+    """Write the MERL file write_merl writes of the tensor synthesize
+    expands (3, k) coefficients into, byte for byte, and return its
+    clamped_fraction, with no tensor built.
+
+    One pass over blocks of valid rows takes, per block, the product with
+    the atoms plus the mean, the unmap (unmap_in_place) with its clamp
+    count, and store_cells: BrdfTensor's check of the values, with its
+    error, and their scaled scatter into one (3, grid_size) buffer,
+    prefilled with the sentinel.  The buffer is written once, so a failed
+    check leaves no file.  Block starts are multiples of 8: a block product
+    starting there gives each row the whole product's bits, while blocks of
+    odd width were seen to differ in the last bit (OpenBLAS, k = 20).
+    """
+    pca, ref, row_map = bundle.pca, bundle.reference, bundle.row_map
+    atoms = pca.atoms.T  # (k, n); contiguous rows in a loaded bundle
+    n = row_map.n_valid
+    step = -(-_WRITE_BLOCK // 8) * 8
+    stored = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
+    buf = np.empty((3, min(step, n)))
+    clamped = 0
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = buf[:, :stop - start]
+        np.matmul(coefficients, atoms[:, start:stop], out=block)
+        block += pca.mean[start:stop]
+        clamped += unmap_in_place(block.T, ref, slice(start, stop))
+        store_cells(stored, row_map.grid_indices[start:stop], block)
+    write_stored(path, row_map.resolution, stored)
+    return clamped / (3 * n)

@@ -56,7 +56,7 @@ _COHERENCE_BLOCK_BYTES = 128 << 20
 # a pick whose component outside earlier picks is below norm / this is dependent
 DEFAULT_COND_LIMIT = 1e12
 
-SUPPORT_RECORD_VERSION = 2
+SUPPORT_RECORD_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,12 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _score_block(dinv: np.ndarray, residual: np.ndarray, start: int, stop: int,
-                 buf: np.ndarray, out: np.ndarray) -> None:
-    """l1 norms of the correlation rows of columns start:stop against the
+def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
+                 out: np.ndarray) -> None:
+    """l1 norms of the correlation rows of a block of columns against the
     residual, written to out through the reused buffer buf."""
-    corr = buf[:stop - start]
-    np.matmul(dinv[:, start:stop].T, residual, out=corr)
+    corr = buf[:cols.shape[1]]
+    np.matmul(cols.T, residual, out=corr)
     np.abs(corr, out=corr)
     corr.sum(axis=1, out=out)
 
@@ -160,7 +160,7 @@ class _BoundedScan:
     index.
     """
 
-    def __init__(self, dinv: np.ndarray, coeffs: np.ndarray):
+    def __init__(self, dinv: np.ndarray, coeffs: np.ndarray, normalize_atoms: bool):
         k, n = dinv.shape
         t = coeffs.shape[1]
         self.dinv = dinv
@@ -173,16 +173,47 @@ class _BoundedScan:
         block = min(_SCAN_BLOCK, n)
         self._corr = np.empty((block, t))
         self._scores = np.empty(block)
+        self._norms = None
+        if normalize_atoms:
+            # each block is divided into this buffer, in dinv's memory order,
+            # as it is read; a column wider than a block, so that a block in
+            # it is contiguous only where a view of dinv is, since numpy sums
+            # a small contiguous product in another order.  The norms are
+            # summed over F-order copies of the blocks whatever dinv's order,
+            # so that near-tied normalized scores do not flip picks
+            self._unit = np.empty_like(dinv[:, :block + 1])
+            self._norms = np.empty(n)
+            for start in self.starts:
+                cols = np.asfortranarray(dinv[:, start:start + _SCAN_BLOCK])
+                norms = self._norms[start:start + cols.shape[1]]
+                norms[:] = np.linalg.norm(cols, axis=0)
+                norms[norms == 0.0] = 1.0
         self.keeps_bounds = len(self.starts) > 1
         if not self.keeps_bounds:
             return  # a lone block is scored at every pick, whatever its bound
         # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
         # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
-        self.nu2 = np.einsum("ij,ij->j", dinv, dinv)
+        self.nu2 = np.empty(n)
+        for start, stop, cols in self._blocks():
+            np.einsum("ij,ij->j", cols, cols, out=self.nu2[start:stop])
         self.kappa = self.gamma
         self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
                      * (1.0 + 2.0 * self.gamma))
         self.eta, self.scale = self._norm_bound(coeffs, np.zeros((k, 0)))
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        """The scanned columns start:stop: dinv's, or with normalized atoms
+        dinv's divided by their norms in the reused buffer."""
+        cols = self.dinv[:, start:stop]
+        if self._norms is None:
+            return cols
+        return np.divide(cols, self._norms[start:stop], out=self._unit[:, :stop - start])
+
+    def _blocks(self):
+        n = self.dinv.shape[1]
+        for start in self.starts:
+            stop = min(int(start) + _SCAN_BLOCK, n)
+            yield int(start), stop, self._columns(int(start), stop)
 
     def _rho(self, residual: np.ndarray) -> float:
         """Upper bound on ||residual||_F."""
@@ -211,7 +242,7 @@ class _BoundedScan:
             start = int(self.starts[b])
             stop = min(start + _SCAN_BLOCK, n)
             scores = self._scores[:stop - start]
-            _score_block(self.dinv, residual, start, stop, self._corr, scores)
+            _score_block(self._columns(start, stop), residual, self._corr, scores)
             scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
             i = int(np.argmax(scores))
             if scores[i] > best or (scores[i] == best and start + i < best_j):
@@ -225,7 +256,9 @@ class _BoundedScan:
         if not self.keeps_bounds:
             return
         q = basis[:, -1]
-        g = q @ self.dinv
+        g = np.empty(self.dinv.shape[1])
+        for start, stop, cols in self._blocks():
+            np.matmul(q, cols, out=g[start:stop])
         self.nu2 -= g * g
         # downdating: |g_j^2 - (q^T d_j)^2| <= gamma (2 + gamma) ||q||^2 ||d_j||^2,
         # and squaring and subtracting round by u each
@@ -272,8 +305,10 @@ def somp_select(
     coeffs : (k, t) coefficient matrix shared by all training signals.
     stop : SampleBudget(m) or ErrorThreshold(epsilon).
     normalize_atoms : scan correlations against unit-norm columns instead of
-        raw ones.  Off by default; the projection step is unaffected either
-        way since normalization does not change column spans.
+        raw ones, each scan block divided as it is read, so no normalized
+        copy of dinv is held.  Off by default; the projection step is
+        unaffected either way since normalization does not change column
+        spans.
 
     Returns the ordered support with the residual Frobenius norm recorded
     after every iteration.
@@ -292,14 +327,7 @@ def somp_select(
         max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
         threshold = stop.epsilon
 
-    scan_dinv = dinv
-    if normalize_atoms:
-        # summed in one order whatever dinv's memory layout, so that near-tied
-        # normalized scores do not flip picks between layouts
-        norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
-        scan_dinv = dinv / np.where(norms > 0.0, norms, 1.0)
-
-    scan = _BoundedScan(scan_dinv, coeffs)
+    scan = _BoundedScan(dinv, coeffs, normalize_atoms)
     selected: list[int] = []
     history: list[float] = []
     basis = np.zeros((k, 0))

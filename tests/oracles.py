@@ -52,7 +52,7 @@ def correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
     buf = np.empty((min(block, n), residual.shape[1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        somp._score_block(dinv, residual, start, stop, buf, scores[start:stop])
+        somp._score_block(dinv[:, start:stop], residual, buf, scores[start:stop])
     return scores
 
 
@@ -63,6 +63,14 @@ def atom_select(dinv: np.ndarray, residual: np.ndarray, exclude=()) -> int:
     for i in exclude:
         scores[i] = -np.inf
     return int(np.argmax(scores))
+
+
+def normalized_columns(dinv: np.ndarray) -> np.ndarray:
+    """dinv with each column divided by its 2-norm (zero columns kept), as
+    one whole copy; the norms are summed over an F-order copy, whatever
+    dinv's layout.  somp_select divides one scan block at a time instead."""
+    norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
+    return dinv / np.where(norms > 0.0, norms, 1.0)
 
 
 def full_scan_somp(dinv: np.ndarray, coeffs: np.ndarray, stop,
@@ -80,10 +88,7 @@ def full_scan_somp(dinv: np.ndarray, coeffs: np.ndarray, stop,
     else:
         max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
         threshold = stop.epsilon
-    scan_dinv = dinv
-    if normalize_atoms:
-        norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
-        scan_dinv = dinv / np.where(norms > 0.0, norms, 1.0)
+    scan_dinv = normalized_columns(dinv) if normalize_atoms else dinv
     selected: list[int] = []
     history: list[float] = []
     basis = np.zeros((k, 0))

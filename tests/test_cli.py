@@ -192,6 +192,34 @@ def test_reconstruct_bad_measurement_is_one_line_error(case, message, bundle_dir
     assert not (tmp_path / "r.binary").exists()
 
 
+def test_reconstruct_that_fails_its_tensor_check_writes_nothing(bundle_dir, corpus_dir,
+                                                                 tmp_path, capsys,
+                                                                 monkeypatch):
+    # coefficients whose expansion overflows: the output pass refuses them
+    # with the tensor's message, and no MERL file or sidecar is left
+    import sparsebrdf.cli as cli
+
+    support = tmp_path / "support.json"
+    run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "3",
+            "--out", str(support))
+    fit = cli.ridge_fit
+
+    def overflowing(samples, bundle, eta):
+        result = fit(samples, bundle, eta)
+        return result._replace(coefficients=np.full_like(result.coefficients, 1e300))
+
+    monkeypatch.setattr(cli, "ridge_fit", overflowing)
+    out_path = tmp_path / "r.binary"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                                 "--support", str(support), "--brdf",
+                                 str(sorted(corpus_dir.glob("*.binary"))[0]),
+                                 "--out", str(out_path))
+    assert code == 1 and out == ""
+    assert err == "error: MerlFormatError: valid cells must hold finite nonnegative reflectance\n"
+    assert not out_path.exists() and not Path(f"{out_path}.json").exists()
+
+
 def test_train_dict_matches_train_bundle(bundle_dir, corpus_dir, capsys):
     manifest = json.loads((bundle_dir / "manifest.json").read_text())
     corpus, row_map = load_corpus(corpus_dir, None)
@@ -232,8 +260,20 @@ def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("version", [1, 3])
+def test_other_bundle_version_is_config_error(version, bundle_dir, tmp_path, capsys):
+    # a version-1 bundle stored its atoms (n, k); it must be trained again
+    broken = tmp_path / "bundle"
+    shutil.copytree(bundle_dir, broken)
+    manifest = json.loads((broken / "manifest.json").read_text())
+    (broken / "manifest.json").write_text(json.dumps({**manifest, "version": version}))
+    code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken), "--m", "3")
+    assert code == 3 and out == ""
+    assert err == f"config error: unsupported bundle version {version}\n"
+
+
 @pytest.mark.parametrize("case", [
-    "malformed-json", "wrong-version", "version-1", "missing-digest",
+    "malformed-json", "wrong-version", "version-1", "version-2", "missing-digest",
     "duplicate-rows", "rows-not-m", "empty", "float-m", "bool-m",
 ])
 def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
@@ -250,6 +290,9 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
         elif case == "version-1":
             # a record of the single-level digest, which no bundle matches
             record["version"] = 1
+        elif case == "version-2":
+            # a record of the digest of (n, k) atoms in row chunks
+            record["version"] = 2
         elif case == "missing-digest":
             del record["bundle_digest"]
         elif case == "duplicate-rows":
@@ -275,8 +318,8 @@ def test_bad_support_record_is_config_error(case, bundle_dir, corpus_dir,
     assert code == 3
     assert err.count("\n") == 1
     assert "support record" in err and "Traceback" not in err
-    if case in ("wrong-version", "version-1"):
-        assert "is not a version 2 record" in err
+    if case in ("wrong-version", "version-1", "version-2"):
+        assert "is not a version 3 record" in err
     if case in ("float-m", "bool-m"):
         assert "m must be an integer" in err
     assert not (tmp_path / "r.binary").exists()
@@ -755,9 +798,9 @@ def _resize(name, fn):
     (_resize("reference", lambda a: a[:-1]), None, "reference has shape"),
     (_resize("rows", lambda a: a[:-1]), None, "rows has shape"),
     (_resize("coeffs", lambda a: a[:-1]), None, "coeffs has shape [4, 30], expected"),
-    (_resize("atoms", lambda a: a[:, :0]), None, "atoms and coeffs must be nonempty"),
+    (_resize("atoms", lambda a: a[:0]), None, "atoms and coeffs must be nonempty"),
     (_resize("atoms", np.ravel), None, "atoms and coeffs must be nonempty"),
-    (None, _set_shape("atoms", [5, 388]), "mean has shape [388], expected (n) = [5]"),
+    (None, _set_shape("atoms", [388, 5]), "mean has shape [388], expected (n) = [5]"),
     (_set_cell("rows", -1, 10**9), None, "rows must be strictly increasing cells"),
     (_set_cell("rows", 0, -1), None, "rows must be strictly increasing cells"),
     (_resize("rows", lambda a: a[::-1]), None, "rows must be strictly increasing"),
@@ -782,7 +825,7 @@ def test_inconsistent_bundle_is_one_line_error(edit_arrays, edit_manifest, messa
     manifest = json.loads((broken / "manifest.json").read_text())
     arrays = {name: np.fromfile(broken / f"{name}.bin", dtype=meta["dtype"])
               .reshape(meta["shape"]) for name, meta in manifest["arrays"].items()}
-    assert arrays["atoms"].shape == (388, 5)  # the sizes the messages name
+    assert arrays["atoms"].shape == (5, 388)  # the sizes the messages name
     if edit_arrays:
         edit_arrays(arrays)
     _rewrite_bundle(broken, arrays, manifest)
@@ -804,7 +847,7 @@ def _bundle_shapes(draw):
     """Array shapes for a bundle over a 2 x 2 x 2 grid: each is either its
     consistent shape or an arbitrary one."""
     n, k, t = draw(_DIM), draw(_DIM), draw(_DIM)
-    consistent = {"mean": [n], "atoms": [n, k], "coeffs": [k, t], "sigma": [k],
+    consistent = {"mean": [n], "atoms": [k, n], "coeffs": [k, t], "sigma": [k],
                   "reference": [n], "rows": [n]}
     return {name: draw(st.one_of(st.just(shape), st.lists(_DIM, max_size=3)))
             for name, shape in consistent.items()}

@@ -1,5 +1,4 @@
 import hashlib
-import math
 import tracemalloc
 from dataclasses import replace
 
@@ -414,17 +413,18 @@ def test_train_bundle_peak_memory_bounded(rng):
 
 def _tobytes_digest(bundle, chunk_bytes):
     """DictionaryBundle.digest computed serially through copies made by
-    tobytes: SHA-256 over each array's shape and the SHA-256 of each of its
-    chunks of whole rows, then epsilon."""
+    tobytes: SHA-256 over each saved array's shape (the atoms' as (k, n))
+    and the SHA-256 of each piece of each of its rows, row by row, a 1-D
+    array being one row, then epsilon."""
     h = hashlib.sha256()
-    for arr in (bundle.pca.mean, bundle.pca.atoms, bundle.pca.coeffs,
+    for arr in (bundle.pca.mean, bundle.pca.atoms.T, bundle.pca.coeffs,
                 bundle.pca.sigma, bundle.row_map.grid_indices, bundle.reference.values):
         h.update(np.array(arr.shape, dtype="<i8").tobytes())
-        data = arr.tobytes()
-        row_bytes = arr.itemsize * math.prod(arr.shape[1:])
-        step = max(1, chunk_bytes // row_bytes) * row_bytes
-        for start in range(0, len(data), step):
-            h.update(hashlib.sha256(data[start:start + step]).digest())
+        step = max(1, chunk_bytes // arr.itemsize) * arr.itemsize
+        for row in np.atleast_2d(arr):
+            data = row.tobytes()
+            for start in range(0, len(data), step):
+                h.update(hashlib.sha256(data[start:start + step]).digest())
     h.update(np.float64(bundle.reference.epsilon).tobytes())
     return h.hexdigest()[:16]
 
@@ -434,16 +434,17 @@ def test_digest_matches_tobytes_formula(tmp_path, rng, monkeypatch):
     pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)),
                               tuple(ids))
-    # a strided atoms view exercises the chunk copies
-    strided = DictionaryBundle(
-        PcaDictionary(pca.mean, np.asfortranarray(pca.atoms), pca.coeffs, pca.sigma),
+    # atom-major atoms, as a loaded bundle holds them, are hashed in place
+    atom_major = DictionaryBundle(
+        PcaDictionary(pca.mean, np.ascontiguousarray(pca.atoms.T).T, pca.coeffs,
+                      pca.sigma),
         rm, bundle.reference, tuple(ids))
     save_bundle(bundle, tmp_path / "bundle")
-    # one chunk per array, then many chunks of a few rows each
+    # one piece per row, then many pieces of a few elements each
     for chunk_bytes in (dictionary._DIGEST_CHUNK_BYTES, 100):
         monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
         digests = []
-        for b in (bundle, bundle.for_budget(2), strided, load_bundle(tmp_path / "bundle")):
+        for b in (bundle, bundle.for_budget(2), atom_major, load_bundle(tmp_path / "bundle")):
             b = replace(b)  # a fresh object, whose digest is not cached
             assert b.digest == _tobytes_digest(b, chunk_bytes)
             digests.append(b.digest)
@@ -459,9 +460,9 @@ def _random_bundle(rng, n, k=3, t=4):
 
 @pytest.mark.parametrize("chunks", ["one", "exactly-c", "c-plus-one"])
 def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
-    # 48 bytes hold 6 elements of the n-long arrays, so those arrays are one
-    # chunk at n = 6, exactly c = 4 at n = 24, and c + 1 at n = 25, the last
-    # one partial; the atoms hold 2 of their 3-atom rows per chunk
+    # 48 bytes hold 6 elements, so each n-long row (the 1-D arrays and each
+    # of the 3 atoms) is one piece at n = 6, exactly c = 4 at n = 24, and
+    # c + 1 at n = 25, the last one partial
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", 48)
     n = {"one": 6, "exactly-c": 24, "c-plus-one": 25}[chunks]
     bundle = _random_bundle(rng, n)
@@ -475,6 +476,23 @@ def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
     assert len(digests) == 2
 
 
+@pytest.mark.parametrize("n", [6, 25, 1000])
+def test_loaded_digest_is_the_trained_one_at_any_worker_count(tmp_path, rng,
+                                                              monkeypatch, n):
+    # a trained bundle's C-order (n, k) atoms and the loaded transpose of its
+    # atom-major file hash alike, whole and truncated
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", 48)
+    bundle = _random_bundle(rng, n, k=5)
+    save_bundle(bundle, tmp_path)
+    assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
+    for workers in (1, 2, 5):
+        monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", workers)
+        loaded = load_bundle(tmp_path)
+        assert not loaded.pca.atoms.flags.c_contiguous
+        for m in (1, 3, 5):
+            assert loaded.for_budget(m).digest == replace(bundle.for_budget(m)).digest
+
+
 def test_digest_tells_shapes_apart(rng):
     # the same bytes in every array, with the coefficients read as (t, k)
     # instead of (k, t)
@@ -485,6 +503,15 @@ def test_digest_tells_shapes_apart(rng):
     assert other.digest != bundle.digest
 
 
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
@@ -492,14 +519,36 @@ def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
     n, m = 1 << 18, 4
     bundle = _random_bundle(rng, n, k=8).for_budget(m)
     assert not bundle.pca.atoms.flags.c_contiguous
-    tracemalloc.start()
-    try:
-        bundle.digest
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: bundle.digest)
     # a whole copy of the truncated atoms would be n * m * 8 bytes, 8 MiB
     assert peak <= 4 * chunk_bytes, peak / chunk_bytes
+
+
+def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
+    chunk_bytes = 1 << 18
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    n, m = 1 << 18, 4
+    save_bundle(_random_bundle(rng, n, k=8), tmp_path)
+    bundle = load_bundle(tmp_path).for_budget(m)
+    assert bundle.pca.atoms.T.flags.c_contiguous  # the file's first m rows
+    peak = _traced_peak(lambda: bundle.digest)
+    # one copied piece would be chunk_bytes; the threads' own allocations
+    # take about a quarter of it
+    assert peak < chunk_bytes / 2, peak / chunk_bytes
+
+
+def test_save_bundle_transposes_through_a_bounded_buffer(tmp_path, rng, monkeypatch):
+    chunk_bytes = 1 << 18
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    n, k = 1 << 18, 8
+    bundle = _random_bundle(rng, n, k=k)
+    bundle.digest  # hashed before the save, as train-dict's manifest needs it
+    peak = _traced_peak(lambda: save_bundle(bundle, tmp_path))
+    # the transposed atoms would be n * k * 8 bytes, 16 MiB
+    assert peak <= 2 * chunk_bytes, peak / chunk_bytes
+    assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
+    assert load_bundle(tmp_path).digest == bundle.digest
 
 
 def test_train_bundle_rejects_other_resolution_and_empty_corpus(rng):
@@ -523,12 +572,12 @@ def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
     save_bundle(bundle, tmp_path / "bundle")
     # the inverse load_bundle formed for every loaded bundle before it was
     # derived on first read; a truncated dictionary derives its own, which
-    # holds the leading rows in F order
+    # holds the leading rows in C order, the order of the atom-major file
     loaded = load_bundle(tmp_path / "bundle").pca
     safe = np.where(loaded.sigma > 0.0, loaded.sigma, 1.0)
     u = loaded.atoms / safe
     eager = u.T * np.where(loaded.sigma > 0.0, 1.0 / safe, 0.0)[:, None]
-    eager = np.asfortranarray(eager[:k])
+    eager = np.ascontiguousarray(eager[:k])
     assert "inverse" not in vars(loaded)  # not formed on load
     inverse = loaded.truncate(k).inverse
     assert inverse.tobytes(order="A") == eager.tobytes(order="A")

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebrdf.dictionary import train_bundle
+import sparsebrdf.reconstruct as reconstruct_mod
+from sparsebrdf.dictionary import load_bundle, save_bundle, train_bundle
 from sparsebrdf.errors import (
     IndexOutOfRangeError,
     InvalidSampleError,
+    MerlFormatError,
     ProvenanceMismatchError,
     ShapeMismatchError,
     SingularMatrixError,
@@ -29,8 +31,10 @@ from sparsebrdf.reconstruct import (
     measure,
     measure_brdf,
     reconstruct_full,
+    ridge_fit,
     ridge_solve,
     synthesize,
+    write_reconstruction,
 )
 from sparsebrdf.somp import SampleBudget, SupportSet, somp_select
 from sparsebrdf.synthetic import gen_corpus
@@ -438,3 +442,86 @@ def test_reconstruct_provenance_mismatch(rng):
     samples = measure(stranger, support)
     with pytest.raises(ProvenanceMismatchError):
         reconstruct_full(samples, bundle)
+
+
+def _written_or_error(write, path):
+    """The bytes write(path) writes and what it returns, or its error's type
+    and message; a failed write must leave no file."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = write(path)
+    except MerlFormatError as exc:
+        assert not path.exists()
+        return type(exc), str(exc)
+    return path.read_bytes(), result
+
+
+@pytest.mark.parametrize("block", [1, 7, 8, 24, 1 << 15], ids=lambda b: f"block-{b}")
+@pytest.mark.parametrize("loaded", [False, True], ids=["trained", "loaded"])
+def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, tmp_path,
+                                                               rng, monkeypatch):
+    # settings of 1 and 7 rows run as blocks of 8, since block starts stay
+    # multiples of 8; 8 and 24 give many blocks, 32768 one.  Over a trained
+    # bundle's (n, k) atoms and a loaded bundle's atom-major file, whose
+    # m < k truncation reads the file's first rows
+    monkeypatch.setattr(reconstruct_mod, "_WRITE_BLOCK", block)
+    bundle, _ = _trained_bundle(rng, count=8, k=5)
+    if loaded:
+        save_bundle(bundle, tmp_path / "bundle")
+        bundle = load_bundle(tmp_path / "bundle")
+    for m in (5, 3):
+        cut = bundle.for_budget(m)
+        pca = cut.pca
+        draws = {"random": rng.standard_normal((3, m)) * 3.0,
+                 "zero": np.zeros((3, m)),
+                 "overflow": np.full((3, m), 1e300)}
+        for shift in (-3.0, -50.0):  # some, then most, values clamp
+            draws[f"clamp{shift}"] = draws["random"].copy()
+            draws[f"clamp{shift}"][:, 0] += shift / np.abs(pca.atoms[:, 0]).mean()
+        for name, coeffs in draws.items():
+            def oracle(path):
+                result = synthesize(pca, coeffs, cut.reference, cut.row_map)
+                write_merl(result.tensor, path)
+                return result.clamped_fraction
+
+            want = _written_or_error(oracle, tmp_path / f"want-{m}-{name}.binary")
+            got = _written_or_error(lambda path: write_reconstruction(cut, coeffs, path),
+                                    tmp_path / f"got-{m}-{name}.binary")
+            assert got == want, (m, name)
+            if name == "overflow":
+                assert want == (MerlFormatError,
+                                "valid cells must hold finite nonnegative reflectance")
+            elif name == "clamp-50.0":
+                assert want[1] > 0.5
+
+
+def test_write_reconstruction_builds_no_tensor(tmp_path, rng, monkeypatch):
+    # blocks of a sixteenth of the grid, as a full-grid file holds 33 of them
+    monkeypatch.setattr(reconstruct_mod, "_WRITE_BLOCK", 2048)
+    res = BrdfResolution(32, 32, 32)
+    bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
+    save_bundle(bundle, tmp_path / "bundle")
+    bundle = load_bundle(tmp_path / "bundle")
+    fit = ridge_fit(measure(mapped[0], SupportSet(indices=tuple(range(0, 50, 10)))), bundle,
+                    40.0)
+    del mapped
+    tensor_bytes = 3 * res.grid_size * 8
+    tracemalloc.start()
+    try:
+        write_reconstruction(bundle, fit.coefficients, tmp_path / "recon.binary")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the one (3, grid_size) buffer of stored values, and one block's
+    assert peak < 1.2 * tensor_bytes, peak / tensor_bytes
+
+
+def test_ridge_fit_is_reconstruct_full_s(rng):
+    bundle, mapped = _trained_bundle(rng, count=8, k=5)
+    for m in (3, 5, 7):
+        samples = measure(mapped[1], SupportSet(indices=tuple(range(2, 2 + 9 * m, 9))))
+        fit = ridge_fit(samples, bundle, 40.0)
+        result = reconstruct_full(samples, bundle, 40.0)
+        assert fit.coefficients.tobytes() == result.coefficients.tobytes()
+        assert fit.residuals.tobytes() == result.ridge_residuals.tobytes()
+        assert fit.condition == result.ridge_condition

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsebrdf.dictionary import train_bundle
+from sparsebrdf.dictionary import DictionaryBundle, load_bundle, save_bundle, train_bundle
 from sparsebrdf.errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
@@ -16,6 +17,7 @@ from sparsebrdf.errors import (
     ZeroColumnError,
 )
 from sparsebrdf.evaluate import SyntheticCorpusSpec, load_corpus
+from sparsebrdf.mapping import ReferenceBrdf
 from sparsebrdf.merl import BrdfResolution, RowMap, corpus_matrix
 from sparsebrdf.somp import (
     ErrorThreshold,
@@ -30,7 +32,7 @@ from sparsebrdf.somp import (
     support_to_directions,
 )
 
-from conftest import planted_instance
+from conftest import planted_instance, toy_row_map
 from oracles import (
     allocating_correlation_scores,
     atom_select,
@@ -38,6 +40,7 @@ from oracles import (
     correlation_scores,
     exact_somp,
     full_scan_somp,
+    normalized_columns,
     residual_update,
 )
 
@@ -247,6 +250,59 @@ def test_somp_greedy_step_optimality(rng):
         scores[picked] = -np.inf
         assert j == int(np.argmax(scores))
         picked.append(j)
+
+
+@pytest.mark.parametrize("block", [7, 64, 1 << 14], ids=lambda b: f"block-{b}")
+def test_normalized_scan_is_the_same_for_c_and_f_order_inverses(block, trained_pca,
+                                                                  monkeypatch):
+    # a trained dictionary's inverse is F-ordered, a loaded one's C-ordered;
+    # both normalized scans divide each block as the whole-copy oracle does
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", block)
+    dinv_f = trained_pca.inverse
+    dinv_c = np.ascontiguousarray(dinv_f)
+    assert dinv_f.flags.f_contiguous and dinv_c.flags.c_contiguous
+    assert np.array_equal(normalized_columns(dinv_f), normalized_columns(dinv_c))
+    for stop in (SampleBudget(4), SampleBudget(10), ErrorThreshold(2.5)):
+        want = full_scan_somp(dinv_f, trained_pca.coeffs, stop, normalize_atoms=True)
+        for dinv in (dinv_f, dinv_c):
+            got = somp_select(dinv, trained_pca.coeffs, stop, normalize_atoms=True)
+            assert got.indices == want.indices, stop
+            assert got.residual_history == want.residual_history, stop
+
+
+def test_loaded_dictionary_selects_as_the_trained_one(trained_pca, tmp_path):
+    # the derived inverse is F-ordered in memory and C-ordered from the
+    # atom-major file; every support is the same
+    n = trained_pca.n_rows
+    save_bundle(DictionaryBundle(trained_pca, toy_row_map(n), ReferenceBrdf(np.ones(n)), ()),
+                tmp_path)
+    loaded = load_bundle(tmp_path).pca
+    assert loaded.inverse.flags.c_contiguous and trained_pca.inverse.flags.f_contiguous
+    for normalize in (False, True):
+        for stop in (SampleBudget(6), ErrorThreshold(2.5)):
+            assert (select_support(loaded, stop, normalize)
+                    == select_support(trained_pca, stop, normalize)), (stop, normalize)
+
+
+def test_normalized_scan_holds_no_copy_of_the_inverse(rng, monkeypatch):
+    # k = 20 rows of 2^16 columns in 32 scan blocks (the full grid has 67): a
+    # normalized copy would be 10 MiB, and the F-order copy its norms were
+    # summed over another 10 MiB
+    import sparsebrdf.somp as somp_mod
+
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 2048)
+    dinv = np.ascontiguousarray(rng.standard_normal((20, 1 << 16)))
+    coeffs = rng.standard_normal((20, 6))
+    tracemalloc.start()
+    try:
+        somp_select(dinv, coeffs, SampleBudget(3), normalize_atoms=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the norms, the bounds' n-vectors and a few blocks
+    assert peak < 0.4 * dinv.nbytes, peak / dinv.nbytes
 
 
 def test_somp_normalize_toggle_runs(rng):
@@ -500,9 +556,10 @@ def test_pruned_scan_skips_blocks_of_small_columns(rng, monkeypatch):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7), n=st.integers(1, 40),
        t=st.integers(1, 6), block=st.integers(1, 12), m=st.integers(1, 7),
-       integer=st.booleans(), normalize=st.booleans(), threshold=st.booleans())
+       integer=st.booleans(), normalize=st.booleans(), threshold=st.booleans(),
+       fortran=st.booleans())
 def test_pruned_scan_matches_full_scan_property(seed, k, n, t, block, m, integer,
-                                                normalize, threshold):
+                                                normalize, threshold, fortran):
     import sparsebrdf.somp as somp_mod
 
     rng = np.random.default_rng(seed)
@@ -512,6 +569,8 @@ def test_pruned_scan_matches_full_scan_property(seed, k, n, t, block, m, integer
     else:
         dinv = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
         coeffs = rng.standard_normal((k, t))
+    if fortran:  # a trained dictionary's inverse; a loaded one's is C-ordered
+        dinv = np.asfortranarray(dinv)
     stop = (ErrorThreshold(0.1 * np.linalg.norm(coeffs)) if threshold
             else SampleBudget(min(m, k, n)))
     with pytest.MonkeyPatch.context() as mp:
