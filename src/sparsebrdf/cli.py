@@ -24,7 +24,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import evaluate as ev
-from .dictionary import load_bundle, save_bundle, train_bundle
+from .dictionary import check_k, load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
 from .mapping import DEFAULT_EPSILON, check_mapping
 from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
@@ -101,6 +101,7 @@ def cmd_train_dict(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     check_mapping(args.epsilon, args.statistic)
     corpus, row_map = ev.load_corpus(args.corpus, None)
+    check_k(args.k, 3 * len(corpus))
     entries, ids = corpus_matrix(corpus, row_map)
     del corpus
     bundle = train_bundle(entries, ids, row_map, args.k,

@@ -85,19 +85,21 @@ class PcaDictionary:
     is zero are stored as zero columns, and their rows of the inverse are
     zero (pseudo-inverse semantics).
 
-    The inverse is derived from atoms and sigma when it is first read: only
-    selection and the coherence scan read it, and at the full grid it is as
-    large as the atoms.  Trained atoms are C-ordered; a loaded dictionary's
-    are the transpose of its atom-major file.
+    The (n, k) atoms are always the transpose of a C-order (k, n) array, the
+    layout of the bundle's atom-major file, so each atom is a contiguous row
+    of atoms.T and k leading atoms are a prefix of it; atoms in another
+    layout are copied into it.  The inverse is derived from atoms and sigma
+    when it is first read: only selection and the coherence scan read it,
+    and at the full grid it is as large as the atoms.
     """
 
     def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
                  sigma: np.ndarray):
         self.mean = mean
-        self.atoms = atoms  # (n, k) = U_k Sigma_k
+        self.atoms = np.ascontiguousarray(atoms.T).T  # (n, k) = U_k Sigma_k
         self.coeffs = coeffs  # (k, t) = V_k^T
         self.sigma = sigma  # (k,)
-        for arr in (mean, atoms, coeffs, sigma):
+        for arr in (mean, self.atoms, coeffs, sigma):
             arr.setflags(write=False)
 
     @cached_property
@@ -131,13 +133,18 @@ class PcaDictionary:
 
 
 def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """(atoms / sigma^2)^T, with zero rows where sigma is zero.  It is built
-    in the buffer the atoms are divided into, in their memory order: so it
-    is F-ordered for trained atoms and C-ordered for loaded ones."""
-    safe = np.where(sigma > 0.0, sigma, 1.0)
-    u = atoms / safe
-    u *= np.where(sigma > 0.0, 1.0 / safe, 0.0)
-    return u.T
+    """(atoms / sigma^2)^T as a C-order (k, n) array, with zero rows where
+    sigma is zero."""
+    safe = np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    u = atoms.T / safe
+    u *= np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
+    return u
+
+
+def check_k(k: int, t: int) -> None:
+    """Raise InvalidKError unless k atoms can be trained from t signals."""
+    if not 1 <= k < t:
+        raise InvalidKError(f"k={k} must satisfy 1 <= k < t={t}")
 
 
 def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
@@ -155,8 +162,7 @@ def _train_in_place(entries: np.ndarray, k: int) -> PcaDictionary:
     """train_pca over an (n, t) array, which is centred in place and must not
     be read after the call."""
     n, t = entries.shape
-    if not 1 <= k < t:
-        raise InvalidKError(f"k={k} must satisfy 1 <= k < t={t}")
+    check_k(k, t)
     if t > n:
         raise InvalidKError(f"more signals ({t}) than rows ({n}) is unsupported")
 
@@ -181,31 +187,27 @@ def _train_in_place(entries: np.ndarray, k: int) -> PcaDictionary:
         eps * max(n, t) * norm,
     )
     sigma[sigma <= tiny] = 0.0
-    # only the k kept columns of U are formed, and the centred entries are
-    # dropped right after; at least two, since a one-column product goes
-    # through GEMV, whose sums differ in the last bit from the GEMM of wider
-    # products
-    u = (entries @ v[:, :max(k, 2)])[:, :k]
+    # only the k kept left singular vectors are formed, atom-major, and the
+    # centred entries are dropped right after; at least two, since a
+    # one-row product goes through GEMV, whose sums differ in the last bit
+    # from the GEMM of wider products
+    u = (v[:, :max(k, 2)].T @ entries.T)[:k]
     del entries
     sigma, v = sigma[:k], v[:, :k]
-    u /= np.where(sigma > 0.0, sigma, 1.0)
-    u[:, sigma == 0.0] = 0.0
 
-    # deterministic sign: largest-magnitude entry of each u column positive;
-    # one column at a time, so no n x k |u| temporary is made
-    for j in range(k):
-        col = u[:, j]
-        if col[np.argmax(np.abs(col))] < 0.0:
-            col *= -1.0
+    # each vector is divided by its singular value (zeroed where that is
+    # zero), sign-fixed so its largest-magnitude entry is positive, and
+    # scaled into an atom, one row at a time
+    for j, row in enumerate(u):
+        if sigma[j] > 0.0:
+            row /= sigma[j]
+        else:
+            row[:] = 0.0
+        if row[np.argmax(np.abs(row))] < 0.0:
+            row *= -1.0
             v[:, j] *= -1.0
-
-    u *= sigma
-    return PcaDictionary(
-        mean=mean,
-        atoms=np.ascontiguousarray(u),
-        coeffs=v.T.copy(),
-        sigma=sigma.copy(),
-    )
+        row *= sigma[j]
+    return PcaDictionary(mean=mean, atoms=u.T, coeffs=v.T.copy(), sigma=sigma.copy())
 
 
 @dataclass(frozen=True)
@@ -235,27 +237,20 @@ class DictionaryBundle:
 
         Each row of each array (a 1-D array is one row, and each atom is a
         row of the atoms) is cut into pieces of at most _DIGEST_CHUNK_BYTES,
-        and the pieces are hashed with SHA-256 on _DIGEST_WORKERS threads.
-        The digest is SHA-256 over each array's shape followed by its
-        pieces' digests, row by row, then epsilon.  Piece bounds depend only
-        on shapes, so the digest does not depend on the thread count, and a
-        truncation's atom pieces are the first pieces of the whole bundle's.
-        A loaded bundle's rows are contiguous and are hashed where they lie;
-        the atoms of a trained one are copied through a transposing buffer
-        of about _DIGEST_CHUNK_BYTES per thread."""
+        and each piece is hashed with SHA-256 where it lies, one row per task
+        on _DIGEST_WORKERS threads.  The digest is SHA-256 over each array's
+        shape followed by its pieces' digests, row by row, then epsilon.
+        Piece bounds depend only on shapes, so the digest does not depend on
+        the thread count, and a truncation's atom pieces are the first
+        pieces of the whole bundle's."""
         arrays = self.arrays.values()
-        columns = [_column_blocks(arr if arr.ndim == 2 else arr[None]) for arr in arrays]
-        blocks = itertools.chain.from_iterable(itertools.chain.from_iterable(columns))
+        rows = [np.atleast_2d(arr) for arr in arrays]
         h = hashlib.sha256()
         with ThreadPoolExecutor(_DIGEST_WORKERS) as pool:
-            digests = pool.map(_row_digests, blocks)
-            for arr, column in zip(arrays, columns):
+            digests = pool.map(_row_digest, itertools.chain.from_iterable(rows))
+            for arr, own in zip(arrays, rows):
                 h.update(np.array(arr.shape, dtype="<i8"))
-                # the blocks of a column piece give that piece of every row;
-                # the digest takes the pieces row by row
-                pieces = [list(itertools.chain.from_iterable(
-                    itertools.islice(digests, len(piece)))) for piece in column]
-                h.update(b"".join(itertools.chain.from_iterable(zip(*pieces))))
+                h.update(b"".join(itertools.islice(digests, len(own))))
         h.update(np.float64(self.reference.epsilon).tobytes())
         return h.hexdigest()[:16]
 
@@ -267,69 +262,20 @@ class DictionaryBundle:
 
 
 # bytes per digest piece of a row: large enough that a piece's hash
-# outweighs its task; also the size of the transposing buffer that reads or
-# writes a strided array
+# outweighs its task
 _DIGEST_CHUNK_BYTES = 1 << 20
 # one digest thread per CPU this process may run on; hashlib releases the
 # GIL while it hashes a piece
 _DIGEST_WORKERS = len(os.sched_getaffinity(0))
 
 
-def _column_blocks(rows: np.ndarray) -> list:
-    """The digest's tasks over a 2-D array: for each column piece, at most
-    _DIGEST_CHUNK_BYTES of every row, views of its blocks of rows.  A block
-    is one row where rows are contiguous, so that tasks are small and even;
-    otherwise it is every row, which one transposing buffer reads at once."""
-    step = max(1, _DIGEST_CHUNK_BYTES // rows.itemsize)
-    groups = ([rows[i:i + 1] for i in range(len(rows))] if _contiguous_rows(rows)
-              else [rows])
-    return [[group[:, start:start + step] for group in groups]
-            for start in range(0, rows.shape[1], step)]
-
-
-def _transposed_parts(rows: np.ndarray):
-    """(start, rows[:, start:start + w]) over a 2-D array's columns, each
-    part copied into one reused C-order buffer of about _DIGEST_CHUNK_BYTES
-    (at least one column) and valid until the next: a strided array read one
-    bounded buffer at a time."""
-    step = max(1, _DIGEST_CHUNK_BYTES // (rows.itemsize * max(1, len(rows))))
-    buf = np.empty((len(rows), min(step, rows.shape[1])), rows.dtype)
-    for start in range(0, rows.shape[1], step):
-        part = buf[:, :min(step, rows.shape[1] - start)]
-        np.copyto(part, rows[:, start:start + step])
-        yield start, part
-
-
-def _contiguous_rows(rows: np.ndarray) -> bool:
-    return rows.shape[1] < 2 or rows.strides[1] == rows.itemsize
-
-
-def _row_digests(block: np.ndarray) -> list:
-    """The SHA-256 digest of each row of a 2-D block."""
-    if _contiguous_rows(block):
-        return [hashlib.sha256(row).digest() for row in block]
-    hashers = [hashlib.sha256() for _ in block]
-    for _, part in _transposed_parts(block):
-        for hasher, row in zip(hashers, part):
-            hasher.update(row)
-    return [hasher.digest() for hasher in hashers]
-
-
-def _write_rows(path: Path, rows: np.ndarray) -> None:
-    """Write a 2-D array's rows one after another, the bytes of tofile of
-    its C-order copy, with no copy of the whole array: a strided one is
-    written one transposed part at a time, each row's piece at its offset.
-    Nothing is memory-mapped, so no dirty page of the file counts as this
-    process's memory."""
-    with open(path, "wb") as fh:
-        if _contiguous_rows(rows):
-            rows.tofile(fh)
-            return
-        row_bytes = rows.shape[1] * rows.itemsize
-        for start, part in _transposed_parts(rows):
-            for i, piece in enumerate(part):
-                fh.seek(i * row_bytes + start * rows.itemsize)
-                fh.write(piece)
+def _row_digest(row: np.ndarray) -> bytes:
+    """The SHA-256 digests of a row's pieces, joined.  The rows of a
+    dictionary's arrays are contiguous; a piece of another row is hashed
+    from a copy of itself."""
+    step = max(1, _DIGEST_CHUNK_BYTES // row.itemsize)
+    return b"".join(hashlib.sha256(np.ascontiguousarray(row[start:start + step])).digest()
+                    for start in range(0, len(row), step))
 
 
 def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
@@ -384,12 +330,13 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     """Persist a dictionary bundle as raw binaries plus a JSON manifest.
 
     Layout: each array is a C-order little-endian flat binary (<name>.bin),
-    the atoms as (k, n); shapes and dtypes live in manifest.json.  A trained
-    dictionary's (n, k) atoms are written through a bounded transposing
-    buffer, never transposed whole.  The dictionary inverse is not
-    stored: a dictionary derives it from atoms and sigma when it is read.
-    Each file replaces its predecessor atomically, the manifest last, so a
-    bundle loaded from the directory before keeps reading its own values.
+    the atoms as (k, n), written with one tofile of the array the dictionary
+    holds; shapes and dtypes live in manifest.json.  Nothing is
+    memory-mapped, so no dirty page of a file counts as this process's
+    memory.  The dictionary inverse is not stored: a dictionary derives it
+    from atoms and sigma when it is read.  Each file replaces its
+    predecessor atomically, the manifest last, so a bundle loaded from the
+    directory before keeps reading its own values.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -406,8 +353,7 @@ def save_bundle(bundle: DictionaryBundle, directory) -> None:
     arrays = bundle.arrays
     for name, (dtype, _) in _BUNDLE_ARRAYS.items():
         out = arrays[name].astype(dtype, copy=False)
-        rows = out if out.ndim == 2 else out[None]
-        _replace_file(directory / f"{name}.bin", lambda tmp: _write_rows(tmp, rows))
+        _replace_file(directory / f"{name}.bin", out.tofile)
         manifest["arrays"][name] = {"shape": list(out.shape), "dtype": dtype}
     text = json.dumps(manifest, indent=2)
     _replace_file(directory / "manifest.json", lambda tmp: tmp.write_text(text))
@@ -498,12 +444,12 @@ def load_bundle(directory) -> DictionaryBundle:
     """The bundle save_bundle wrote to directory, checked against its
     manifest.  Its arrays are read-only memory maps of the .bin files; the
     dictionary's (n, k) atoms are the transpose of the atom-major file, so
-    a truncation reads a prefix of it."""
+    a truncation reads a prefix of it and nothing is copied."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     manifest = _read_manifest(manifest_path)
     if manifest["version"] != BUNDLE_VERSION:
-        raise ConfigError(f"unsupported bundle version {manifest['version']}")
+        raise ConfigError(f"unsupported bundle version {manifest['version']!r}")
     arrays = {name: _map_array(directory / f"{name}.bin", meta)
               for name, meta in manifest["arrays"].items()}
     try:

@@ -231,7 +231,7 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
     odd width were seen to differ in the last bit (OpenBLAS, k = 20).
     """
     pca, ref, row_map = bundle.pca, bundle.reference, bundle.row_map
-    atoms = pca.atoms.T  # (k, n); contiguous rows in a loaded bundle
+    atoms = pca.atoms.T  # (k, n), C-order in every dictionary
     n = row_map.n_valid
     step = -(-_WRITE_BLOCK // 8) * 8
     stored = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)

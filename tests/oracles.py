@@ -267,8 +267,9 @@ def full_copy_train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
         sigma=sigma[:k].copy(),
     )
     # the inverse formed from U rather than derived from the atoms, so that
-    # a derived inverse is compared with an independent expected array
-    pca.inverse = u[:, :k].T * inv_sigma[:, None]
+    # a derived inverse is compared with an independent expected array; in
+    # C order, as the library derives every inverse
+    pca.inverse = np.ascontiguousarray(u[:, :k].T) * inv_sigma[:, None]
     return pca
 
 

@@ -227,6 +227,28 @@ def test_train_dict_matches_train_bundle(bundle_dir, corpus_dir, capsys):
     assert bundle.digest == manifest["digest"]
 
 
+@pytest.mark.parametrize("k", [12, 30])
+def test_train_dict_checks_k_before_reading_the_corpus(k, tmp_path, capsys, monkeypatch):
+    # 4 files give t = 12 training signals, so k >= 12 is refused before
+    # the corpus matrix is read
+    import sparsebrdf.cli as cli
+
+    corpus = tmp_path / "corpus"
+    assert main(["gen-corpus", "--seed", "42", "--count", "4", "--res", "8",
+                 "--out", str(corpus)]) == 0
+    capsys.readouterr()
+
+    def unread(*args):
+        raise AssertionError("the corpus matrix was read")
+
+    monkeypatch.setattr(cli, "corpus_matrix", unread)
+    code, out, err = run_cli(capsys, "train-dict", "--corpus", str(corpus), "--k", str(k),
+                             "--out", str(tmp_path / "bundle"))
+    assert (code, out) == (3, "")
+    assert err == f"config error: k={k} must satisfy 1 <= k < t=12\n"
+    assert not (tmp_path / "bundle").exists()
+
+
 def test_truncated_bundle_array_is_runtime_error(bundle_dir, tmp_path, capsys):
     broken = tmp_path / "bundle"
     shutil.copytree(bundle_dir, broken)
@@ -260,16 +282,17 @@ def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("version", [1, 3])
+@pytest.mark.parametrize("version", [1, 3, "2"])
 def test_other_bundle_version_is_config_error(version, bundle_dir, tmp_path, capsys):
-    # a version-1 bundle stored its atoms (n, k); it must be trained again
+    # a version-1 bundle stored its atoms (n, k); it must be trained again.
+    # The string "2" is shown as a string, not as the supported version
     broken = tmp_path / "bundle"
     shutil.copytree(bundle_dir, broken)
     manifest = json.loads((broken / "manifest.json").read_text())
     (broken / "manifest.json").write_text(json.dumps({**manifest, "version": version}))
     code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken), "--m", "3")
     assert code == 3 and out == ""
-    assert err == f"config error: unsupported bundle version {version}\n"
+    assert err == f"config error: unsupported bundle version {version!r}\n"
 
 
 @pytest.mark.parametrize("case", [

@@ -354,6 +354,30 @@ def test_training_forms_no_inverse(rng):
     assert "inverse" not in vars(bundle.pca)
 
 
+def test_dictionary_holds_given_atoms_atom_major(rng):
+    # (n, k) C-order atoms are copied atom-major; atom-major ones are held
+    # as they are
+    atoms = rng.standard_normal((50, 4))
+    pca = PcaDictionary(rng.standard_normal(50), atoms, rng.standard_normal((4, 6)),
+                        np.ones(4))
+    assert np.array_equal(pca.atoms, atoms)
+    assert pca.atoms.T.flags.c_contiguous and not pca.atoms.flags.c_contiguous
+    atom_major = np.ascontiguousarray(atoms.T)
+    held = PcaDictionary(pca.mean, atom_major.T, pca.coeffs, pca.sigma).atoms
+    assert held.base is atom_major
+
+
+def test_every_dictionary_is_atom_major_with_a_c_order_inverse(rng, tmp_path):
+    bundle = _trained_bundle(rng, 4, 6)
+    save_bundle(bundle, tmp_path)
+    trained = train_pca(assemble_training_matrix(*_mapped_corpus(rng, 4)), 6)
+    for pca in (bundle.pca, trained, load_bundle(tmp_path).pca):
+        for k in (6, 3, 1):
+            truncated = pca.truncate(k)
+            assert truncated.atoms.T.flags.c_contiguous, k
+            assert truncated.inverse.flags.c_contiguous, k
+
+
 @pytest.mark.parametrize("statistic", ["median", "mean"])
 def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
     import sparsebrdf.mapping as mapping_mod
@@ -434,21 +458,28 @@ def test_digest_matches_tobytes_formula(tmp_path, rng, monkeypatch):
     pca, rm, ids = trained.pca, trained.row_map, trained.material_ids
     bundle = DictionaryBundle(pca, rm, ReferenceBrdf(np.full(rm.n_valid, 0.25)),
                               tuple(ids))
-    # atom-major atoms, as a loaded bundle holds them, are hashed in place
+    # atoms given atom-major are held as they are and hash alike
     atom_major = DictionaryBundle(
         PcaDictionary(pca.mean, np.ascontiguousarray(pca.atoms.T).T, pca.coeffs,
                       pca.sigma),
         rm, bundle.reference, tuple(ids))
+    # strided rows, which no library-made bundle holds, hash alike too
+    strided = DictionaryBundle(
+        PcaDictionary(pca.mean, pca.atoms, np.asfortranarray(pca.coeffs), pca.sigma),
+        rm, ReferenceBrdf(np.repeat(bundle.reference.values, 2)[::2]), tuple(ids))
+    assert not strided.pca.coeffs.flags.c_contiguous
+    assert not strided.reference.values.flags.c_contiguous
     save_bundle(bundle, tmp_path / "bundle")
     # one piece per row, then many pieces of a few elements each
     for chunk_bytes in (dictionary._DIGEST_CHUNK_BYTES, 100):
         monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
         digests = []
-        for b in (bundle, bundle.for_budget(2), atom_major, load_bundle(tmp_path / "bundle")):
+        for b in (bundle, bundle.for_budget(2), atom_major, strided,
+                  load_bundle(tmp_path / "bundle")):
             b = replace(b)  # a fresh object, whose digest is not cached
             assert b.digest == _tobytes_digest(b, chunk_bytes)
             digests.append(b.digest)
-        assert digests[2] == digests[0]
+        assert digests[2] == digests[3] == digests[0]
 
 
 def _random_bundle(rng, n, k=3, t=4):
@@ -479,8 +510,8 @@ def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
 @pytest.mark.parametrize("n", [6, 25, 1000])
 def test_loaded_digest_is_the_trained_one_at_any_worker_count(tmp_path, rng,
                                                               monkeypatch, n):
-    # a trained bundle's C-order (n, k) atoms and the loaded transpose of its
-    # atom-major file hash alike, whole and truncated
+    # a bundle given C-order (n, k) atoms, which it holds atom-major, and the
+    # loaded transpose of its atom-major file hash alike, whole and truncated
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", 48)
     bundle = _random_bundle(rng, n, k=5)
     save_bundle(bundle, tmp_path)
@@ -512,18 +543,6 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
-    chunk_bytes = 1 << 18
-    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
-    n, m = 1 << 18, 4
-    bundle = _random_bundle(rng, n, k=8).for_budget(m)
-    assert not bundle.pca.atoms.flags.c_contiguous
-    peak = _traced_peak(lambda: bundle.digest)
-    # a whole copy of the truncated atoms would be n * m * 8 bytes, 8 MiB
-    assert peak <= 4 * chunk_bytes, peak / chunk_bytes
-
-
 def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
@@ -538,15 +557,24 @@ def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     assert peak < chunk_bytes / 2, peak / chunk_bytes
 
 
-def test_save_bundle_transposes_through_a_bounded_buffer(tmp_path, rng, monkeypatch):
+def test_trained_bundle_is_hashed_and_saved_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
     n, k = 1 << 18, 8
-    bundle = _random_bundle(rng, n, k=k)
-    bundle.digest  # hashed before the save, as train-dict's manifest needs it
-    peak = _traced_peak(lambda: save_bundle(bundle, tmp_path))
-    # the transposed atoms would be n * k * 8 bytes, 16 MiB
-    assert peak <= 2 * chunk_bytes, peak / chunk_bytes
+    bundle = train_bundle(rng.random((n, 12)) + 0.5, ["a", "b", "c", "d"],
+                          toy_row_map(n), k)
+    truncated = bundle.for_budget(4)
+
+    def hash_and_save():
+        # the manifest needs the digest before the save, as train-dict's does
+        bundle.digest, truncated.digest
+        save_bundle(bundle, tmp_path)
+
+    peak = _traced_peak(hash_and_save)
+    # the bound a loaded bundle's digest keeps; a copy of the truncated
+    # atoms would be n * 4 * 8 bytes, 8 MiB
+    assert peak < chunk_bytes / 2, peak / chunk_bytes
     assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
     assert load_bundle(tmp_path).digest == bundle.digest
 

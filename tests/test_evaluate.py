@@ -246,8 +246,8 @@ def test_experiment_deterministic_across_reruns(tmp_path):
 
 
 def test_truncated_supports_do_not_depend_on_inverse_layout():
-    # a truncated dictionary derives its inverse in F order; on the folds of
-    # the criterion-3 config its C-order copy scans to the same bytes and
+    # a truncated dictionary derives its inverse in C order; on the folds of
+    # the criterion-3 config its F-order copy scans to the same bytes and
     # selects the same supports, with and without normalized atoms
     config = ExperimentConfig(synthetic=SyntheticCorpusSpec(
         seed=42, count=50, resolution=BrdfResolution(16, 16, 16)), folds=5, seed=7)
@@ -261,8 +261,9 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
         bundle = train_bundle(linear.take(cols, axis=1), train_ids, row_map, 20)
         for k in (5, 10):
             pca = bundle.for_budget(k).pca
-            f_order = pca.inverse
-            c_order = np.ascontiguousarray(f_order)
+            c_order = pca.inverse
+            f_order = np.asfortranarray(c_order)
+            assert c_order.flags.c_contiguous
             assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
             assert (correlation_scores(f_order, pca.coeffs).tobytes()
                     == correlation_scores(c_order, pca.coeffs).tobytes())

@@ -255,13 +255,13 @@ def test_somp_greedy_step_optimality(rng):
 @pytest.mark.parametrize("block", [7, 64, 1 << 14], ids=lambda b: f"block-{b}")
 def test_normalized_scan_is_the_same_for_c_and_f_order_inverses(block, trained_pca,
                                                                   monkeypatch):
-    # a trained dictionary's inverse is F-ordered, a loaded one's C-ordered;
+    # a dictionary's inverse is C-ordered, and somp_select takes any layout;
     # both normalized scans divide each block as the whole-copy oracle does
     import sparsebrdf.somp as somp_mod
 
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", block)
-    dinv_f = trained_pca.inverse
-    dinv_c = np.ascontiguousarray(dinv_f)
+    dinv_c = trained_pca.inverse
+    dinv_f = np.asfortranarray(dinv_c)
     assert dinv_f.flags.f_contiguous and dinv_c.flags.c_contiguous
     assert np.array_equal(normalized_columns(dinv_f), normalized_columns(dinv_c))
     for stop in (SampleBudget(4), SampleBudget(10), ErrorThreshold(2.5)):
@@ -273,13 +273,12 @@ def test_normalized_scan_is_the_same_for_c_and_f_order_inverses(block, trained_p
 
 
 def test_loaded_dictionary_selects_as_the_trained_one(trained_pca, tmp_path):
-    # the derived inverse is F-ordered in memory and C-ordered from the
-    # atom-major file; every support is the same
+    # both derived inverses are C-ordered, and every support is the same
     n = trained_pca.n_rows
     save_bundle(DictionaryBundle(trained_pca, toy_row_map(n), ReferenceBrdf(np.ones(n)), ()),
                 tmp_path)
     loaded = load_bundle(tmp_path).pca
-    assert loaded.inverse.flags.c_contiguous and trained_pca.inverse.flags.f_contiguous
+    assert loaded.inverse.flags.c_contiguous and trained_pca.inverse.flags.c_contiguous
     for normalize in (False, True):
         for stop in (SampleBudget(6), ErrorThreshold(2.5)):
             assert (select_support(loaded, stop, normalize)
@@ -413,7 +412,8 @@ def test_buffered_scan_matches_allocating_scan(rng, monkeypatch, block):
 
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", block)
     residual = rng.standard_normal((6, 5))
-    # C-order and F-order dinv, the latter being how train_pca lays it out
+    # C-order and F-order dinv: every dictionary derives the former, and
+    # somp_select takes either
     for dinv in (rng.standard_normal((6, 100)), np.asfortranarray(rng.standard_normal((6, 100)))):
         scores = correlation_scores(dinv, residual)
         assert np.array_equal(scores, allocating_correlation_scores(dinv, residual, block))
@@ -569,7 +569,7 @@ def test_pruned_scan_matches_full_scan_property(seed, k, n, t, block, m, integer
     else:
         dinv = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
         coeffs = rng.standard_normal((k, t))
-    if fortran:  # a trained dictionary's inverse; a loaded one's is C-ordered
+    if fortran:  # somp_select takes any layout; a dictionary's is C-ordered
         dinv = np.asfortranarray(dinv)
     stop = (ErrorThreshold(0.1 * np.linalg.norm(coeffs)) if threshold
             else SampleBudget(min(m, k, n)))
