@@ -543,6 +543,20 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
+    chunk_bytes = 1 << 18
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    n, m = 1 << 18, 4
+    # given C-order (n, k) atoms, whose (n, m) truncation is a strided view
+    # of the atom-major rows the dictionary holds
+    bundle = _random_bundle(rng, n, k=8).for_budget(m)
+    assert not bundle.pca.atoms.flags.c_contiguous
+    peak = _traced_peak(lambda: bundle.digest)
+    # a whole copy of the truncated atoms would be n * m * 8 bytes, 8 MiB
+    assert peak <= 4 * chunk_bytes, peak / chunk_bytes
+
+
 def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
@@ -555,6 +569,20 @@ def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     # one copied piece would be chunk_bytes; the threads' own allocations
     # take about a quarter of it
     assert peak < chunk_bytes / 2, peak / chunk_bytes
+
+
+def test_save_bundle_transposes_through_a_bounded_buffer(tmp_path, rng, monkeypatch):
+    chunk_bytes = 1 << 18
+    monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
+    n, k = 1 << 18, 8
+    # given C-order (n, k) atoms, which the file stores atom-major
+    bundle = _random_bundle(rng, n, k=k)
+    bundle.digest  # hashed before the save, as train-dict's manifest needs it
+    peak = _traced_peak(lambda: save_bundle(bundle, tmp_path))
+    # the transposed atoms would be n * k * 8 bytes, 16 MiB
+    assert peak <= 2 * chunk_bytes, peak / chunk_bytes
+    assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
+    assert load_bundle(tmp_path).digest == bundle.digest
 
 
 def test_trained_bundle_is_hashed_and_saved_with_no_copy(tmp_path, rng, monkeypatch):
