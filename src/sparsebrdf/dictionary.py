@@ -238,7 +238,7 @@ class DictionaryBundle:
         Each row of each array (a 1-D array is one row, and each atom is a
         row of the atoms) is cut into pieces of at most _DIGEST_CHUNK_BYTES,
         and each piece is hashed with SHA-256 where it lies, one row per task
-        on _DIGEST_WORKERS threads.  The digest is SHA-256 over each array's
+        on _WORKERS threads.  The digest is SHA-256 over each array's
         shape followed by its pieces' digests, row by row, then epsilon.
         Piece bounds depend only on shapes, so the digest does not depend on
         the thread count, and a truncation's atom pieces are the first
@@ -246,7 +246,7 @@ class DictionaryBundle:
         arrays = self.arrays.values()
         rows = [np.atleast_2d(arr) for arr in arrays]
         h = hashlib.sha256()
-        with ThreadPoolExecutor(_DIGEST_WORKERS) as pool:
+        with ThreadPoolExecutor(_WORKERS) as pool:
             digests = pool.map(_row_digest, itertools.chain.from_iterable(rows))
             for arr, own in zip(arrays, rows):
                 h.update(np.array(arr.shape, dtype="<i8"))
@@ -264,9 +264,10 @@ class DictionaryBundle:
 # bytes per digest piece of a row: large enough that a piece's hash
 # outweighs its task
 _DIGEST_CHUNK_BYTES = 1 << 20
-# one digest thread per CPU this process may run on; hashlib releases the
-# GIL while it hashes a piece
-_DIGEST_WORKERS = len(os.sched_getaffinity(0))
+# one worker thread per CPU this process may run on, for the digest and for
+# SOMP's multi-block scan; hashlib releases the GIL while it hashes a piece,
+# and numpy while it multiplies, takes abs or sums
+_WORKERS = len(os.sched_getaffinity(0))
 
 
 def _row_digest(row: np.ndarray) -> bytes:

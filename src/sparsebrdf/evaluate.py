@@ -16,14 +16,11 @@ sub-streams, so identical configs reproduce identical reports.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
 import itertools
 import json
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -45,6 +42,7 @@ from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridg
 from .somp import (
     SampleBudget,
     SupportSet,
+    _one_blas_thread,
     select_support,
     stop_rules,
     support_record_fields,
@@ -334,44 +332,6 @@ def _direct_metrics(mapped_true: MappedBrdf, support: SupportSet, bundle, eta: f
 _CANCELLATION = 1e-8
 # largest mapped value whose unmap cannot overflow to inf, with headroom
 _UNMAP_LIMIT = float(np.log(np.finfo(np.float64).max)) - 1.0
-
-
-@functools.cache
-def _openblas_thread_calls():
-    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
-    or None when numpy links another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        if hasattr(handle, "scipy_openblas_set_num_threads64_"):
-            get = handle.scipy_openblas_get_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            put = handle.scipy_openblas_set_num_threads64_
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread.
-
-    OpenBLAS splits a product with a long inner dimension across its threads
-    along that dimension, so the product's sums, and the reports scored from
-    them, would depend on the thread count.  evaluate calls BLAS from one
-    thread, so setting the library's global count is safe.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
 
 
 class _HeldOut:

@@ -23,20 +23,37 @@ through the largest of them in it.  Blocks are scored in decreasing order of
 their bound; the scan stops at the first block whose bound, plus a slack
 taken from forward-error bounds, is strictly below the best score found.
 Guarantee: the scores computed are bitwise those of a full scan (the same
-block GEMM, abs and row sum on the same block boundaries), and every column
-that could reach the best score is scored, so the picks, ties included, and
-the residual history are identical to a full scan's.
+GEMM, abs and row sum on the same block and sub-block boundaries), and every
+column that could reach the best score is scored, so the picks, ties
+included, and the residual history are identical to a full scan's.
+
+A block is scored in ``_SUB_BLOCK``-column sub-blocks, so that each
+correlation buffer stays in cache.  With OpenBLAS on one thread, a
+sub-block's scores were bitwise its whole block's on every C-ordered inverse
+checked (every dictionary derives one) with t > 1 and k >= 5, up to
+t = 329; at k <= 4 and t > 192 a sub-block can take OpenBLAS's small-matrix
+kernel, and a score then differ in the last bit.  Where there is more than
+one block, the scan runs on one worker thread per CPU the process may run
+on: each scored block's sub-blocks, and each pick's bound GEMV, are split
+between them, with OpenBLAS pinned to one thread so that no product's bits
+depend on how many threads run.  A lone block is scored on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import dictionary
 from .errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
@@ -49,6 +66,12 @@ from .merl import HalfAngleDirection, RowMap, index_to_direction
 
 # column block size for correlation scans; bounds memory at wide n
 _SCAN_BLOCK = 16384
+
+# columns per scoring sub-block: its correlation buffer, 432 KB at t = 48,
+# stays in L2.  A multiple of 384, so that OpenBLAS's kernels meet each
+# column of a sub-block as they meet it in its whole block: 1024-column
+# sub-blocks changed a few scores per block in the last bit at t > 192
+_SUB_BLOCK = 1152
 
 # size of cumulative_coherence's correlation block
 _COHERENCE_BLOCK_BYTES = 128 << 20
@@ -133,14 +156,73 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
+    or None when numpy links another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        if hasattr(handle, "scipy_openblas_set_num_threads64_"):
+            get = handle.scipy_openblas_get_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put = handle.scipy_openblas_set_num_threads64_
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread.
+
+    OpenBLAS splits a product with a long inner dimension across its threads
+    along that dimension, so the product's sums, and the reports scored from
+    them, would depend on the thread count.  evaluate's held-out products run
+    under this pin, and so does a multi-block SOMP scan, whose picks must not
+    depend on the thread count either and whose workers would compete with
+    OpenBLAS's own threads.  Both call BLAS only from threads the pin covers,
+    so setting the library's global count is safe.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _cuts(width: int, step: int, parts: int) -> list:
+    """Cut points that split range(width) into at most parts pieces, each
+    starting at a multiple of step, as evenly as those starts allow.
+
+    A last piece narrower than step joins the piece before it: a narrow
+    product can take another kernel, which sums in another order than the
+    wider product does (numpy sends a one-column product to a GEMV, and
+    OpenBLAS a small one to its small-matrix GEMM)."""
+    units = width // step or 1
+    parts = min(parts, units)
+    return [units * i // parts * step for i in range(parts)] + [width]
+
+
 def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
                  out: np.ndarray) -> None:
     """l1 norms of the correlation rows of a block of columns against the
-    residual, written to out through the reused buffer buf."""
-    corr = buf[:cols.shape[1]]
-    np.matmul(cols.T, residual, out=corr)
-    np.abs(corr, out=corr)
-    corr.sum(axis=1, out=out)
+    residual, written to out one ``_SUB_BLOCK``-column sub-block at a time
+    through the reused (2 _SUB_BLOCK - 1, t) buffer buf: the last sub-block
+    takes the columns left over."""
+    width = cols.shape[1]
+    cuts = _cuts(width, _SUB_BLOCK, width)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        corr = buf[:stop - start]
+        np.matmul(cols[:, start:stop].T, residual, out=corr)
+        np.abs(corr, out=corr)
+        corr.sum(axis=1, out=out[start:stop])
 
 
 class _BoundedScan:
@@ -155,9 +237,15 @@ class _BoundedScan:
     ||d_j||, scores blocks in decreasing order of that bound plus slack, and
     stops at the first block whose bound is strictly below the best score
     found.  Scores come from the full scan's GEMM, abs and row sum on the same
-    block boundaries, so they and the pick are bitwise the full scan's; a
-    block that could tie the best is scanned, so ties still go to the lowest
-    index.
+    block and sub-block boundaries, so they and the pick are bitwise the full
+    scan's; a block that could tie the best is scanned, so ties still go to
+    the lowest index.
+
+    The scan is a context manager.  With more than one block, inside it a
+    scored block's sub-blocks and the bound GEMV's column ranges, cut at
+    multiples of 8, are split between one worker per CPU: the calling thread
+    and a pool of the others.  OpenBLAS is pinned to one thread meanwhile.
+    A lone block keeps no bounds and is scored on the calling thread.
     """
 
     def __init__(self, dinv: np.ndarray, coeffs: np.ndarray, normalize_atoms: bool):
@@ -167,11 +255,17 @@ class _BoundedScan:
         self.starts = np.arange(0, n, _SCAN_BLOCK)
         self.blocks_scored = 0
         # every rounding error below is one of a dot product, a sum or a
-        # Frobenius norm of at most k t + k + t terms, or of a few flops
-        self.gamma = _gamma(k * t + k + t)
+        # Frobenius norm of at most k t + k + t terms, of a few flops, or of
+        # the normalized bound GEMV's k terms and 3 roundings (see advance)
+        self.gamma = _gamma(max(k * t + k + t, k + 3))
         self.root_t = math.sqrt(t)
+        self.keeps_bounds = len(self.starts) > 1
+        self.workers = dictionary._WORKERS if self.keeps_bounds else 1
+        self._pool = None
+        self._stack = ExitStack()
         block = min(_SCAN_BLOCK, n)
-        self._corr = np.empty((block, t))
+        self._corr = [np.empty((min(2 * _SUB_BLOCK - 1, block), t))
+                      for _ in range(self.workers)]
         self._scores = np.empty(block)
         self._norms = None
         if normalize_atoms:
@@ -188,32 +282,55 @@ class _BoundedScan:
                 norms = self._norms[start:start + cols.shape[1]]
                 norms[:] = np.linalg.norm(cols, axis=0)
                 norms[norms == 0.0] = 1.0
-        self.keeps_bounds = len(self.starts) > 1
         if not self.keeps_bounds:
             return  # a lone block is scored at every pick, whatever its bound
         # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
         # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
         self.nu2 = np.empty(n)
-        for start, stop, cols in self._blocks():
+        for start in self.starts:
+            stop = min(int(start) + _SCAN_BLOCK, n)
+            cols = self._columns(int(start), stop)
             np.einsum("ij,ij->j", cols, cols, out=self.nu2[start:stop])
         self.kappa = self.gamma
         self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
                      * (1.0 + 2.0 * self.gamma))
         self.eta, self.scale = self._norm_bound(coeffs, np.zeros((k, 0)))
+        self._g = np.empty(n)
+        # the bound GEMV's column ranges; starts at multiples of 8 keep each
+        # column where it sits in the GEMV kernel's column groups in one
+        # product over all n, so g's bits do not depend on the worker count
+        self._ranges = _cuts(n, 8, self.workers)
 
-    def _columns(self, start: int, stop: int) -> np.ndarray:
+    def __enter__(self):
+        if self.keeps_bounds:
+            self._stack.enter_context(_one_blas_thread())
+        if self.workers > 1:
+            self._pool = self._stack.enter_context(ThreadPoolExecutor(self.workers - 1))
+        return self
+
+    def __exit__(self, *exc):
+        self._pool = None
+        self._stack.close()
+
+    def _run(self, task, cuts: list) -> None:
+        """task(i, start, stop) for the i-th piece start:stop between cuts,
+        on the i-th worker's buffers: the first on the calling thread, the
+        others on the pool's."""
+        pieces = list(zip(range(len(cuts) - 1), cuts[:-1], cuts[1:]))
+        others = [self._pool.submit(task, *piece) for piece in pieces[1:]]
+        task(*pieces[0])
+        for future in others:
+            future.result()
+
+    def _columns(self, start: int, stop: int, offset: int = 0) -> np.ndarray:
         """The scanned columns start:stop: dinv's, or with normalized atoms
-        dinv's divided by their norms in the reused buffer."""
+        dinv's divided by their norms into the reused buffer, at offset in
+        it."""
         cols = self.dinv[:, start:stop]
         if self._norms is None:
             return cols
-        return np.divide(cols, self._norms[start:stop], out=self._unit[:, :stop - start])
-
-    def _blocks(self):
-        n = self.dinv.shape[1]
-        for start in self.starts:
-            stop = min(int(start) + _SCAN_BLOCK, n)
-            yield int(start), stop, self._columns(int(start), stop)
+        return np.divide(cols, self._norms[start:stop],
+                         out=self._unit[:, offset:offset + stop - start])
 
     def _rho(self, residual: np.ndarray) -> float:
         """Upper bound on ||residual||_F."""
@@ -242,7 +359,12 @@ class _BoundedScan:
             start = int(self.starts[b])
             stop = min(start + _SCAN_BLOCK, n)
             scores = self._scores[:stop - start]
-            _score_block(self._columns(start, stop), residual, self._corr, scores)
+
+            def score(i, a, z):
+                _score_block(self._columns(start + a, start + z, a), residual,
+                             self._corr[i], scores[a:z])
+
+            self._run(score, _cuts(stop - start, _SUB_BLOCK, self.workers))
             scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
             i = int(np.argmax(scores))
             if scores[i] > best or (scores[i] == best and start + i < best_j):
@@ -252,14 +374,29 @@ class _BoundedScan:
 
     def advance(self, basis: np.ndarray, residual: np.ndarray) -> None:
         """Carry the bound to residual, the residual once q, the last column
-        of basis, joined the others: nu2_j drops by (d_j^T q)^2."""
+        of basis, joined the others: nu2_j drops by g_j^2, g_j = q^T d_j.
+
+        With normalized atoms, g_j is q^T d_j, from dinv's raw column, divided
+        by its norm nu_j, not q^T fl(d_j / nu_j) from the divided column the
+        scan scores, so no block is divided at each pick.  The two differ by
+        at most gamma_{k+3} ||q|| ||fl(d_j / nu_j)||: gamma_k from the dot
+        product and a unit roundoff each from the two divisions, taken
+        relative to the divided column.  gamma is at least gamma_{k+3}, so the
+        kappa increment below covers it as it covers the raw GEMV's gamma_k.
+        """
         if not self.keeps_bounds:
             return
         q = basis[:, -1]
-        g = np.empty(self.dinv.shape[1])
-        for start, stop, cols in self._blocks():
-            np.matmul(q, cols, out=g[start:stop])
-        self.nu2 -= g * g
+
+        def downdate(_, a, z):
+            g = self._g[a:z]
+            np.matmul(q, self.dinv[:, a:z], out=g)
+            if self._norms is not None:
+                np.divide(g, self._norms[a:z], out=g)
+            np.multiply(g, g, out=g)
+            np.subtract(self.nu2[a:z], g, out=self.nu2[a:z])
+
+        self._run(downdate, self._ranges)
         # downdating: |g_j^2 - (q^T d_j)^2| <= gamma (2 + gamma) ||q||^2 ||d_j||^2,
         # and squaring and subtracting round by u each
         self.kappa += 3.0 * self.gamma * float(q @ q) * (1.0 + self.gamma)
@@ -327,33 +464,33 @@ def somp_select(
         max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
         threshold = stop.epsilon
 
-    scan = _BoundedScan(dinv, coeffs, normalize_atoms)
     selected: list[int] = []
     history: list[float] = []
     basis = np.zeros((k, 0))
     residual = coeffs.copy()
 
-    while len(selected) < max_steps:
-        if threshold >= 0.0 and np.linalg.norm(residual) <= threshold:
-            break
-        j = scan.pick(residual, selected)
-        selected.append(j)
-        col = dinv[:, j].astype(np.float64, copy=True)
-        # orthogonalize twice; a second pass restores orthogonality lost
-        # to cancellation in the first
-        for _ in range(2):
-            col -= basis @ (basis.T @ col)
-        norm = np.linalg.norm(col)
-        if norm <= np.linalg.norm(dinv[:, j]) / DEFAULT_COND_LIMIT:
-            raise RankCollapseError(
-                "selected columns became numerically dependent; the "
-                "training set cannot support more samples"
-            )
-        basis = np.hstack([basis, (col / norm)[:, None]])
-        residual = coeffs - basis @ (basis.T @ coeffs)
-        if len(selected) < max_steps:
-            scan.advance(basis, residual)
-        history.append(float(np.linalg.norm(residual)))
+    with _BoundedScan(dinv, coeffs, normalize_atoms) as scan:
+        while len(selected) < max_steps:
+            if threshold >= 0.0 and np.linalg.norm(residual) <= threshold:
+                break
+            j = scan.pick(residual, selected)
+            selected.append(j)
+            col = dinv[:, j].astype(np.float64, copy=True)
+            # orthogonalize twice; a second pass restores orthogonality lost
+            # to cancellation in the first
+            for _ in range(2):
+                col -= basis @ (basis.T @ col)
+            norm = np.linalg.norm(col)
+            if norm <= np.linalg.norm(dinv[:, j]) / DEFAULT_COND_LIMIT:
+                raise RankCollapseError(
+                    "selected columns became numerically dependent; the "
+                    "training set cannot support more samples"
+                )
+            basis = np.hstack([basis, (col / norm)[:, None]])
+            residual = coeffs - basis @ (basis.T @ coeffs)
+            if len(selected) < max_steps:
+                scan.advance(basis, residual)
+            history.append(float(np.linalg.norm(residual)))
 
     return SupportSet(indices=selected, residual_history=history,
                       blocks_scored=scan.blocks_scored,

@@ -45,14 +45,19 @@ from sparsebrdf.somp import DEFAULT_COND_LIMIT, SampleBudget, SupportSet
 
 def correlation_scores(dinv: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """l1 norm of every column's correlation row against the residual: the
-    full scan, every block scored through one reused buffer."""
+    full scan, each whole ``_SCAN_BLOCK`` block scored by one GEMM, abs and
+    row sum through one reused buffer.  The library scores a block in
+    sub-blocks, so this is the product those must reproduce bit for bit."""
     n = dinv.shape[1]
     block = somp._SCAN_BLOCK
     scores = np.empty(n)
     buf = np.empty((min(block, n), residual.shape[1]))
     for start in range(0, n, block):
         stop = min(start + block, n)
-        somp._score_block(dinv[:, start:stop], residual, buf, scores[start:stop])
+        corr = buf[:stop - start]
+        np.matmul(dinv[:, start:stop].T, residual, out=corr)
+        np.abs(corr, out=corr)
+        corr.sum(axis=1, out=scores[start:stop])
     return scores
 
 

@@ -499,7 +499,7 @@ def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
     bundle = _random_bundle(rng, n)
     digests = set()
     for workers in (1, 5):
-        monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", workers)
+        monkeypatch.setattr(dictionary, "_WORKERS", workers)
         for b in (bundle, bundle.for_budget(2)):
             b = replace(b)
             assert b.digest == _tobytes_digest(b, 48)
@@ -517,7 +517,7 @@ def test_loaded_digest_is_the_trained_one_at_any_worker_count(tmp_path, rng,
     save_bundle(bundle, tmp_path)
     assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
     for workers in (1, 2, 5):
-        monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", workers)
+        monkeypatch.setattr(dictionary, "_WORKERS", workers)
         loaded = load_bundle(tmp_path)
         assert not loaded.pca.atoms.flags.c_contiguous
         for m in (1, 3, 5):
@@ -546,7 +546,7 @@ def _traced_peak(fn) -> int:
 def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    monkeypatch.setattr(dictionary, "_WORKERS", 2)
     n, m = 1 << 18, 4
     # given C-order (n, k) atoms, whose (n, m) truncation is a strided view
     # of the atom-major rows the dictionary holds
@@ -560,7 +560,7 @@ def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
 def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    monkeypatch.setattr(dictionary, "_WORKERS", 2)
     n, m = 1 << 18, 4
     save_bundle(_random_bundle(rng, n, k=8), tmp_path)
     bundle = load_bundle(tmp_path).for_budget(m)
@@ -588,7 +588,7 @@ def test_save_bundle_transposes_through_a_bounded_buffer(tmp_path, rng, monkeypa
 def test_trained_bundle_is_hashed_and_saved_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_DIGEST_WORKERS", 2)
+    monkeypatch.setattr(dictionary, "_WORKERS", 2)
     n, k = 1 << 18, 8
     bundle = train_bundle(rng.random((n, 12)) + 0.5, ["a", "b", "c", "d"],
                           toy_row_map(n), k)

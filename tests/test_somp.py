@@ -1,11 +1,16 @@
 import math
+import sys
+import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sparsebrdf.somp as somp_mod
+from sparsebrdf import dictionary
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, save_bundle, train_bundle
 from sparsebrdf.errors import (
     BudgetTooLargeError,
@@ -417,6 +422,17 @@ def test_buffered_scan_matches_allocating_scan(rng, monkeypatch, block):
     for dinv in (rng.standard_normal((6, 100)), np.asfortranarray(rng.standard_normal((6, 100)))):
         scores = correlation_scores(dinv, residual)
         assert np.array_equal(scores, allocating_correlation_scores(dinv, residual, block))
+        # the library's sub-blocks give the whole blocks' bits; at width 33 a
+        # 100-column block leaves one column over
+        for sub in (8, 16, 33, 1152):
+            monkeypatch.setattr(somp_mod, "_SUB_BLOCK", sub)
+            buf = np.empty((2 * sub - 1, 5))
+            sub_scores = np.empty(100)
+            for start in range(0, 100, block):
+                stop = min(start + block, 100)
+                somp_mod._score_block(dinv[:, start:stop], residual, buf,
+                                      sub_scores[start:stop])
+            assert np.array_equal(sub_scores, scores), sub
 
 
 def test_residual_bound_values():
@@ -427,20 +443,34 @@ def test_residual_bound_values():
         somp_residual_bound(0.5, 2, 4, 1.0)
 
 
+# (scoring sub-block width, worker count) pairs every pruned scan runs at
+SCAN_LAYOUTS = [(sub, workers) for sub in (8, 16) for workers in (1, 2, 3)]
+
+
 def assert_matches_full_scan(dinv, coeffs, stop, normalize_atoms=False):
     """The bound-pruned scan picks what the full scan picks, bit for bit, or
-    fails as it does; returns the pruned support."""
+    fails as it does, at every layout of SCAN_LAYOUTS, and scores the same
+    blocks at each; returns the pruned support of the first."""
     try:
         want = full_scan_somp(dinv, coeffs, stop, normalize_atoms)
     except RankCollapseError:
-        with pytest.raises(RankCollapseError):
-            somp_select(dinv, coeffs, stop, normalize_atoms)
-        return None
-    got = somp_select(dinv, coeffs, stop, normalize_atoms)
-    assert got.indices == want.indices
-    assert got.residual_history == want.residual_history
-    assert got.blocks_scored <= got.blocks_total
-    return got
+        want = None
+    supports = []
+    for sub, workers in SCAN_LAYOUTS:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(somp_mod, "_SUB_BLOCK", sub)
+            mp.setattr(dictionary, "_WORKERS", workers)
+            if want is None:
+                with pytest.raises(RankCollapseError):
+                    somp_select(dinv, coeffs, stop, normalize_atoms)
+                continue
+            got = somp_select(dinv, coeffs, stop, normalize_atoms)
+        assert got.indices == want.indices, (sub, workers)
+        assert got.residual_history == want.residual_history, (sub, workers)
+        assert got.blocks_scored <= got.blocks_total
+        assert got.blocks_scored == (supports or [got])[0].blocks_scored, (sub, workers)
+        supports.append(got)
+    return supports[0] if supports else None
 
 
 def tied_instance(rng, k=6, n=40, t=4):
@@ -576,3 +606,134 @@ def test_pruned_scan_matches_full_scan_property(seed, k, n, t, block, m, integer
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(somp_mod, "_SCAN_BLOCK", block)
         assert_matches_full_scan(dinv, coeffs, stop, normalize)
+
+
+def test_multi_block_pick_and_advance_allocate_no_n_vector(rng, monkeypatch):
+    # after set-up, a pick over several blocks and the bound's downdate work
+    # in the scan's buffers, normalized or not; what is allocated is of the
+    # blocks' count, and numpy's fixed ufunc buffers (~200 KB per dividing
+    # worker), below one n-vector of 1 MiB
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 8192)
+    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    k, n, t = 4, 1 << 17, 3
+    dinv = rng.standard_normal((k, n))
+    coeffs = rng.standard_normal((k, t))
+    for normalize in (False, True):
+        with somp_mod._BoundedScan(dinv, coeffs, normalize) as scan:
+            assert scan.keeps_bounds
+            tracemalloc.start()
+            try:
+                j = scan.pick(coeffs, [])
+                basis = dinv[:, [j]] / np.linalg.norm(dinv[:, j])
+                scan.advance(basis, coeffs - basis @ (basis.T @ coeffs))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 8 * n, (normalize, peak)
+
+
+def test_multi_block_scan_runs_on_workers_and_leaves_none(rng, monkeypatch):
+    # the scan's workers score blocks, and are joined when somp_select
+    # returns or raises
+    scorers = set()
+    score_block = somp_mod._score_block
+
+    def recording(*args):
+        scorers.add(threading.get_ident())
+        score_block(*args)
+
+    monkeypatch.setattr(somp_mod, "_score_block", recording)
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    monkeypatch.setattr(somp_mod, "_SUB_BLOCK", 2)
+    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    before = set(threading.enumerate())
+    dinv = rng.standard_normal((6, 45))
+    coeffs = rng.standard_normal((6, 5))
+    somp_select(dinv, coeffs, SampleBudget(4))
+    assert len(scorers) == 2 and threading.get_ident() in scorers
+    assert set(threading.enumerate()) == before
+    dinv[4:] = 0.0  # rank 4: the fifth pick collapses
+    with pytest.raises(RankCollapseError):
+        somp_select(dinv, coeffs, SampleBudget(5))
+    assert set(threading.enumerate()) == before
+    # a lone block is scored on the calling thread
+    scorers.clear()
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 45)
+    somp_select(dinv, coeffs, SampleBudget(4))
+    assert scorers == {threading.get_ident()}
+
+
+def test_only_a_multi_block_scan_pins_blas(rng, monkeypatch):
+    threads = [4]
+    calls = []
+
+    def put(count):
+        calls.append(count)
+        threads[0] = count
+
+    monkeypatch.setattr(somp_mod, "_openblas_thread_calls", lambda: (lambda: threads[0], put))
+    dinv = rng.standard_normal((6, 45))
+    coeffs = rng.standard_normal((6, 5))
+    somp_select(dinv, coeffs, SampleBudget(3))
+    assert calls == []
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
+    somp_select(dinv, coeffs, SampleBudget(3))
+    assert calls == [1, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 24), n=st.integers(1, 40))
+def test_normalized_bound_gemv_is_within_gamma_k_plus_3(seed, k, n):
+    # advance divides q^T d_j by the column's norm; the exact q^T fl(d_j / nu_j)
+    # of the divided column is within gamma_{k+3} ||q|| ||fl(d_j / nu_j)||
+    rng = np.random.default_rng(seed)
+    dinv = rng.standard_normal((k, n)) * 10.0 ** rng.uniform(-3, 3, size=n)
+    norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
+    unit = dinv / norms
+    q = rng.standard_normal(k)
+    g = (q @ dinv) / norms
+    bound = somp_mod._gamma(k + 3) * np.linalg.norm(q) * np.linalg.norm(unit, axis=0)
+    for j in range(n):
+        exact = sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(q, unit[:, j]))
+        assert abs(Fraction(float(g[j])) - exact) <= Fraction(float(bound[j])), j
+
+
+def test_scan_workers_under_rapid_switching_pick_as_one(rng, monkeypatch):
+    # more workers than cores, switching threads every microsecond: workers
+    # write disjoint slices of the scores and of nu2, so a lost or crossed
+    # update would change a pick, the residual or the blocks scored
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 256)
+    monkeypatch.setattr(somp_mod, "_SUB_BLOCK", 16)
+    dinv = rng.standard_normal((8, 4000)) * rng.uniform(0.1, 10.0, size=4000)
+    coeffs = rng.standard_normal((8, 6))
+    monkeypatch.setattr(dictionary, "_WORKERS", 1)
+    want = [somp_select(dinv, coeffs, SampleBudget(8), normalize) for normalize in (False, True)]
+    monkeypatch.setattr(dictionary, "_WORKERS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for normalize, expected in zip((False, True), want):
+            got = somp_select(dinv, coeffs, SampleBudget(8), normalize)
+            assert got == expected and got.blocks_scored == expected.blocks_scored
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_bound_downdate_bits_do_not_depend_on_workers(rng, monkeypatch):
+    # the bound GEMV's column ranges start at multiples of 8, so each g_j,
+    # and so nu2_j, is what one GEMV over all n gives; a cut elsewhere
+    # changes some g_j in the last bit
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 512)
+    k, n = 20, 5003
+    dinv = rng.standard_normal((k, n))
+    coeffs = rng.standard_normal((k, 6))
+    q = rng.standard_normal((k, 1))
+    q /= np.linalg.norm(q)
+    for normalize in (False, True):
+        states = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(dictionary, "_WORKERS", workers)
+            with somp_mod._BoundedScan(dinv, coeffs, normalize) as scan:
+                scan.advance(q, coeffs - q @ (q.T @ coeffs))
+                states.append(np.concatenate([scan._g, scan.nu2]))  # g_j^2 and nu2_j
+        assert all(np.array_equal(state, states[0]) for state in states[1:]), normalize
