@@ -12,7 +12,7 @@ a support of m rows reads the atoms of ``DictionaryBundle.for_budget(m)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -56,10 +56,6 @@ class ReconstructionResult:
     mapped: MappedBrdf
     tensor: BrdfTensor
     clamped_fraction: float  # share of the valid cells' values clamped on unmap
-    # the fit's diagnostics, set by reconstruct_full: the squared data
-    # residual per channel and the 2-norm condition number of the sampled rows
-    ridge_residuals: np.ndarray = field(default_factory=lambda: np.full(3, np.nan))
-    ridge_condition: float = np.nan
 
 
 def _support_rows(support: SupportSet, n: int) -> np.ndarray:
@@ -208,11 +204,11 @@ def reconstruct_full(
     bundle: DictionaryBundle,
     eta: float = DEFAULT_ETA,
 ) -> ReconstructionResult:
-    """ridge_fit, then synthesize through the same atoms."""
-    fit = ridge_fit(samples, bundle, eta)
+    """ridge_fit, then synthesize through the same atoms; the fit's
+    diagnostics are ridge_fit's."""
+    coefficients = ridge_fit(samples, bundle, eta).coefficients
     bundle = bundle.for_budget(len(samples.support))
-    result = synthesize(bundle.pca, fit.coefficients, bundle.reference, bundle.row_map)
-    return replace(result, ridge_residuals=fit.residuals, ridge_condition=fit.condition)
+    return synthesize(bundle.pca, coefficients, bundle.reference, bundle.row_map)
 
 
 def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,

@@ -25,14 +25,17 @@ taken from forward-error bounds, is strictly below the best score found.
 Guarantee: the scores computed are bitwise those of a full scan (the same
 GEMM, abs and row sum on the same block and sub-block boundaries), and every
 column that could reach the best score is scored, so the picks, ties
-included, and the residual history are identical to a full scan's.
+included, and the residual history are identical to a full scan's.  The
+scan scores one C-order array, the input's or its unit-column copy, so the
+guarantee holds for any input layout.
 
 A block is scored in ``_SUB_BLOCK``-column sub-blocks, so that each
 correlation buffer stays in cache.  With OpenBLAS on one thread, a
-sub-block's scores were bitwise its whole block's on every C-ordered inverse
-checked (every dictionary derives one) with t > 1 and k >= 5, up to
-t = 329; at k <= 4 and t > 192 a sub-block can take OpenBLAS's small-matrix
-kernel, and a score then differ in the last bit.  Where there is more than
+sub-block's scores were bitwise its whole block's on every C-ordered array
+checked with t > 1 and k >= 5, up to t = 329; at k <= 4 and t > 192 a
+sub-block can take OpenBLAS's small-matrix kernel, and a score then differ
+in the last bit.  F-order sub-blocks took it at k = 20, t = 12, and scored
+thousands of a block's columns differently.  Where there is more than
 one block, the scan runs on one worker thread per CPU the process may run
 on: each scored block's sub-blocks, and each pick's bound GEMV, are split
 between them, with OpenBLAS pinned to one thread so that no product's bits
@@ -226,8 +229,9 @@ def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
 
 
 class _BoundedScan:
-    """SOMP's column scan over ``_SCAN_BLOCK`` blocks, skipping the blocks that
-    cannot hold the pick.
+    """SOMP's column scan over ``_SCAN_BLOCK`` blocks of the C-order float64
+    array dinv, skipping the blocks that cannot hold the pick.  It scores
+    dinv as it is: any normalization is settled before.
 
     Write s_j for the exact score ||R^T d_j||_1 of column d_j against the
     residual R that the loop computed.  Every unselected column obeys the norm
@@ -248,16 +252,15 @@ class _BoundedScan:
     A lone block keeps no bounds and is scored on the calling thread.
     """
 
-    def __init__(self, dinv: np.ndarray, coeffs: np.ndarray, normalize_atoms: bool):
+    def __init__(self, dinv: np.ndarray, coeffs: np.ndarray):
         k, n = dinv.shape
         t = coeffs.shape[1]
         self.dinv = dinv
         self.starts = np.arange(0, n, _SCAN_BLOCK)
         self.blocks_scored = 0
         # every rounding error below is one of a dot product, a sum or a
-        # Frobenius norm of at most k t + k + t terms, of a few flops, or of
-        # the normalized bound GEMV's k terms and 3 roundings (see advance)
-        self.gamma = _gamma(max(k * t + k + t, k + 3))
+        # Frobenius norm of at most k t + k + t terms, or of a few flops
+        self.gamma = _gamma(k * t + k + t)
         self.root_t = math.sqrt(t)
         self.keeps_bounds = len(self.starts) > 1
         self.workers = dictionary._WORKERS if self.keeps_bounds else 1
@@ -267,30 +270,11 @@ class _BoundedScan:
         self._corr = [np.empty((min(2 * _SUB_BLOCK - 1, block), t))
                       for _ in range(self.workers)]
         self._scores = np.empty(block)
-        self._norms = None
-        if normalize_atoms:
-            # each block is divided into this buffer, in dinv's memory order,
-            # as it is read; a column wider than a block, so that a block in
-            # it is contiguous only where a view of dinv is, since numpy sums
-            # a small contiguous product in another order.  The norms are
-            # summed over F-order copies of the blocks whatever dinv's order,
-            # so that near-tied normalized scores do not flip picks
-            self._unit = np.empty_like(dinv[:, :block + 1])
-            self._norms = np.empty(n)
-            for start in self.starts:
-                cols = np.asfortranarray(dinv[:, start:start + _SCAN_BLOCK])
-                norms = self._norms[start:start + cols.shape[1]]
-                norms[:] = np.linalg.norm(cols, axis=0)
-                norms[norms == 0.0] = 1.0
         if not self.keeps_bounds:
             return  # a lone block is scored at every pick, whatever its bound
         # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
         # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
-        self.nu2 = np.empty(n)
-        for start in self.starts:
-            stop = min(int(start) + _SCAN_BLOCK, n)
-            cols = self._columns(int(start), stop)
-            np.einsum("ij,ij->j", cols, cols, out=self.nu2[start:stop])
+        self.nu2 = np.einsum("ij,ij->j", dinv, dinv)
         self.kappa = self.gamma
         self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
                      * (1.0 + 2.0 * self.gamma))
@@ -322,16 +306,6 @@ class _BoundedScan:
         for future in others:
             future.result()
 
-    def _columns(self, start: int, stop: int, offset: int = 0) -> np.ndarray:
-        """The scanned columns start:stop: dinv's, or with normalized atoms
-        dinv's divided by their norms into the reused buffer, at offset in
-        it."""
-        cols = self.dinv[:, start:stop]
-        if self._norms is None:
-            return cols
-        return np.divide(cols, self._norms[start:stop],
-                         out=self._unit[:, offset:offset + stop - start])
-
     def _rho(self, residual: np.ndarray) -> float:
         """Upper bound on ||residual||_F."""
         return float(np.linalg.norm(residual)) * (1.0 + self.gamma)
@@ -361,7 +335,7 @@ class _BoundedScan:
             scores = self._scores[:stop - start]
 
             def score(i, a, z):
-                _score_block(self._columns(start + a, start + z, a), residual,
+                _score_block(self.dinv[:, start + a:start + z], residual,
                              self._corr[i], scores[a:z])
 
             self._run(score, _cuts(stop - start, _SUB_BLOCK, self.workers))
@@ -374,16 +348,7 @@ class _BoundedScan:
 
     def advance(self, basis: np.ndarray, residual: np.ndarray) -> None:
         """Carry the bound to residual, the residual once q, the last column
-        of basis, joined the others: nu2_j drops by g_j^2, g_j = q^T d_j.
-
-        With normalized atoms, g_j is q^T d_j, from dinv's raw column, divided
-        by its norm nu_j, not q^T fl(d_j / nu_j) from the divided column the
-        scan scores, so no block is divided at each pick.  The two differ by
-        at most gamma_{k+3} ||q|| ||fl(d_j / nu_j)||: gamma_k from the dot
-        product and a unit roundoff each from the two divisions, taken
-        relative to the divided column.  gamma is at least gamma_{k+3}, so the
-        kappa increment below covers it as it covers the raw GEMV's gamma_k.
-        """
+        of basis, joined the others: nu2_j drops by g_j^2, g_j = q^T d_j."""
         if not self.keeps_bounds:
             return
         q = basis[:, -1]
@@ -391,8 +356,6 @@ class _BoundedScan:
         def downdate(_, a, z):
             g = self._g[a:z]
             np.matmul(q, self.dinv[:, a:z], out=g)
-            if self._norms is not None:
-                np.divide(g, self._norms[a:z], out=g)
             np.multiply(g, g, out=g)
             np.subtract(self.nu2[a:z], g, out=self.nu2[a:z])
 
@@ -428,31 +391,24 @@ class _BoundedScan:
         return eta, self.root_t * sigma
 
 
-def somp_select(
-    dinv: np.ndarray,
-    coeffs: np.ndarray,
-    stop: StoppingRule,
-    normalize_atoms: bool = False,
-) -> SupportSet:
-    """Greedy support selection over the columns of dinv.
+def _unit_columns(dinv: np.ndarray) -> np.ndarray:
+    """dinv with each column divided in place by its 2-norm, zero columns
+    kept.  The norms are summed over an F-order copy of each scan block, so
+    that they are the whole F-order array's column norms."""
+    for start in range(0, dinv.shape[1], _SCAN_BLOCK):
+        cols = dinv[:, start:start + _SCAN_BLOCK]
+        norms = np.linalg.norm(np.asfortranarray(cols), axis=0)
+        norms[norms == 0.0] = 1.0
+        cols /= norms
+    return dinv
 
-    Parameters
-    ----------
-    dinv : (k, n) dictionary inverse (or pseudo-inverse).
-    coeffs : (k, t) coefficient matrix shared by all training signals.
-    stop : SampleBudget(m) or ErrorThreshold(epsilon).
-    normalize_atoms : scan correlations against unit-norm columns instead of
-        raw ones, each scan block divided as it is read, so no normalized
-        copy of dinv is held.  Off by default; the projection step is
-        unaffected either way since normalization does not change column
-        spans.
 
-    Returns the ordered support with the residual Frobenius norm recorded
-    after every iteration.
-    """
-    dinv = np.asarray(dinv, dtype=np.float64)
+def _select(scanned: np.ndarray, coeffs: np.ndarray, stop: StoppingRule,
+            column) -> SupportSet:
+    """The greedy loop: picks from the scan of the C-order array scanned,
+    each pick's basis direction from column(j), dinv's raw column j."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
-    k, n = dinv.shape
+    k, n = scanned.shape
     if isinstance(stop, SampleBudget):
         if stop.m > min(k, n):
             raise BudgetTooLargeError(
@@ -469,19 +425,20 @@ def somp_select(
     basis = np.zeros((k, 0))
     residual = coeffs.copy()
 
-    with _BoundedScan(dinv, coeffs, normalize_atoms) as scan:
+    with _BoundedScan(scanned, coeffs) as scan:
         while len(selected) < max_steps:
             if threshold >= 0.0 and np.linalg.norm(residual) <= threshold:
                 break
             j = scan.pick(residual, selected)
             selected.append(j)
-            col = dinv[:, j].astype(np.float64, copy=True)
+            raw = column(j)
+            col = raw.copy()
             # orthogonalize twice; a second pass restores orthogonality lost
             # to cancellation in the first
             for _ in range(2):
                 col -= basis @ (basis.T @ col)
             norm = np.linalg.norm(col)
-            if norm <= np.linalg.norm(dinv[:, j]) / DEFAULT_COND_LIMIT:
+            if norm <= np.linalg.norm(raw) / DEFAULT_COND_LIMIT:
                 raise RankCollapseError(
                     "selected columns became numerically dependent; the "
                     "training set cannot support more samples"
@@ -497,15 +454,52 @@ def somp_select(
                       blocks_total=len(selected) * len(scan.starts))
 
 
+def somp_select(
+    dinv: np.ndarray,
+    coeffs: np.ndarray,
+    stop: StoppingRule,
+    normalize_atoms: bool = False,
+) -> SupportSet:
+    """Greedy support selection over the columns of dinv.
+
+    Parameters
+    ----------
+    dinv : (k, n) dictionary inverse (or pseudo-inverse), in any layout; the
+        scan reads a C-order copy of one in another.
+    coeffs : (k, t) coefficient matrix shared by all training signals.
+    stop : SampleBudget(m) or ErrorThreshold(epsilon).
+    normalize_atoms : scan correlations against unit-norm columns instead of
+        raw ones, from a normalized copy of dinv.  Off by default; the
+        projection step is unaffected either way since normalization does
+        not change column spans.
+
+    Returns the ordered support with the residual Frobenius norm recorded
+    after every iteration.
+    """
+    dinv = np.ascontiguousarray(dinv, dtype=np.float64)
+    scanned = _unit_columns(dinv.copy()) if normalize_atoms else dinv
+    return _select(scanned, coeffs, stop, lambda j: dinv[:, j])
+
+
 def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> SupportSet:
     """somp_select over a PcaDictionary's inverse and coefficients, refusing
     a budget above the atom count before the inverse is derived, and an
     empty support: only a threshold at or above the initial residual
-    ||coeffs|| selects nothing, and no record or reconstruction can use it."""
+    ||coeffs|| selects nothing, and no record or reconstruction can use it.
+
+    With normalized atoms the raw inverse is never held: a fresh one is
+    derived and divided in place, and each pick's raw column is derived
+    from its atom row by the same formula, so it is bitwise inverse[:, j]."""
     if isinstance(stop, SampleBudget) and stop.m > pca.n_atoms:
         raise BudgetTooLargeError(
             f"sample budget {stop.m} exceeds the dictionary's {pca.n_atoms} atoms")
-    support = somp_select(pca.inverse, pca.coeffs, stop, normalize_atoms=normalize_atoms)
+    if normalize_atoms:
+        atoms, sigma = pca.atoms, pca.sigma
+        support = _select(_unit_columns(dictionary._derived_inverse(atoms, sigma)),
+                          pca.coeffs, stop,
+                          lambda j: dictionary._derived_inverse(atoms[j:j + 1], sigma)[:, 0])
+    else:
+        support = somp_select(pca.inverse, pca.coeffs, stop)
     if len(support) == 0:
         raise ConfigError(
             f"threshold {stop.epsilon} is at or above the initial residual "

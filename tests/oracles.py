@@ -73,7 +73,8 @@ def atom_select(dinv: np.ndarray, residual: np.ndarray, exclude=()) -> int:
 def normalized_columns(dinv: np.ndarray) -> np.ndarray:
     """dinv with each column divided by its 2-norm (zero columns kept), as
     one whole copy; the norms are summed over an F-order copy, whatever
-    dinv's layout.  somp_select divides one scan block at a time instead."""
+    dinv's layout.  The library divides a C-order copy in place, one scan
+    block at a time."""
     norms = np.linalg.norm(np.asfortranarray(dinv), axis=0)
     return dinv / np.where(norms > 0.0, norms, 1.0)
 

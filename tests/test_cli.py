@@ -54,6 +54,15 @@ def corpus_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def tiny_corpus_dir(tmp_path_factory):
+    # 3 materials at 2^3: 9 training signals over 6 valid rows
+    out = tmp_path_factory.mktemp("tiny-corpus")
+    assert main(["gen-corpus", "--seed", "42", "--count", "3",
+                 "--res", "2", "--out", str(out)]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def bundle_dir(tmp_path_factory, corpus_dir):
     out = tmp_path_factory.mktemp("bundle")
     code = main(["train-dict", "--corpus", str(corpus_dir), "--k", "5",
@@ -262,13 +271,19 @@ def test_truncated_bundle_array_is_runtime_error(bundle_dir, tmp_path, capsys):
     assert "atoms.bin" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("case", ["not-json", "missing-arrays", "missing-epsilon"])
+@pytest.mark.parametrize("case", ["not-json", "not-object", "two-int-resolution",
+                                  "missing-arrays", "missing-epsilon"])
 def test_bad_manifest_is_runtime_error(case, bundle_dir, tmp_path, capsys):
     broken = tmp_path / "bundle"
     shutil.copytree(bundle_dir, broken)
     manifest_path = broken / "manifest.json"
     if case == "not-json":
         manifest_path.write_text(manifest_path.read_text()[:-20])
+    elif case == "not-object":
+        manifest_path.write_text("[]")
+    elif case == "two-int-resolution":
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "resolution": [8, 8]}))
     else:
         manifest = json.loads(manifest_path.read_text())
         del manifest[case.removeprefix("missing-")]
@@ -444,6 +459,11 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
     ("gen-corpus", ["--seed", "-1", "--count", "2", "--res", "8"],
      "corpus seed must be >= 0, got -1"),
     ("evaluate", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("gen-corpus", ["--count", "2", "--res", "4,4"], "resolution must be N or N,N,N, got '4,4'"),
+    ("evaluate", ["--folds", "1"], "need folds >= 2 and random_trials >= 0"),
+    ("train-dict", ["--corpus", "<tmp_path>", "--k", "3"], "no .binary MERL files under"),
+    ("train-dict", ["--corpus", "<tiny_corpus_dir>", "--k", "2"],
+     "more signals (9) than rows (6) is unsupported"),
 ], ids=["coherence-m-text", "coherence-m-0", "coherence-m-n", "select-threshold",
         "select-threshold-nan", "select-max-iters-0", "select-max-iters-neg",
         "select-m-0", "select-m-above-k", "reconstruct-eta", "reconstruct-eta-nan",
@@ -452,9 +472,14 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
         "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
         "select-max-iters-no-threshold", "select-max-iters-budget", "select-m-threshold",
         "gen-count-0", "gen-res-0", "gen-res-axis-0", "gen-seed-neg",
-        "evaluate-seed-neg"])
+        "evaluate-seed-neg", "gen-res-two", "evaluate-folds-1", "train-empty-corpus",
+        "train-signals-above-rows"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
-                                      tmp_path, capsys):
+                                      tmp_path, capsys, request):
+    # a flag "<name>" is the directory of fixture name; tmp_path is empty here
+    flags = [str(request.getfixturevalue(f[1:-1])) if f.startswith("<") else f
+             for f in flags]
+    capsys.readouterr()  # what making the fixture printed
     argv = [command, "--dict", str(bundle_dir), *flags]
     if command == "reconstruct":
         support = tmp_path / "support.json"
@@ -488,8 +513,10 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
      "m and threshold are two stop rules for one run; set one"),
     ("threshold = 0.5", ["--m", "3"],
      "m and threshold are two stop rules for one run; set one"),
+    ("m = 5,20", [], "the greedy selector cannot pick more samples than atoms; "
+                     "m_values must stay <= k_fixed=4"),
 ], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-max-iters",
-        "m-threshold", "flag-m-threshold"])
+        "m-threshold", "flag-m-threshold", "m-above-k-fixed"])
 def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
@@ -517,8 +544,10 @@ def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, 
     ("[corpus]\nsource = synthetic\nseed = -1\ncount = 9\nres = 8",
      "corpus seed must be >= 0, got -1"),
     ("[experiment]\nseed = -1", "seed must be >= 0, got -1"),
+    ("[corpus]\nsource = tape", "unknown corpus source 'tape'"),
 ], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0",
-        "synthetic-path", "directory-count", "corpus-seed-neg", "experiment-seed-neg"])
+        "synthetic-path", "directory-count", "corpus-seed-neg", "experiment-seed-neg",
+        "corpus-source"])
 def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     if "[corpus]" not in sections:

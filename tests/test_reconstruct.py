@@ -321,11 +321,9 @@ def test_synthesize_matches_allocating_oracle(shift, rng):
 def test_reconstruct_reports_ridge_condition(rng):
     bundle, mapped = _trained_bundle(rng, count=8, k=5)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(3))
-    result = reconstruct_full(measure(mapped[0], support), bundle)
+    fit = ridge_fit(measure(mapped[0], support), bundle, 40.0)
     svals = np.linalg.svd(bundle.pca.atoms[list(support.indices), :3], compute_uv=False)
-    assert result.ridge_condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
-    assert np.isnan(synthesize(bundle.for_budget(3).pca, result.coefficients,
-                               bundle.reference, bundle.row_map).ridge_condition)
+    assert fit.condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
 
 
 def test_reconstruct_and_write_peak_memory(tmp_path, rng):
@@ -407,7 +405,7 @@ def test_reconstruct_shape_contract(rng):
     result = reconstruct_full(samples, bundle)
     assert result.tensor.values.shape == (3, res.grid_size)
     assert result.tensor.resolution == res
-    assert result.ridge_residuals.shape == (3,)
+    assert ridge_fit(samples, bundle, 40.0).residuals.shape == (3,)
 
 
 def test_reconstruct_full_merl_resolution():
@@ -523,5 +521,10 @@ def test_ridge_fit_is_reconstruct_full_s(rng):
         fit = ridge_fit(samples, bundle, 40.0)
         result = reconstruct_full(samples, bundle, 40.0)
         assert fit.coefficients.tobytes() == result.coefficients.tobytes()
-        assert fit.residuals.tobytes() == result.ridge_residuals.tobytes()
-        assert fit.condition == result.ridge_condition
+        # the fit's diagnostics are those of the reconstruction's sampled rows
+        rows = list(samples.support.indices)
+        fitted = result.mapped.values[:, rows]
+        np.testing.assert_allclose(fit.residuals,
+                                   np.sum((samples.values - fitted) ** 2, axis=1), rtol=1e-9)
+        assert fit.condition == pytest.approx(
+            np.linalg.cond(bundle.for_budget(m).pca.atoms[rows]), rel=1e-12)
