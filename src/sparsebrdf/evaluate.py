@@ -58,27 +58,15 @@ def _stream_seed(seed: int, *tags: int) -> int:
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Disjoint test folds covering the corpus, as kfold_split draws them."""
-
-    folds: tuple
-
-    def train_ids(self, fold: int, all_ids) -> list:
-        test = set(self.folds[fold])
-        return [i for i in all_ids if i not in test]
-
-
-def kfold_split(ids, k: int, seed: int) -> FoldPlan:
+def kfold_split(ids, k: int, seed: int) -> tuple:
+    """k disjoint test folds covering ids, each a tuple of ids, their sizes
+    differing by at most one."""
     ids = list(ids)
     if not 2 <= k <= len(ids):
         raise InvalidKError(f"fold count {k} outside [2, {len(ids)}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(len(ids))
-    folds = tuple(
-        tuple(ids[i] for i in chunk) for chunk in np.array_split(perm, k)
-    )
-    return FoldPlan(folds=folds)
+    return tuple(tuple(ids[i] for i in chunk) for chunk in np.array_split(perm, k))
 
 
 def mse_mapped(a: MappedBrdf, b: MappedBrdf) -> float:
@@ -95,15 +83,21 @@ def inverse_mse(mse: float) -> float:
     return math.inf if mse == 0.0 else 1.0 / mse
 
 
+def _snr(signal: float, noise: float) -> float:
+    """10 log10(signal / noise): +inf when noise is 0, else -inf when signal is 0."""
+    if noise == 0.0:
+        return math.inf
+    if signal == 0.0:
+        return -math.inf
+    return 10.0 * math.log10(signal / noise)
+
+
 def snr_db(reference: MappedBrdf, recon: MappedBrdf) -> float:
     """10 log10 of signal energy over residual energy, in the mapped domain."""
     if reference.provenance != recon.provenance:
         raise ProvenanceMismatchError("operands mapped against different references")
-    signal = float(np.sum(reference.values**2))
-    noise = float(np.sum((reference.values - recon.values) ** 2))
-    if noise == 0.0:
-        return math.inf
-    return 10.0 * math.log10(signal / noise)
+    return _snr(float(np.sum(reference.values**2)),
+                float(np.sum((reference.values - recon.values) ** 2)))
 
 
 def random_baseline(valid_count: int, m: int, seed) -> SupportSet:
@@ -229,9 +223,6 @@ class ExperimentConfig:
             }
         return snap
 
-    def config_hash(self) -> str:
-        return snapshot_hash(self.snapshot())
-
 
 def snapshot_hash(snapshot: dict) -> str:
     """Short stable hash of a JSON-serializable configuration snapshot."""
@@ -313,7 +304,7 @@ def _metrics(mse: float, snr: float) -> dict:
         "status": "ok",
         "mse": mse,
         "inverse_mse": "inf" if math.isinf(inv) else inv,
-        "snr_db": "inf" if math.isinf(snr) else snr,
+        "snr_db": str(snr) if math.isinf(snr) else snr,  # "inf" or "-inf"
     }
 
 
@@ -399,8 +390,8 @@ class _HeldOut:
             if error[i] <= _CANCELLATION * scale[i] or peak[i] >= _UNMAP_LIMIT:
                 out.append(_direct_metrics(mb, support, bundle, eta))
             else:
-                snr = 10.0 * math.log10(self.signal[i] / error[i])
-                out.append(_metrics(float(error[i]) / self.n_cells, snr))
+                out.append(_metrics(float(error[i]) / self.n_cells,
+                                    _snr(float(self.signal[i]), float(error[i]))))
         return out
 
 
@@ -445,26 +436,27 @@ def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the full cross-validated selection/reconstruction experiment.
 
-    Per fold: the mapping reference and dictionary are trained on the train
-    split only; the greedy selector and the random baseline each produce
-    supports per sample count; every held-out material is reconstructed from
-    each support.  Rows are ordered by (fold, m, method, material, trial).
-    The corpus is gathered once into its corpus_matrix, and each fold takes
-    its training and held-out columns from that; no tensor is held.
+    Per fold of kfold_split: the mapping reference and dictionary are
+    trained on the corpus ids outside the fold only; the greedy selector and
+    the random baseline each produce supports per sample count; every
+    held-out material is scored from each support.  Rows are ordered by
+    (fold, m, method, material, trial).  The corpus is gathered once into
+    its corpus_matrix, and each fold takes its training and held-out columns
+    from that; no tensor is held.
     """
     corpus, row_map = load_corpus(config.corpus_dir, config.synthetic)
     linear, ids = corpus_matrix(corpus, row_map)
     del corpus
     first = {mid: 3 * i for i, mid in enumerate(ids)}  # each material's R column
-    plan = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
+    folds = kfold_split(ids, config.folds, _stream_seed(config.seed, _STREAM_FOLDS))
 
     k_max = max(k for k, _ in config.selections())
     supports = []
     rows = []
-    for fold, test_ids in enumerate(plan.folds):
+    for fold, test_ids in enumerate(folds):
         # take() copies the columns in C order, the layout corpus_matrix
         # fills, which fixes the order training sums in
-        train_ids = plan.train_ids(fold, ids)
+        train_ids = [i for i in ids if i not in test_ids]
         bundle_full = train_bundle(
             linear.take([first[i] + c for i in train_ids for c in range(3)], axis=1),
             train_ids, row_map, k_max,

@@ -26,8 +26,9 @@ Guarantee: the scores computed are bitwise those of a full scan (the same
 GEMM, abs and row sum on the same block and sub-block boundaries), and every
 column that could reach the best score is scored, so the picks, ties
 included, and the residual history are identical to a full scan's.  The
-scan scores one C-order array, the input's or its unit-column copy, so the
-guarantee holds for any input layout.
+scan scores one C-order array, the raw inverse or the unit-column one that
+select_support, the one normalizer, derives, so the guarantee holds for any
+input layout.
 
 A block is scored in ``_SUB_BLOCK``-column sub-blocks, so that each
 correlation buffer stays in cache.  With OpenBLAS on one thread, a
@@ -454,13 +455,8 @@ def _select(scanned: np.ndarray, coeffs: np.ndarray, stop: StoppingRule,
                       blocks_total=len(selected) * len(scan.starts))
 
 
-def somp_select(
-    dinv: np.ndarray,
-    coeffs: np.ndarray,
-    stop: StoppingRule,
-    normalize_atoms: bool = False,
-) -> SupportSet:
-    """Greedy support selection over the columns of dinv.
+def somp_select(dinv: np.ndarray, coeffs: np.ndarray, stop: StoppingRule) -> SupportSet:
+    """Greedy support selection over the raw columns of dinv.
 
     Parameters
     ----------
@@ -468,17 +464,13 @@ def somp_select(
         scan reads a C-order copy of one in another.
     coeffs : (k, t) coefficient matrix shared by all training signals.
     stop : SampleBudget(m) or ErrorThreshold(epsilon).
-    normalize_atoms : scan correlations against unit-norm columns instead of
-        raw ones, from a normalized copy of dinv.  Off by default; the
-        projection step is unaffected either way since normalization does
-        not change column spans.
 
     Returns the ordered support with the residual Frobenius norm recorded
-    after every iteration.
+    after every iteration.  Selection over unit-norm columns is
+    select_support's, from a dictionary's atoms.
     """
     dinv = np.ascontiguousarray(dinv, dtype=np.float64)
-    scanned = _unit_columns(dinv.copy()) if normalize_atoms else dinv
-    return _select(scanned, coeffs, stop, lambda j: dinv[:, j])
+    return _select(dinv, coeffs, stop, lambda j: dinv[:, j])
 
 
 def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> SupportSet:
@@ -487,9 +479,10 @@ def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> Su
     empty support: only a threshold at or above the initial residual
     ||coeffs|| selects nothing, and no record or reconstruction can use it.
 
-    With normalized atoms the raw inverse is never held: a fresh one is
-    derived and divided in place, and each pick's raw column is derived
-    from its atom row by the same formula, so it is bitwise inverse[:, j]."""
+    It is the one selection over unit-norm columns.  With normalized atoms
+    the raw inverse is never held: a fresh one is derived and divided in
+    place, and each pick's raw column is derived from its atom row by the
+    same formula, so it is bitwise inverse[:, j]."""
     if isinstance(stop, SampleBudget) and stop.m > pca.n_atoms:
         raise BudgetTooLargeError(
             f"sample budget {stop.m} exceeds the dictionary's {pca.n_atoms} atoms")

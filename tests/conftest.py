@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sparsebrdf.merl import MERL_SCALES, BrdfResolution, BrdfTensor, RowMap
+from sparsebrdf.dictionary import PcaDictionary
+from sparsebrdf.merl import MERL_SCALES, BrdfResolution, BrdfTensor, RowMap, write_merl
+from sparsebrdf.somp import select_support
+from sparsebrdf.synthetic import MaterialSpec, gen_brdf
 
 
 def make_random_tensor(rng, res=BrdfResolution(8, 8, 8), invalid_frac=0.1):
@@ -20,6 +23,31 @@ def make_random_tensor(rng, res=BrdfResolution(8, 8, 8), invalid_frac=0.1):
 def toy_row_map(n_rows):
     """Row map over a degenerate 1-D grid; enough for pure matrix tests."""
     return RowMap(BrdfResolution(n_rows, 1, 1), np.arange(n_rows, dtype=np.int64))
+
+
+def duplicate_material_corpus(directory) -> str:
+    """Eight copies of one grey Lambertian and four GGX materials at 8^3.  A
+    fold whose training median is the Lambertian at every row maps each
+    held-out copy to an all-zero signal."""
+    directory.mkdir()
+    res = BrdfResolution(8, 8, 8)
+    for i in range(8):
+        spec = MaterialSpec(f"lam{i}", "lambertian", albedo=(0.5, 0.5, 0.5))
+        write_merl(gen_brdf(spec, res), directory / f"lam{i}.binary")
+    for i in range(4):
+        spec = MaterialSpec(f"ggx{i}", "ggx", albedo=(0.2 + 0.1 * i, 0.3, 0.4),
+                            specular=(0.5, 0.5 - 0.1 * i, 0.3), roughness=0.2 + 0.15 * i)
+        write_merl(gen_brdf(spec, res), directory / f"ggx{i}.binary")
+    return str(directory)
+
+
+def normalized_select(dinv, coeffs, stop):
+    """select_support with normalized atoms over the columns of dinv: with
+    atoms dinv^T and unit sigma, the dictionary's derived inverse and each
+    pick's derived column are dinv's, bitwise."""
+    k, n = dinv.shape
+    pca = PcaDictionary(np.zeros(n), dinv.T, coeffs.copy(), np.ones(k))
+    return select_support(pca, stop, normalize_atoms=True)
 
 
 def planted_instance(seed, k=64, n=256, t=8, sparsity=5):

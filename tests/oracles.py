@@ -419,13 +419,13 @@ def tensor_dict_experiment(config: evaluate.ExperimentConfig) -> tuple:
     tensors = {mid: s if isinstance(s, BrdfTensor) else read_merl(s) for mid, s in corpus}
     ids = list(tensors)
     row_map = corpus_mask(tensors.values())
-    plan = evaluate.kfold_split(
+    folds = evaluate.kfold_split(
         ids, config.folds, evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
     # k_fixed atoms when set, which a threshold run needs; else the largest m
     k_max = config.k_fixed if config.k_fixed is not None else max(config.m_values)
     rows, supports = [], []
-    for fold, test_ids in enumerate(plan.folds):
-        train_ids = plan.train_ids(fold, ids)
+    for fold, test_ids in enumerate(folds):
+        train_ids = [i for i in ids if i not in test_ids]
         entries = np.empty((row_map.n_valid, 3 * len(train_ids)))
         for i, mid in enumerate(train_ids):
             entries[:, 3 * i:3 * i + 3] = tensors[mid].values[:, row_map.grid_indices].T

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shutil
@@ -29,7 +30,7 @@ from sparsebrdf.somp import (
     support_record,
 )
 
-from conftest import make_random_tensor
+from conftest import duplicate_material_corpus, make_random_tensor
 from oracles import (
     allocating_log_relative_map,
     full_copy_train_pca,
@@ -645,6 +646,41 @@ def test_evaluate_with_every_row_an_error_exits_1(tmp_path, capsys, monkeypatch)
             (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
     results = [r for r in rows if r["record"] == "result"]
     assert results and all(r["status"] == "error" for r in results)
+
+
+def test_evaluate_scores_a_zero_signal_material(tmp_path, capsys, monkeypatch):
+    # held-out copies of the fold's reference map to an all-zero signal: they
+    # score -inf SNR, in closed form and on the direct path alike
+    import sparsebrdf.evaluate as evaluate
+
+    cfg = tmp_path / "dup.ini"
+    cfg.write_text(
+        "[corpus]\nsource = directory\npath = %s\n"
+        "[dictionary]\nk_fixed = 3\n[selection]\nm = 2,3\n"
+        "[experiment]\nfolds = 3\nrandom_trials = 1\n"
+        % duplicate_material_corpus(tmp_path / "corpus"))
+    reports = []
+    for cancellation in (evaluate._CANCELLATION, math.inf):  # inf: every row direct
+        monkeypatch.setattr(evaluate, "_CANCELLATION", cancellation)
+        out = tmp_path / f"out-{len(reports)}"
+        code, stdout, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                                    "--out", str(out))
+        assert code == 0 and err == "", err
+        assert len(stdout.splitlines()) == 1
+        records = [json.loads(line) for line in
+                   (out / "report.jsonl").read_text().splitlines()]
+        reports.append([r for r in records if r["record"] == "result"])
+    closed, direct = reports
+    assert all(r["status"] == "ok" for r in closed + direct)
+    assert any(r["snr_db"] == "-inf" for r in closed)
+    assert len(closed) == len(direct)
+    for got, want in zip(closed, direct):
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert got[key] == pytest.approx(value, rel=1e-9, abs=0.0), key
+            else:
+                assert got[key] == value, key
 
 
 def test_evaluate_missing_config_is_config_error(tmp_path, capsys):

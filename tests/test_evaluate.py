@@ -23,6 +23,7 @@ from sparsebrdf.evaluate import (
     mse_mapped,
     random_baseline,
     run_experiment,
+    snapshot_hash,
     snr_db,
 )
 from sparsebrdf.mapping import MappedBrdf
@@ -31,12 +32,13 @@ from sparsebrdf.reconstruct import measure, reconstruct_full
 from sparsebrdf.somp import SampleBudget, somp_select
 from sparsebrdf.synthetic import MaterialSpec, gen_brdf, gen_corpus
 
+from conftest import duplicate_material_corpus, normalized_select
 from oracles import correlation_scores, tensor_dict_experiment
 
 
 def test_kfold_even_split():
-    plan = kfold_split([f"m{i}" for i in range(10)], 5, seed=3)
-    sizes = [len(f) for f in plan.folds]
+    folds = kfold_split([f"m{i}" for i in range(10)], 5, seed=3)
+    sizes = [len(f) for f in folds]
     assert sizes == [2, 2, 2, 2, 2]
 
 
@@ -44,22 +46,15 @@ def test_kfold_deterministic_and_disjoint():
     ids = [f"m{i}" for i in range(23)]
     a = kfold_split(ids, 4, seed=11)
     b = kfold_split(ids, 4, seed=11)
-    assert a.folds == b.folds
-    seen = [mid for fold in a.folds for mid in fold]
+    assert a == b
+    seen = [mid for fold in a for mid in fold]
     assert sorted(seen) == sorted(ids)
-    assert max(len(f) for f in a.folds) - min(len(f) for f in a.folds) <= 1
+    assert max(len(f) for f in a) - min(len(f) for f in a) <= 1
 
 
 def test_kfold_pigeonhole_sizes():
-    plan = kfold_split([f"m{i}" for i in range(151)], 10, seed=0)
-    assert {len(f) for f in plan.folds} == {15, 16}
-
-
-def test_kfold_train_ids_complement():
-    ids = [f"m{i}" for i in range(9)]
-    plan = kfold_split(ids, 3, seed=2)
-    train = plan.train_ids(1, ids)
-    assert sorted(train + list(plan.folds[1])) == sorted(ids)
+    folds = kfold_split([f"m{i}" for i in range(151)], 10, seed=0)
+    assert {len(f) for f in folds} == {15, 16}
 
 
 def test_kfold_invalid_k():
@@ -183,7 +178,7 @@ def small_report():
 def test_experiment_row_counting(small_report):
     # per fold x m: |test| somp rows plus trials x |test| random rows
     test_sizes = [len(f) for f in kfold_split(
-        [f"x{i}" for i in range(12)], 3, seed=0).folds]
+        [f"x{i}" for i in range(12)], 3, seed=0)]
     assert all(s == 4 for s in test_sizes)
     expect = 3 * 2 * (4 + 2 * 4)
     assert len(small_report.rows) == expect
@@ -253,10 +248,10 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
         seed=42, count=50, resolution=BrdfResolution(16, 16, 16)), folds=5, seed=7)
     corpus, row_map = evaluate.load_corpus(None, config.synthetic)
     linear, ids = corpus_matrix(corpus, row_map)
-    plan = kfold_split(ids, config.folds,
-                       evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
-    for fold in range(config.folds):
-        train_ids = plan.train_ids(fold, ids)
+    folds = kfold_split(ids, config.folds,
+                        evaluate._stream_seed(config.seed, evaluate._STREAM_FOLDS))
+    for fold, test_ids in enumerate(folds):
+        train_ids = [i for i in ids if i not in test_ids]
         cols = [3 * ids.index(i) + c for i in train_ids for c in range(3)]
         bundle = train_bundle(linear.take(cols, axis=1), train_ids, row_map, 20)
         for k in (5, 10):
@@ -267,12 +262,11 @@ def test_truncated_supports_do_not_depend_on_inverse_layout():
             assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
             assert (correlation_scores(f_order, pca.coeffs).tobytes()
                     == correlation_scores(c_order, pca.coeffs).tobytes())
-            for normalize in (False, True):
-                a, b = (somp_select(dinv, pca.coeffs, SampleBudget(k),
-                                    normalize_atoms=normalize)
+            for select in (somp_select, normalized_select):
+                a, b = (select(dinv, pca.coeffs, SampleBudget(k))
                         for dinv in (f_order, c_order))
-                assert a.indices == b.indices, (fold, k, normalize)
-                assert a.residual_history == b.residual_history, (fold, k, normalize)
+                assert a.indices == b.indices, (fold, k, select.__name__)
+                assert a.residual_history == b.residual_history, (fold, k, select.__name__)
 
 
 def test_experiment_summary_and_series(small_report, tmp_path):
@@ -332,7 +326,7 @@ def test_max_iters_without_threshold_is_config_error():
 
 
 def test_experiment_config_hash_stable():
-    assert SMALL_CONFIG.config_hash() == SMALL_CONFIG.config_hash()
+    assert snapshot_hash(SMALL_CONFIG.snapshot()) == snapshot_hash(SMALL_CONFIG.snapshot())
     other = ExperimentConfig(
         synthetic=SyntheticCorpusSpec(seed=5, count=12,
                                       resolution=BrdfResolution(8, 8, 8)),
@@ -341,7 +335,7 @@ def test_experiment_config_hash_stable():
         seed=10,
         random_trials=2,
     )
-    assert other.config_hash() != SMALL_CONFIG.config_hash()
+    assert snapshot_hash(other.snapshot()) != snapshot_hash(SMALL_CONFIG.snapshot())
 
 
 def _direct_row_metrics(truth, support, bundle, eta):
@@ -382,6 +376,8 @@ _ORACLE_CONFIGS = {
                                                            resolution=BrdfResolution(8, 8, 8)),
                              eta=0.0, m_values=(3, 6), folds=3, seed=2, random_trials=3),
     "eta0-in-span": None,  # built under tmp_path
+    # held-out copies of the fold's reference: zero signal, -inf SNR
+    "duplicate-material": None,  # built under tmp_path
 }
 
 
@@ -389,10 +385,14 @@ _ORACLE_CONFIGS = {
 @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
 def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
     config = _ORACLE_CONFIGS[name]
-    if config is None:
+    if name == "eta0-in-span":
         config = ExperimentConfig(corpus_dir=_lambertian_corpus(tmp_path / "corpus"),
                                   synthetic=None, eta=0.0, m_values=(1,), folds=3,
                                   seed=3, random_trials=2)
+    elif name == "duplicate-material":
+        config = ExperimentConfig(corpus_dir=duplicate_material_corpus(tmp_path / "corpus"),
+                                  synthetic=None, m_values=(2, 3), k_fixed=3, folds=3,
+                                  random_trials=1)
     calls = []
     batched = evaluate._HeldOut.metrics
 
@@ -424,9 +424,11 @@ def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
                 continue
             for key in ("mse", "inverse_mse", "snr_db"):
                 if math.isinf(want[key]):
-                    assert got[key] == "inf"
+                    assert got[key] == ("inf" if want[key] > 0 else "-inf"), key
                 else:
                     assert got[key] == pytest.approx(want[key], rel=1e-9, abs=0.0)
+    if name == "duplicate-material":
+        assert any(r["snr_db"] == "-inf" for r in report.rows)
     if name == "eta0-in-span":
         # in-span held-out materials cancel in closed form and are recomputed
         # through the direct path

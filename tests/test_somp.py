@@ -36,7 +36,7 @@ from sparsebrdf.somp import (
     support_to_directions,
 )
 
-from conftest import planted_instance, toy_row_map
+from conftest import normalized_select, planted_instance, toy_row_map
 from oracles import (
     allocating_correlation_scores,
     atom_select,
@@ -259,8 +259,8 @@ def test_somp_greedy_step_optimality(rng):
 @pytest.mark.parametrize("block", [7, 64, 1 << 14], ids=lambda b: f"block-{b}")
 def test_normalized_scan_is_the_same_for_c_and_f_order_inverses(block, trained_pca,
                                                                   monkeypatch):
-    # a dictionary's inverse is C-ordered, and somp_select takes any layout;
-    # both normalized scans divide a C-order copy as the whole-copy oracle does
+    # a dictionary lays atoms in any layout out atom-major, so both
+    # normalized scans divide a C-order inverse as the whole-copy oracle does
     import sparsebrdf.somp as somp_mod
 
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", block)
@@ -271,15 +271,16 @@ def test_normalized_scan_is_the_same_for_c_and_f_order_inverses(block, trained_p
     for stop in (SampleBudget(4), SampleBudget(10), ErrorThreshold(2.5)):
         want = full_scan_somp(dinv_f, trained_pca.coeffs, stop, normalize_atoms=True)
         for dinv in (dinv_f, dinv_c):
-            got = somp_select(dinv, trained_pca.coeffs, stop, normalize_atoms=True)
+            got = normalized_select(dinv, trained_pca.coeffs, stop)
             assert got.indices == want.indices, stop
             assert got.residual_history == want.residual_history, stop
 
 
 def test_f_order_inverse_scores_as_its_c_order_copy(rng, monkeypatch):
-    # the scan reads a C-order copy of an inverse in another layout: F-order
-    # sub-blocks of a 16 384-column block score thousands of its columns
-    # differently in the last bit at this k and t
+    # somp_select reads a C-order copy of an inverse in another layout, and a
+    # dictionary lays its atoms out atom-major: F-order sub-blocks of a
+    # 16 384-column block score thousands of its columns differently in the
+    # last bit at this k and t
     monkeypatch.setattr(dictionary, "_WORKERS", 1)  # one scorer, calls in order
     score_block = somp_mod._score_block
     calls = []
@@ -296,7 +297,8 @@ def test_f_order_inverse_scores_as_its_c_order_copy(rng, monkeypatch):
         calls.clear()
         for layout in (np.asfortranarray, np.ascontiguousarray):
             calls.append([])
-            somp_select(layout(dinv), coeffs, SampleBudget(5), normalize)
+            select = normalized_select if normalize else somp_select
+            select(layout(dinv), coeffs, SampleBudget(5))
         f_scores, c_scores = calls
         assert len(f_scores) == len(c_scores) > 5, normalize
         for i, (f, c) in enumerate(zip(f_scores, c_scores)):
@@ -335,14 +337,15 @@ def test_normalized_scan_holds_no_copy_of_the_inverse(rng, monkeypatch):
     assert "inverse" not in vars(pca)  # the raw inverse was never derived
     # the normalized inverse, the bounds' n-vectors and a few blocks
     assert peak < 1.4 * 8 * k * n, peak / (8 * k * n)
-    assert support == somp_select(pca.inverse, pca.coeffs, SampleBudget(3), normalize_atoms=True)
+    assert support == full_scan_somp(pca.inverse, pca.coeffs, SampleBudget(3),
+                                     normalize_atoms=True)
 
 
 def test_somp_normalize_toggle_runs(rng):
     dinv = rng.standard_normal((6, 20)) * rng.uniform(0.1, 10, size=20)
     coeffs = rng.standard_normal((6, 3))
     plain = somp_select(dinv, coeffs, SampleBudget(3))
-    scaled = somp_select(dinv, coeffs, SampleBudget(3), normalize_atoms=True)
+    scaled = normalized_select(dinv, coeffs, SampleBudget(3))
     assert len(plain) == len(scaled) == 3
 
 
@@ -477,23 +480,28 @@ SCAN_LAYOUTS = [(sub, workers) for sub in (8, 16) for workers in (1, 2, 3)]
 
 
 def assert_matches_full_scan(dinv, coeffs, stop, normalize_atoms=False):
-    """The bound-pruned scan picks what the full scan picks, bit for bit, or
-    fails as it does, at every layout of SCAN_LAYOUTS, and scores the same
-    blocks at each; returns the pruned support of the first."""
+    """The bound-pruned scan of somp_select, or with normalized atoms of
+    select_support, picks what the full scan picks, bit for bit, or fails
+    as it does, at every layout of SCAN_LAYOUTS, and scores the same blocks
+    at each; returns the pruned support of the first."""
+    select = normalized_select if normalize_atoms else somp_select
     try:
         want = full_scan_somp(dinv, coeffs, stop, normalize_atoms)
     except RankCollapseError:
         want = None
+    # select_support refuses the empty support of a threshold at ||coeffs||
+    refused = RankCollapseError if want is None else (
+        ConfigError if normalize_atoms and not want.indices else None)
     supports = []
     for sub, workers in SCAN_LAYOUTS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(somp_mod, "_SUB_BLOCK", sub)
             mp.setattr(dictionary, "_WORKERS", workers)
-            if want is None:
-                with pytest.raises(RankCollapseError):
-                    somp_select(dinv, coeffs, stop, normalize_atoms)
+            if refused:
+                with pytest.raises(refused):
+                    select(dinv, coeffs, stop)
                 continue
-            got = somp_select(dinv, coeffs, stop, normalize_atoms)
+            got = select(dinv, coeffs, stop)
         assert got.indices == want.indices, (sub, workers)
         assert got.residual_history == want.residual_history, (sub, workers)
         assert got.blocks_scored <= got.blocks_total
@@ -719,13 +727,14 @@ def test_scan_workers_under_rapid_switching_pick_as_one(rng, monkeypatch):
     dinv = rng.standard_normal((8, 4000)) * rng.uniform(0.1, 10.0, size=4000)
     coeffs = rng.standard_normal((8, 6))
     monkeypatch.setattr(dictionary, "_WORKERS", 1)
-    want = [somp_select(dinv, coeffs, SampleBudget(8), normalize) for normalize in (False, True)]
+    selects = (somp_select, normalized_select)
+    want = [select(dinv, coeffs, SampleBudget(8)) for select in selects]
     monkeypatch.setattr(dictionary, "_WORKERS", 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for normalize, expected in zip((False, True), want):
-            got = somp_select(dinv, coeffs, SampleBudget(8), normalize)
+        for select, expected in zip(selects, want):
+            got = select(dinv, coeffs, SampleBudget(8))
             assert got == expected and got.blocks_scored == expected.blocks_scored
     finally:
         sys.setswitchinterval(interval)
