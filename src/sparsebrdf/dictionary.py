@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     BundleFormatError,
     ConfigError,
@@ -32,8 +33,9 @@ from .errors import (
 from .mapping import (
     DEFAULT_EPSILON,
     ReferenceBrdf,
-    map_in_place,
-    matrix_reference,
+    _map_rows,
+    _row_reference,
+    check_mapping,
 )
 from .merl import BrdfResolution, RowMap
 
@@ -90,7 +92,8 @@ class PcaDictionary:
     of atoms.T and k leading atoms are a prefix of it; atoms in another
     layout are copied into it.  The inverse is derived from atoms and sigma
     when it is first read: only selection and the coherence scan read it,
-    and at the full grid it is as large as the atoms.
+    and at the full grid it is as large as the atoms.  It is derived on the
+    scan's workers when the atoms span more than one scan block.
     """
 
     def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
@@ -105,7 +108,9 @@ class PcaDictionary:
     @cached_property
     def inverse(self) -> np.ndarray:
         """(k, n) inverse of the atoms restricted to their column space."""
-        inverse = _derived_inverse(self.atoms, self.sigma)
+        from .somp import _scan_workers  # somp imports this module
+
+        inverse = _derived_inverse(self.atoms, self.sigma, _scan_workers(self.n_rows))
         inverse.setflags(write=False)
         return inverse
 
@@ -132,12 +137,23 @@ class PcaDictionary:
                              self.sigma[:k])
 
 
-def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray, workers: int = 1) -> np.ndarray:
     """(atoms / sigma^2)^T as a C-order (k, n) array, with zero rows where
-    sigma is zero."""
+    sigma is zero, derived in one range of columns per worker, cut at
+    multiples of 8.  Each value is derived on its own, so the ranges do not
+    change its bits."""
     safe = np.where(sigma > 0.0, sigma, 1.0)[:, None]
-    u = atoms.T / safe
-    u *= np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
+    scale = np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
+    u = np.empty((len(sigma), len(atoms)))
+
+    def derive(_, a, z):
+        cols = u[:, a:z]
+        np.divide(atoms[a:z].T, safe, out=cols)
+        cols *= scale
+
+    cuts = parallel._cuts(len(atoms), 8, workers)
+    with parallel._pool(len(cuts) - 1) as pool:
+        parallel._run(pool, derive, cuts)
     return u
 
 
@@ -158,18 +174,40 @@ def train_pca(matrix: TrainingMatrix, k: int) -> PcaDictionary:
     return _train_in_place(matrix.entries.copy(order="K"), k)
 
 
-def _train_in_place(entries: np.ndarray, k: int) -> PcaDictionary:
+def _train_in_place(entries: np.ndarray, k: int, step=None,
+                    buffer=lambda: None) -> PcaDictionary:
     """train_pca over an (n, t) array, which is centred in place and must not
-    be read after the call."""
+    be read after the call.
+
+    The row means, the sum of squares the zero rule reads and the centring
+    are taken in one pass over the _REFERENCE_BLOCK-row blocks of entries,
+    split between the workers; step(buf, start, stop), when given, first
+    works on each block, with its worker's buffer().  The Gram matrix and
+    U_k are whole-matrix products on BLAS's own threads, and the per-atom
+    sign fix is split between the workers by atom.  Each step is per row,
+    per block or per atom, so no bit depends on the worker count.
+    """
     n, t = entries.shape
     check_k(k, t)
     if t > n:
         raise InvalidKError(f"more signals ({t}) than rows ({n}) is unsupported")
 
-    mean = entries.mean(axis=1)
-    # the zero rule below reads the norm before centering
-    norm = float(np.linalg.norm(entries))
-    entries -= mean[:, None]
+    block = parallel._REFERENCE_BLOCK
+    mean = np.empty(n)
+    # the zero rule below reads the norm before centering, summed per block
+    # and then over the blocks in order
+    squares = np.empty(-(-n // block))
+
+    def centre(buf, start, stop):
+        if step is not None:
+            step(buf, start, stop)
+        rows = entries[start:stop]
+        rows.mean(axis=1, out=mean[start:stop])
+        squares[start // block] = np.einsum("ij,ij->", rows, rows)
+        rows -= mean[start:stop, None]
+
+    parallel._row_blocks(n, centre, buffer)
+    norm = math.sqrt(squares.sum())
     gram = entries.T @ entries
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]
@@ -197,17 +235,32 @@ def _train_in_place(entries: np.ndarray, k: int) -> PcaDictionary:
 
     # each vector is divided by its singular value (zeroed where that is
     # zero), sign-fixed so its largest-magnitude entry is positive, and
-    # scaled into an atom, one row at a time
-    for j, row in enumerate(u):
-        if sigma[j] > 0.0:
-            row /= sigma[j]
-        else:
-            row[:] = 0.0
-        if row[np.argmax(np.abs(row))] < 0.0:
-            row *= -1.0
-            v[:, j] *= -1.0
-        row *= sigma[j]
+    # scaled into an atom, split by atom between the workers of the pass
+    cuts = parallel._cuts(k, 1, len(parallel._row_cuts(n)) - 1)
+
+    def fix(_, a, z):
+        for j in range(a, z):
+            row = u[j]
+            if sigma[j] > 0.0:
+                row /= sigma[j]
+            else:
+                row[:] = 0.0
+            if _leads_negative(row):
+                row *= -1.0
+                v[:, j] *= -1.0
+            row *= sigma[j]
+
+    with parallel._pool(len(cuts) - 1) as pool:
+        parallel._run(pool, fix, cuts)
     return PcaDictionary(mean=mean, atoms=u.T, coeffs=v.T.copy(), sigma=sigma.copy())
+
+
+def _leads_negative(row: np.ndarray) -> bool:
+    """row[np.argmax(np.abs(row))] < 0, with no buffer: the first entry of
+    largest magnitude is the first minimum when that outweighs the first
+    maximum, or ties it from a lower index."""
+    lo, hi = np.argmin(row), np.argmax(row)
+    return -row[lo] > row[hi] or (-row[lo] == row[hi] and lo < hi and row[lo] < 0.0)
 
 
 @dataclass(frozen=True)
@@ -238,7 +291,7 @@ class DictionaryBundle:
         Each row of each array (a 1-D array is one row, and each atom is a
         row of the atoms) is cut into pieces of at most _DIGEST_CHUNK_BYTES,
         and each piece is hashed with SHA-256 where it lies, one row per task
-        on _WORKERS threads.  The digest is SHA-256 over each array's
+        on parallel._WORKERS threads.  The digest is SHA-256 over each array's
         shape followed by its pieces' digests, row by row, then epsilon.
         Piece bounds depend only on shapes, so the digest does not depend on
         the thread count, and a truncation's atom pieces are the first
@@ -246,7 +299,7 @@ class DictionaryBundle:
         arrays = self.arrays.values()
         rows = [np.atleast_2d(arr) for arr in arrays]
         h = hashlib.sha256()
-        with ThreadPoolExecutor(_WORKERS) as pool:
+        with ThreadPoolExecutor(parallel._WORKERS) as pool:
             digests = pool.map(_row_digest, itertools.chain.from_iterable(rows))
             for arr, own in zip(arrays, rows):
                 h.update(np.array(arr.shape, dtype="<i8"))
@@ -264,10 +317,6 @@ class DictionaryBundle:
 # bytes per digest piece of a row: large enough that a piece's hash
 # outweighs its task
 _DIGEST_CHUNK_BYTES = 1 << 20
-# one worker thread per CPU this process may run on, for the digest and for
-# SOMP's multi-block scan; hashlib releases the GIL while it hashes a piece,
-# and numpy while it multiplies, takes abs or sums
-_WORKERS = len(os.sched_getaffinity(0))
 
 
 def _row_digest(row: np.ndarray) -> bytes:
@@ -286,16 +335,29 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
     materials over row_map, named in column order by ids.
 
     The mapping reference is computed from the same materials the dictionary
-    is trained on.  Every step works in entries: the reference is taken over
-    its rows, and it is then mapped and centred in place, so it must not be
-    read after the call.
+    is trained on.  Every step works in entries, so it must not be read
+    after the call.  One pass over its _REFERENCE_BLOCK-row blocks, split
+    between the workers, takes each block's reference as matrix_reference
+    does, from a copy of the block in its worker's buffer, then maps the
+    block, takes its row means and sum of squares, and centres it in place;
+    _train_in_place then trains on the centred matrix.  A matrix of one
+    block is worked on by the calling thread alone.
     """
-    reference = matrix_reference(entries, epsilon, statistic)
-    map_in_place(entries, reference)
+    check_mapping(epsilon, statistic)
+    n, q = entries.shape
+    ref = np.empty(n)
+
+    def reference_and_map(copy, start, stop):
+        rows, at = entries[start:stop], ref[start:stop]
+        _row_reference(rows, statistic, copy, at)
+        _map_rows(rows, at, epsilon)
+
+    pca = _train_in_place(entries, k, reference_and_map,
+                          lambda: np.empty((min(parallel._REFERENCE_BLOCK, n), q)))
     return DictionaryBundle(
-        pca=_train_in_place(entries, k),
+        pca=pca,
         row_map=row_map,
-        reference=reference,
+        reference=ReferenceBrdf(ref, epsilon),
         material_ids=tuple(ids),
     )
 

@@ -38,11 +38,11 @@ from .errors import (
 )
 from .mapping import DEFAULT_EPSILON, MappedBrdf, check_mapping, map_in_place
 from .merl import BrdfResolution, corpus_mask, corpus_matrix
+from .parallel import _one_blas_thread
 from .reconstruct import DEFAULT_ETA, check_eta, measure, reconstruct_full, ridge_solve
 from .somp import (
     SampleBudget,
     SupportSet,
-    _one_blas_thread,
     select_support,
     stop_rules,
     support_record_fields,

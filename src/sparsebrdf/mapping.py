@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     ConfigError,
     InvalidSampleError,
@@ -28,9 +29,6 @@ from .merl import BrdfTensor, MerlFile, RowMap, corpus_matrix
 
 DEFAULT_EPSILON = 1e-3
 REFERENCE_FLOOR = 1e-6
-
-# valid rows per block when computing the reference
-_REFERENCE_BLOCK = 65536
 
 
 @dataclass(frozen=True)
@@ -91,31 +89,44 @@ def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> Ref
 
     The statistic (median, or mean) is taken over all training materials and
     all three channels of a row, then floored at 1e-6.  Both statistics are
-    per row, so they are taken over blocks of _REFERENCE_BLOCK rows, one
-    copied block at a time; entries is left as it is.  The matrix is read
-    only once the settings pass check_mapping.
+    per row, so they are taken over the _REFERENCE_BLOCK-row blocks of
+    entries, split between the workers, each block from a copy of it in its
+    worker's buffer; entries is left as it is.  train_bundle takes the same
+    step first in each block of its one pass.  The matrix is read only once
+    the settings pass check_mapping.
     """
     check_mapping(epsilon, statistic)
     n, q = entries.shape
     ref = np.empty(n)
-    for start in range(0, n, _REFERENCE_BLOCK):
-        # a copied row block, transposed, has the layout of the materials'
-        # (3, B) channel blocks stacked one above the other, which fixes the
-        # order np.mean sums in; and each row's channels are contiguous for
-        # the partition
-        block = entries[start:start + _REFERENCE_BLOCK].copy().T
-        out = ref[start:start + block.shape[1]]
-        if statistic == "mean":
-            block.mean(axis=0, out=out)
-        else:
-            # median via partition; np.median's nan-handling path is several
-            # times slower at full measurement resolution
-            mid = (q - 1) // 2
-            block.partition((mid, q // 2), axis=0)
-            np.add(block[mid], block[q // 2], out=out)
-            out *= 0.5
-    np.maximum(ref, REFERENCE_FLOOR, out=ref)
+    parallel._row_blocks(
+        n, lambda copy, a, z: _row_reference(entries[a:z], statistic, copy, ref[a:z]),
+        lambda: np.empty((min(parallel._REFERENCE_BLOCK, n), q)))
     return ReferenceBrdf(ref, epsilon)
+
+
+def _row_reference(rows: np.ndarray, statistic: str, copy: np.ndarray,
+                  out: np.ndarray) -> None:
+    """The reference reflectance of each row of rows, a row block of a
+    corpus_matrix, written to out: the statistic of the row, taken from a
+    copy of rows in the C-order buffer copy, which holds at least as many
+    rows, then floored at 1e-6."""
+    # the copy, transposed, has the layout of the materials' (3, B) channel
+    # blocks stacked one above the other, which fixes the order np.mean sums
+    # in; and each row's channels are contiguous for the partition
+    block = copy[:len(rows)]
+    np.copyto(block, rows)
+    block = block.T
+    if statistic == "mean":
+        block.mean(axis=0, out=out)
+    else:
+        # median via partition; np.median's nan-handling path is several
+        # times slower at full measurement resolution
+        q = len(block)
+        mid = (q - 1) // 2
+        block.partition((mid, q // 2), axis=0)
+        np.add(block[mid], block[q // 2], out=out)
+        out *= 0.5
+    np.maximum(out, REFERENCE_FLOOR, out=out)
 
 
 def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
@@ -124,8 +135,14 @@ def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
     reference row that at indexes (by default every valid row), one column
     per channel.  Each value is mapped on its own, so a row's mapped values
     do not depend on which other rows are mapped with it."""
-    rows += ref.epsilon
-    rows /= (ref.values[at] + ref.epsilon)[:, None]
+    _map_rows(rows, ref.values[at], ref.epsilon)
+
+
+def _map_rows(rows: np.ndarray, values: np.ndarray, epsilon: float) -> None:
+    """map_in_place against reference values, one per row of rows, and
+    epsilon."""
+    rows += epsilon
+    rows /= (values + epsilon)[:, None]
     np.log(rows, out=rows)
 
 

@@ -23,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import (
     DomainError,
     EmptyCorpusError,
@@ -174,10 +175,16 @@ def open_merl(path) -> MerlFile:
     checks, the one value check rejects +inf at a valid cell, which scaling
     would keep; at an invalid cell a NaN or +inf becomes a sentinel."""
     merl = _read_stored(path)
-    if not merl.stored.max() < np.inf:  # also taken by a NaN anywhere
+    _check_max(path, merl, merl.stored.max())
+    return merl
+
+
+def _check_max(path, merl: MerlFile, maximum: float) -> None:
+    """open_merl's value check of merl, given the max of its stored doubles,
+    which is not below +inf when any of them is +inf or a NaN."""
+    if not maximum < np.inf:
         if (merl.stored[:, merl.mask] == np.inf).any():
             raise MerlFormatError(f"{path}: {_BAD_VALID}")
-    return merl
 
 
 def read_merl(path) -> BrdfTensor:
@@ -332,23 +339,46 @@ def corpus_mask(sources) -> RowMap:
     return RowMap(res, idx)
 
 
-def _gather(mid, source, row_map: RowMap, out: np.ndarray) -> None:
-    """Write one corpus entry's linear reflectance at the row map's cells
-    into out, a (3, n_valid) block.  A MERL file's stored doubles are checked
-    as read_merl checks them, and only the gathered cells are scaled."""
+def _gather(mid, source, row_map: RowMap, cells: np.ndarray, out: np.ndarray,
+            pool, cuts: list) -> None:
+    """Write one corpus entry's linear reflectance at cells, the row map's
+    cells as a writeable array, into out, a (3, n_valid) block, one piece of
+    the rows between cuts per worker of pool.  A MERL file's stored doubles
+    are checked as read_merl checks them, their max taken over one range of
+    cells per worker, and only the gathered cells are scaled."""
     if isinstance(source, BrdfTensor):
         res, values, scales = source.resolution, source.values, None
     else:
-        res, values = open_merl(source)
-        scales = MERL_SCALES[:, None]
+        merl = _read_stored(source)
+        res, values = merl
+        scales = MERL_SCALES
+        grid_cuts = parallel._cuts(values.shape[1], 8, len(cuts) - 1)
+        maxima = np.empty(len(grid_cuts) - 1)
+
+        def check(i, a, z):
+            maxima[i] = values[:, a:z].max()
+
+        parallel._run(pool, check, grid_cuts)
+        _check_max(source, merl, maxima.max())
     if res != row_map.resolution:
         raise InconsistentCorpusError(
             f"BRDF {mid} has resolution {res}, row map has {row_map.resolution}")
-    # corpus_matrix checked the cells against the grid, so clipping never
-    # moves one, and take skips the bounds check its default mode buffers for
-    np.take(values, row_map.grid_indices, axis=1, out=out, mode="clip")
-    if scales is not None:
-        out *= scales
+    # a file's doubles sit 12 bytes in, unaligned, and take would first copy
+    # a whole channel into aligned memory; native doubles are taken as the
+    # 8-byte items they are, which need no alignment
+    src, dst = (values.view("V8"), out.view("V8")) if values.dtype.isnative else (values, out)
+
+    def gather(_, a, z):
+        # one channel at a time, so that take writes a contiguous out, which
+        # it does not buffer; corpus_matrix checked the cells against the
+        # grid, so clipping never moves one, and take skips the bounds check
+        # its default mode buffers for
+        for c in range(3):
+            np.take(src[c], cells[a:z], out=dst[c, a:z], mode="clip")
+            if scales is not None:
+                out[c, a:z] *= scales[c]
+
+    parallel._run(pool, gather, cuts)
 
 
 def corpus_matrix(corpus, row_map: RowMap) -> tuple[np.ndarray, list]:
@@ -358,12 +388,16 @@ def corpus_matrix(corpus, row_map: RowMap) -> tuple[np.ndarray, list]:
     corpus holds (material_id, source) pairs and has a length; a source is a
     BrdfTensor or the path of a MERL file, of the row map's resolution.
     Material i fills columns 3i, 3i+1, 3i+2 with its R, G, B channels.  The
-    corpus is iterated once, one source at a time.  A file is read straight
-    into the matrix, with no BrdfTensor: its mapped payload is checked as
-    read_merl checks it, with the same errors, and only the row map's cells
-    are gathered and scaled.  The gathered channels of _FILL_GROUP materials are
-    held in one block beside the matrix and written into their adjacent
-    columns in one pass over the rows (105 MB of block at the full grid).
+    corpus is iterated once, one source at a time, so one file is mapped at
+    a time.  A file is read straight into the matrix, with no BrdfTensor:
+    its mapped payload is checked as read_merl checks it, with the same
+    errors, and only the row map's cells are gathered and scaled.  The
+    gathered channels of _FILL_GROUP materials are held in one block beside
+    the matrix and written into their adjacent columns in one pass over the
+    rows (105 MB of block at the full grid).  Each gather and write is
+    split between the workers by rows, one piece of parallel._row_cuts
+    each, and each file's check by as many ranges of cells; a matrix of one
+    _REFERENCE_BLOCK-row block is filled on the calling thread alone.
     """
     t = len(corpus)
     if not t:
@@ -372,13 +406,22 @@ def corpus_matrix(corpus, row_map: RowMap) -> tuple[np.ndarray, list]:
     if cells.size and (cells.min() < 0 or cells.max() >= row_map.resolution.grid_size):
         raise IndexOutOfRangeError(
             f"row map cells outside the {row_map.resolution.grid_size}-cell grid")
+    # take copies read-only indices on every call
+    cells = np.array(cells)
     entries = np.empty((row_map.n_valid, 3 * t))
     group = np.empty((3 * min(_FILL_GROUP, t), row_map.n_valid))
     ids = []
-    for i, (mid, source) in enumerate(corpus):
-        j = 3 * (i % _FILL_GROUP)
-        _gather(mid, source, row_map, group[j:j + 3])
-        ids.append(mid)
-        if j + 3 == len(group) or i + 1 == t:
-            entries[:, 3 * i - j:3 * i + 3] = group[:j + 3].T
+    cuts = parallel._row_cuts(row_map.n_valid)
+    with parallel._pool(len(cuts) - 1) as pool:
+        for i, (mid, source) in enumerate(corpus):
+            j = 3 * (i % _FILL_GROUP)
+            _gather(mid, source, row_map, cells, group[j:j + 3], pool, cuts)
+            ids.append(mid)
+            if j + 3 == len(group) or i + 1 == t:
+                columns = slice(3 * i - j, 3 * i + 3)
+
+                def write(_, a, z):
+                    entries[a:z, columns] = group[:j + 3, a:z].T
+
+                parallel._run(pool, write, cuts)
     return entries, ids

@@ -38,26 +38,24 @@ sub-block can take OpenBLAS's small-matrix kernel, and a score then differ
 in the last bit.  F-order sub-blocks took it at k = 20, t = 12, and scored
 thousands of a block's columns differently.  Where there is more than
 one block, the scan runs on one worker thread per CPU the process may run
-on: each scored block's sub-blocks, and each pick's bound GEMV, are split
-between them, with OpenBLAS pinned to one thread so that no product's bits
-depend on how many threads run.  A lone block is scored on the calling
-thread.
+on: each scored block's sub-blocks, each pick's bound GEMV and the bound's
+starting column norms are split between them, with OpenBLAS pinned to one
+thread so that no product's bits depend on how many threads run, and
+select_support derives the inverse on them.  A lone block is scored on the
+calling thread.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import dictionary
+from . import dictionary, parallel
 from .errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
@@ -160,58 +158,10 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """The thread-count getter and setter of the OpenBLAS that numpy loaded,
-    or None when numpy links another BLAS."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*.so*")):
-        handle = ctypes.CDLL(str(lib))
-        if hasattr(handle, "scipy_openblas_set_num_threads64_"):
-            get = handle.scipy_openblas_get_num_threads64_
-            get.argtypes, get.restype = [], ctypes.c_int
-            put = handle.scipy_openblas_set_num_threads64_
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with OpenBLAS on one thread.
-
-    OpenBLAS splits a product with a long inner dimension across its threads
-    along that dimension, so the product's sums, and the reports scored from
-    them, would depend on the thread count.  evaluate's held-out products run
-    under this pin, and so does a multi-block SOMP scan, whose picks must not
-    depend on the thread count either and whose workers would compete with
-    OpenBLAS's own threads.  Both call BLAS only from threads the pin covers,
-    so setting the library's global count is safe.
-    """
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def _cuts(width: int, step: int, parts: int) -> list:
-    """Cut points that split range(width) into at most parts pieces, each
-    starting at a multiple of step, as evenly as those starts allow.
-
-    A last piece narrower than step joins the piece before it: a narrow
-    product can take another kernel, which sums in another order than the
-    wider product does (numpy sends a one-column product to a GEMV, and
-    OpenBLAS a small one to its small-matrix GEMM)."""
-    units = width // step or 1
-    parts = min(parts, units)
-    return [units * i // parts * step for i in range(parts)] + [width]
+def _scan_workers(n: int) -> int:
+    """The workers a scan over n columns runs on: one per CPU when there is
+    more than one scan block, else the calling thread alone."""
+    return parallel._WORKERS if n > _SCAN_BLOCK else 1
 
 
 def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
@@ -221,7 +171,7 @@ def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
     through the reused (2 _SUB_BLOCK - 1, t) buffer buf: the last sub-block
     takes the columns left over."""
     width = cols.shape[1]
-    cuts = _cuts(width, _SUB_BLOCK, width)
+    cuts = parallel._cuts(width, _SUB_BLOCK, width)
     for start, stop in zip(cuts[:-1], cuts[1:]):
         corr = buf[:stop - start]
         np.matmul(cols[:, start:stop].T, residual, out=corr)
@@ -247,9 +197,10 @@ class _BoundedScan:
     the lowest index.
 
     The scan is a context manager.  With more than one block, inside it a
-    scored block's sub-blocks and the bound GEMV's column ranges, cut at
-    multiples of 8, are split between one worker per CPU: the calling thread
-    and a pool of the others.  OpenBLAS is pinned to one thread meanwhile.
+    scored block's sub-blocks, and the column ranges of the bound GEMV and of
+    the starting column norms, cut at multiples of 8, are split between one
+    worker per CPU: the calling thread and a pool of the others.  OpenBLAS
+    is pinned to one thread meanwhile.
     A lone block keeps no bounds and is scored on the calling thread.
     """
 
@@ -257,6 +208,7 @@ class _BoundedScan:
         k, n = dinv.shape
         t = coeffs.shape[1]
         self.dinv = dinv
+        self.coeffs = coeffs
         self.starts = np.arange(0, n, _SCAN_BLOCK)
         self.blocks_scored = 0
         # every rounding error below is one of a dot product, a sum or a
@@ -264,48 +216,52 @@ class _BoundedScan:
         self.gamma = _gamma(k * t + k + t)
         self.root_t = math.sqrt(t)
         self.keeps_bounds = len(self.starts) > 1
-        self.workers = dictionary._WORKERS if self.keeps_bounds else 1
+        self.workers = _scan_workers(n)
         self._pool = None
         self._stack = ExitStack()
         block = min(_SCAN_BLOCK, n)
         self._corr = [np.empty((min(2 * _SUB_BLOCK - 1, block), t))
                       for _ in range(self.workers)]
         self._scores = np.empty(block)
-        if not self.keeps_bounds:
-            return  # a lone block is scored at every pick, whatever its bound
-        # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
-        # the basis; kappa ||d_j||^2 bounds its accumulated rounding error
-        self.nu2 = np.einsum("ij,ij->j", dinv, dinv)
-        self.kappa = self.gamma
-        self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
-                     * (1.0 + 2.0 * self.gamma))
-        self.eta, self.scale = self._norm_bound(coeffs, np.zeros((k, 0)))
-        self._g = np.empty(n)
         # the bound GEMV's column ranges; starts at multiples of 8 keep each
         # column where it sits in the GEMV kernel's column groups in one
         # product over all n, so g's bits do not depend on the worker count
-        self._ranges = _cuts(n, 8, self.workers)
+        self._ranges = parallel._cuts(n, 8, self.workers)
 
     def __enter__(self):
-        if self.keeps_bounds:
-            self._stack.enter_context(_one_blas_thread())
-        if self.workers > 1:
-            self._pool = self._stack.enter_context(ThreadPoolExecutor(self.workers - 1))
+        # the pin and the pool are released if the bounds cannot be set up
+        with ExitStack() as stack:
+            if self.keeps_bounds:
+                stack.enter_context(parallel._one_blas_thread())
+            self._pool = stack.enter_context(parallel._pool(self.workers))
+            if self.keeps_bounds:
+                self._start_bounds()
+            self._stack = stack.pop_all()
         return self
 
     def __exit__(self, *exc):
         self._pool = None
         self._stack.close()
 
-    def _run(self, task, cuts: list) -> None:
-        """task(i, start, stop) for the i-th piece start:stop between cuts,
-        on the i-th worker's buffers: the first on the calling thread, the
-        others on the pool's."""
-        pieces = list(zip(range(len(cuts) - 1), cuts[:-1], cuts[1:]))
-        others = [self._pool.submit(task, *piece) for piece in pieces[1:]]
-        task(*pieces[0])
-        for future in others:
-            future.result()
+    def _start_bounds(self) -> None:
+        """The bounds before the first pick; a lone block keeps none, being
+        scored at every pick, whatever its bound."""
+        k, n = self.dinv.shape
+        # ||P_perp d_j||^2, downdated by (q^T d_j)^2 as each direction q joins
+        # the basis; kappa ||d_j||^2 bounds its accumulated rounding error.
+        # Each column's sum is its own, over the ranges of the bound GEMV
+        self.nu2 = np.empty(n)
+
+        def norms(_, a, z):
+            cols = self.dinv[:, a:z]
+            np.einsum("ij,ij->j", cols, cols, out=self.nu2[a:z])
+
+        parallel._run(self._pool, norms, self._ranges)
+        self.kappa = self.gamma
+        self.dmax = (np.sqrt(np.maximum.reduceat(self.nu2, self.starts))
+                     * (1.0 + 2.0 * self.gamma))
+        self.eta, self.scale = self._norm_bound(self.coeffs, np.zeros((k, 0)))
+        self._g = np.empty(n)
 
     def _rho(self, residual: np.ndarray) -> float:
         """Upper bound on ||residual||_F."""
@@ -339,7 +295,8 @@ class _BoundedScan:
                 _score_block(self.dinv[:, start + a:start + z], residual,
                              self._corr[i], scores[a:z])
 
-            self._run(score, _cuts(stop - start, _SUB_BLOCK, self.workers))
+            cuts = parallel._cuts(stop - start, _SUB_BLOCK, self.workers)
+            parallel._run(self._pool, score, cuts)
             scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
             i = int(np.argmax(scores))
             if scores[i] > best or (scores[i] == best and start + i < best_j):
@@ -360,7 +317,7 @@ class _BoundedScan:
             np.multiply(g, g, out=g)
             np.subtract(self.nu2[a:z], g, out=self.nu2[a:z])
 
-        self._run(downdate, self._ranges)
+        parallel._run(self._pool, downdate, self._ranges)
         # downdating: |g_j^2 - (q^T d_j)^2| <= gamma (2 + gamma) ||q||^2 ||d_j||^2,
         # and squaring and subtracting round by u each
         self.kappa += 3.0 * self.gamma * float(q @ q) * (1.0 + self.gamma)
@@ -488,8 +445,9 @@ def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> Su
             f"sample budget {stop.m} exceeds the dictionary's {pca.n_atoms} atoms")
     if normalize_atoms:
         atoms, sigma = pca.atoms, pca.sigma
-        support = _select(_unit_columns(dictionary._derived_inverse(atoms, sigma)),
-                          pca.coeffs, stop,
+        unit = _unit_columns(
+            dictionary._derived_inverse(atoms, sigma, _scan_workers(pca.n_rows)))
+        support = _select(unit, pca.coeffs, stop,
                           lambda j: dictionary._derived_inverse(atoms[j:j + 1], sigma)[:, 0])
     else:
         support = somp_select(pca.inverse, pca.coeffs, stop)

@@ -94,7 +94,10 @@ def full_scan_somp(dinv: np.ndarray, coeffs: np.ndarray, stop,
     else:
         max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
         threshold = stop.epsilon
-    scan_dinv = normalized_columns(dinv) if normalize_atoms else dinv
+    # the library scores a C-order array, whatever layout it was given; an
+    # F-order one can take other GEMM kernels, which round a column's score
+    # by where it sits, and so break an exact tie between equal columns
+    scan_dinv = np.ascontiguousarray(normalized_columns(dinv) if normalize_atoms else dinv)
     selected: list[int] = []
     history: list[float] = []
     basis = np.zeros((k, 0))

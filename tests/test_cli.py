@@ -1108,9 +1108,9 @@ def _write_corpus(directory, rng, count, res, invalid_frac=0.1):
 @pytest.mark.parametrize("statistic", ["median", "mean"])
 def test_streamed_train_dict_matches_oracle_pipeline(tmp_path, rng, monkeypatch,
                                                      capsys, statistic):
-    import sparsebrdf.mapping as mapping_mod
+    from sparsebrdf import parallel
 
-    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 7)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 7)
     corpus = _write_corpus(tmp_path / "corpus", rng, 5, BrdfResolution(8, 8, 8))
     code, out, _ = run_cli(capsys, "train-dict", "--corpus", str(corpus), "--k", "6",
                            "--epsilon", "2e-3", "--statistic", statistic,
@@ -1213,11 +1213,11 @@ def test_huge_merl_header_exit_1_with_one_line(command, bundle_dir, tmp_path, rn
 
 
 def test_streamed_train_dict_peak_memory_bounded(tmp_path, rng, monkeypatch, capsys):
-    import sparsebrdf.mapping as mapping_mod
+    from sparsebrdf import parallel
 
     # a 65536-row reference block would be the whole of this matrix; at the
     # full grid it is a sixteenth of it, and 1024 rows keeps that proportion
-    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 1024)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 1024)
     count = 12
     corpus = _write_corpus(tmp_path / "corpus", rng, count, BrdfResolution(32, 32, 32),
                            invalid_frac=0.05)

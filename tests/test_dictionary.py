@@ -1,11 +1,13 @@
 import hashlib
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparsebrdf import dictionary
+from sparsebrdf import dictionary, parallel
 from sparsebrdf.dictionary import (
     DictionaryBundle,
     PcaDictionary,
@@ -28,7 +30,7 @@ from sparsebrdf.mapping import (
     compute_reference,
     log_relative_map,
 )
-from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix
+from sparsebrdf.merl import BrdfResolution, RowMap, corpus_mask, corpus_matrix
 
 from conftest import make_random_tensor, toy_row_map
 from oracles import (
@@ -380,22 +382,89 @@ def test_every_dictionary_is_atom_major_with_a_c_order_inverse(rng, tmp_path):
 
 @pytest.mark.parametrize("statistic", ["median", "mean"])
 def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
-    import sparsebrdf.mapping as mapping_mod
-
-    monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", 7)
+    # 7-row blocks, the last of them ragged, split between 1, 2 and 3
+    # workers: the fill, the pass and the sign fix give the oracles' bits
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 7)
     res = BrdfResolution(8, 8, 8)
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(5)]
-    rm = corpus_mask(tensors)
+    rm = RowMap(res, corpus_mask(tensors).grid_indices[:-1])
+    assert rm.n_valid % 7  # 398 rows
     ids = [f"m{i}" for i in range(5)]
-    bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, 6,
-                          epsilon=2e-3, statistic=statistic)
     ref = stacked_reference(tensors, rm, 2e-3, statistic)
     matrix = stacked_training_matrix(
         [log_relative_map(b, ref, rm) for b in tensors], ids, rm)
-    assert np.array_equal(bundle.reference.values, ref.values)
-    _assert_pca_identical(bundle.pca, full_copy_train_pca(matrix, 6))
-    assert bundle.digest == DictionaryBundle(
-        full_copy_train_pca(matrix, 6), rm, ref, tuple(ids)).digest
+    want = full_copy_train_pca(matrix, 6)
+    digest = DictionaryBundle(want, rm, ref, tuple(ids)).digest
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
+        bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, 6,
+                              epsilon=2e-3, statistic=statistic)
+        assert np.array_equal(bundle.reference.values, ref.values), workers
+        _assert_pca_identical(bundle.pca, want)
+        assert bundle.digest == digest, workers
+
+
+def test_one_block_training_starts_no_thread_and_more_leave_none(rng, monkeypatch):
+    # a matrix of one block is filled and trained on the calling thread;
+    # one of several blocks on both workers, which are joined on return
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
+    tensors = [make_random_tensor(rng, invalid_frac=0.05) for _ in range(5)]
+    rm = corpus_mask(tensors)
+    corpus = [(f"m{i}", b) for i, b in enumerate(tensors)]
+    before = set(threading.enumerate())
+
+    def no_pool(*_):
+        raise AssertionError("a one-block matrix started a pool")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        one = train_bundle(*corpus_matrix(corpus, rm), rm, 5)
+    assert set(threading.enumerate()) == before
+
+    runs = []
+    run = parallel._run
+
+    def recording(pool, task, cuts):
+        threads = set()
+        runs.append((len(cuts) - 1, threads))
+
+        def recorded(*piece):
+            threads.add(threading.get_ident())
+            task(*piece)
+
+        run(pool, recorded, cuts)
+
+    monkeypatch.setattr(parallel, "_run", recording)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 7)
+    many = train_bundle(*corpus_matrix(corpus, rm), rm, 5)
+    # the fill's five gathers and two group writes, the pass and the sign fix
+    assert len(runs) == 5 + 2 + 1 + 1, len(runs)
+    assert all(pieces == 2 and len(threads) == 2 and threading.get_ident() in threads
+               for pieces, threads in runs)
+    assert set(threading.enumerate()) == before
+    assert np.array_equal(many.reference.values, one.reference.values)
+    _assert_pca_identical(many.pca, one.pca)
+
+
+def test_training_workers_under_rapid_switching_train_as_one(rng, monkeypatch):
+    # more workers than cores, switching threads every microsecond: workers
+    # write disjoint rows of the matrix, the group, the reference, the means
+    # and the per-block sums, so a lost or crossed update would change a bit
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 7)
+    tensors = [make_random_tensor(rng, invalid_frac=0.05) for _ in range(5)]
+    rm = corpus_mask(tensors)
+    corpus = [(f"m{i}", b) for i, b in enumerate(tensors)]
+    monkeypatch.setattr(parallel, "_WORKERS", 1)
+    want = train_bundle(*corpus_matrix(corpus, rm), rm, 5)
+    monkeypatch.setattr(parallel, "_WORKERS", 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = train_bundle(*corpus_matrix(corpus, rm), rm, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got.reference.values, want.reference.values)
+    _assert_pca_identical(got.pca, want.pca)
 
 
 @pytest.mark.parametrize("epsilon", [1e-3, 2e-2])
@@ -499,7 +568,7 @@ def test_digest_is_the_same_at_any_worker_count(rng, monkeypatch, chunks):
     bundle = _random_bundle(rng, n)
     digests = set()
     for workers in (1, 5):
-        monkeypatch.setattr(dictionary, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
         for b in (bundle, bundle.for_budget(2)):
             b = replace(b)
             assert b.digest == _tobytes_digest(b, 48)
@@ -517,7 +586,7 @@ def test_loaded_digest_is_the_trained_one_at_any_worker_count(tmp_path, rng,
     save_bundle(bundle, tmp_path)
     assert np.fromfile(tmp_path / "atoms.bin").tobytes() == bundle.pca.atoms.T.tobytes()
     for workers in (1, 2, 5):
-        monkeypatch.setattr(dictionary, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
         loaded = load_bundle(tmp_path)
         assert not loaded.pca.atoms.flags.c_contiguous
         for m in (1, 3, 5):
@@ -546,7 +615,7 @@ def _traced_peak(fn) -> int:
 def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     n, m = 1 << 18, 4
     # given C-order (n, k) atoms, whose (n, m) truncation is a strided view
     # of the atom-major rows the dictionary holds
@@ -560,7 +629,7 @@ def test_digest_copies_a_strided_truncation_a_chunk_at_a_time(rng, monkeypatch):
 def test_loaded_truncation_is_hashed_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     n, m = 1 << 18, 4
     save_bundle(_random_bundle(rng, n, k=8), tmp_path)
     bundle = load_bundle(tmp_path).for_budget(m)
@@ -588,7 +657,7 @@ def test_save_bundle_transposes_through_a_bounded_buffer(tmp_path, rng, monkeypa
 def test_trained_bundle_is_hashed_and_saved_with_no_copy(tmp_path, rng, monkeypatch):
     chunk_bytes = 1 << 18
     monkeypatch.setattr(dictionary, "_DIGEST_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     n, k = 1 << 18, 8
     bundle = train_bundle(rng.random((n, 12)) + 0.5, ["a", "b", "c", "d"],
                           toy_row_map(n), k)

@@ -62,10 +62,10 @@ def test_reference_mean_statistic():
 @pytest.mark.parametrize("count", [2, 3])  # 6 and 9 channels: even and odd medians
 @pytest.mark.parametrize("block", [7, None])  # many row blocks, or one
 def test_reference_blocks_match_stacked_oracle(rng, monkeypatch, statistic, count, block):
-    import sparsebrdf.mapping as mapping_mod
+    from sparsebrdf import parallel
 
     if block is not None:
-        monkeypatch.setattr(mapping_mod, "_REFERENCE_BLOCK", block)
+        monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", block)
     tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(count)]
     rm = corpus_mask(tensors)
     assert rm.n_valid % 7 != 0  # the last block is a partial one

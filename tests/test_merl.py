@@ -1,11 +1,13 @@
 import re
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsebrdf import parallel
 from sparsebrdf.errors import (
     DomainError,
     EmptyMaskError,
@@ -508,9 +510,36 @@ def test_file_corpus_matrix_matches_per_material_oracle(seed, dims, t, edges):
             return
         got = _outcome(lambda: corpus_matrix(corpus, rm))
         assert got == _outcome(lambda: per_material_corpus_matrix(corpus, rm))
+        for workers in (1, 2):
+            # 5-row blocks: a corpus of more than one is filled on the workers
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(parallel, "_WORKERS", workers)
+                mp.setattr(parallel, "_REFERENCE_BLOCK", 5)
+                assert _outcome(lambda: corpus_matrix(corpus, rm)) == got, workers
         if isinstance(got[0], bytes):  # the tensors fill as their files do
             tensors = [(mid, read_merl(path)) for mid, path in corpus]
             assert _outcome(lambda: corpus_matrix(tensors, rm)) == got
+
+
+def test_first_malformed_file_fails_the_fill_at_any_worker_count(tmp_path, rng,
+                                                                monkeypatch):
+    # +inf at a valid cell of the second and the fourth of six files: the
+    # fill names the second, as the per-material oracle does, however its
+    # checks are split, and joins its workers
+    for i in range(6):
+        stored = rng.uniform(0.0, 1500.0, size=(3, 64))
+        if i in (1, 3):
+            stored[i % 3, 10 * i] = np.inf
+        _write_raw(tmp_path / f"m{i}.binary", (4, 4, 4), stored.ravel())
+    corpus, rm = load_corpus(str(tmp_path), None)
+    want = _outcome(lambda: per_material_corpus_matrix(corpus, rm))
+    assert want[0] is MerlFormatError and "m1.binary" in want[1], want
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 5)
+    before = set(threading.enumerate())
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
+        assert _outcome(lambda: corpus_matrix(corpus, rm)) == want, workers
+        assert set(threading.enumerate()) == before, workers
 
 
 def test_corpus_matrix_rejects_cells_outside_the_grid(rng):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sparsebrdf.somp as somp_mod
-from sparsebrdf import dictionary
+from sparsebrdf import dictionary, parallel
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, save_bundle, train_bundle
 from sparsebrdf.errors import (
     BudgetTooLargeError,
@@ -281,7 +281,7 @@ def test_f_order_inverse_scores_as_its_c_order_copy(rng, monkeypatch):
     # dictionary lays its atoms out atom-major: F-order sub-blocks of a
     # 16 384-column block score thousands of its columns differently in the
     # last bit at this k and t
-    monkeypatch.setattr(dictionary, "_WORKERS", 1)  # one scorer, calls in order
+    monkeypatch.setattr(parallel, "_WORKERS", 1)  # one scorer, calls in order
     score_block = somp_mod._score_block
     calls = []
 
@@ -496,7 +496,7 @@ def assert_matches_full_scan(dinv, coeffs, stop, normalize_atoms=False):
     for sub, workers in SCAN_LAYOUTS:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(somp_mod, "_SUB_BLOCK", sub)
-            mp.setattr(dictionary, "_WORKERS", workers)
+            mp.setattr(parallel, "_WORKERS", workers)
             if refused:
                 with pytest.raises(refused):
                     select(dinv, coeffs, stop)
@@ -650,7 +650,7 @@ def test_multi_block_pick_and_advance_allocate_no_n_vector(rng, monkeypatch):
     # in the scan's buffers, over a raw or a unit-column inverse; what is
     # allocated is of the blocks' count, below one n-vector of 1 MiB
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 8192)
-    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     k, n, t = 4, 1 << 17, 3
     dinv = rng.standard_normal((k, n))
     coeffs = rng.standard_normal((k, t))
@@ -682,7 +682,7 @@ def test_multi_block_scan_runs_on_workers_and_leaves_none(rng, monkeypatch):
     monkeypatch.setattr(somp_mod, "_score_block", recording)
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 7)
     monkeypatch.setattr(somp_mod, "_SUB_BLOCK", 2)
-    monkeypatch.setattr(dictionary, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     before = set(threading.enumerate())
     dinv = rng.standard_normal((6, 45))
     coeffs = rng.standard_normal((6, 5))
@@ -708,7 +708,7 @@ def test_only_a_multi_block_scan_pins_blas(rng, monkeypatch):
         calls.append(count)
         threads[0] = count
 
-    monkeypatch.setattr(somp_mod, "_openblas_thread_calls", lambda: (lambda: threads[0], put))
+    monkeypatch.setattr(parallel, "_openblas_thread_calls", lambda: (lambda: threads[0], put))
     dinv = rng.standard_normal((6, 45))
     coeffs = rng.standard_normal((6, 5))
     somp_select(dinv, coeffs, SampleBudget(3))
@@ -726,10 +726,10 @@ def test_scan_workers_under_rapid_switching_pick_as_one(rng, monkeypatch):
     monkeypatch.setattr(somp_mod, "_SUB_BLOCK", 16)
     dinv = rng.standard_normal((8, 4000)) * rng.uniform(0.1, 10.0, size=4000)
     coeffs = rng.standard_normal((8, 6))
-    monkeypatch.setattr(dictionary, "_WORKERS", 1)
+    monkeypatch.setattr(parallel, "_WORKERS", 1)
     selects = (somp_select, normalized_select)
     want = [select(dinv, coeffs, SampleBudget(8)) for select in selects]
-    monkeypatch.setattr(dictionary, "_WORKERS", 6)
+    monkeypatch.setattr(parallel, "_WORKERS", 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -738,6 +738,49 @@ def test_scan_workers_under_rapid_switching_pick_as_one(rng, monkeypatch):
             assert got == expected and got.blocks_scored == expected.blocks_scored
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_inverse_and_starting_norms_are_derived_on_the_scan_workers(rng, monkeypatch):
+    # over more than one scan block, a dictionary's inverse and the bound's
+    # starting column norms are derived in column ranges cut at multiples of
+    # 8, one per worker: their bits are one thread's, and the raw and the
+    # normalized supports are the full scan's
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 64)
+    k, n = 6, 1003
+    atoms = rng.standard_normal((k, n)).T
+    sigma = np.array([3.0, 2.0, 1.5, 0.7, 0.3, 0.0])
+    coeffs = rng.standard_normal((k, 5))
+    safe = np.where(sigma > 0.0, sigma, 1.0)[:, None]
+    want = atoms.T / safe * np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
+    supports = {normalize: full_scan_somp(want, coeffs, SampleBudget(4), normalize)
+                for normalize in (False, True)}
+    threads = set()
+    run = parallel._run
+
+    def recording(pool, task, cuts):
+        def recorded(*piece):
+            threads.add(threading.get_ident())
+            task(*piece)
+
+        run(pool, recorded, cuts)
+
+    monkeypatch.setattr(parallel, "_run", recording)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
+        pca = dictionary.PcaDictionary(np.zeros(n), atoms, coeffs, sigma)
+        threads.clear()
+        assert np.array_equal(pca.inverse, want), workers
+        assert threading.get_ident() in threads and (len(threads) > 1) == (workers > 1)
+        with somp_mod._BoundedScan(pca.inverse, coeffs) as scan:
+            assert np.array_equal(scan.nu2, np.einsum("ij,ij->j", want, want)), workers
+        for normalize, support in supports.items():
+            assert select_support(pca, SampleBudget(4), normalize) == support, workers
+    # a lone block's inverse is derived on the calling thread
+    monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", n)
+    threads.clear()
+    assert np.array_equal(dictionary.PcaDictionary(np.zeros(n), atoms, coeffs,
+                                                   sigma).inverse, want)
+    assert threads == {threading.get_ident()}
 
 
 def test_bound_downdate_bits_do_not_depend_on_workers(rng, monkeypatch):
@@ -754,7 +797,7 @@ def test_bound_downdate_bits_do_not_depend_on_workers(rng, monkeypatch):
         scanned = normalized_columns(dinv) if normalize else dinv
         states = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(dictionary, "_WORKERS", workers)
+            monkeypatch.setattr(parallel, "_WORKERS", workers)
             with somp_mod._BoundedScan(scanned, coeffs) as scan:
                 scan.advance(q, coeffs - q @ (q.T @ coeffs))
                 states.append(np.concatenate([scan._g, scan.nu2]))  # g_j^2 and nu2_j
