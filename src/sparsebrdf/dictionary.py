@@ -34,6 +34,7 @@ from .mapping import (
     DEFAULT_EPSILON,
     ReferenceBrdf,
     _map_rows,
+    _reference_buffer,
     _row_reference,
     check_mapping,
 )
@@ -338,7 +339,7 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
     is trained on.  Every step works in entries, so it must not be read
     after the call.  One pass over its _REFERENCE_BLOCK-row blocks, split
     between the workers, takes each block's reference as matrix_reference
-    does, from a copy of the block in its worker's buffer, then maps the
+    does, from copies of its rows in its worker's buffer, then maps the
     block, takes its row means and sum of squares, and centres it in place;
     _train_in_place then trains on the centred matrix.  A matrix of one
     block is worked on by the calling thread alone.
@@ -352,8 +353,7 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
         _row_reference(rows, statistic, copy, at)
         _map_rows(rows, at, epsilon)
 
-    pca = _train_in_place(entries, k, reference_and_map,
-                          lambda: np.empty((min(parallel._REFERENCE_BLOCK, n), q)))
+    pca = _train_in_place(entries, k, reference_and_map, lambda: _reference_buffer(n, q))
     return DictionaryBundle(
         pca=pca,
         row_map=row_map,

@@ -30,6 +30,12 @@ from .merl import BrdfTensor, MerlFile, RowMap, corpus_matrix
 DEFAULT_EPSILON = 1e-3
 REFERENCE_FLOOR = 1e-6
 
+# bytes of the copy a worker takes its blocks' reference statistics from, a
+# few rows at a time, whatever the column count.  Copies of a few MB stay
+# resident on the heap after the pass: at 4 MiB, train-dict's peak on 16
+# full-grid materials rose by the two workers' 8 MiB
+_REFERENCE_COPY_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class ReferenceBrdf:
@@ -90,42 +96,55 @@ def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> Ref
     The statistic (median, or mean) is taken over all training materials and
     all three channels of a row, then floored at 1e-6.  Both statistics are
     per row, so they are taken over the _REFERENCE_BLOCK-row blocks of
-    entries, split between the workers, each block from a copy of it in its
-    worker's buffer; entries is left as it is.  train_bundle takes the same
-    step first in each block of its one pass.  The matrix is read only once
-    the settings pass check_mapping.
+    entries, split between the workers, each block a sub-block at a time
+    from a copy in its worker's _reference_buffer; entries is left as it
+    is.  train_bundle takes the same step first in each block of its one
+    pass.  The matrix is read only once the settings pass check_mapping.
     """
     check_mapping(epsilon, statistic)
     n, q = entries.shape
     ref = np.empty(n)
     parallel._row_blocks(
         n, lambda copy, a, z: _row_reference(entries[a:z], statistic, copy, ref[a:z]),
-        lambda: np.empty((min(parallel._REFERENCE_BLOCK, n), q)))
+        lambda: _reference_buffer(n, q))
     return ReferenceBrdf(ref, epsilon)
+
+
+def _reference_buffer(n: int, q: int) -> np.ndarray:
+    """A worker's buffer for _row_reference over the blocks of an (n, q)
+    corpus_matrix: as many rows as fit in _REFERENCE_COPY_BYTES, but at
+    least one and at most a block."""
+    rows = max(1, _REFERENCE_COPY_BYTES // (8 * q))
+    return np.empty((min(rows, parallel._REFERENCE_BLOCK, n), q))
 
 
 def _row_reference(rows: np.ndarray, statistic: str, copy: np.ndarray,
                   out: np.ndarray) -> None:
     """The reference reflectance of each row of rows, a row block of a
     corpus_matrix, written to out: the statistic of the row, taken from a
-    copy of rows in the C-order buffer copy, which holds at least as many
-    rows, then floored at 1e-6."""
-    # the copy, transposed, has the layout of the materials' (3, B) channel
-    # blocks stacked one above the other, which fixes the order np.mean sums
-    # in; and each row's channels are contiguous for the partition
-    block = copy[:len(rows)]
-    np.copyto(block, rows)
-    block = block.T
-    if statistic == "mean":
-        block.mean(axis=0, out=out)
-    else:
-        # median via partition; np.median's nan-handling path is several
-        # times slower at full measurement resolution
-        q = len(block)
-        mid = (q - 1) // 2
-        block.partition((mid, q // 2), axis=0)
-        np.add(block[mid], block[q // 2], out=out)
-        out *= 0.5
+    copy of the row in the C-order buffer copy, len(copy) rows at a time,
+    then floored at 1e-6.  Each row's statistic is its own, so the number
+    of rows copied at a time does not change a bit."""
+    step = len(copy)
+    for start in range(0, len(rows), step):
+        sub, at = rows[start:start + step], out[start:start + step]
+        # the copy, transposed, has the layout of the materials' (3, B)
+        # channel blocks stacked one above the other, which fixes the order
+        # np.mean sums in; and each row's channels are contiguous for the
+        # partition
+        block = copy[:len(sub)]
+        np.copyto(block, sub)
+        block = block.T
+        if statistic == "mean":
+            block.mean(axis=0, out=at)
+        else:
+            # median via partition; np.median's nan-handling path is several
+            # times slower at full measurement resolution
+            q = len(block)
+            mid = (q - 1) // 2
+            block.partition((mid, q // 2), axis=0)
+            np.add(block[mid], block[q // 2], out=at)
+            at *= 0.5
     np.maximum(out, REFERENCE_FLOOR, out=out)
 
 

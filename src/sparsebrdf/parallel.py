@@ -1,14 +1,17 @@
-"""Worker threads shared by the bundle digest, SOMP's multi-block scan and
-training's row-wise passes.
+"""Worker threads shared by the bundle digest, SOMP's multi-block scan,
+training's row-wise passes and reconstruct's output pass.
 
 Work is cut into pieces whose bounds depend only on shapes, and each piece
 is computed as one thread would compute it, so no result depends on how
 many workers run.  Numpy releases the GIL while it copies, gathers,
-reduces, maps or multiplies, and hashlib while it hashes a piece.
+reduces, maps or multiplies, and hashlib while it hashes a piece.  Each
+piece runs in a copy of the caller's context, so numpy's errstate, a
+context variable, holds on every worker as it does on the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import os
@@ -22,9 +25,11 @@ import numpy as np
 # of the others
 _WORKERS = len(os.sched_getaffinity(0))
 
-# rows per block of training's row-wise passes: corpus_matrix's fill, and
-# the reference, map and centring of train_bundle and matrix_reference.  A
-# matrix of one block is worked on by the calling thread alone
+# rows per block of the row-wise passes: corpus_matrix's fill, the
+# reference, map and centring of train_bundle and matrix_reference, and
+# write_reconstruction's output pass, whose block starts must be multiples
+# of 8 (see there).  A matrix of one block is worked on by the calling
+# thread alone
 _REFERENCE_BLOCK = 65536
 
 
@@ -53,8 +58,10 @@ def _one_blas_thread():
     them, would depend on the thread count.  evaluate's held-out products run
     under this pin, and so does a multi-block SOMP scan, whose picks must not
     depend on the thread count either and whose workers would compete with
-    OpenBLAS's own threads.  Both call BLAS only from threads the pin covers,
-    so setting the library's global count is safe.
+    OpenBLAS's own threads.  So does write_reconstruction's pass: its small
+    (3, k) x (k, block) products gain nothing from OpenBLAS's threads, which
+    would only compete with the pass's workers.  Each calls BLAS only from
+    threads the pin covers, so setting the library's global count is safe.
     """
     calls = _openblas_thread_calls()
     if calls is None:
@@ -95,9 +102,12 @@ def _pool(pieces: int):
 
 def _run(pool, task, cuts: list) -> None:
     """task(i, start, stop) for the i-th piece start:stop between cuts, the
-    first on the calling thread and the others on pool's threads."""
+    first on the calling thread and the others on pool's threads, each in
+    its own copy of the caller's context: one context cannot be entered by
+    two threads at once."""
     pieces = list(zip(range(len(cuts) - 1), cuts[:-1], cuts[1:]))
-    others = [pool.submit(task, *piece) for piece in pieces[1:]]
+    others = [pool.submit(contextvars.copy_context().run, task, *piece)
+              for piece in pieces[1:]]
     task(*pieces[0])
     for future in others:
         future.result()

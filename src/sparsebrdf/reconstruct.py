@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from . import parallel
 from .dictionary import DictionaryBundle, PcaDictionary
 from .errors import (
     ConfigError,
@@ -31,10 +32,6 @@ from .merl import INVALID_SENTINEL, BrdfTensor, MerlFile, RowMap, store_cells, w
 from .somp import SupportSet
 
 DEFAULT_ETA = 40.0
-
-# valid rows per block of write_reconstruction's pass, which rounds it up to
-# a multiple of 8 (see there)
-_WRITE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -217,28 +214,33 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
     expands (3, k) coefficients into, byte for byte, and return its
     clamped_fraction, with no tensor built.
 
-    One pass over blocks of valid rows takes, per block, the product with
-    the atoms plus the mean, the unmap (unmap_in_place) with its clamp
-    count, and store_cells: BrdfTensor's check of the values, with its
-    error, and their scaled scatter into one (3, grid_size) buffer,
-    prefilled with the sentinel.  The buffer is written once, so a failed
-    check leaves no file.  Block starts are multiples of 8: a block product
-    starting there gives each row the whole product's bits, while blocks of
-    odd width were seen to differ in the last bit (OpenBLAS, k = 20).
+    One pass over the parallel._REFERENCE_BLOCK-row blocks of valid rows,
+    split between the workers with OpenBLAS pinned to one thread, takes per
+    block, in its worker's (3, block) buffer, the product with the atoms
+    plus the mean, the unmap (unmap_in_place) with its clamp count, and
+    store_cells: BrdfTensor's check of the values, with its error, and their
+    scaled scatter into one (3, grid_size) buffer, prefilled with the
+    sentinel, where no two blocks share a cell.  The buffer is written once
+    the workers are joined, so a failed check leaves no file.  Block starts
+    are multiples of 8: a block product starting there gives each row the
+    whole product's bits, while blocks of odd width were seen to differ in
+    the last bit (OpenBLAS, k = 20).
     """
     pca, ref, row_map = bundle.pca, bundle.reference, bundle.row_map
     atoms = pca.atoms.T  # (k, n), C-order in every dictionary
     n = row_map.n_valid
-    step = -(-_WRITE_BLOCK // 8) * 8
+    step = parallel._REFERENCE_BLOCK
     stored = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
-    buf = np.empty((3, min(step, n)))
-    clamped = 0
-    for start in range(0, n, step):
-        stop = min(start + step, n)
+    clamped = np.empty(-(-n // step), dtype=np.int64)
+
+    def write(buf, start, stop):
         block = buf[:, :stop - start]
         np.matmul(coefficients, atoms[:, start:stop], out=block)
         block += pca.mean[start:stop]
-        clamped += unmap_in_place(block.T, ref, slice(start, stop))
+        clamped[start // step] = unmap_in_place(block.T, ref, slice(start, stop))
         store_cells(stored, row_map.grid_indices[start:stop], block)
+
+    with parallel._one_blas_thread():
+        parallel._row_blocks(n, write, lambda: np.empty((3, min(step, n))))
     write_stored(path, row_map.resolution, stored)
-    return clamped / (3 * n)
+    return int(clamped.sum()) / (3 * n)

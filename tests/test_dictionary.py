@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsebrdf import dictionary, parallel
+from sparsebrdf import dictionary, mapping, parallel
 from sparsebrdf.dictionary import (
     DictionaryBundle,
     PcaDictionary,
@@ -29,6 +29,7 @@ from sparsebrdf.mapping import (
     ReferenceBrdf,
     compute_reference,
     log_relative_map,
+    matrix_reference,
 )
 from sparsebrdf.merl import BrdfResolution, RowMap, corpus_mask, corpus_matrix
 
@@ -383,8 +384,10 @@ def test_every_dictionary_is_atom_major_with_a_c_order_inverse(rng, tmp_path):
 @pytest.mark.parametrize("statistic", ["median", "mean"])
 def test_train_bundle_matches_oracle_pipeline(rng, monkeypatch, statistic):
     # 7-row blocks, the last of them ragged, split between 1, 2 and 3
-    # workers: the fill, the pass and the sign fix give the oracles' bits
+    # workers, each block's reference taken from copies of 3 rows at a time:
+    # the fill, the pass and the sign fix give the oracles' bits
     monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 7)
+    monkeypatch.setattr(mapping, "_REFERENCE_COPY_BYTES", 3 * 15 * 8)
     res = BrdfResolution(8, 8, 8)
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(5)]
     rm = RowMap(res, corpus_mask(tensors).grid_indices[:-1])
@@ -502,6 +505,22 @@ def test_train_bundle_peak_memory_bounded(rng):
         tracemalloc.stop()
     assert bundle.pca.n_atoms == 10
     assert peak <= 3 * matrix_bytes, peak / matrix_bytes
+
+
+def test_reference_copies_stay_small_at_a_paper_scale_fold(rng, monkeypatch):
+    # 216 columns, as an 80-material fold trains on, in 8192-row blocks
+    # split between 2 workers: a copy of a whole block would be 13.5 MiB per
+    # worker, and each worker's copy is held to _REFERENCE_COPY_BYTES
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8192)
+    n, q = 20000, 216
+    entries = rng.uniform(0.01, 1.0, (n, q))
+    bound = 2 * mapping._REFERENCE_COPY_BYTES + (2 << 20)
+    peak = _traced_peak(lambda: matrix_reference(entries, 1e-3, "median"))
+    assert peak < bound, peak / bound
+    peak = _traced_peak(
+        lambda: train_bundle(entries, [f"m{i}" for i in range(72)], toy_row_map(n), 4))
+    assert peak < bound, peak / bound
 
 
 def _tobytes_digest(bundle, chunk_bytes):

@@ -62,10 +62,12 @@ def test_reference_mean_statistic():
 @pytest.mark.parametrize("count", [2, 3])  # 6 and 9 channels: even and odd medians
 @pytest.mark.parametrize("block", [7, None])  # many row blocks, or one
 def test_reference_blocks_match_stacked_oracle(rng, monkeypatch, statistic, count, block):
-    from sparsebrdf import parallel
+    from sparsebrdf import mapping, parallel
 
     if block is not None:
+        # each block's statistic taken from copies of 3 rows, then of 1
         monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", block)
+        monkeypatch.setattr(mapping, "_REFERENCE_COPY_BYTES", 3 * 3 * count * 8)
     tensors = [make_random_tensor(rng, res=RES, invalid_frac=0.1) for _ in range(count)]
     rm = corpus_mask(tensors)
     assert rm.n_valid % 7 != 0  # the last block is a partial one

@@ -1,6 +1,9 @@
 import struct
 import tempfile
+import threading
 import tracemalloc
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sparsebrdf.reconstruct as reconstruct_mod
-from sparsebrdf.dictionary import load_bundle, save_bundle, train_bundle
+from sparsebrdf import parallel
+from sparsebrdf.dictionary import PcaDictionary, load_bundle, save_bundle, train_bundle
 from sparsebrdf.errors import (
     IndexOutOfRangeError,
     InvalidSampleError,
@@ -458,12 +461,14 @@ def _written_or_error(write, path):
 @pytest.mark.parametrize("loaded", [False, True], ids=["trained", "loaded"])
 def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, tmp_path,
                                                                rng, monkeypatch):
-    # settings of 1 and 7 rows run as blocks of 8, since block starts stay
-    # multiples of 8; 8 and 24 give many blocks, 32768 one.  Over a trained
-    # bundle's (n, k) atoms and a loaded bundle's atom-major file, whose
-    # m < k truncation reads the file's first rows
-    monkeypatch.setattr(reconstruct_mod, "_WRITE_BLOCK", block)
+    # blocks of 8 * block rows, since block starts must be multiples of 8:
+    # over the 331 rows, 8, 56, 64 and 192 give many blocks, the last of
+    # them ragged, and 262144 one.  Split between 1, 2 and 3 workers, over a
+    # trained bundle's (n, k) atoms and a loaded bundle's atom-major file,
+    # whose m < k truncation reads the file's first rows
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8 * block)
     bundle, _ = _trained_bundle(rng, count=8, k=5)
+    assert bundle.row_map.n_valid % (8 * block) or 8 * block > bundle.row_map.n_valid
     if loaded:
         save_bundle(bundle, tmp_path / "bundle")
         bundle = load_bundle(tmp_path / "bundle")
@@ -483,9 +488,11 @@ def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, t
                 return result.clamped_fraction
 
             want = _written_or_error(oracle, tmp_path / f"want-{m}-{name}.binary")
-            got = _written_or_error(lambda path: write_reconstruction(cut, coeffs, path),
-                                    tmp_path / f"got-{m}-{name}.binary")
-            assert got == want, (m, name)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(parallel, "_WORKERS", workers)
+                got = _written_or_error(lambda path: write_reconstruction(cut, coeffs, path),
+                                        tmp_path / f"got-{m}-{name}-{workers}.binary")
+                assert got == want, (m, name, workers)
             if name == "overflow":
                 assert want == (MerlFormatError,
                                 "valid cells must hold finite nonnegative reflectance")
@@ -494,8 +501,11 @@ def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, t
 
 
 def test_write_reconstruction_builds_no_tensor(tmp_path, rng, monkeypatch):
-    # blocks of a sixteenth of the grid, as a full-grid file holds 33 of them
-    monkeypatch.setattr(reconstruct_mod, "_WRITE_BLOCK", 2048)
+    # 1024-row blocks, a thirty-second of the grid, near the share of a
+    # full-grid file a 65 536-row block holds (a twenty-second); the last of
+    # the 24148 rows ragged, split between 2 workers
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 1024)
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
     res = BrdfResolution(32, 32, 32)
     bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
     save_bundle(bundle, tmp_path / "bundle")
@@ -510,8 +520,73 @@ def test_write_reconstruction_builds_no_tensor(tmp_path, rng, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the one (3, grid_size) buffer of stored values, and one block's
+    # the one (3, grid_size) buffer of stored values, and one block's per
+    # worker
     assert peak < 1.2 * tensor_bytes, peak / tensor_bytes
+
+
+def test_write_reconstruction_overflow_in_last_piece_leaves_no_file_or_thread(
+        tmp_path, rng, monkeypatch):
+    # the unmap overflows and the check fails on a pool thread only: the
+    # caller raises the check's error once the workers are joined, writes
+    # nothing and restores OpenBLAS's thread count.  The workers keep the
+    # caller's errstate, so with warnings as errors the overflow raises no
+    # RuntimeWarning
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8)
+    blas = [4]
+    puts = []
+
+    def put(count):
+        puts.append(count)
+        blas[0] = count
+
+    monkeypatch.setattr(parallel, "_openblas_thread_calls", lambda: (lambda: blas[0], put))
+    trained, _ = _trained_bundle(rng, count=8, k=5)
+    pca = trained.pca
+    coeffs = rng.standard_normal((3, 5))
+    before = set(threading.enumerate())
+    for workers in (2, 3):
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
+        last = parallel._row_cuts(pca.n_rows)[-2]
+        assert last > 0
+        mean = pca.mean.copy()
+        mean[last:] = 1e3
+        bundle = replace(trained, pca=PcaDictionary(mean, pca.atoms, pca.coeffs, pca.sigma))
+
+        def oracle(path):
+            result = synthesize(bundle.pca, coeffs, bundle.reference, bundle.row_map)
+            write_merl(result.tensor, path)
+            return result.clamped_fraction
+
+        want = _written_or_error(oracle, tmp_path / f"want-{workers}.binary")
+        assert want == (MerlFormatError, "valid cells must hold finite nonnegative reflectance")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _written_or_error(lambda path: write_reconstruction(bundle, coeffs, path),
+                                    tmp_path / f"got-{workers}.binary")
+        assert got == want, workers
+        assert set(threading.enumerate()) == before
+        assert puts == [1, 4], puts
+        puts.clear()
+
+
+def test_one_block_reconstruction_starts_no_pool(tmp_path, rng, monkeypatch):
+    bundle, _ = _trained_bundle(rng, count=8, k=5)
+    coeffs = rng.standard_normal((3, 5))
+    monkeypatch.setattr(parallel, "_WORKERS", 2)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8)
+    many = write_reconstruction(bundle, coeffs, tmp_path / "many.binary")
+    before = set(threading.enumerate())
+
+    def no_pool(*_):
+        raise AssertionError("a one-block reconstruction started a pool")
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 1 << 16)
+    one = write_reconstruction(bundle, coeffs, tmp_path / "one.binary")
+    assert set(threading.enumerate()) == before
+    assert one == many
+    assert (tmp_path / "one.binary").read_bytes() == (tmp_path / "many.binary").read_bytes()
 
 
 def test_ridge_fit_is_reconstruct_full_s(rng):
