@@ -93,8 +93,7 @@ class PcaDictionary:
     of atoms.T and k leading atoms are a prefix of it; atoms in another
     layout are copied into it.  The inverse is derived from atoms and sigma
     when it is first read: only selection and the coherence scan read it,
-    and at the full grid it is as large as the atoms.  It is derived on the
-    scan's workers when the atoms span more than one scan block.
+    and at the full grid it is as large as the atoms.
     """
 
     def __init__(self, mean: np.ndarray, atoms: np.ndarray, coeffs: np.ndarray,
@@ -109,9 +108,7 @@ class PcaDictionary:
     @cached_property
     def inverse(self) -> np.ndarray:
         """(k, n) inverse of the atoms restricted to their column space."""
-        from .somp import _scan_workers  # somp imports this module
-
-        inverse = _derived_inverse(self.atoms, self.sigma, _scan_workers(self.n_rows))
+        inverse = _derived_inverse(self.atoms, self.sigma)
         inverse.setflags(write=False)
         return inverse
 
@@ -138,11 +135,11 @@ class PcaDictionary:
                              self.sigma[:k])
 
 
-def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray, workers: int = 1) -> np.ndarray:
+def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(atoms / sigma^2)^T as a C-order (k, n) array, with zero rows where
-    sigma is zero, derived in one range of columns per worker, cut at
-    multiples of 8.  Each value is derived on its own, so the ranges do not
-    change its bits."""
+    sigma is zero, derived in one range of columns, cut at multiples of 8,
+    per worker of a row-wise pass over the n rows.  Each value is derived on
+    its own, so the ranges do not change its bits."""
     safe = np.where(sigma > 0.0, sigma, 1.0)[:, None]
     scale = np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
     u = np.empty((len(sigma), len(atoms)))
@@ -152,7 +149,7 @@ def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray, workers: int = 1) -> 
         np.divide(atoms[a:z].T, safe, out=cols)
         cols *= scale
 
-    cuts = parallel._cuts(len(atoms), 8, workers)
+    cuts = parallel._cuts(len(atoms), 8, len(parallel._row_cuts(len(atoms))) - 1)
     with parallel._pool(len(cuts) - 1) as pool:
         parallel._run(pool, derive, cuts)
     return u
@@ -226,12 +223,10 @@ def _train_in_place(entries: np.ndarray, k: int, step=None,
         eps * max(n, t) * norm,
     )
     sigma[sigma <= tiny] = 0.0
-    # only the k kept left singular vectors are formed, atom-major, and the
-    # centred entries are dropped right after; at least two, since a
-    # one-row product goes through GEMV, whose sums differ in the last bit
-    # from the GEMM of wider products
+    # only the k kept left singular vectors are formed, atom-major; at least
+    # two, since a one-row product goes through GEMV, whose sums differ in
+    # the last bit from the GEMM of wider products
     u = (v[:, :max(k, 2)].T @ entries.T)[:k]
-    del entries
     sigma, v = sigma[:k], v[:, :k]
 
     # each vector is divided by its singular value (zeroed where that is
@@ -338,7 +333,7 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
     The mapping reference is computed from the same materials the dictionary
     is trained on.  Every step works in entries, so it must not be read
     after the call.  One pass over its _REFERENCE_BLOCK-row blocks, split
-    between the workers, takes each block's reference as matrix_reference
+    between the workers, takes each block's reference as compute_reference
     does, from copies of its rows in its worker's buffer, then maps the
     block, takes its row means and sum of squares, and centres it in place;
     _train_in_place then trains on the centred matrix.  A matrix of one

@@ -341,7 +341,8 @@ class _HeldOut:
 
     x holds the (3M, n) mapped held-out channels, material-major; it is left
     as it is, since the direct path reads each material's rows of it.  Its
-    memory layout fixes the order the energies are summed in.
+    memory layout fixes the order the energies are summed in.  A support's
+    solve centres the m columns of x it reads, so no centred x is kept.
     """
 
     def __init__(self, x: np.ndarray, bundle):
@@ -351,11 +352,12 @@ class _HeldOut:
                        for i in range(materials)]
         self.n_cells = x.size // materials
         self.signal = np.sum((x * x).reshape(materials, -1), axis=1)
-        self.centred = x - pca.mean
-        self.energy = np.sum(self.centred * self.centred, axis=1)
+        self.x, self.mean = x, pca.mean
+        centred = x - pca.mean
+        self.energy = np.sum(centred * centred, axis=1)
         # both products sum over the n grid rows
         with _one_blas_thread():
-            self.projections = self.centred @ pca.atoms  # (3M, k_max)
+            self.projections = centred @ pca.atoms  # (3M, k_max)
             self.gram = pca.atoms.T @ pca.atoms
         # unmap exponentiates a reconstruction's mapped value plus
         # log(reference + epsilon); that is at most mean_peak + |s| . atom_peak
@@ -374,7 +376,7 @@ class _HeldOut:
         k = bundle.pca.n_atoms
         try:
             solution = ridge_solve(bundle.pca.atoms[rows],
-                                   self.centred[:, rows].T, eta)  # (k, 3M)
+                                   (self.x[:, rows] - self.mean[rows]).T, eta)  # (k, 3M)
         except (SparseBrdfError, ValueError):
             return [_direct_metrics(mb, support, bundle, eta) for mb in self.mapped]
 

@@ -78,30 +78,21 @@ def check_mapping(epsilon: float, statistic: str) -> None:
         raise ConfigError(f"unknown statistic {statistic!r}")
 
 
-def compute_reference(
-    training,
-    row_map: RowMap,
-    epsilon: float = DEFAULT_EPSILON,
-    statistic: str = "median",
-) -> ReferenceBrdf:
+def compute_reference(training, row_map: RowMap, epsilon: float = DEFAULT_EPSILON,
+                      statistic: str = "median") -> ReferenceBrdf:
     """Reference reflectance per valid row from training BrdfTensors, each
-    of the row map's resolution: matrix_reference over their corpus_matrix."""
-    entries, _ = corpus_matrix(list(enumerate(training)), row_map)
-    return matrix_reference(entries, epsilon, statistic)
-
-
-def matrix_reference(entries: np.ndarray, epsilon: float, statistic: str) -> ReferenceBrdf:
-    """Reference reflectance per row of an (n_valid, 3t) corpus_matrix.
+    of the row map's resolution.
 
     The statistic (median, or mean) is taken over all training materials and
-    all three channels of a row, then floored at 1e-6.  Both statistics are
-    per row, so they are taken over the _REFERENCE_BLOCK-row blocks of
-    entries, split between the workers, each block a sub-block at a time
-    from a copy in its worker's _reference_buffer; entries is left as it
-    is.  train_bundle takes the same step first in each block of its one
-    pass.  The matrix is read only once the settings pass check_mapping.
+    all three channels of a row, then floored at 1e-6.  Once the settings
+    pass check_mapping, the tensors are gathered into their corpus_matrix,
+    and the statistics, both per row, are taken over its _REFERENCE_BLOCK-row
+    blocks, split between the workers, each block a sub-block at a time from
+    a copy in its worker's _reference_buffer.  train_bundle takes the same
+    step first in each block of its one pass.
     """
     check_mapping(epsilon, statistic)
+    entries, _ = corpus_matrix(list(enumerate(training)), row_map)
     n, q = entries.shape
     ref = np.empty(n)
     parallel._row_blocks(

@@ -1,5 +1,5 @@
-"""Worker threads shared by the bundle digest, SOMP's multi-block scan,
-training's row-wise passes and reconstruct's output pass.
+"""Worker threads shared by the bundle digest, SOMP's multi-block scan, the
+dictionary inverse, training's row-wise passes and reconstruct's output pass.
 
 Work is cut into pieces whose bounds depend only on shapes, and each piece
 is computed as one thread would compute it, so no result depends on how
@@ -26,7 +26,7 @@ import numpy as np
 _WORKERS = len(os.sched_getaffinity(0))
 
 # rows per block of the row-wise passes: corpus_matrix's fill, the
-# reference, map and centring of train_bundle and matrix_reference, and
+# reference, map and centring of train_bundle and compute_reference, and
 # write_reconstruction's output pass, whose block starts must be multiples
 # of 8 (see there).  A matrix of one block is worked on by the calling
 # thread alone

@@ -219,28 +219,36 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
     block, in its worker's (3, block) buffer, the product with the atoms
     plus the mean, the unmap (unmap_in_place) with its clamp count, and
     store_cells: BrdfTensor's check of the values, with its error, and their
-    scaled scatter into one (3, grid_size) buffer, prefilled with the
-    sentinel, where no two blocks share a cell.  The buffer is written once
-    the workers are joined, so a failed check leaves no file.  Block starts
-    are multiples of 8: a block product starting there gives each row the
-    whole product's bits, while blocks of odd width were seen to differ in
-    the last bit (OpenBLAS, k = 20).
+    scaled scatter into one (3, grid_size) buffer.  Each block first fills
+    with the sentinel the cells after the previous block's last valid cell
+    (from the grid's start for the first) up to its own last (to the grid's
+    end for the last), so no two blocks share a cell.  The buffer is written
+    once the workers are joined, so a failed check leaves no file.  Block
+    starts are multiples of 8: a block product starting there gives each
+    row the whole product's bits, while blocks of odd width were seen to
+    differ in the last bit (OpenBLAS, k = 20).
     """
     pca, ref, row_map = bundle.pca, bundle.reference, bundle.row_map
     atoms = pca.atoms.T  # (k, n), C-order in every dictionary
+    cells = row_map.grid_indices
     n = row_map.n_valid
     step = parallel._REFERENCE_BLOCK
-    stored = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
+    stored = np.empty((3, row_map.resolution.grid_size))
     clamped = np.empty(-(-n // step), dtype=np.int64)
 
     def write(buf, start, stop):
+        first = cells[start - 1] + 1 if start else 0
+        last = cells[stop - 1] + 1 if stop < n else stored.shape[1]
+        stored[:, first:last] = INVALID_SENTINEL
         block = buf[:, :stop - start]
         np.matmul(coefficients, atoms[:, start:stop], out=block)
         block += pca.mean[start:stop]
         clamped[start // step] = unmap_in_place(block.T, ref, slice(start, stop))
-        store_cells(stored, row_map.grid_indices[start:stop], block)
+        store_cells(stored, cells[start:stop], block)
 
-    with parallel._one_blas_thread():
+    # an overflow leaves a value that is not finite, which store_cells
+    # rejects with its one error, so numpy warns of none
+    with parallel._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         parallel._row_blocks(n, write, lambda: np.empty((3, min(step, n))))
     write_stored(path, row_map.resolution, stored)
     return int(clamped.sum()) / (3 * n)

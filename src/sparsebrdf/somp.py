@@ -40,9 +40,8 @@ thousands of a block's columns differently.  Where there is more than
 one block, the scan runs on one worker thread per CPU the process may run
 on: each scored block's sub-blocks, each pick's bound GEMV and the bound's
 starting column norms are split between them, with OpenBLAS pinned to one
-thread so that no product's bits depend on how many threads run, and
-select_support derives the inverse on them.  A lone block is scored on the
-calling thread.
+thread so that no product's bits depend on how many threads run.  A lone
+block is scored on the calling thread.
 """
 
 from __future__ import annotations
@@ -158,12 +157,6 @@ def _gamma(n: int) -> float:
     return n * u / (1.0 - n * u)
 
 
-def _scan_workers(n: int) -> int:
-    """The workers a scan over n columns runs on: one per CPU when there is
-    more than one scan block, else the calling thread alone."""
-    return parallel._WORKERS if n > _SCAN_BLOCK else 1
-
-
 def _score_block(cols: np.ndarray, residual: np.ndarray, buf: np.ndarray,
                  out: np.ndarray) -> None:
     """l1 norms of the correlation rows of a block of columns against the
@@ -216,7 +209,7 @@ class _BoundedScan:
         self.gamma = _gamma(k * t + k + t)
         self.root_t = math.sqrt(t)
         self.keeps_bounds = len(self.starts) > 1
-        self.workers = _scan_workers(n)
+        self.workers = parallel._WORKERS if self.keeps_bounds else 1
         self._pool = None
         self._stack = ExitStack()
         block = min(_SCAN_BLOCK, n)
@@ -445,8 +438,7 @@ def select_support(pca, stop: StoppingRule, normalize_atoms: bool = False) -> Su
             f"sample budget {stop.m} exceeds the dictionary's {pca.n_atoms} atoms")
     if normalize_atoms:
         atoms, sigma = pca.atoms, pca.sigma
-        unit = _unit_columns(
-            dictionary._derived_inverse(atoms, sigma, _scan_workers(pca.n_rows)))
+        unit = _unit_columns(dictionary._derived_inverse(atoms, sigma))
         support = _select(unit, pca.coeffs, stop,
                           lambda j: dictionary._derived_inverse(atoms[j:j + 1], sigma)[:, 0])
     else:

@@ -1043,6 +1043,25 @@ def test_reconstruct_inputs_exit_0_1_or_3(data, bundle_dir, support_m3, capsys):
             assert read_merl(tmp / "r.binary").resolution == BrdfResolution(8, 8, 8)
 
 
+def test_reconstruct_overflow_is_one_line_error(bundle_dir, support_m3, tmp_path, capsys):
+    # 1e300 at cell 1, which row 1 of the fixture's row map samples: the fit
+    # through rows 343, 1 and 67 overflows the unmap, and the check of the
+    # stored values reports it in one line, with no numpy warning
+    payload = np.random.default_rng(0).uniform(0.0, 1500.0, 3 * 512)
+    payload[1] = 1e300
+    (tmp_path / "m.binary").write_bytes(struct.pack("<3i", 8, 8, 8)
+                                        + payload.astype("<f8").tobytes())
+    (tmp_path / "s.json").write_text(json.dumps({**support_m3, "rows": [343, 1, 67]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                                 "--support", str(tmp_path / "s.json"), "--brdf",
+                                 str(tmp_path / "m.binary"), "--out", str(tmp_path / "r.binary"))
+    assert (code, out) == (1, "")
+    assert err == "error: MerlFormatError: valid cells must hold finite nonnegative reflectance\n"
+    assert not (tmp_path / "r.binary").exists()
+
+
 def test_unknown_flag_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["select-samples", "--bogus"])

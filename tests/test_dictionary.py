@@ -1,8 +1,11 @@
+import ast
+import graphlib
 import hashlib
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from sparsebrdf.mapping import (
     ReferenceBrdf,
     compute_reference,
     log_relative_map,
-    matrix_reference,
 )
 from sparsebrdf.merl import BrdfResolution, RowMap, corpus_mask, corpus_matrix
 
@@ -510,16 +512,19 @@ def test_train_bundle_peak_memory_bounded(rng):
 def test_reference_copies_stay_small_at_a_paper_scale_fold(rng, monkeypatch):
     # 216 columns, as an 80-material fold trains on, in 8192-row blocks
     # split between 2 workers: a copy of a whole block would be 13.5 MiB per
-    # worker, and each worker's copy is held to _REFERENCE_COPY_BYTES
+    # worker, and each worker's copy is held to _REFERENCE_COPY_BYTES.  The
+    # corpus matrix compute_reference gathers is the prebuilt one
     monkeypatch.setattr(parallel, "_WORKERS", 2)
     monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8192)
     n, q = 20000, 216
     entries = rng.uniform(0.01, 1.0, (n, q))
+    monkeypatch.setattr(mapping, "corpus_matrix", lambda corpus, row_map: (entries, []))
+    row_map = toy_row_map(n)
     bound = 2 * mapping._REFERENCE_COPY_BYTES + (2 << 20)
-    peak = _traced_peak(lambda: matrix_reference(entries, 1e-3, "median"))
+    peak = _traced_peak(lambda: compute_reference(range(72), row_map))
     assert peak < bound, peak / bound
     peak = _traced_peak(
-        lambda: train_bundle(entries, [f"m{i}" for i in range(72)], toy_row_map(n), 4))
+        lambda: train_bundle(entries, [f"m{i}" for i in range(72)], row_map, 4))
     assert peak < bound, peak / bound
 
 
@@ -729,3 +734,25 @@ def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
     assert inverse.flags.c_contiguous == eager.flags.c_contiguous
     assert not inverse.flags.writeable
     assert not inverse[-1].any() if k == 6 else inverse[0].any()
+
+
+def test_package_imports_have_no_cycle():
+    # every import of a package module, at module level or inside a function
+    package = Path(dictionary.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {}
+    for path in package.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if base in ("", "sparsebrdf"):  # from . import x
+                    imported.update(alias.name for alias in node.names)
+                elif node.level or base.startswith("sparsebrdf."):
+                    imported.add(base.split(".")[-1])
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[-1] for alias in node.names
+                                if alias.name.startswith("sparsebrdf."))
+        graph[path.stem] = imported & modules
+    assert graph["dictionary"] and graph["somp"] >= {"dictionary"}
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sparsebrdf.errors import (
+    ConfigError,
     EmptyCorpusError,
     InconsistentCorpusError,
     InvalidSampleError,
@@ -86,6 +87,18 @@ def test_reference_key_matches_tobytes_formula(rng):
     digest.update(np.float64(2e-3).tobytes())
     digest.update(np.ascontiguousarray(values).tobytes())
     assert ref.key == digest.hexdigest()[:16]
+
+
+def test_reference_settings_are_checked_before_the_corpus_is_read():
+    def unread():
+        raise AssertionError("the training corpus was read")
+        yield
+
+    rm = validity_mask(_constant_tensor(1.0))
+    with pytest.raises(ConfigError, match="unknown statistic 'mode'"):
+        compute_reference(unread(), rm, statistic="mode")
+    with pytest.raises(ConfigError, match="epsilon"):
+        compute_reference(unread(), rm, epsilon=0.0)
 
 
 def test_reference_empty_corpus():

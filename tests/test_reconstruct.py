@@ -24,6 +24,7 @@ from sparsebrdf.errors import (
 from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap
 from sparsebrdf.merl import (
     BrdfResolution,
+    RowMap,
     corpus_mask,
     corpus_matrix,
     open_merl,
@@ -61,9 +62,14 @@ def ridge_gradient_descent(d_rows, b, eta, iters=200000, lr=None):
     return s
 
 
-def _trained_bundle(rng, count=6, k=4, res=BrdfResolution(8, 8, 8)):
+def _trained_bundle(rng, count=6, k=4, res=BrdfResolution(8, 8, 8), inner=False):
+    """A k-atom bundle trained over count random tensors, and their mapped
+    values; inner leaves the grid's first and last cells out of its rows."""
     tensors = [make_random_tensor(rng, res=res, invalid_frac=0.05) for _ in range(count)]
     rm = corpus_mask(tensors)
+    if inner:
+        cells = rm.grid_indices
+        rm = RowMap(res, cells[(cells > 0) & (cells < res.grid_size - 1)])
     ids = [f"m{i}" for i in range(count)]
     bundle = train_bundle(*corpus_matrix(list(zip(ids, tensors)), rm), rm, k)
     return bundle, [log_relative_map(b, bundle.reference, rm) for b in tensors]
@@ -462,16 +468,32 @@ def _written_or_error(write, path):
 def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, tmp_path,
                                                                rng, monkeypatch):
     # blocks of 8 * block rows, since block starts must be multiples of 8:
-    # over the 331 rows, 8, 56, 64 and 192 give many blocks, the last of
-    # them ragged, and 262144 one.  Split between 1, 2 and 3 workers, over a
-    # trained bundle's (n, k) atoms and a loaded bundle's atom-major file,
-    # whose m < k truncation reads the file's first rows
+    # over the 331 rows (330 loaded), 8, 56, 64 and 192 give many blocks,
+    # the last of them ragged, and 262144 one.  Split between 1, 2 and 3
+    # workers, over a trained bundle's (n, k) atoms and a loaded bundle's
+    # atom-major file, whose m < k truncation reads the file's first rows.
+    # The loaded bundle's rows leave out the grid's first and last cells, so
+    # the first and the last block fill invalid cells on both sides of the
+    # valid ones
     monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 8 * block)
-    bundle, _ = _trained_bundle(rng, count=8, k=5)
+    bundle, _ = _trained_bundle(rng, count=8, k=5, inner=loaded)
+    cells, grid_size = bundle.row_map.grid_indices, bundle.row_map.resolution.grid_size
+    assert cells[0] > 0 and (cells[-1] < grid_size - 1) == loaded
     assert bundle.row_map.n_valid % (8 * block) or 8 * block > bundle.row_map.n_valid
     if loaded:
         save_bundle(bundle, tmp_path / "bundle")
         bundle = load_bundle(tmp_path / "bundle")
+    # float buffers come NaN-filled, so a cell that no block writes shows in
+    # the file, whatever memory np.empty would have reused
+    empty = np.empty
+
+    def nan_filled(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_filled)
     for m in (5, 3):
         cut = bundle.for_budget(m)
         pca = cut.pca

@@ -741,11 +741,13 @@ def test_scan_workers_under_rapid_switching_pick_as_one(rng, monkeypatch):
 
 
 def test_inverse_and_starting_norms_are_derived_on_the_scan_workers(rng, monkeypatch):
-    # over more than one scan block, a dictionary's inverse and the bound's
-    # starting column norms are derived in column ranges cut at multiples of
-    # 8, one per worker: their bits are one thread's, and the raw and the
-    # normalized supports are the full scan's
+    # over more than one scan block, and more than one row block, a
+    # dictionary's inverse and the bound's starting column norms are derived
+    # in column ranges cut at multiples of 8, one per worker: their bits are
+    # one thread's, and the raw and the normalized supports are the full
+    # scan's
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 64)
     k, n = 6, 1003
     atoms = rng.standard_normal((k, n)).T
     sigma = np.array([3.0, 2.0, 1.5, 0.7, 0.3, 0.0])
@@ -777,6 +779,7 @@ def test_inverse_and_starting_norms_are_derived_on_the_scan_workers(rng, monkeyp
             assert select_support(pca, SampleBudget(4), normalize) == support, workers
     # a lone block's inverse is derived on the calling thread
     monkeypatch.setattr(somp_mod, "_SCAN_BLOCK", n)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 1024)
     threads.clear()
     assert np.array_equal(dictionary.PcaDictionary(np.zeros(n), atoms, coeffs,
                                                    sigma).inverse, want)
