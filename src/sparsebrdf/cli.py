@@ -172,7 +172,6 @@ _INI_OPTIONS = {
     ("experiment", "folds"): ("folds", "getint"),
     ("experiment", "seed"): ("seed", "getint"),
     ("experiment", "random_trials"): ("random_trials", "getint"),
-    ("output", "dir"): ("_out_dir", "get"),
 }
 # the [corpus] keys each source reads, beside source itself
 _CORPUS_KEYS = {"directory": ("path",), "synthetic": ("seed", "count", "res")}
@@ -237,14 +236,7 @@ def _read_ini(path: Path) -> dict:
 
 def cmd_evaluate(args) -> int:
     raw = _config_from_ini(Path(args.config)) if args.config else {}
-    ini_out = raw.pop("_out_dir", None)
-    out_dir = Path(args.out or ini_out or os.environ.get(OUT_ENV, "out"))
-    # flags override file values
-    for key in ("seed", "folds", "random_trials"):
-        if getattr(args, key) is not None:
-            raw[key] = getattr(args, key)
-    if args.m is not None:
-        raw["m_values"] = tuple(_int_list(args.m, "--m"))
+    out_dir = Path(args.out or os.environ.get(OUT_ENV, "out"))
     report = ev.run_experiment(ev.ExperimentConfig(**raw))
     out_dir.mkdir(parents=True, exist_ok=True)
     report.to_jsonl(out_dir / "report.jsonl")
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="directory of MERL .binary files")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
-    p.add_argument("--statistic", choices=("median", "mean"), default="median")
+    p.add_argument("--statistic", default="median", help="median or mean")
     p.add_argument("--out", help=out_help)
     p.set_defaults(func=cmd_train_dict)
 
@@ -320,13 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="cross-validated experiment")
     p.add_argument("--config", help="INI config file")
-    p.add_argument("--out")
+    p.add_argument("--out", help=out_help)
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored: evaluation runs in one thread")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--m", default=None, help="comma-separated sample counts")
-    p.add_argument("--random-trials", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("coherence", help="cumulative coherence diagnostic")

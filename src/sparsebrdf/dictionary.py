@@ -137,9 +137,9 @@ class PcaDictionary:
 
 def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """(atoms / sigma^2)^T as a C-order (k, n) array, with zero rows where
-    sigma is zero, derived in one range of columns, cut at multiples of 8,
-    per worker of a row-wise pass over the n rows.  Each value is derived on
-    its own, so the ranges do not change its bits."""
+    sigma is zero, derived over the columns of a row-wise pass's blocks of
+    the n rows, split between its workers.  Each value is derived on its
+    own, so the blocks do not change its bits."""
     safe = np.where(sigma > 0.0, sigma, 1.0)[:, None]
     scale = np.where(sigma[:, None] > 0.0, 1.0 / safe, 0.0)
     u = np.empty((len(sigma), len(atoms)))
@@ -149,9 +149,7 @@ def _derived_inverse(atoms: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         np.divide(atoms[a:z].T, safe, out=cols)
         cols *= scale
 
-    cuts = parallel._cuts(len(atoms), 8, len(parallel._row_cuts(len(atoms))) - 1)
-    with parallel._pool(len(cuts) - 1) as pool:
-        parallel._run(pool, derive, cuts)
+    parallel._row_blocks(len(atoms), derive)
     return u
 
 
@@ -190,22 +188,20 @@ def _train_in_place(entries: np.ndarray, k: int, step=None,
     if t > n:
         raise InvalidKError(f"more signals ({t}) than rows ({n}) is unsupported")
 
-    block = parallel._REFERENCE_BLOCK
     mean = np.empty(n)
-    # the zero rule below reads the norm before centering, summed per block
-    # and then over the blocks in order
-    squares = np.empty(-(-n // block))
 
     def centre(buf, start, stop):
         if step is not None:
             step(buf, start, stop)
         rows = entries[start:stop]
         rows.mean(axis=1, out=mean[start:stop])
-        squares[start // block] = np.einsum("ij,ij->", rows, rows)
+        squares = np.einsum("ij,ij->", rows, rows)
         rows -= mean[start:stop, None]
+        return squares
 
-    parallel._row_blocks(n, centre, buffer)
-    norm = math.sqrt(squares.sum())
+    # the zero rule below reads the norm before centering, summed per block
+    # and then over the blocks in order
+    norm = math.sqrt(np.sum(parallel._row_blocks(n, centre, buffer)))
     gram = entries.T @ entries
     eigvals, eigvecs = np.linalg.eigh(gram)
     order = np.argsort(eigvals)[::-1]

@@ -26,10 +26,10 @@ import numpy as np
 _WORKERS = len(os.sched_getaffinity(0))
 
 # rows per block of the row-wise passes: corpus_matrix's fill, the
-# reference, map and centring of train_bundle and compute_reference, and
-# write_reconstruction's output pass, whose block starts must be multiples
-# of 8 (see there).  A matrix of one block is worked on by the calling
-# thread alone
+# reference, map and centring of train_bundle and compute_reference, the
+# dictionary inverse's columns, and write_reconstruction's output pass,
+# whose block starts must be multiples of 8 (see there).  A matrix of one
+# block is worked on by the calling thread alone
 _REFERENCE_BLOCK = 65536
 
 
@@ -120,18 +120,21 @@ def _row_cuts(n: int) -> list:
     return _cuts(n, _REFERENCE_BLOCK, _WORKERS)
 
 
-def _row_blocks(n: int, task, buffer=lambda: None) -> None:
+def _row_blocks(n: int, task, buffer=lambda: None) -> list:
     """task(buf, start, stop) for every _REFERENCE_BLOCK-row block start:stop
-    of n rows, whose bounds do not depend on the worker count.  Each worker
-    takes the blocks of one piece of _row_cuts, in order, with its own
-    buffer(), made on the calling thread before any block is worked on."""
+    of n rows, whose bounds do not depend on the worker count, and what each
+    call returned, in block order.  Each worker takes the blocks of one piece
+    of _row_cuts, in order, with its own buffer(), made on the calling thread
+    before any block is worked on."""
     block = _REFERENCE_BLOCK
     cuts = _row_cuts(n)
     bufs = [buffer() for _ in cuts[1:]]
+    results = [None] * -(-n // block)
 
     def piece(i, a, z):
         for start in range(a, z, block):
-            task(bufs[i], start, min(start + block, z))
+            results[start // block] = task(bufs[i], start, min(start + block, z))
 
     with _pool(len(bufs)) as pool:
         _run(pool, piece, cuts)
+    return results

@@ -148,10 +148,13 @@ def synthesize(
         raise ShapeMismatchError(
             f"expected (3, {pca.n_atoms}) coefficients, got {coefficients.shape}"
         )
-    product = coefficients @ pca.atoms.T  # (3, n)
-    product += pca.mean
-    mapped = MappedBrdf(product, ref.key)
-    linear, clamped = log_relative_unmap(mapped, ref)
+    # an overflow leaves a value that is not finite, which the tensor's check
+    # rejects with its one error, so numpy warns of none
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = coefficients @ pca.atoms.T  # (3, n)
+        product += pca.mean
+        mapped = MappedBrdf(product, ref.key)
+        linear, clamped = log_relative_unmap(mapped, ref)
     full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
     for row, values in zip(full, linear):  # one channel at a time scatters faster
         row[row_map.grid_indices] = values
@@ -232,9 +235,7 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
     atoms = pca.atoms.T  # (k, n), C-order in every dictionary
     cells = row_map.grid_indices
     n = row_map.n_valid
-    step = parallel._REFERENCE_BLOCK
     stored = np.empty((3, row_map.resolution.grid_size))
-    clamped = np.empty(-(-n // step), dtype=np.int64)
 
     def write(buf, start, stop):
         first = cells[start - 1] + 1 if start else 0
@@ -243,12 +244,14 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
         block = buf[:, :stop - start]
         np.matmul(coefficients, atoms[:, start:stop], out=block)
         block += pca.mean[start:stop]
-        clamped[start // step] = unmap_in_place(block.T, ref, slice(start, stop))
+        clamped = unmap_in_place(block.T, ref, slice(start, stop))
         store_cells(stored, cells[start:stop], block)
+        return clamped
 
     # an overflow leaves a value that is not finite, which store_cells
     # rejects with its one error, so numpy warns of none
     with parallel._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        parallel._row_blocks(n, write, lambda: np.empty((3, min(step, n))))
+        clamps = parallel._row_blocks(
+            n, write, lambda: np.empty((3, min(parallel._REFERENCE_BLOCK, n))))
     write_stored(path, row_map.resolution, stored)
-    return int(clamped.sum()) / (3 * n)
+    return sum(clamps) / (3 * n)

@@ -418,6 +418,14 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.fixture
+def negative_seed_ini(tmp_path):
+    # the seed is checked before the corpus section is read, so none is needed
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nseed = -1\n")
+    return cfg
+
+
 @pytest.mark.parametrize("command, flags, message", [
     ("coherence", ["--m", "x"], "--m must be comma-separated integers"),
     ("coherence", ["--m", "0"], "m=0 must satisfy 1 <= m < n"),
@@ -438,15 +446,13 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
     ("train-dict", ["--k", "30"], "k=30 must satisfy 1 <= k < t=30"),
     ("select-samples", ["--threshold", "3"],
      "threshold 3.0 is at or above the initial residual 2.236"),
-    ("evaluate", ["--m", "0"], "sample budget must be >= 1, got 0"),
-    ("evaluate", ["--m", "5,-1"], "sample budget must be >= 1, got -1"),
-    ("evaluate", ["--folds", "60"], "fold count 60 outside [2, 50]"),
     ("train-dict", ["--k", "3", "--epsilon", "0"],
      "epsilon must be positive and finite, got 0.0"),
     ("train-dict", ["--k", "3", "--epsilon", "-1"],
      "epsilon must be positive and finite, got -1.0"),
     ("train-dict", ["--k", "3", "--epsilon", "nan"],
      "epsilon must be positive and finite, got nan"),
+    ("train-dict", ["--k", "3", "--statistic", "mode"], "unknown statistic 'mode'"),
     ("select-samples", ["--max-iters", "0"],
      "max_iters needs threshold; a budget selection would ignore it"),
     ("select-samples", ["--m", "3", "--max-iters", "5"],
@@ -459,9 +465,8 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
      "resolution counts must be >= 1, got '8,0,8'"),
     ("gen-corpus", ["--seed", "-1", "--count", "2", "--res", "8"],
      "corpus seed must be >= 0, got -1"),
-    ("evaluate", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    ("evaluate", ["--config", "<negative_seed_ini>"], "seed must be >= 0, got -1"),
     ("gen-corpus", ["--count", "2", "--res", "4,4"], "resolution must be N or N,N,N, got '4,4'"),
-    ("evaluate", ["--folds", "1"], "need folds >= 2 and random_trials >= 0"),
     ("train-dict", ["--corpus", "<tmp_path>", "--k", "3"], "no .binary MERL files under"),
     ("train-dict", ["--corpus", "<tiny_corpus_dir>", "--k", "2"],
      "more signals (9) than rows (6) is unsupported"),
@@ -469,15 +474,14 @@ def test_select_samples_stop_rule_is_checked_before_the_bundle_is_read(
         "select-threshold-nan", "select-max-iters-0", "select-max-iters-neg",
         "select-m-0", "select-m-above-k", "reconstruct-eta", "reconstruct-eta-nan",
         "reconstruct-eta-inf", "train-k-0", "train-k-neg", "train-k-t",
-        "select-threshold-empty", "evaluate-m-0", "evaluate-m-neg", "evaluate-folds",
-        "train-epsilon-0", "train-epsilon-neg", "train-epsilon-nan",
-        "select-max-iters-no-threshold", "select-max-iters-budget", "select-m-threshold",
-        "gen-count-0", "gen-res-0", "gen-res-axis-0", "gen-seed-neg",
-        "evaluate-seed-neg", "gen-res-two", "evaluate-folds-1", "train-empty-corpus",
-        "train-signals-above-rows"])
+        "select-threshold-empty", "train-epsilon-0", "train-epsilon-neg",
+        "train-epsilon-nan", "train-statistic", "select-max-iters-no-threshold",
+        "select-max-iters-budget", "select-m-threshold", "gen-count-0", "gen-res-0",
+        "gen-res-axis-0", "gen-seed-neg", "evaluate-seed-neg", "gen-res-two",
+        "train-empty-corpus", "train-signals-above-rows"])
 def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpus_dir,
                                       tmp_path, capsys, request):
-    # a flag "<name>" is the directory of fixture name; tmp_path is empty here
+    # a flag "<name>" is the path of fixture name; tmp_path holds no corpus here
     flags = [str(request.getfixturevalue(f[1:-1])) if f.startswith("<") else f
              for f in flags]
     capsys.readouterr()  # what making the fixture printed
@@ -502,29 +506,27 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("selection, flags, message", [
-    ("threshold = 0.1\nmax_iters = 0", [], "max_iters must be >= 1, got 0"),
-    ("m = 3\neta = -1", [], "eta must be >= 0, got -1.0"),
-    ("m = 3\neta = nan", [], "eta must be >= 0, got nan"),
-    ("m = 3\neta = inf", [], "eta must be finite, got inf"),
-    ("threshold = nan", [], "threshold must be >= 0, got nan"),
-    ("m = 3\nmax_iters = 3", [],
-     "max_iters needs threshold; a budget selection would ignore it"),
-    ("m = 3\nthreshold = 0.5", [],
-     "m and threshold are two stop rules for one run; set one"),
-    ("threshold = 0.5", ["--m", "3"],
-     "m and threshold are two stop rules for one run; set one"),
-    ("m = 5,20", [], "the greedy selector cannot pick more samples than atoms; "
-                     "m_values must stay <= k_fixed=4"),
+@pytest.mark.parametrize("selection, message", [
+    ("threshold = 0.1\nmax_iters = 0", "max_iters must be >= 1, got 0"),
+    ("m = 3\neta = -1", "eta must be >= 0, got -1.0"),
+    ("m = 3\neta = nan", "eta must be >= 0, got nan"),
+    ("m = 3\neta = inf", "eta must be finite, got inf"),
+    ("threshold = nan", "threshold must be >= 0, got nan"),
+    ("m = 3\nmax_iters = 3", "max_iters needs threshold; a budget selection would ignore it"),
+    ("m = 3\nthreshold = 0.5", "m and threshold are two stop rules for one run; set one"),
+    ("m = 5,20", "the greedy selector cannot pick more samples than atoms; "
+                 "m_values must stay <= k_fixed=4"),
+    ("m = 0", "sample budget must be >= 1, got 0"),
+    ("m = 5,-1", "sample budget must be >= 1, got -1"),
 ], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-max-iters",
-        "m-threshold", "flag-m-threshold", "m-above-k-fixed"])
-def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, capsys):
+        "m-threshold", "m-above-k-fixed", "m-0", "m-neg"])
+def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"
                    "[dictionary]\nk_fixed = 4\n\n"
                    f"[selection]\n{selection}\n")
     code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
-                             "--out", str(tmp_path / "out"), *flags)
+                             "--out", str(tmp_path / "out"))
     assert code == 3 and out == ""
     assert err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
@@ -545,10 +547,13 @@ def test_bad_ini_selection_is_config_error(selection, flags, message, tmp_path, 
     ("[corpus]\nsource = synthetic\nseed = -1\ncount = 9\nres = 8",
      "corpus seed must be >= 0, got -1"),
     ("[experiment]\nseed = -1", "seed must be >= 0, got -1"),
+    ("[experiment]\nfolds = 1", "need folds >= 2 and random_trials >= 0"),
+    ("[corpus]\nsource = synthetic\ncount = 50\nres = 8\n\n[experiment]\nfolds = 60",
+     "fold count 60 outside [2, 50]"),
     ("[corpus]\nsource = tape", "unknown corpus source 'tape'"),
 ], ids=["epsilon-0", "epsilon-nan", "statistic", "count-0", "res-0",
         "synthetic-path", "directory-count", "corpus-seed-neg", "experiment-seed-neg",
-        "corpus-source"])
+        "experiment-folds-1", "experiment-folds", "corpus-source"])
 def test_bad_ini_mapping_or_corpus_is_config_error(sections, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     if "[corpus]" not in sections:
@@ -582,10 +587,10 @@ def test_evaluate_with_config_file(tmp_path, capsys):
     cfg.write_text(
         "[corpus]\nsource = synthetic\nseed = 5\ncount = 9\nres = 8\n\n"
         "[selection]\nm = 3,4\n\n"
-        "[experiment]\nfolds = 3\nseed = 2\nrandom_trials = 2\n\n"
-        "[output]\ndir = %s\n" % (tmp_path / "out")
+        "[experiment]\nfolds = 3\nseed = 2\nrandom_trials = 2\n"
     )
-    code, out, _ = run_cli(capsys, "evaluate", "--config", str(cfg))
+    code, out, _ = run_cli(capsys, "evaluate", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
     assert code == 0
     summary = json.loads(out)["summary"]
     assert {(r["m"], r["method"]) for r in summary} == {
@@ -610,20 +615,6 @@ def test_readme_example_config_runs(tmp_path, capsys):
     assert {r["m"] for r in summary} == {5, 10, 20}
 
 
-def test_evaluate_flag_overrides_config(tmp_path, capsys):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text(
-        "[corpus]\nsource = synthetic\nseed = 5\ncount = 9\nres = 8\n\n"
-        "[selection]\nm = 3,4\n\n"
-        "[experiment]\nfolds = 3\nseed = 2\nrandom_trials = 2\n"
-    )
-    code, out, _ = run_cli(capsys, "evaluate", "--config", str(cfg),
-                           "--m", "3", "--out", str(tmp_path / "o2"))
-    assert code == 0
-    summary = json.loads(out)["summary"]
-    assert {r["m"] for r in summary} == {3}
-
-
 def test_evaluate_with_every_row_an_error_exits_1(tmp_path, capsys, monkeypatch):
     import sparsebrdf.evaluate as evaluate
     from sparsebrdf.errors import SingularMatrixError
@@ -634,8 +625,10 @@ def test_evaluate_with_every_row_an_error_exits_1(tmp_path, capsys, monkeypatch)
     # the closed form falls back to the direct path, which then fails
     monkeypatch.setattr(evaluate, "ridge_solve", fail)
     monkeypatch.setattr(evaluate, "reconstruct_full", fail)
-    code, out, err = run_cli(capsys, "evaluate", "--seed", "2", "--folds", "3",
-                             "--m", "3", "--random-trials", "1",
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[selection]\nm = 3\n[experiment]\nseed = 2\nfolds = 3\n"
+                   "random_trials = 1\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
                              "--out", str(tmp_path / "out"))
     assert code == 1
     assert json.loads(out)["summary"] == []
@@ -683,6 +676,24 @@ def test_evaluate_scores_a_zero_signal_material(tmp_path, capsys, monkeypatch):
                 assert got[key] == value, key
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_evaluate_overflow_rows_print_nothing_on_stderr(tmp_path, capsys):
+    # ill-conditioned at eta = 0: some random-support reconstructions
+    # overflow on unmap, which fails their rows and warns of nothing
+    cfg = tmp_path / "eta0.ini"
+    cfg.write_text("[corpus]\nsource = synthetic\nseed = 4\ncount = 15\nres = 8\n"
+                   "[selection]\neta = 0\nm = 3,6\n"
+                   "[experiment]\nfolds = 3\nseed = 2\nrandom_trials = 3\n")
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert code == 0 and err == "", err
+    assert len(out.splitlines()) == 1
+    rows = [json.loads(line) for line in
+            (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    assert any(r.get("error") == "MerlFormatError: valid cells must hold finite "
+               "nonnegative reflectance" for r in rows)
+
+
 def test_evaluate_missing_config_is_config_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "evaluate", "--config",
                            str(tmp_path / "nope.ini"))
@@ -714,7 +725,8 @@ def test_non_numeric_ini_value_is_config_error(section, key, value, tmp_path, ca
      "unknown key 'k_policy' in [dictionary]"),
     ("[selection]\nstop = threshold\nthreshold = 0.5\n",
      "unknown key 'stop' in [selection]"),
-], ids=["section", "key", "default-section", "k-policy", "stop"])
+    ("[output]\ndir = results\n", "unknown section [output]"),
+], ids=["section", "key", "default-section", "k-policy", "stop", "output"])
 def test_unknown_ini_entry_is_config_error(text, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
@@ -1071,7 +1083,12 @@ def test_unknown_flag_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["train-dict", "--k", "3"],
     ["train-dict", "--corpus", "c", "--k", "3", "--synthetic-count", "4"],
-], ids=["train-no-corpus", "train-synthetic-flag"])
+    ["evaluate", "--seed", "2"],
+    ["evaluate", "--folds", "3"],
+    ["evaluate", "--m", "3"],
+    ["evaluate", "--random-trials", "1"],
+], ids=["train-no-corpus", "train-synthetic-flag", "evaluate-seed-flag",
+        "evaluate-folds-flag", "evaluate-m-flag", "evaluate-random-trials-flag"])
 def test_usage_error_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

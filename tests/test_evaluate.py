@@ -381,7 +381,7 @@ _ORACLE_CONFIGS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
 def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
     config = _ORACLE_CONFIGS[name]
@@ -443,7 +443,7 @@ def _without_seconds(records) -> list:
             for rec in records]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", ["coupled", "fixed-k", "threshold", "eta0",
                                   "eta0-in-span", "directory"])
 def test_folds_match_tensor_dict_oracle(name, tmp_path):
