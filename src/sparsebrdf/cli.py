@@ -129,6 +129,7 @@ def cmd_select_samples(args) -> int:
          f"over {len(support)} picks")
     record = support_record(support, bundle, args.normalize_atoms)
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(record, indent=2))
         _log(f"support written to {args.out}")
     _log(direction_table(support_to_directions(support, bundle.row_map)))
@@ -299,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop at this residual instead of a fixed budget")
     p.add_argument("--max-iters", type=int, default=None)
     p.add_argument("--normalize-atoms", action="store_true")
-    p.add_argument("--out")
+    p.add_argument("--out", help="also write the support record to this path")
     p.set_defaults(func=cmd_select_samples)
 
     p = sub.add_parser("reconstruct", help="reconstruct a full BRDF from samples")

@@ -41,7 +41,7 @@ _FILL_GROUP = 4
 
 _HALF_PI = np.pi / 2.0
 
-# what BrdfTensor, open_merl and store_cells say of a valid cell's bad value
+# what BrdfTensor, open_merl and check_reflectance say of a valid cell's bad value
 _BAD_VALID = "valid cells must hold finite nonnegative reflectance"
 
 
@@ -219,13 +219,18 @@ def write_merl(brdf: BrdfTensor, path) -> None:
     write_stored(path, brdf.resolution, stored)
 
 
+def check_reflectance(values: np.ndarray) -> None:
+    """BrdfTensor's check of valid cells, with its error: finite, nonnegative."""
+    if not (values.min() >= 0.0 and values.max() < np.inf):  # NaN fails too
+        raise MerlFormatError(_BAD_VALID)
+
+
 def store_cells(stored: np.ndarray, cells, values: np.ndarray) -> None:
     """Write (3, r) linear reflectance at cells of a (3, grid_size) buffer
     of stored doubles as write_merl stores a valid value, one channel at a
-    time.  The values must pass the check BrdfTensor makes of a valid cell,
-    with its error; they are divided by the scales in place."""
-    if not (values.min() >= 0.0 and values.max() < np.inf):  # NaN fails too
-        raise MerlFormatError(_BAD_VALID)
+    time.  The values must pass check_reflectance; they are divided by the
+    scales in place."""
+    check_reflectance(values)
     values /= MERL_SCALES[:, None]
     for row, channel in zip(stored, values):
         row[cells] = channel

@@ -28,7 +28,8 @@ from .errors import (
     SingularMatrixError,
 )
 from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells, unmap_in_place
-from .merl import INVALID_SENTINEL, BrdfTensor, MerlFile, RowMap, store_cells, write_stored
+from .merl import (INVALID_SENTINEL, BrdfTensor, MerlFile, check_reflectance, store_cells,
+                   write_stored)
 from .somp import SupportSet
 
 DEFAULT_ETA = 40.0
@@ -51,8 +52,6 @@ class MeasurementVector:
 class ReconstructionResult:
     coefficients: np.ndarray  # (3, k)
     mapped: MappedBrdf
-    tensor: BrdfTensor
-    clamped_fraction: float  # share of the valid cells' values clamped on unmap
 
 
 def _support_rows(support: SupportSet, n: int) -> np.ndarray:
@@ -132,41 +131,23 @@ def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def synthesize(
-    pca: PcaDictionary,
-    coefficients: np.ndarray,
-    ref: ReferenceBrdf,
-    row_map: RowMap,
-) -> ReconstructionResult:
+def synthesize(pca: PcaDictionary, coefficients: np.ndarray, ref: ReferenceBrdf) -> MappedBrdf:
     """Expand (3, k) coefficients, one per channel and atom, through the
-    dictionary and invert the mapping.
-
-    Cells outside the row map are re-marked invalid in the output tensor.
-    """
+    dictionary: the mapped values D s + mean, which must unmap to valid
+    reflectance (check_reflectance), as write_reconstruction's must."""
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
     if coefficients.shape != (3, pca.n_atoms):
         raise ShapeMismatchError(
             f"expected (3, {pca.n_atoms}) coefficients, got {coefficients.shape}"
         )
-    # an overflow leaves a value that is not finite, which the tensor's check
+    # an overflow leaves a value that is not finite, which check_reflectance
     # rejects with its one error, so numpy warns of none
     with np.errstate(over="ignore", invalid="ignore"):
         product = coefficients @ pca.atoms.T  # (3, n)
         product += pca.mean
         mapped = MappedBrdf(product, ref.key)
-        linear, clamped = log_relative_unmap(mapped, ref)
-    full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
-    for row, values in zip(full, linear):  # one channel at a time scatters faster
-        row[row_map.grid_indices] = values
-    clamped_fraction = clamped / linear.size
-    del linear
-    tensor = BrdfTensor(row_map.resolution, full, row_map.mask())
-    return ReconstructionResult(
-        coefficients=coefficients,
-        mapped=mapped,
-        tensor=tensor,
-        clamped_fraction=clamped_fraction,
-    )
+        check_reflectance(log_relative_unmap(mapped, ref)[0])
+    return mapped
 
 
 class RidgeFit(NamedTuple):
@@ -207,15 +188,16 @@ def reconstruct_full(
     """ridge_fit, then synthesize through the same atoms; the fit's
     diagnostics are ridge_fit's."""
     coefficients = ridge_fit(samples, bundle, eta).coefficients
-    bundle = bundle.for_budget(len(samples.support))
-    return synthesize(bundle.pca, coefficients, bundle.reference, bundle.row_map)
+    cut = bundle.for_budget(len(samples.support))
+    return ReconstructionResult(coefficients, synthesize(cut.pca, coefficients, cut.reference))
 
 
 def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
                          path) -> float:
-    """Write the MERL file write_merl writes of the tensor synthesize
-    expands (3, k) coefficients into, byte for byte, and return its
-    clamped_fraction, with no tensor built.
+    """Write the MERL file of the reflectance synthesize's mapped values of
+    (3, k) coefficients unmap to, byte for byte the file write_merl writes
+    of a tensor of that reflectance at the row map's cells and sentinels
+    elsewhere, and return the share of its values clamped on unmap.
 
     One pass over the parallel._REFERENCE_BLOCK-row blocks of valid rows,
     split between the workers with OpenBLAS pinned to one thread, takes per

@@ -118,7 +118,7 @@ StoppingRule = SampleBudget | ErrorThreshold
 def stop_rules(m_values, threshold, max_iters, default) -> tuple:
     """The stop rule of each support a run selects: one ErrorThreshold when
     threshold is set, else one SampleBudget per m of m_values, or of default
-    when m_values is None."""
+    when m_values is None, each m given once."""
     if threshold is not None:
         if m_values:
             raise ConfigError("m and threshold are two stop rules for one run; set one")
@@ -128,6 +128,8 @@ def stop_rules(m_values, threshold, max_iters, default) -> tuple:
     m_values = default if m_values is None else m_values
     if not m_values:
         raise ConfigError("at least one sample count required")
+    if len(set(m_values)) < len(m_values):
+        raise ConfigError(f"each sample count may appear once, got {list(m_values)}")
     return tuple(SampleBudget(m) for m in m_values)
 
 

@@ -389,8 +389,11 @@ def per_channel_write_merl(brdf: BrdfTensor, path) -> None:
 
 def allocating_synthesize(pca: PcaDictionary, coefficients: np.ndarray,
                           ref: ReferenceBrdf, row_map: RowMap):
-    """synthesize's mapped (3, n_valid) values, full (3, grid) tensor values
-    and clamped count, one temporary per operation, for (3, k) coefficients."""
+    """synthesize's mapped (3, n_valid) values, the (3, grid) tensor values
+    they unmap to, sentinels outside the row map, and the clamped count, one
+    temporary per operation, for (3, k) coefficients.  write_merl of that
+    tensor gives the bytes write_reconstruction writes, and the clamped
+    count over 3 n_valid the share it returns."""
     mapped = np.ascontiguousarray((pca.atoms @ coefficients.T + pca.mean[:, None]).T)
     unclamped = np.exp(mapped) * (ref.values + ref.epsilon) - ref.epsilon
     full = np.full((3, row_map.resolution.grid_size), INVALID_SENTINEL)
@@ -400,9 +403,11 @@ def allocating_synthesize(pca: PcaDictionary, coefficients: np.ndarray,
 
 def zero_padded_reconstruct(samples: MeasurementVector, bundle: DictionaryBundle,
                             eta: float):
-    """allocating_synthesize's outputs for reconstruct_full: the ridge fit over
-    the min(m, k) leading atoms, its coefficients zero-padded to all k atoms
-    and expanded through the whole dictionary."""
+    """allocating_synthesize's outputs for the ridge fit reconstruct_full
+    makes over the min(m, k) leading atoms, its coefficients zero-padded to
+    all k atoms and expanded through the whole dictionary: reconstruct_full's
+    mapped values, and the tensor and clamped count of write_reconstruction's
+    file for its coefficients."""
     pca = bundle.pca
     rows = list(samples.support.indices)
     k_used = min(len(rows), pca.n_atoms)

@@ -100,6 +100,15 @@ def test_select_samples_record(bundle_dir, tmp_path, capsys):
     assert json.loads(support_path.read_text()) == record
 
 
+def test_select_samples_out_makes_its_directory(bundle_dir, tmp_path, capsys):
+    # as every other verb's --out does; the record is written after the scan
+    support_path = tmp_path / "new" / "nested" / "support.json"
+    code, out, _ = run_cli(capsys, "select-samples", "--dict", str(bundle_dir), "--m", "3",
+                           "--out", str(support_path))
+    assert code == 0
+    assert json.loads(support_path.read_text()) == json.loads(out)
+
+
 @pytest.mark.parametrize("flags, rule, normalize", [
     (["--m", "3", "--normalize-atoms"], SampleBudget(3), True),
     (["--threshold", "1.5"], ErrorThreshold(1.5), False),
@@ -518,8 +527,9 @@ def test_bad_argument_is_config_error(command, flags, message, bundle_dir, corpu
                  "m_values must stay <= k_fixed=4"),
     ("m = 0", "sample budget must be >= 1, got 0"),
     ("m = 5,-1", "sample budget must be >= 1, got -1"),
+    ("m = 3,3", "each sample count may appear once, got [3, 3]"),
 ], ids=["max-iters", "eta", "eta-nan", "eta-inf", "threshold-nan", "budget-max-iters",
-        "m-threshold", "m-above-k-fixed", "m-0", "m-neg"])
+        "m-threshold", "m-above-k-fixed", "m-0", "m-neg", "m-repeat"])
 def test_bad_ini_selection_is_config_error(selection, message, tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[corpus]\nsource = synthetic\ncount = 9\nres = 8\n\n"

@@ -24,6 +24,7 @@ from sparsebrdf.errors import (
 from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap
 from sparsebrdf.merl import (
     BrdfResolution,
+    BrdfTensor,
     RowMap,
     corpus_mask,
     corpus_matrix,
@@ -285,46 +286,69 @@ def test_ridge_shrinkage(rng):
     assert np.all(np.diff(norms) < 1e-12)
 
 
-def test_synthesize_zero_coefficients(rng):
+def _write_oracle(row_map, full, clamped, path) -> float:
+    """write_merl of an oracle's (3, grid_size) values, as a tensor over the
+    row map, to path, and its clamped share of the valid values: the file
+    and the value write_reconstruction must give."""
+    write_merl(BrdfTensor(row_map.resolution, full, row_map.mask()), path)
+    return clamped / (3 * row_map.n_valid)
+
+
+def test_synthesize_zero_coefficients(rng, tmp_path):
     bundle, _ = _trained_bundle(rng)
-    result = synthesize(bundle.pca, np.zeros((3, bundle.pca.n_atoms)),
-                        bundle.reference, bundle.row_map)
-    assert np.allclose(result.mapped.values, bundle.pca.mean)
+    zeros = np.zeros((3, bundle.pca.n_atoms))
+    mapped = synthesize(bundle.pca, zeros, bundle.reference)
+    assert np.allclose(mapped.values, bundle.pca.mean)
     expect_linear, _ = log_relative_unmap(
         MappedBrdf(np.tile(bundle.pca.mean, (3, 1)), bundle.reference.key),
         bundle.reference,
     )
-    got = result.tensor.values[:, bundle.row_map.grid_indices]
+    write_reconstruction(bundle, zeros, tmp_path / "zero.binary")
+    got = read_merl(tmp_path / "zero.binary").values[:, bundle.row_map.grid_indices]
     assert np.allclose(got, expect_linear)
 
 
-def test_synthesize_construction_identity(rng):
+def test_synthesize_construction_identity(rng, tmp_path):
     bundle, _ = _trained_bundle(rng)
     coeffs = rng.standard_normal((3, bundle.pca.n_atoms))
-    result = synthesize(bundle.pca, coeffs, bundle.reference, bundle.row_map)
+    mapped = synthesize(bundle.pca, coeffs, bundle.reference)
     expect = bundle.pca.atoms @ coeffs.T + bundle.pca.mean[:, None]
-    assert np.array_equal(result.mapped.values, expect.T)
-    # cells outside the row map are re-marked invalid
-    assert np.array_equal(result.tensor.mask, bundle.row_map.mask())
+    assert np.array_equal(mapped.values, expect.T)
+    # cells outside the row map are written invalid
+    write_reconstruction(bundle, coeffs, tmp_path / "recon.binary")
+    assert np.array_equal(read_merl(tmp_path / "recon.binary").mask, bundle.row_map.mask())
 
 
 @pytest.mark.parametrize("shift", [0.0, -3.0, -50.0])
-def test_synthesize_matches_allocating_oracle(shift, rng):
+def test_synthesize_matches_allocating_oracle(shift, rng, tmp_path):
     # shifts push some, or all, mapped values below the image of rho = 0
     bundle, _ = _trained_bundle(rng, k=4)
     pca = bundle.pca
     coeffs = rng.standard_normal((3, 4)) * 3.0
     coeffs[:, 0] += shift / np.abs(pca.atoms[:, 0]).mean()
-    result = synthesize(pca, coeffs, bundle.reference, bundle.row_map)
-    mapped, full, clamped = allocating_synthesize(pca, coeffs, bundle.reference,
-                                                  bundle.row_map)
-    assert result.mapped.values.tobytes() == mapped.tobytes()
-    assert result.tensor.values.tobytes() == full.tobytes()
-    assert result.clamped_fraction == clamped / (3 * bundle.row_map.n_valid)
+    mapped = synthesize(pca, coeffs, bundle.reference)
+    want_mapped, full, clamped = allocating_synthesize(pca, coeffs, bundle.reference,
+                                                       bundle.row_map)
+    assert mapped.values.tobytes() == want_mapped.tobytes()
+    want = _write_oracle(bundle.row_map, full, clamped, tmp_path / "want.binary")
+    got = write_reconstruction(bundle, coeffs, tmp_path / "got.binary")
+    assert (tmp_path / "got.binary").read_bytes() == (tmp_path / "want.binary").read_bytes()
+    assert got == want
     if shift == -50.0:
-        assert result.clamped_fraction > 0.5
+        assert got > 0.5
     elif shift == 0.0:
-        assert result.clamped_fraction < 0.5
+        assert got < 0.5
+
+
+def test_synthesize_overflow_is_merl_format_error(rng):
+    # the unmap overflows to +inf, which check_reflectance rejects, and numpy
+    # warns of nothing
+    bundle, _ = _trained_bundle(rng, k=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MerlFormatError) as caught:
+            synthesize(bundle.pca, np.full((3, 4), 1e300), bundle.reference)
+    assert str(caught.value) == "valid cells must hold finite nonnegative reflectance"
 
 
 def test_reconstruct_reports_ridge_condition(rng):
@@ -335,38 +359,36 @@ def test_reconstruct_reports_ridge_condition(rng):
     assert fit.condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
 
 
-def test_reconstruct_and_write_peak_memory(tmp_path, rng):
+def test_reconstruct_full_peak_memory(rng):
     res = BrdfResolution(32, 32, 32)
     bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
     samples = measure(mapped[0], SupportSet(indices=tuple(range(0, 50, 10))))
     del mapped
-    out = tmp_path / "recon.binary"
-    tensor_bytes = 3 * res.grid_size * 8
+    mapped_bytes = 3 * bundle.row_map.n_valid * 8
     tracemalloc.start()
     try:
-        write_merl(reconstruct_full(samples, bundle).tensor, out)
+        result = reconstruct_full(samples, bundle)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert read_merl(out).resolution == res
-    # the mapped values, the unmapped copy and the tensor, then the tensor
-    # and its stored copy; the whole-array temporaries of unmapping and
-    # of gathering the cells to check or unscale them are gone
-    assert peak < 3.6 * tensor_bytes, peak / tensor_bytes
+    assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
+    # the mapped values and their unmapped copy, with the unmap's (n,)
+    # temporaries; no (3, grid_size) buffer
+    assert peak < 2.6 * mapped_bytes, peak / mapped_bytes
 
 
 def test_synthesize_rejects_short_coefficients(rng):
     bundle, _ = _trained_bundle(rng, k=4)
     with pytest.raises(ShapeMismatchError, match=r"expected \(3, 4\) coefficients"):
-        synthesize(bundle.pca, rng.standard_normal((3, 2)), bundle.reference,
-                   bundle.row_map)
+        synthesize(bundle.pca, rng.standard_normal((3, 2)), bundle.reference)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 7, 8, 11])
 @pytest.mark.parametrize("eta", [0.0, 40.0])
-def test_reconstruct_matches_zero_padded_oracle(m, eta, rng):
+def test_reconstruct_matches_zero_padded_oracle(m, eta, rng, tmp_path):
     # m < k reads the m leading atoms of for_budget(m); the zero-padded
-    # synthesis through all k atoms must give the same bytes
+    # synthesis through all k atoms must give the same bytes, mapped and
+    # written
     res = BrdfResolution(8, 8, 16)
     bundle, mapped = _trained_bundle(rng, count=10, k=8, res=res)
     rows = rng.choice(bundle.pca.n_rows, size=m, replace=False)
@@ -375,8 +397,11 @@ def test_reconstruct_matches_zero_padded_oracle(m, eta, rng):
     want_mapped, want_full, want_clamped = zero_padded_reconstruct(samples, bundle, eta)
     assert result.coefficients.shape == (3, min(m, 8))
     assert result.mapped.values.tobytes() == want_mapped.tobytes()
-    assert result.tensor.values.tobytes() == want_full.tobytes()
-    assert result.clamped_fraction == want_clamped / (3 * bundle.row_map.n_valid)
+    want = _write_oracle(bundle.row_map, want_full, want_clamped, tmp_path / "want.binary")
+    got = write_reconstruction(bundle.for_budget(m), result.coefficients,
+                               tmp_path / "got.binary")
+    assert (tmp_path / "got.binary").read_bytes() == (tmp_path / "want.binary").read_bytes()
+    assert got == want
 
 
 def test_in_span_exact_recovery(rng):
@@ -406,18 +431,21 @@ def test_eta_regularization_changes_noisy_result(rng):
     assert not np.allclose(with_reg.coefficients, without.coefficients)
 
 
-def test_reconstruct_shape_contract(rng):
+def test_reconstruct_shape_contract(rng, tmp_path):
     res = BrdfResolution(8, 8, 8)
     bundle, mapped = _trained_bundle(rng, count=8, k=5, res=res)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(5))
     samples = measure(mapped[0], support)
     result = reconstruct_full(samples, bundle)
-    assert result.tensor.values.shape == (3, res.grid_size)
-    assert result.tensor.resolution == res
+    assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
+    write_reconstruction(bundle, result.coefficients, tmp_path / "recon.binary")
+    written = read_merl(tmp_path / "recon.binary")
+    assert written.values.shape == (3, res.grid_size)
+    assert written.resolution == res
     assert ridge_fit(samples, bundle, 40.0).residuals.shape == (3,)
 
 
-def test_reconstruct_full_merl_resolution():
+def test_reconstruct_full_merl_resolution(tmp_path):
     # measurement-grade resolution: ~1.1M valid rows, chunked scans engaged
     res = BrdfResolution(90, 90, 180)
     corpus = gen_corpus(3, 3, res)
@@ -426,8 +454,11 @@ def test_reconstruct_full_merl_resolution():
                           rm, 6)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(6))
     result = reconstruct_full(measure_brdf(corpus[0][1], support, bundle), bundle)
-    assert result.tensor.values.shape == (3, 90 * 90 * 180)
-    assert result.tensor.resolution == res
+    assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
+    write_reconstruction(bundle, result.coefficients, tmp_path / "recon.binary")
+    written = open_merl(tmp_path / "recon.binary")
+    assert written.stored.shape == (3, 90 * 90 * 180)
+    assert written.resolution == res
 
 
 def test_reconstruct_channel_independence(rng):
@@ -505,9 +536,9 @@ def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, t
             draws[f"clamp{shift}"][:, 0] += shift / np.abs(pca.atoms[:, 0]).mean()
         for name, coeffs in draws.items():
             def oracle(path):
-                result = synthesize(pca, coeffs, cut.reference, cut.row_map)
-                write_merl(result.tensor, path)
-                return result.clamped_fraction
+                _, full, clamped = allocating_synthesize(pca, coeffs, cut.reference,
+                                                         cut.row_map)
+                return _write_oracle(cut.row_map, full, clamped, path)
 
             want = _written_or_error(oracle, tmp_path / f"want-{m}-{name}.binary")
             for workers in (1, 2, 3):
@@ -576,9 +607,9 @@ def test_write_reconstruction_overflow_in_last_piece_leaves_no_file_or_thread(
         bundle = replace(trained, pca=PcaDictionary(mean, pca.atoms, pca.coeffs, pca.sigma))
 
         def oracle(path):
-            result = synthesize(bundle.pca, coeffs, bundle.reference, bundle.row_map)
-            write_merl(result.tensor, path)
-            return result.clamped_fraction
+            _, full, clamped = allocating_synthesize(bundle.pca, coeffs, bundle.reference,
+                                                     bundle.row_map)
+            return _write_oracle(bundle.row_map, full, clamped, path)
 
         want = _written_or_error(oracle, tmp_path / f"want-{workers}.binary")
         assert want == (MerlFormatError, "valid cells must hold finite nonnegative reflectance")

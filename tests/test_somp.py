@@ -151,8 +151,9 @@ def test_stop_rules(m_values, threshold, max_iters, rules):
     (None, None, 3, ConfigError, "max_iters needs threshold"),
     ((), None, None, ConfigError, "at least one sample count required"),
     ((3, 0), None, None, BudgetTooLargeError, "sample budget must be >= 1, got 0"),
+    ((5, 3, 5), None, None, ConfigError, r"each sample count may appear once, got \[5, 3, 5\]"),
     (None, -1.0, None, ConfigError, "threshold must be >= 0"),
-], ids=["m-threshold", "max-iters", "no-m", "m-0", "threshold-neg"])
+], ids=["m-threshold", "max-iters", "no-m", "m-0", "m-repeat", "threshold-neg"])
 def test_stop_rules_refuse(m_values, threshold, max_iters, error, message):
     with pytest.raises(error, match=message):
         stop_rules(m_values, threshold, max_iters, default=(4,))
