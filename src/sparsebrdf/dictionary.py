@@ -33,10 +33,10 @@ from .errors import (
 from .mapping import (
     DEFAULT_EPSILON,
     ReferenceBrdf,
-    _map_rows,
     _reference_buffer,
     _row_reference,
     check_mapping,
+    map_in_place,
 )
 from .merl import BrdfResolution, RowMap
 
@@ -342,7 +342,7 @@ def train_bundle(entries: np.ndarray, ids, row_map: RowMap, k: int, *,
     def reference_and_map(copy, start, stop):
         rows, at = entries[start:stop], ref[start:stop]
         _row_reference(rows, statistic, copy, at)
-        _map_rows(rows, at, epsilon)
+        map_in_place(rows, at, epsilon)
 
     pca = _train_in_place(entries, k, reference_and_map, lambda: _reference_buffer(n, q))
     return DictionaryBundle(

@@ -466,7 +466,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # the transpose of this C-order block is the F-order x _HeldOut sums
         # its energies over; a C-order copy of it would sum in another order
         held = linear.take([first[i] + c for i in test_ids for c in range(3)], axis=1)
-        map_in_place(held, bundle_full.reference)
+        map_in_place(held, bundle_full.reference.values, bundle_full.reference.epsilon)
         rows.extend(_evaluate_fold(config, fold, test_ids, bundle_full,
                                    _HeldOut(held.T, bundle_full), supports))
 

@@ -139,18 +139,13 @@ def _row_reference(rows: np.ndarray, statistic: str, copy: np.ndarray,
     np.maximum(out, REFERENCE_FLOOR, out=out)
 
 
-def map_in_place(rows: np.ndarray, ref: ReferenceBrdf, at=slice(None)) -> None:
+def map_in_place(rows: np.ndarray, values: np.ndarray, epsilon: float) -> None:
     """Overwrite linear reflectance with its mapped value,
-    ln((rho + eps) / (rho_ref + eps)).  rows is (r, c): one row per
-    reference row that at indexes (by default every valid row), one column
-    per channel.  Each value is mapped on its own, so a row's mapped values
-    do not depend on which other rows are mapped with it."""
-    _map_rows(rows, ref.values[at], ref.epsilon)
-
-
-def _map_rows(rows: np.ndarray, values: np.ndarray, epsilon: float) -> None:
-    """map_in_place against reference values, one per row of rows, and
-    epsilon."""
+    ln((rho + eps) / (rho_ref + eps)), against reference values rho_ref,
+    one per row of rows, and the offset epsilon.  rows is (r, c): one row
+    per reference row, one column per channel.  Each value is mapped on its
+    own, so a row's mapped values do not depend on which other rows are
+    mapped with it."""
     rows += epsilon
     rows /= (values + epsilon)[:, None]
     np.log(rows, out=rows)
@@ -176,7 +171,7 @@ def map_cells(brdf: BrdfTensor | MerlFile, ref: ReferenceBrdf, row_map: RowMap,
             f"measured BRDF is invalid at grid cell {cells[invalid[0]]}, "
             f"which support row {row} samples"
         )
-    map_in_place(values.T, ref, rows)
+    map_in_place(values.T, ref.values[rows], ref.epsilon)
     return values
 
 
@@ -193,8 +188,8 @@ def unmap_in_place(rows: np.ndarray, ref: ReferenceBrdf, at) -> int:
     """Overwrite mapped values with their linear reflectance,
     (rho_ref + eps) exp(v) - eps clamped at zero, and return how many were
     clamped.  rows is (r, c), as map_in_place takes it: one row per
-    reference row that at indexes, one column per channel.  The clamp only
-    activates for mapped values below the image of rho = 0."""
+    reference row, here the rows at indexes, one column per channel.  The
+    clamp only activates for mapped values below the image of rho = 0."""
     np.exp(rows, out=rows)
     rows *= (ref.values[at] + ref.epsilon)[:, None]
     rows -= ref.epsilon

@@ -1,5 +1,5 @@
 """Worker threads shared by the bundle digest, SOMP's multi-block scan, the
-dictionary inverse, training's row-wise passes and reconstruct's output pass.
+dictionary inverse, training's row-wise passes and reconstruct's expansion pass.
 
 Work is cut into pieces whose bounds depend only on shapes, and each piece
 is computed as one thread would compute it, so no result depends on how
@@ -27,7 +27,7 @@ _WORKERS = len(os.sched_getaffinity(0))
 
 # rows per block of the row-wise passes: corpus_matrix's fill, the
 # reference, map and centring of train_bundle and compute_reference, the
-# dictionary inverse's columns, and write_reconstruction's output pass,
+# dictionary inverse's columns, and reconstruct's expansion pass (_expand),
 # whose block starts must be multiples of 8 (see there).  A matrix of one
 # block is worked on by the calling thread alone
 _REFERENCE_BLOCK = 65536
@@ -58,7 +58,7 @@ def _one_blas_thread():
     them, would depend on the thread count.  evaluate's held-out products run
     under this pin, and so does a multi-block SOMP scan, whose picks must not
     depend on the thread count either and whose workers would compete with
-    OpenBLAS's own threads.  So does write_reconstruction's pass: its small
+    OpenBLAS's own threads.  So does reconstruct's expansion pass: its small
     (3, k) x (k, block) products gain nothing from OpenBLAS's threads, which
     would only compete with the pass's workers.  Each calls BLAS only from
     threads the pin covers, so setting the library's global count is safe.

@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .mapping import MappedBrdf, ReferenceBrdf, log_relative_unmap, map_cells, unmap_in_place
+from .mapping import MappedBrdf, ReferenceBrdf, map_cells, unmap_in_place
 from .merl import (INVALID_SENTINEL, BrdfTensor, MerlFile, check_reflectance, store_cells,
                    write_stored)
 from .somp import SupportSet
@@ -133,21 +133,46 @@ def ridge_solve(d_rows: np.ndarray, b: np.ndarray, eta: float) -> np.ndarray:
 
 def synthesize(pca: PcaDictionary, coefficients: np.ndarray, ref: ReferenceBrdf) -> MappedBrdf:
     """Expand (3, k) coefficients, one per channel and atom, through the
-    dictionary: the mapped values D s + mean, which must unmap to valid
-    reflectance (check_reflectance), as write_reconstruction's must."""
+    dictionary: the mapped values D s + mean, copied from each block of
+    _expand, which is then unmapped in place to pass check_reflectance."""
     coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
     if coefficients.shape != (3, pca.n_atoms):
         raise ShapeMismatchError(
             f"expected (3, {pca.n_atoms}) coefficients, got {coefficients.shape}"
         )
-    # an overflow leaves a value that is not finite, which check_reflectance
-    # rejects with its one error, so numpy warns of none
-    with np.errstate(over="ignore", invalid="ignore"):
-        product = coefficients @ pca.atoms.T  # (3, n)
-        product += pca.mean
-        mapped = MappedBrdf(product, ref.key)
-        check_reflectance(log_relative_unmap(mapped, ref)[0])
-    return mapped
+    mapped = np.empty((3, pca.n_rows))
+
+    def keep(block, start, stop):
+        mapped[:, start:stop] = block
+        unmap_in_place(block.T, ref, slice(start, stop))
+        check_reflectance(block)
+
+    _expand(pca, coefficients, keep)
+    return MappedBrdf(mapped, ref.key)
+
+
+def _expand(pca: PcaDictionary, coefficients: np.ndarray, step) -> list:
+    """step(block, start, stop) for every parallel._REFERENCE_BLOCK-row block
+    start:stop of the dictionary's rows, and what each returned, in block
+    order: block, its worker's (3, block) buffer, which the step may
+    overwrite, holds the mapped values D s + mean of (3, k) coefficients.
+    The workers run with OpenBLAS pinned to one thread, and numpy warns of
+    no overflow: the step's check must reject what is not finite.  Block
+    starts are multiples of 8: a block product starting there gives each
+    row the whole product's bits, while blocks of odd width were seen to
+    differ in the last bit (OpenBLAS, k = 20)."""
+    atoms = pca.atoms.T  # (k, n), C-order in every dictionary
+    n = pca.n_rows
+
+    def expand(buf, start, stop):
+        block = buf[:, :stop - start]
+        np.matmul(coefficients, atoms[:, start:stop], out=block)
+        block += pca.mean[start:stop]
+        return step(block, start, stop)
+
+    with parallel._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+        return parallel._row_blocks(
+            n, expand, lambda: np.empty((3, min(parallel._REFERENCE_BLOCK, n))))
 
 
 class RidgeFit(NamedTuple):
@@ -199,41 +224,25 @@ def write_reconstruction(bundle: DictionaryBundle, coefficients: np.ndarray,
     of a tensor of that reflectance at the row map's cells and sentinels
     elsewhere, and return the share of its values clamped on unmap.
 
-    One pass over the parallel._REFERENCE_BLOCK-row blocks of valid rows,
-    split between the workers with OpenBLAS pinned to one thread, takes per
-    block, in its worker's (3, block) buffer, the product with the atoms
-    plus the mean, the unmap (unmap_in_place) with its clamp count, and
-    store_cells: BrdfTensor's check of the values, with its error, and their
-    scaled scatter into one (3, grid_size) buffer.  Each block first fills
-    with the sentinel the cells after the previous block's last valid cell
-    (from the grid's start for the first) up to its own last (to the grid's
-    end for the last), so no two blocks share a cell.  The buffer is written
-    once the workers are joined, so a failed check leaves no file.  Block
-    starts are multiples of 8: a block product starting there gives each
-    row the whole product's bits, while blocks of odd width were seen to
-    differ in the last bit (OpenBLAS, k = 20).
+    Each block of _expand first fills with the sentinel the cells after the
+    previous block's last valid cell (or the grid's start) up to its own
+    last (or the grid's end), so no two blocks share a cell.  It is then
+    unmapped in place with its clamp count, and store_cells checks it, with
+    BrdfTensor's error, and scatters it scaled into one (3, grid_size)
+    buffer, written once the workers are joined: a failed check leaves no file.
     """
-    pca, ref, row_map = bundle.pca, bundle.reference, bundle.row_map
-    atoms = pca.atoms.T  # (k, n), C-order in every dictionary
-    cells = row_map.grid_indices
-    n = row_map.n_valid
+    ref, row_map = bundle.reference, bundle.row_map
+    cells, n = row_map.grid_indices, row_map.n_valid
     stored = np.empty((3, row_map.resolution.grid_size))
 
-    def write(buf, start, stop):
+    def write(block, start, stop):
         first = cells[start - 1] + 1 if start else 0
         last = cells[stop - 1] + 1 if stop < n else stored.shape[1]
         stored[:, first:last] = INVALID_SENTINEL
-        block = buf[:, :stop - start]
-        np.matmul(coefficients, atoms[:, start:stop], out=block)
-        block += pca.mean[start:stop]
         clamped = unmap_in_place(block.T, ref, slice(start, stop))
         store_cells(stored, cells[start:stop], block)
         return clamped
 
-    # an overflow leaves a value that is not finite, which store_cells
-    # rejects with its one error, so numpy warns of none
-    with parallel._one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-        clamps = parallel._row_blocks(
-            n, write, lambda: np.empty((3, min(parallel._REFERENCE_BLOCK, n))))
+    clamps = _expand(bundle.pca, coefficients, write)
     write_stored(path, row_map.resolution, stored)
     return sum(clamps) / (3 * n)

@@ -98,8 +98,8 @@ class SampleBudget:
 class ErrorThreshold:
     """Stop once the residual Frobenius norm drops to epsilon.
 
-    The printed greedy loop has no iteration cap, so a guard defaulting to
-    min(k, n) is applied.
+    The printed greedy loop has no iteration cap; it stops after min(k, n)
+    picks, or max_iters if fewer, since no later pick can widen the span.
     """
 
     epsilon: float
@@ -370,7 +370,7 @@ def _select(scanned: np.ndarray, coeffs: np.ndarray, stop: StoppingRule,
         max_steps = stop.m
         threshold = -1.0
     else:
-        max_steps = stop.max_iters if stop.max_iters is not None else min(k, n)
+        max_steps = min(k, n, stop.max_iters or k)
         threshold = stop.epsilon
 
     selected: list[int] = []

@@ -109,6 +109,20 @@ def test_select_samples_out_makes_its_directory(bundle_dir, tmp_path, capsys):
     assert json.loads(support_path.read_text()) == json.loads(out)
 
 
+def test_select_samples_max_iters_above_k_stops_at_k(bundle_dir, tmp_path, capsys):
+    # the bundle has k = 5 atoms: a threshold of 0 stops at the fifth pick,
+    # whatever larger max_iters is given
+    records = []
+    for flags in ([], ["--max-iters", "100"]):
+        code, out, err = run_cli(capsys, "select-samples", "--dict", str(bundle_dir),
+                                 "--threshold", "0", *flags,
+                                 "--out", str(tmp_path / "support.json"))
+        assert code == 0, err
+        records.append(out)
+    assert records[0] == records[1]
+    assert json.loads(records[0])["m"] == 5
+
+
 @pytest.mark.parametrize("flags, rule, normalize", [
     (["--m", "3", "--normalize-atoms"], SampleBudget(3), True),
     (["--threshold", "1.5"], ErrorThreshold(1.5), False),

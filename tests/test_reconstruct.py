@@ -359,22 +359,28 @@ def test_reconstruct_reports_ridge_condition(rng):
     assert fit.condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
 
 
-def test_reconstruct_full_peak_memory(rng):
+def test_reconstruct_full_peak_memory(rng, monkeypatch):
     res = BrdfResolution(32, 32, 32)
     bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
     samples = measure(mapped[0], SupportSet(indices=tuple(range(0, 50, 10))))
     del mapped
     mapped_bytes = 3 * bundle.row_map.n_valid * 8
-    tracemalloc.start()
-    try:
-        result = reconstruct_full(samples, bundle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
-    # the mapped values and their unmapped copy, with the unmap's (n,)
-    # temporaries; no (3, grid_size) buffer
-    assert peak < 2.6 * mapped_bytes, peak / mapped_bytes
+    # in one block, the mapped values and the block's (3, n_valid) buffer,
+    # with the unmap's (n,) temporaries; in 1024-row blocks split between 2
+    # workers, as in test_write_reconstruction_builds_no_tensor, the mapped
+    # values and one block's buffer per worker, not a whole-array copy to
+    # unmap.  No (3, grid_size) buffer either way
+    for block, workers, bound in ((1 << 16, 1, 2.6), (1024, 2, 1.4)):
+        monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", block)
+        monkeypatch.setattr(parallel, "_WORKERS", workers)
+        tracemalloc.start()
+        try:
+            result = reconstruct_full(samples, bundle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
+        assert peak < bound * mapped_bytes, (block, peak / mapped_bytes)
 
 
 def test_synthesize_rejects_short_coefficients(rng):
@@ -484,14 +490,23 @@ def test_reconstruct_provenance_mismatch(rng):
 
 def _written_or_error(write, path):
     """The bytes write(path) writes and what it returns, or its error's type
-    and message; a failed write must leave no file."""
+    and message; a failed write must leave no file.  No errstate is set:
+    the write must warn of no overflow itself."""
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = write(path)
+        result = write(path)
     except MerlFormatError as exc:
         assert not path.exists()
         return type(exc), str(exc)
     return path.read_bytes(), result
+
+
+def _mapped_or_error(pca, coefficients, ref):
+    """The bytes of synthesize's mapped values, or its error's type and
+    message."""
+    try:
+        return synthesize(pca, coefficients, ref).values.tobytes()
+    except MerlFormatError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("block", [1, 7, 8, 24, 1 << 15], ids=lambda b: f"block-{b}")
@@ -535,17 +550,20 @@ def test_write_reconstruction_matches_synthesize_and_write_merl(block, loaded, t
             draws[f"clamp{shift}"] = draws["random"].copy()
             draws[f"clamp{shift}"][:, 0] += shift / np.abs(pca.atoms[:, 0]).mean()
         for name, coeffs in draws.items():
-            def oracle(path):
-                _, full, clamped = allocating_synthesize(pca, coeffs, cut.reference,
-                                                         cut.row_map)
-                return _write_oracle(cut.row_map, full, clamped, path)
-
-            want = _written_or_error(oracle, tmp_path / f"want-{m}-{name}.binary")
+            with np.errstate(over="ignore", invalid="ignore"):
+                mapped, full, clamped = allocating_synthesize(pca, coeffs, cut.reference,
+                                                              cut.row_map)
+            want = _written_or_error(lambda path: _write_oracle(cut.row_map, full, clamped, path),
+                                     tmp_path / f"want-{m}-{name}.binary")
+            # synthesize's mapped values, or the write's error
+            want_mapped = want if want[0] is MerlFormatError else mapped.tobytes()
             for workers in (1, 2, 3):
                 monkeypatch.setattr(parallel, "_WORKERS", workers)
                 got = _written_or_error(lambda path: write_reconstruction(cut, coeffs, path),
                                         tmp_path / f"got-{m}-{name}-{workers}.binary")
                 assert got == want, (m, name, workers)
+                assert _mapped_or_error(pca, coeffs, cut.reference) == want_mapped, (
+                    m, name, workers)
             if name == "overflow":
                 assert want == (MerlFormatError,
                                 "valid cells must hold finite nonnegative reflectance")
@@ -607,8 +625,9 @@ def test_write_reconstruction_overflow_in_last_piece_leaves_no_file_or_thread(
         bundle = replace(trained, pca=PcaDictionary(mean, pca.atoms, pca.coeffs, pca.sigma))
 
         def oracle(path):
-            _, full, clamped = allocating_synthesize(bundle.pca, coeffs, bundle.reference,
-                                                     bundle.row_map)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _, full, clamped = allocating_synthesize(bundle.pca, coeffs, bundle.reference,
+                                                         bundle.row_map)
             return _write_oracle(bundle.row_map, full, clamped, path)
 
         want = _written_or_error(oracle, tmp_path / f"want-{workers}.binary")
@@ -618,6 +637,15 @@ def test_write_reconstruction_overflow_in_last_piece_leaves_no_file_or_thread(
             got = _written_or_error(lambda path: write_reconstruction(bundle, coeffs, path),
                                     tmp_path / f"got-{workers}.binary")
         assert got == want, workers
+        assert set(threading.enumerate()) == before
+        assert puts == [1, 4], puts
+        puts.clear()
+        # synthesize runs the same pass, and fails as the write does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MerlFormatError) as caught:
+                synthesize(bundle.pca, coeffs, bundle.reference)
+        assert (type(caught.value), str(caught.value)) == want, workers
         assert set(threading.enumerate()) == before
         assert puts == [1, 4], puts
         puts.clear()

@@ -124,6 +124,18 @@ def test_somp_threshold_stops_at_span(rng):
     assert support.residual_history[-1] <= 1e-10
 
 
+def test_somp_threshold_max_iters_above_min_k_n_stops_there(rng):
+    # no pick after min(k, n) can widen the span, so a larger max_iters
+    # stops where the default cap does instead of collapsing the rank
+    dinv = rng.standard_normal((4, 12))
+    coeffs = rng.standard_normal((4, 6))
+    capped = somp_select(dinv, coeffs, ErrorThreshold(0.0))
+    assert len(capped) == 4
+    for max_iters in (4, 5, 100):
+        assert somp_select(dinv, coeffs, ErrorThreshold(0.0, max_iters)) == capped
+    assert len(somp_select(dinv, coeffs, ErrorThreshold(0.0, 3))) == 3
+
+
 def test_somp_threshold_zero_signal():
     support = somp_select(np.eye(4), np.zeros((4, 2)), ErrorThreshold(0.0))
     assert support.indices == []
