@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherence", help="cumulative coherence diagnostic")
     p.add_argument("--dict", required=True)
     p.add_argument("--m", default="1,2,3")
-    p.add_argument("--max-atoms", type=int, default=4096)
+    p.add_argument("--max-atoms", type=int, default=4096, help="cap on the dictionary's "
+                   "rows n, the inverse columns the O(n^2) scan pairs; not on its atoms")
     p.set_defaults(func=cmd_coherence)
 
     return parser

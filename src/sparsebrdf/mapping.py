@@ -14,7 +14,8 @@ rho = 0 and the map is exactly invertible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +40,11 @@ _REFERENCE_COPY_BYTES = 1 << 18
 
 @dataclass(frozen=True)
 class ReferenceBrdf:
-    """Per-row reference reflectance plus the mapping offset."""
+    """Per-row reference reflectance plus the mapping offset.  The values
+    are read-only, so key, hashed when first read, cannot go stale."""
 
     values: np.ndarray
     epsilon: float = DEFAULT_EPSILON
-    key: str = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < np.inf:
@@ -52,10 +53,14 @@ class ReferenceBrdf:
                                      and self.values.max() < np.inf):
             raise ValueError("reference values must be finite and floored at 1e-6")
         self.values.setflags(write=False)
+
+    @cached_property
+    def key(self) -> str:
+        """The provenance of values mapped against this reference."""
         digest = hashlib.sha256()
         digest.update(np.float64(self.epsilon).tobytes())
         digest.update(np.ascontiguousarray(self.values))
-        object.__setattr__(self, "key", digest.hexdigest()[:16])
+        return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

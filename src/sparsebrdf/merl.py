@@ -169,22 +169,17 @@ def _read_stored(path) -> MerlFile:
 
 
 def open_merl(path) -> MerlFile:
-    """A MERL file checked as read_merl checks it, with the same errors, but
+    """The one checked read of a MERL file, with read_merl's errors, but
     with no tensor built: its stored doubles stay memory-mapped, and
     MerlFile.cells reads the cells a caller needs.  Beyond _read_stored's
     checks, the one value check rejects +inf at a valid cell, which scaling
     would keep; at an invalid cell a NaN or +inf becomes a sentinel."""
     merl = _read_stored(path)
-    _check_max(path, merl, merl.stored.max())
-    return merl
-
-
-def _check_max(path, merl: MerlFile, maximum: float) -> None:
-    """open_merl's value check of merl, given the max of its stored doubles,
-    which is not below +inf when any of them is +inf or a NaN."""
-    if not maximum < np.inf:
+    # the max is not below +inf just when a stored double is +inf or a NaN
+    if not merl.stored.max() < np.inf:
         if (merl.stored[:, merl.mask] == np.inf).any():
             raise MerlFormatError(f"{path}: {_BAD_VALID}")
+    return merl
 
 
 def read_merl(path) -> BrdfTensor:
@@ -262,33 +257,28 @@ def direction_to_index(d: HalfAngleDirection, res: BrdfResolution) -> int:
     return i_pd + res.n_phi_d * (i_td + res.n_theta_d * i_th)
 
 
+def _bin_centers(cells, res: BrdfResolution):
+    """Bin-center (theta_h, theta_d, phi_d) of linear grid indices, in the
+    type of cells: floats for an int, float64 arrays for an integer array."""
+    rest, i_pd = divmod(cells, res.n_phi_d)
+    i_th, i_td = divmod(rest, res.n_theta_d)
+    return (_HALF_PI * ((i_th + 0.5) / res.n_theta_h) ** 2,
+            _HALF_PI * (i_td + 0.5) / res.n_theta_d,
+            np.pi * (i_pd + 0.5) / res.n_phi_d)
+
+
 def index_to_direction(idx: int, res: BrdfResolution) -> HalfAngleDirection:
     """Bin-center direction of a linear grid index (inverse on bin centers)."""
     if not (0 <= idx < res.grid_size):
         raise DomainError(f"index {idx} outside grid of size {res.grid_size}")
-    i_pd = idx % res.n_phi_d
-    rest = idx // res.n_phi_d
-    i_td = rest % res.n_theta_d
-    i_th = rest // res.n_theta_d
-    return HalfAngleDirection(
-        theta_h=_HALF_PI * ((i_th + 0.5) / res.n_theta_h) ** 2,
-        theta_d=_HALF_PI * (i_td + 0.5) / res.n_theta_d,
-        phi_d=np.pi * (i_pd + 0.5) / res.n_phi_d,
-    )
+    return HalfAngleDirection(*_bin_centers(int(idx), res))
 
 
 def bin_center_angles(res: BrdfResolution):
-    """Bin-center (theta_h, theta_d, phi_d) arrays for every grid cell."""
-    i_th, i_td, i_pd = np.meshgrid(
-        np.arange(res.n_theta_h),
-        np.arange(res.n_theta_d),
-        np.arange(res.n_phi_d),
-        indexing="ij",
-    )
-    theta_h = _HALF_PI * ((i_th.ravel() + 0.5) / res.n_theta_h) ** 2
-    theta_d = _HALF_PI * (i_td.ravel() + 0.5) / res.n_theta_d
-    phi_d = np.pi * (i_pd.ravel() + 0.5) / res.n_phi_d
-    return theta_h, theta_d, phi_d
+    """Bin-center (theta_h, theta_d, phi_d) arrays for every grid cell, in
+    index order; cell c holds index_to_direction(c)'s angles, bit for bit."""
+    # in the grid's smallest integer type, which numpy divides faster than int64
+    return _bin_centers(np.arange(res.grid_size, dtype=np.min_scalar_type(res.grid_size)), res)
 
 
 @dataclass(frozen=True)
@@ -348,23 +338,13 @@ def _gather(mid, source, row_map: RowMap, cells: np.ndarray, out: np.ndarray,
             pool, cuts: list) -> None:
     """Write one corpus entry's linear reflectance at cells, the row map's
     cells as a writeable array, into out, a (3, n_valid) block, one piece of
-    the rows between cuts per worker of pool.  A MERL file's stored doubles
-    are checked as read_merl checks them, their max taken over one range of
-    cells per worker, and only the gathered cells are scaled."""
+    the rows between cuts per worker of pool.  A MERL file is read through
+    open_merl, and only the gathered cells are scaled."""
     if isinstance(source, BrdfTensor):
         res, values, scales = source.resolution, source.values, None
     else:
-        merl = _read_stored(source)
-        res, values = merl
+        res, values = open_merl(source)
         scales = MERL_SCALES
-        grid_cuts = parallel._cuts(values.shape[1], 8, len(cuts) - 1)
-        maxima = np.empty(len(grid_cuts) - 1)
-
-        def check(i, a, z):
-            maxima[i] = values[:, a:z].max()
-
-        parallel._run(pool, check, grid_cuts)
-        _check_max(source, merl, maxima.max())
     if res != row_map.resolution:
         raise InconsistentCorpusError(
             f"BRDF {mid} has resolution {res}, row map has {row_map.resolution}")
@@ -395,13 +375,12 @@ def corpus_matrix(corpus, row_map: RowMap) -> tuple[np.ndarray, list]:
     Material i fills columns 3i, 3i+1, 3i+2 with its R, G, B channels.  The
     corpus is iterated once, one source at a time, so one file is mapped at
     a time.  A file is read straight into the matrix, with no BrdfTensor:
-    its mapped payload is checked as read_merl checks it, with the same
-    errors, and only the row map's cells are gathered and scaled.  The
-    gathered channels of _FILL_GROUP materials are held in one block beside
-    the matrix and written into their adjacent columns in one pass over the
-    rows (105 MB of block at the full grid).  Each gather and write is
-    split between the workers by rows, one piece of parallel._row_cuts
-    each, and each file's check by as many ranges of cells; a matrix of one
+    it is checked by open_merl on the calling thread, and only the row
+    map's cells are gathered and scaled.  The gathered channels of
+    _FILL_GROUP materials are held in one block beside the matrix and
+    written into their adjacent columns in one pass over the rows (105 MB
+    of block at the full grid).  Each gather and write is split between the
+    workers by rows, one piece of parallel._row_cuts each; a matrix of one
     _REFERENCE_BLOCK-row block is filled on the calling thread alone.
     """
     t = len(corpus)

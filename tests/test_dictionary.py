@@ -34,6 +34,7 @@ from sparsebrdf.mapping import (
     log_relative_map,
 )
 from sparsebrdf.merl import BrdfResolution, RowMap, corpus_mask, corpus_matrix
+from sparsebrdf.somp import SampleBudget, select_support, support_record
 
 from conftest import make_random_tensor, toy_row_map
 from oracles import (
@@ -734,6 +735,19 @@ def test_loaded_inverse_matches_eager_formula(tmp_path, rng, k):
     assert inverse.flags.c_contiguous == eager.flags.c_contiguous
     assert not inverse.flags.writeable
     assert not inverse[-1].any() if k == 6 else inverse[0].any()
+
+
+def test_selection_and_record_never_derive_the_reference_key(tmp_path, rng):
+    # select-samples loads a bundle, selects and records a support with no
+    # mapped values, so the reference's hash of every value is never taken
+    _saved_bundle(rng, tmp_path / "bundle", 4, 6)
+    bundle = load_bundle(tmp_path / "bundle")
+    support = select_support(bundle.for_budget(5).pca, SampleBudget(5))
+    support_record(support, bundle, False)
+    assert "key" not in vars(bundle.reference)
+    assert bundle.reference.key == ReferenceBrdf(bundle.reference.values,
+                                                 bundle.reference.epsilon).key
+    assert "key" in vars(bundle.reference)
 
 
 def test_package_imports_have_no_cycle():

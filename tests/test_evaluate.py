@@ -381,6 +381,21 @@ _ORACLE_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("normalize_atoms", [False, True])
+def test_fixed_k_supports_are_prefixes_of_the_largest_budget(normalize_atoms):
+    # with k_fixed every budget of a fold selects from one bundle, and the
+    # greedy loop's state does not depend on the budget
+    config = ExperimentConfig(synthetic=_R8, m_values=(2, 4, 6), k_fixed=6, folds=3,
+                              normalize_atoms=normalize_atoms, random_trials=1)
+    records = {(rec["fold"], rec["m"]): rec for rec in run_experiment(config).supports}
+    assert sorted(records) == [(f, m) for f in range(3) for m in (2, 4, 6)]
+    for fold in range(3):
+        whole = records[fold, 6]
+        for m in (2, 4):
+            for field in ("rows", "grid", "residual_history"):
+                assert records[fold, m][field] == whole[field][:m], (fold, m, field)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
 def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsebrdf import parallel
+from sparsebrdf import merl, parallel
 from sparsebrdf.errors import (
     DomainError,
     EmptyMaskError,
@@ -21,6 +21,7 @@ from sparsebrdf.merl import (
     BrdfTensor,
     HalfAngleDirection,
     RowMap,
+    bin_center_angles,
     corpus_mask,
     corpus_matrix,
     direction_to_index,
@@ -244,6 +245,17 @@ def test_index_direction_bijection_exhaustive():
     for idx in range(RES8.grid_size):
         d = index_to_direction(idx, RES8)
         assert direction_to_index(d, RES8) == idx
+
+
+@pytest.mark.parametrize("res, stride", [(BrdfResolution(7, 5, 3), 1),
+                                         (BrdfResolution(90, 90, 180), 997)])
+def test_index_to_direction_is_bin_center_angles_at_its_cell(res, stride):
+    angles = bin_center_angles(res)
+    for idx in range(0, res.grid_size, stride):
+        d = index_to_direction(idx, res)
+        assert [type(v) for v in (d.theta_h, d.theta_d, d.phi_d)] == [float] * 3
+        assert (np.array([d.theta_h, d.theta_d, d.phi_d]).tobytes()
+                == np.array([a[idx] for a in angles]).tobytes()), idx
 
 
 def test_index_to_direction_bounds():
@@ -525,7 +537,7 @@ def test_first_malformed_file_fails_the_fill_at_any_worker_count(tmp_path, rng,
                                                                 monkeypatch):
     # +inf at a valid cell of the second and the fourth of six files: the
     # fill names the second, as the per-material oracle does, however its
-    # checks are split, and joins its workers
+    # gathers are split, and joins its workers
     for i in range(6):
         stored = rng.uniform(0.0, 1500.0, size=(3, 64))
         if i in (1, 3):
@@ -540,6 +552,27 @@ def test_first_malformed_file_fails_the_fill_at_any_worker_count(tmp_path, rng,
         monkeypatch.setattr(parallel, "_WORKERS", workers)
         assert _outcome(lambda: corpus_matrix(corpus, rm)) == want, workers
         assert set(threading.enumerate()) == before, workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_file_corpus_matrix_reads_each_file_through_open_merl(tmp_path, rng,
+                                                              monkeypatch, workers):
+    for i in range(6):
+        _write_raw(tmp_path / f"m{i}.binary", (4, 4, 4), rng.uniform(0.0, 1500.0, 192))
+    corpus, rm = load_corpus(str(tmp_path), None)
+    opened = []
+    original = merl.open_merl
+
+    def counting(path):
+        opened.append(path)
+        return original(path)
+
+    monkeypatch.setattr(merl, "open_merl", counting)
+    monkeypatch.setattr(parallel, "_REFERENCE_BLOCK", 5)
+    monkeypatch.setattr(parallel, "_WORKERS", workers)
+    entries, _ = corpus_matrix(corpus, rm)
+    assert opened == [path for _, path in corpus]
+    assert entries.tobytes() == per_material_corpus_matrix(corpus, rm)[0].tobytes()
 
 
 def test_corpus_matrix_rejects_cells_outside_the_grid(rng):
