@@ -26,9 +26,9 @@ from pathlib import Path
 from . import evaluate as ev
 from .dictionary import check_k, load_bundle, save_bundle, train_bundle
 from .errors import ConfigError, SparseBrdfError
-from .mapping import DEFAULT_EPSILON, check_mapping
+from .mapping import DEFAULT_EPSILON, check_mapping, map_cells
 from .merl import BrdfResolution, corpus_matrix, open_merl, write_merl
-from .reconstruct import DEFAULT_ETA, check_eta, measure_brdf, ridge_fit, write_reconstruction
+from .reconstruct import DEFAULT_ETA, check_eta, ridge_fit, write_reconstruction
 from .somp import (
     SampleBudget,
     cumulative_coherence,
@@ -141,9 +141,9 @@ def cmd_reconstruct(args) -> int:
     check_eta(args.eta)
     support, bundle = read_support_record(args.support, load_bundle(args.dict))
     # the whole file is checked, but only the support's cells are read
-    samples = measure_brdf(open_merl(args.brdf), support, bundle,
-                           material_id=Path(args.brdf).stem)
-    fit = ridge_fit(samples, bundle, eta=args.eta)
+    values = map_cells(open_merl(args.brdf), bundle.reference, bundle.row_map,
+                       support.indices)
+    fit = ridge_fit(values, support, bundle, eta=args.eta)
     out = _resolve_out(args.out, f"{Path(args.brdf).stem}-recon.binary")
     out.parent.mkdir(parents=True, exist_ok=True)
     # the bundle is the support's truncation, so its atoms are the fit's

@@ -50,7 +50,7 @@ class RankCollapseError(SparseBrdfError):
 
 
 class ZeroColumnError(SparseBrdfError):
-    """A dictionary column has zero norm and cannot be normalized."""
+    """A dictionary column has zero or non-finite norm and cannot be normalized."""
 
 
 class CoherenceBoundError(SparseBrdfError):

@@ -346,7 +346,7 @@ class _HeldOut:
     """
 
     def __init__(self, x: np.ndarray, bundle):
-        pca = bundle.pca
+        self.bundle, pca = bundle, bundle.pca
         materials = x.shape[0] // 3
         self.mapped = [MappedBrdf(x[3 * i:3 * i + 3], bundle.reference.key)
                        for i in range(materials)]
@@ -365,14 +365,14 @@ class _HeldOut:
             np.log(bundle.reference.values.max() + bundle.reference.epsilon))
         self.atom_peak = np.abs(pca.atoms).max(axis=0)
 
-    def metrics(self, support: SupportSet, bundle, eta: float) -> list:
+    def metrics(self, support: SupportSet, eta: float) -> list:
         """One metrics dict per held-out material for reconstructing it from
-        support with bundle (which must share the fold's reference, mean and
-        leading atoms).  Materials whose closed form is unreliable, and every
-        material when the ridge solve fails, go through the direct path, so
-        errors carry its exact messages."""
+        support with the fold's bundle, cut to the support's budget.
+        Materials whose closed form is unreliable, and every material when
+        the ridge solve fails, go through the direct path, so errors carry
+        its exact messages."""
         rows = list(support.indices)
-        bundle = bundle.for_budget(len(rows))
+        bundle = self.bundle.for_budget(len(rows))
         k = bundle.pca.n_atoms
         try:
             solution = ridge_solve(bundle.pca.atoms[rows],
@@ -425,7 +425,7 @@ def _evaluate_fold(config: ExperimentConfig, fold: int, test_ids: list,
             for trial in range(config.random_trials)
         ]
         for method, trial, sup in trials:
-            for mid, metrics in zip(test_ids, held_out.metrics(sup, bundle, config.eta)):
+            for mid, metrics in zip(test_ids, held_out.metrics(sup, config.eta)):
                 keyed.append((
                     (m, method, mid, -1 if trial is None else trial),
                     {"fold": fold, "m": m, "method": method, "material": mid,

@@ -8,6 +8,9 @@ over the dictionary rows at the selected sample locations; the full mapped
 signal is then D s + mean and the linear BRDF follows by inverting the
 log-relative map.  Because the dictionary atoms are ordered by importance,
 a support of m rows reads the atoms of ``DictionaryBundle.for_budget(m)``.
+``ridge_fit`` fits (3, m) mapped samples, which ``reconstruct`` maps from
+the support's cells against the bundle's own reference; ``reconstruct_full``
+first checks that its ``MeasurementVector`` was mapped against that reference.
 """
 
 from __future__ import annotations
@@ -21,15 +24,14 @@ import scipy.linalg
 from . import parallel
 from .dictionary import DictionaryBundle, PcaDictionary
 from .errors import (
+    BundleFormatError,
     ConfigError,
-    IndexOutOfRangeError,
     ProvenanceMismatchError,
     ShapeMismatchError,
     SingularMatrixError,
 )
-from .mapping import MappedBrdf, ReferenceBrdf, map_cells, unmap_in_place
-from .merl import (INVALID_SENTINEL, BrdfTensor, MerlFile, check_reflectance, store_cells,
-                   write_stored)
+from .mapping import MappedBrdf, ReferenceBrdf, unmap_in_place
+from .merl import INVALID_SENTINEL, check_reflectance, store_cells, write_stored
 from .somp import SupportSet
 
 DEFAULT_ETA = 40.0
@@ -54,39 +56,13 @@ class ReconstructionResult:
     mapped: MappedBrdf
 
 
-def _support_rows(support: SupportSet, n: int) -> np.ndarray:
-    """The support's rows, in selection order; at least one, each in [0, n)."""
-    if len(support) == 0:
-        raise IndexOutOfRangeError("empty support")
-    # checked as Python ints, which an out-of-range record may overflow
-    if any(i < 0 or i >= n for i in support.indices):
-        raise IndexOutOfRangeError(f"support indices must lie in [0, {n})")
-    return np.asarray(support.indices, dtype=np.int64)
-
-
 def measure(mapped: MappedBrdf, support: SupportSet, material_id: str = "") -> MeasurementVector:
     """Sample a mapped BRDF at the support rows, in selection order."""
-    rows = _support_rows(support, mapped.values.shape[1])
     return MeasurementVector(
-        values=mapped.values[:, rows].copy(),
+        values=mapped.values[:, support.rows(mapped.values.shape[1])].copy(),
         support=support,
         material_id=material_id,
         provenance=mapped.provenance,
-    )
-
-
-def measure_brdf(brdf: BrdfTensor | MerlFile, support: SupportSet,
-                 bundle: DictionaryBundle, material_id: str = "") -> MeasurementVector:
-    """measure(log_relative_map(brdf, ...), support), mapping only the
-    support's cells (see map_cells): brdf, a tensor or an open_merl file,
-    must have the bundle's resolution and a valid value at every support
-    cell."""
-    rows = _support_rows(support, bundle.row_map.n_valid)
-    return MeasurementVector(
-        values=map_cells(brdf, bundle.reference, bundle.row_map, rows),
-        support=support,
-        material_id=material_id,
-        provenance=bundle.reference.key,
     )
 
 
@@ -186,33 +162,32 @@ class RidgeFit(NamedTuple):
     condition: float
 
 
-def ridge_fit(samples: MeasurementVector, bundle: DictionaryBundle, eta: float) -> RidgeFit:
-    """Ridge-fit the three channels at the sampled rows, through the atoms of
-    ``bundle.for_budget(m)``.
-
-    The channels share the sampled rows, so one factorization serves all three.
-    """
-    if samples.provenance != bundle.reference.key:
-        raise ProvenanceMismatchError(
-            "measurements were mapped against a different reference than the bundle"
-        )
-    rows = _support_rows(samples.support, bundle.pca.n_rows)
+def ridge_fit(values: np.ndarray, support: SupportSet, bundle: DictionaryBundle,
+              eta: float) -> RidgeFit:
+    """Ridge-fit the (3, m) mapped values sampled at the support's rows, in
+    its order, through the atoms of ``bundle.for_budget(m)``; one
+    factorization serves the three channels.  Raises BundleFormatError
+    unless those atoms and the mean are finite at the rows, which loading
+    does not check."""
+    rows = support.rows(bundle.pca.n_rows)
     pca = bundle.for_budget(len(rows)).pca
-    d_rows = pca.atoms[rows]
-    rhs = (samples.values - pca.mean[rows]).T  # (m, 3)
+    d_rows, mean = pca.atoms[rows], pca.mean[rows]
+    if not (np.isfinite(d_rows).all() and np.isfinite(mean).all()):
+        raise BundleFormatError("atoms and mean must be finite at the sampled rows")
+    rhs = (values - mean).T  # (m, 3)
     solution = ridge_solve(d_rows, rhs, eta)
     return RidgeFit(solution.T, np.sum((rhs - d_rows @ solution) ** 2, axis=0),
                     float(np.linalg.cond(d_rows)))
 
 
-def reconstruct_full(
-    samples: MeasurementVector,
-    bundle: DictionaryBundle,
-    eta: float = DEFAULT_ETA,
-) -> ReconstructionResult:
-    """ridge_fit, then synthesize through the same atoms; the fit's
-    diagnostics are ridge_fit's."""
-    coefficients = ridge_fit(samples, bundle, eta).coefficients
+def reconstruct_full(samples: MeasurementVector, bundle: DictionaryBundle,
+                     eta: float = DEFAULT_ETA) -> ReconstructionResult:
+    """ridge_fit of samples, which must be mapped against the bundle's
+    reference, then synthesize through the same atoms."""
+    if samples.provenance != bundle.reference.key:
+        raise ProvenanceMismatchError(
+            "measurements were mapped against a different reference than the bundle")
+    coefficients = ridge_fit(samples.values, samples.support, bundle, eta).coefficients
     cut = bundle.for_budget(len(samples.support))
     return ReconstructionResult(coefficients, synthesize(cut.pca, coefficients, cut.reference))
 

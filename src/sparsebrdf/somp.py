@@ -59,6 +59,7 @@ from .errors import (
     BudgetTooLargeError,
     CoherenceBoundError,
     ConfigError,
+    IndexOutOfRangeError,
     RankCollapseError,
     UnmappedRowError,
     ZeroColumnError,
@@ -149,6 +150,15 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+    def rows(self, n: int) -> np.ndarray:
+        """The indices, in selection order; at least one, each in [0, n)."""
+        if len(self) == 0:
+            raise IndexOutOfRangeError("empty support")
+        # checked as Python ints, which an out-of-range record may overflow
+        if any(i < 0 or i >= n for i in self.indices):
+            raise IndexOutOfRangeError(f"support indices must lie in [0, {n})")
+        return np.asarray(self.indices, dtype=np.int64)
 
 
 def _gamma(n: int) -> float:
@@ -498,7 +508,8 @@ def read_support_record(path, bundle) -> tuple:
     Raises ConfigError unless the record is a JSON object of the current
     version that names its bundle digest, whose m is an integer and whose
     rows hold m >= 1 distinct integers, and then unless that digest is the
-    truncation's; the bundle is hashed only once the record passes."""
+    truncation's; the bundle is hashed only once the record passes.  Last,
+    raises IndexOutOfRangeError unless each row is one of the bundle's."""
     try:
         record = json.loads(Path(path).read_text())
     except ValueError as exc:  # undecodable bytes or malformed JSON
@@ -521,7 +532,9 @@ def read_support_record(path, bundle) -> tuple:
             f"support record was computed against bundle {record['bundle_digest']}, "
             f"got {bundle.digest}"
         )
-    return SupportSet(indices=rows), bundle
+    support = SupportSet(indices=rows)
+    support.rows(bundle.pca.n_rows)
+    return support, bundle
 
 
 def direction_table(directions) -> str:
@@ -543,9 +556,10 @@ def cumulative_coherence(dinv: np.ndarray, m: int) -> float:
     n = dinv.shape[1]
     if not 1 <= m < n:
         raise ConfigError(f"m={m} must satisfy 1 <= m < n={n}")
-    norms = np.linalg.norm(dinv, axis=0)
-    if np.any(norms == 0.0):
-        raise ZeroColumnError("cannot normalize a zero column")
+    with np.errstate(over="ignore"):  # a norm that overflows is refused below
+        norms = np.linalg.norm(dinv, axis=0)
+    if not np.all((norms > 0.0) & (norms < np.inf)):  # NaN included
+        raise ZeroColumnError("cannot normalize a column of zero or non-finite norm")
     unit = dinv / norms
     # rows of the (rows, n) correlation block, the scan's one large temporary
     rows = max(1, _COHERENCE_BLOCK_BYTES // (8 * n))

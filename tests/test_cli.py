@@ -20,6 +20,7 @@ import sparsebrdf
 from sparsebrdf.cli import main
 from sparsebrdf.dictionary import DictionaryBundle, load_bundle, train_bundle
 from sparsebrdf.evaluate import load_corpus
+from sparsebrdf.mapping import ReferenceBrdf
 from sparsebrdf.merl import BrdfResolution, corpus_mask, corpus_matrix, read_merl, write_merl
 from sparsebrdf.somp import (
     ErrorThreshold,
@@ -237,8 +238,8 @@ def test_reconstruct_that_fails_its_tensor_check_writes_nothing(bundle_dir, corp
             "--out", str(support))
     fit = cli.ridge_fit
 
-    def overflowing(samples, bundle, eta):
-        result = fit(samples, bundle, eta)
+    def overflowing(values, support, bundle, eta):
+        result = fit(values, support, bundle, eta)
         return result._replace(coefficients=np.full_like(result.coefficients, 1e300))
 
     monkeypatch.setattr(cli, "ridge_fit", overflowing)
@@ -1096,6 +1097,85 @@ def test_reconstruct_overflow_is_one_line_error(bundle_dir, support_m3, tmp_path
     assert (code, out) == (1, "")
     assert err == "error: MerlFormatError: valid cells must hold finite nonnegative reflectance\n"
     assert not (tmp_path / "r.binary").exists()
+
+
+def test_reconstruct_derives_no_reference_key(bundle_dir, corpus_dir, support_m3, tmp_path,
+                                              capsys, monkeypatch):
+    # reconstruct maps the sampled cells against the bundle's own reference,
+    # so it has no provenance to compare and never hashes the reference
+    (tmp_path / "s.json").write_text(json.dumps(support_m3))
+    monkeypatch.setattr(ReferenceBrdf, "key", property(
+        lambda self: pytest.fail("reconstruct derived the reference key")))
+    code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                             "--support", str(tmp_path / "s.json"), "--brdf",
+                             str(sorted(corpus_dir.glob("*.binary"))[0]),
+                             "--out", str(tmp_path / "r.binary"))
+    assert (code, err) == (0, ""), err
+    assert read_merl(tmp_path / "r.binary").resolution == BrdfResolution(8, 8, 8)
+
+
+@pytest.mark.parametrize("row", ["negative", "n"])
+def test_record_row_outside_the_bundle_is_one_line_error(row, bundle_dir, corpus_dir,
+                                                         support_m3, tmp_path, capsys):
+    # the digest matches, so the row range alone refuses the record
+    n = load_bundle(bundle_dir).pca.n_rows
+    rows = [*support_m3["rows"][:-1], -1 if row == "negative" else n]
+    (tmp_path / "s.json").write_text(json.dumps({**support_m3, "rows": rows}))
+    code, out, err = run_cli(capsys, "reconstruct", "--dict", str(bundle_dir),
+                             "--support", str(tmp_path / "s.json"), "--brdf",
+                             str(sorted(corpus_dir.glob("*.binary"))[0]),
+                             "--out", str(tmp_path / "r.binary"))
+    assert (code, out) == (1, "")
+    assert err == f"error: IndexOutOfRangeError: support indices must lie in [0, {n})\n"
+    assert not (tmp_path / "r.binary").exists()
+
+
+def _bundle_with_value(bundle_dir, directory, name, index, value):
+    """A copy of bundle_dir in directory with one value of name.bin changed;
+    the manifest is kept, and the arrays are loaded without a value pass."""
+    shutil.copytree(bundle_dir, directory)
+    dtype = json.loads((directory / "manifest.json").read_text())["arrays"][name]["dtype"]
+    data = np.fromfile(directory / f"{name}.bin", dtype=dtype)
+    data[index] = value
+    data.tofile(directory / f"{name}.bin")
+    return directory
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+def test_reconstruct_with_a_non_finite_mean_is_one_line_error(value, bundle_dir, corpus_dir,
+                                                              support_m3, tmp_path, capsys):
+    # selection reads no mean, so the record selects the same rows; the fit
+    # refuses the mean at its first row before any arithmetic warns
+    broken = _bundle_with_value(bundle_dir, tmp_path / "bundle", "mean",
+                                support_m3["rows"][0], value)
+    code, out, _ = run_cli(capsys, "select-samples", "--dict", str(broken), "--m", "3",
+                           "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    assert json.loads(out)["rows"] == support_m3["rows"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "reconstruct", "--dict", str(broken),
+                                 "--support", str(tmp_path / "s.json"), "--brdf",
+                                 str(sorted(corpus_dir.glob("*.binary"))[0]),
+                                 "--out", str(tmp_path / "r.binary"))
+    assert (code, out) == (1, "")
+    assert err == ("error: BundleFormatError: atoms and mean must be finite at the "
+                   "sampled rows\n")
+    assert not (tmp_path / "r.binary").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, 1e200], ids=["nan", "norm-overflow"])
+def test_coherence_of_a_non_finite_norm_is_one_line_error(value, bundle_dir, tmp_path,
+                                                          capsys):
+    # a NaN column norm passes a test for zero, and max(0.0, nan) is 0.0; a
+    # finite column whose norm overflows must not warn either
+    broken = _bundle_with_value(bundle_dir, tmp_path / "bundle", "atoms", 7, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "coherence", "--dict", str(broken), "--m", "1,2")
+    assert (code, out) == (1, "")
+    assert err == ("error: ZeroColumnError: cannot normalize a column of zero or non-finite "
+                   "norm\n")
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -12,6 +12,7 @@ from sparsebrdf.errors import (
     InvalidKError,
     InvalidMError,
     ProvenanceMismatchError,
+    ShapeMismatchError,
     TooLargeError,
 )
 from sparsebrdf.evaluate import (
@@ -94,6 +95,10 @@ def test_mse_provenance_guard():
     b = MappedBrdf(np.zeros((3, 5)), "r2")
     with pytest.raises(ProvenanceMismatchError):
         mse_mapped(a, b)
+    with pytest.raises(ProvenanceMismatchError):
+        snr_db(a, b)
+    with pytest.raises(ShapeMismatchError, match=r"\(3, 5\) vs \(3, 4\)"):
+        mse_mapped(a, MappedBrdf(np.zeros((3, 4)), "r1"))
 
 
 def test_snr_db():
@@ -298,6 +303,13 @@ def test_experiment_threshold_stopping():
     assert all(r["status"] == "ok" for r in report.rows)
 
 
+@pytest.mark.parametrize("sources", [{"corpus_dir": "corpus"}, {"synthetic": None}],
+                         ids=["both", "neither"])
+def test_experiment_config_takes_one_corpus_source(sources):
+    with pytest.raises(ConfigError, match="exactly one corpus source must be set"):
+        ExperimentConfig(**sources)
+
+
 def test_threshold_mode_requires_fixed_k():
     import dataclasses
 
@@ -411,9 +423,10 @@ def test_closed_form_matches_direct_oracle(name, monkeypatch, tmp_path):
     calls = []
     batched = evaluate._HeldOut.metrics
 
-    def spy(self, support, bundle, eta):
-        out = batched(self, support, bundle, eta)
-        calls.append((list(self.mapped), support, bundle, eta, out))
+    def spy(self, support, eta):
+        out = batched(self, support, eta)
+        calls.append((list(self.mapped), support, self.bundle.for_budget(len(support)), eta,
+                       out))
         return out
 
     direct_calls = []

@@ -211,6 +211,10 @@ def test_tensor_invariants_enforced():
     values[1, 3] = -2.0  # negative value on a valid cell
     with pytest.raises(MerlFormatError):
         BrdfTensor(RES8, values, mask)
+    with pytest.raises(MerlFormatError, match=r"values shape \(3, 511\) does not match"):
+        BrdfTensor(RES8, values[:, 1:], mask)
+    with pytest.raises(MerlFormatError, match=r"mask shape \(511,\) does not match grid 512"):
+        BrdfTensor(RES8, values, mask[1:])
 
 
 def test_direction_to_index_origin():
@@ -293,6 +297,8 @@ def test_validity_mask_empty():
     brdf = BrdfTensor(RES8, np.full((3, n), -1.0), np.zeros(n, dtype=bool))
     with pytest.raises(EmptyMaskError):
         validity_mask(brdf)
+    with pytest.raises(EmptyMaskError, match="empty corpus"):
+        corpus_mask([])
 
 
 def test_corpus_mask_intersection(rng):

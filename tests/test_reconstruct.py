@@ -21,7 +21,7 @@ from sparsebrdf.errors import (
     ShapeMismatchError,
     SingularMatrixError,
 )
-from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap
+from sparsebrdf.mapping import MappedBrdf, log_relative_map, log_relative_unmap, map_cells
 from sparsebrdf.merl import (
     BrdfResolution,
     BrdfTensor,
@@ -34,7 +34,6 @@ from sparsebrdf.merl import (
 )
 from sparsebrdf.reconstruct import (
     measure,
-    measure_brdf,
     reconstruct_full,
     ridge_fit,
     ridge_solve,
@@ -87,9 +86,9 @@ def test_measure_picks_rows_in_order():
 
 @pytest.mark.parametrize("support", ["m-1", "m-k", "random"])
 def test_measure_brdf_matches_whole_tensor_map(support, rng):
-    # mapping the m support cells alone gives the bytes of mapping the whole
-    # tensor and sampling it; the materials span the synthetic models'
-    # range, specular peaks included
+    # mapping the m support cells alone, as reconstruct does with map_cells,
+    # gives the bytes of mapping the whole tensor and sampling it; the
+    # materials span the synthetic models' range, specular peaks included
     corpus = [(spec.material_id, b)
               for spec, b in gen_corpus(7, 11, BrdfResolution(16, 16, 16))]
     row_map = corpus_mask(b for _, b in corpus)
@@ -98,35 +97,32 @@ def test_measure_brdf_matches_whole_tensor_map(support, rng):
     rows = {"m-1": [int(rng.integers(n))], "m-k": list(range(n - 6, n)),
             "random": [int(r) for r in rng.choice(n, size=11, replace=False)]}[support]
     for _, brdf in corpus[8:]:
-        got = measure_brdf(brdf, SupportSet(indices=rows), bundle, material_id="x")
+        got = map_cells(brdf, bundle.reference, bundle.row_map, rows)
         want = measure(allocating_log_relative_map(brdf, bundle.reference, bundle.row_map),
-                       SupportSet(indices=rows), material_id="x")
-        assert got.values.tobytes() == want.values.tobytes()
-        assert (got.provenance, got.material_id) == (want.provenance, want.material_id)
+                       SupportSet(indices=rows))
+        assert got.tobytes() == want.values.tobytes()
 
 
 def test_measure_brdf_errors(rng):
+    # map_cells refuses a BRDF of another resolution and an invalid sampled
+    # cell; ridge_fit refuses a support with no row or a row outside [0, n)
     bundle, _ = _trained_bundle(rng)
-    rm = bundle.row_map
+    rm, ref = bundle.row_map, bundle.reference
     brdf = make_random_tensor(rng, invalid_frac=0.0)
     with pytest.raises(ShapeMismatchError, match=r"n_theta_h=4.*n_theta_h=8"):
-        measure_brdf(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)),
-                     SupportSet(indices=[0]), bundle)
-    with pytest.raises(IndexOutOfRangeError):
-        measure_brdf(brdf, SupportSet(indices=[]), bundle)
-    with pytest.raises(IndexOutOfRangeError):
-        measure_brdf(brdf, SupportSet(indices=[0, rm.n_valid]), bundle)
-    with pytest.raises(IndexOutOfRangeError):
-        measure_brdf(brdf, SupportSet(indices=[-1]), bundle)
+        map_cells(make_random_tensor(rng, res=BrdfResolution(4, 4, 4)), ref, rm, [0])
+    for rows in ([], [0, rm.n_valid], [-1]):
+        with pytest.raises(IndexOutOfRangeError):
+            ridge_fit(np.zeros((3, len(rows))), SupportSet(indices=rows), bundle, 40.0)
     # only the support's cells must be valid
     mask = np.ones(rm.resolution.grid_size, dtype=bool)
     mask[rm.grid_indices[[3, 9]]] = False
     values = np.where(mask, brdf.values, -1.0)
     holey = type(brdf)(rm.resolution, values, mask)
-    assert measure_brdf(holey, SupportSet(indices=[0, 4]), bundle).values.shape == (3, 2)
+    assert map_cells(holey, ref, rm, [0, 4]).shape == (3, 2)
     with pytest.raises(InvalidSampleError,
                        match=rf"grid cell {rm.grid_indices[9]}, which support row 9"):
-        measure_brdf(holey, SupportSet(indices=[0, 9, 3]), bundle)
+        map_cells(holey, ref, rm, [0, 9, 3])
 
 
 # doubles a measured file may hold at any cell: NaN, infinities, sentinels,
@@ -168,10 +164,11 @@ def _measured_file(draw, row_map):
 
 
 def _measured(read, path, rows, bundle):
-    """measure_brdf's values from the file read, or its error's type and
-    message."""
+    """reconstruct's samples from the file read, or its error's type and
+    message: the file is read, the rows checked, then their cells mapped."""
     try:
-        return measure_brdf(read(path), SupportSet(indices=rows), bundle).values
+        return map_cells(read(path), bundle.reference, bundle.row_map,
+                         SupportSet(indices=rows).rows(bundle.row_map.n_valid))
     except Exception as exc:  # noqa: BLE001 - any error must match the oracle's
         return type(exc), str(exc)
 
@@ -354,7 +351,7 @@ def test_synthesize_overflow_is_merl_format_error(rng):
 def test_reconstruct_reports_ridge_condition(rng):
     bundle, mapped = _trained_bundle(rng, count=8, k=5)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(3))
-    fit = ridge_fit(measure(mapped[0], support), bundle, 40.0)
+    fit = ridge_fit(measure(mapped[0], support).values, support, bundle, 40.0)
     svals = np.linalg.svd(bundle.pca.atoms[list(support.indices), :3], compute_uv=False)
     assert fit.condition == pytest.approx(svals[0] / svals[-1], rel=1e-12)
 
@@ -448,7 +445,7 @@ def test_reconstruct_shape_contract(rng, tmp_path):
     written = read_merl(tmp_path / "recon.binary")
     assert written.values.shape == (3, res.grid_size)
     assert written.resolution == res
-    assert ridge_fit(samples, bundle, 40.0).residuals.shape == (3,)
+    assert ridge_fit(samples.values, support, bundle, 40.0).residuals.shape == (3,)
 
 
 def test_reconstruct_full_merl_resolution(tmp_path):
@@ -459,7 +456,8 @@ def test_reconstruct_full_merl_resolution(tmp_path):
     bundle = train_bundle(*corpus_matrix([(s.material_id, b) for s, b in corpus], rm),
                           rm, 6)
     support = somp_select(bundle.pca.inverse, bundle.pca.coeffs, SampleBudget(6))
-    result = reconstruct_full(measure_brdf(corpus[0][1], support, bundle), bundle)
+    mapped = log_relative_map(corpus[0][1], bundle.reference, bundle.row_map)
+    result = reconstruct_full(measure(mapped, support), bundle)
     assert result.mapped.values.shape == (3, bundle.row_map.n_valid)
     write_reconstruction(bundle, result.coefficients, tmp_path / "recon.binary")
     written = open_merl(tmp_path / "recon.binary")
@@ -581,8 +579,8 @@ def test_write_reconstruction_builds_no_tensor(tmp_path, rng, monkeypatch):
     bundle, mapped = _trained_bundle(rng, count=6, k=5, res=res)
     save_bundle(bundle, tmp_path / "bundle")
     bundle = load_bundle(tmp_path / "bundle")
-    fit = ridge_fit(measure(mapped[0], SupportSet(indices=tuple(range(0, 50, 10)))), bundle,
-                    40.0)
+    support = SupportSet(indices=tuple(range(0, 50, 10)))
+    fit = ridge_fit(measure(mapped[0], support).values, support, bundle, 40.0)
     del mapped
     tensor_bytes = 3 * res.grid_size * 8
     tracemalloc.start()
@@ -674,7 +672,7 @@ def test_ridge_fit_is_reconstruct_full_s(rng):
     bundle, mapped = _trained_bundle(rng, count=8, k=5)
     for m in (3, 5, 7):
         samples = measure(mapped[1], SupportSet(indices=tuple(range(2, 2 + 9 * m, 9))))
-        fit = ridge_fit(samples, bundle, 40.0)
+        fit = ridge_fit(samples.values, samples.support, bundle, 40.0)
         result = reconstruct_full(samples, bundle, 40.0)
         assert fit.coefficients.tobytes() == result.coefficients.tobytes()
         # the fit's diagnostics are those of the reconstruction's sampled rows

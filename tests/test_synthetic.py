@@ -110,5 +110,8 @@ def test_parameter_validation():
         MaterialSpec("x", "ggx", roughness=0.0)
     with pytest.raises(ParameterRangeError):
         MaterialSpec("x", "blinn-phong", shininess=-1.0)
+    for f0 in (-0.1, 1.5):
+        with pytest.raises(ParameterRangeError, match=rf"f0 {f0} outside \[0, 1\]"):
+            MaterialSpec("x", "ggx", f0=f0)
     with pytest.raises(ParameterRangeError):
         gen_corpus(0, 0, RES)
