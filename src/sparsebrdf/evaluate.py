@@ -22,6 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -348,8 +349,6 @@ class _HeldOut:
     def __init__(self, x: np.ndarray, bundle):
         self.bundle, pca = bundle, bundle.pca
         materials = x.shape[0] // 3
-        self.mapped = [MappedBrdf(x[3 * i:3 * i + 3], bundle.reference.key)
-                       for i in range(materials)]
         self.n_cells = x.size // materials
         self.signal = np.sum((x * x).reshape(materials, -1), axis=1)
         self.x, self.mean = x, pca.mean
@@ -364,6 +363,12 @@ class _HeldOut:
         self.mean_peak = float(pca.mean.max()) + float(
             np.log(bundle.reference.values.max() + bundle.reference.epsilon))
         self.atom_peak = np.abs(pca.atoms).max(axis=0)
+
+    @cached_property
+    def mapped(self) -> list:
+        """The held-out MappedBrdfs, built with the key when the direct path first runs."""
+        return [MappedBrdf(self.x[i:i + 3], self.bundle.reference.key)
+                for i in range(0, self.x.shape[0], 3)]
 
     def metrics(self, support: SupportSet, eta: float) -> list:
         """One metrics dict per held-out material for reconstructing it from
@@ -388,9 +393,9 @@ class _HeldOut:
         peak = (self.mean_peak + np.abs(solution).T @ self.atom_peak[:k]).reshape(
             per_material).max(axis=1)
         out = []
-        for i, mb in enumerate(self.mapped):
+        for i in range(len(error)):
             if error[i] <= _CANCELLATION * scale[i] or peak[i] >= _UNMAP_LIMIT:
-                out.append(_direct_metrics(mb, support, bundle, eta))
+                out.append(_direct_metrics(self.mapped[i], support, bundle, eta))
             else:
                 out.append(_metrics(float(error[i]) / self.n_cells,
                                     _snr(float(self.signal[i]), float(error[i]))))

@@ -57,6 +57,7 @@ import numpy as np
 from . import dictionary, parallel
 from .errors import (
     BudgetTooLargeError,
+    BundleFormatError,
     CoherenceBoundError,
     ConfigError,
     IndexOutOfRangeError,
@@ -77,6 +78,9 @@ _SUB_BLOCK = 1152
 
 # size of cumulative_coherence's correlation block
 _COHERENCE_BLOCK_BYTES = 128 << 20
+
+# a NaN or overflowing atom value reaches the inverse column of its row
+_NON_FINITE_COLUMN = "atoms must give inverse columns of finite norm"
 
 # a pick whose component outside earlier picks is below norm / this is dependent
 DEFAULT_COND_LIMIT = 1e12
@@ -304,6 +308,8 @@ class _BoundedScan:
             parallel._run(self._pool, score, cuts)
             scores[sel[(sel >= start) & (sel < stop)] - start] = -np.inf
             i = int(np.argmax(scores))
+            if np.isnan(scores[i]):  # a non-finite column, which _select refuses
+                return start + i
             if scores[i] > best or (scores[i] == best and start + i < best_j):
                 best, best_j = scores[i], start + i
             self.blocks_scored += 1
@@ -360,7 +366,10 @@ def _unit_columns(dinv: np.ndarray) -> np.ndarray:
     that they are the whole F-order array's column norms."""
     for start in range(0, dinv.shape[1], _SCAN_BLOCK):
         cols = dinv[:, start:start + _SCAN_BLOCK]
-        norms = np.linalg.norm(np.asfortranarray(cols), axis=0)
+        with np.errstate(over="ignore"):  # a norm that overflows is refused below
+            norms = np.linalg.norm(np.asfortranarray(cols), axis=0)
+        if not np.all(norms < np.inf):  # NaN included
+            raise BundleFormatError(_NON_FINITE_COLUMN)
         norms[norms == 0.0] = 1.0
         cols /= norms
     return dinv
@@ -369,7 +378,8 @@ def _unit_columns(dinv: np.ndarray) -> np.ndarray:
 def _select(scanned: np.ndarray, coeffs: np.ndarray, stop: StoppingRule,
             column) -> SupportSet:
     """The greedy loop: picks from the scan of the C-order array scanned,
-    each pick's basis direction from column(j), dinv's raw column j."""
+    each pick's basis direction from column(j), dinv's raw column j, which
+    must have a finite norm: else the bundle, not the training set, is at fault."""
     coeffs = np.asarray(coeffs, dtype=np.float64)
     k, n = scanned.shape
     if isinstance(stop, SampleBudget):
@@ -395,13 +405,17 @@ def _select(scanned: np.ndarray, coeffs: np.ndarray, stop: StoppingRule,
             j = scan.pick(residual, selected)
             selected.append(j)
             raw = column(j)
+            with np.errstate(over="ignore"):  # a norm that overflows is refused here
+                raw_norm = np.linalg.norm(raw)
+            if not raw_norm < np.inf:  # NaN included
+                raise BundleFormatError(_NON_FINITE_COLUMN)
             col = raw.copy()
             # orthogonalize twice; a second pass restores orthogonality lost
             # to cancellation in the first
             for _ in range(2):
                 col -= basis @ (basis.T @ col)
             norm = np.linalg.norm(col)
-            if norm <= np.linalg.norm(raw) / DEFAULT_COND_LIMIT:
+            if norm <= raw_norm / DEFAULT_COND_LIMIT:
                 raise RankCollapseError(
                     "selected columns became numerically dependent; the "
                     "training set cannot support more samples"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,9 +66,23 @@ def halfdiff_to_io(theta_h, theta_d, phi_d):
     return wi, wo
 
 
-def _eval_channels(spec: MaterialSpec, theta_h, theta_d, cos_i, cos_o):
-    cos_h = np.cos(theta_h)
-    cos_d = np.cos(theta_d)
+@lru_cache(maxsize=1)
+def _valid_geometry(res: BrdfResolution) -> tuple:
+    """The horizon mask and, at its valid cells, cos theta_h, cos_i, cos_o and
+    (1 - cos theta_d)^5: all the models read of the grid, computed once per
+    resolution and read-only, since every gen_brdf call at it shares them."""
+    theta_h, theta_d, phi_d = bin_center_angles(res)
+    wi, wo = halfdiff_to_io(theta_h, theta_d, phi_d)
+    cos_i, cos_o = wi[:, 2], wo[:, 2]
+    mask = (cos_i >= HORIZON_COS) & (cos_o >= HORIZON_COS)
+    geometry = (mask, np.cos(theta_h[mask]), cos_i[mask], cos_o[mask],
+                np.power(1.0 - np.cos(theta_d[mask]), 5.0))
+    for array in geometry:
+        array.setflags(write=False)
+    return geometry
+
+
+def _eval_channels(spec: MaterialSpec, cos_h, cos_i, cos_o, schlick):
     albedo = np.asarray(spec.albedo)[:, None]
     diffuse = albedo / np.pi * np.ones_like(cos_h)
 
@@ -86,7 +101,7 @@ def _eval_channels(spec: MaterialSpec, theta_h, theta_d, cos_i, cos_o):
     alpha2 = spec.roughness ** 4
     denom = cos_h * cos_h * (alpha2 - 1.0) + 1.0
     ndf = alpha2 / (np.pi * denom * denom)
-    fresnel = spec.f0 + (1.0 - spec.f0) * np.power(1.0 - cos_d, 5.0)
+    fresnel = spec.f0 + (1.0 - spec.f0) * schlick
     lam_i = cos_o * np.sqrt(alpha2 + (1.0 - alpha2) * cos_i * cos_i)
     lam_o = cos_i * np.sqrt(alpha2 + (1.0 - alpha2) * cos_o * cos_o)
     vis = 2.0 * cos_i * cos_o / (lam_i + lam_o)
@@ -99,20 +114,14 @@ def gen_brdf(spec: MaterialSpec, res: BrdfResolution) -> BrdfTensor:
 
     Bins whose reconstructed incident or outgoing direction dips below the
     horizon are masked invalid, so masking code paths see the same structure
-    as measured data.  The mask depends only on the resolution.  Each value
-    is one a MERL file can hold, as read_merl reads it back, so a written
-    corpus evaluates exactly as the generated one.
+    as measured data.  The mask depends only on the resolution, and is
+    computed once per resolution with the cosines the models read.  Each
+    value is one a MERL file can hold, as read_merl reads it back, so a
+    written corpus evaluates exactly as the generated one.
     """
-    theta_h, theta_d, phi_d = bin_center_angles(res)
-    wi, wo = halfdiff_to_io(theta_h, theta_d, phi_d)
-    cos_i = wi[:, 2]
-    cos_o = wo[:, 2]
-    mask = (cos_i >= HORIZON_COS) & (cos_o >= HORIZON_COS)
-
+    mask, *cosines = _valid_geometry(res)
     values = np.full((3, res.grid_size), INVALID_SENTINEL)
-    vals = _eval_channels(
-        spec, theta_h[mask], theta_d[mask], cos_i[mask], cos_o[mask]
-    )
+    vals = _eval_channels(spec, *cosines)
     scale = MERL_SCALES[:, None]
     values[:, mask] = np.maximum(vals, 0.0) / scale * scale
     return BrdfTensor(res, values, mask)

@@ -35,10 +35,12 @@ from sparsebrdf.merl import (
     BrdfResolution,
     BrdfTensor,
     RowMap,
+    bin_center_angles,
     corpus_mask,
     read_merl,
 )
 import sparsebrdf.somp as somp
+import sparsebrdf.synthetic as synthetic
 from sparsebrdf.reconstruct import MeasurementVector, ridge_solve
 from sparsebrdf.somp import DEFAULT_COND_LIMIT, SampleBudget, SupportSet
 
@@ -446,3 +448,21 @@ def tensor_dict_experiment(config: evaluate.ExperimentConfig) -> tuple:
         rows.extend(evaluate._evaluate_fold(config, fold, test_ids, bundle, held_out,
                                             supports))
     return rows, supports
+
+
+def uncached_gen_brdf(spec: synthetic.MaterialSpec, res: BrdfResolution) -> BrdfTensor:
+    """gen_brdf with the grid's geometry computed on every call: the horizon
+    mask and, at its valid cells, the cosines and Schlick term the models
+    read, each by the expression the library caches per resolution."""
+    theta_h, theta_d, phi_d = bin_center_angles(res)
+    wi, wo = synthetic.halfdiff_to_io(theta_h, theta_d, phi_d)
+    cos_i = wi[:, 2]
+    cos_o = wo[:, 2]
+    mask = (cos_i >= synthetic.HORIZON_COS) & (cos_o >= synthetic.HORIZON_COS)
+    cos_d = np.cos(theta_d[mask])
+    vals = synthetic._eval_channels(spec, np.cos(theta_h[mask]), cos_i[mask], cos_o[mask],
+                                    np.power(1.0 - cos_d, 5.0))
+    values = np.full((3, res.grid_size), INVALID_SENTINEL)
+    scale = MERL_SCALES[:, None]
+    values[:, mask] = np.maximum(vals, 0.0) / scale * scale
+    return BrdfTensor(res, values, mask)

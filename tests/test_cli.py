@@ -1114,6 +1114,23 @@ def test_reconstruct_derives_no_reference_key(bundle_dir, corpus_dir, support_m3
     assert read_merl(tmp_path / "r.binary").resolution == BrdfResolution(8, 8, 8)
 
 
+def test_closed_form_evaluate_derives_no_reference_key(tmp_path, capsys, monkeypatch):
+    # every row of this config is scored in closed form, and only the direct
+    # path reads the held-out materials' provenance
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[corpus]\nsource = synthetic\nseed = 5\ncount = 9\nres = 8\n\n"
+                   "[selection]\nm = 3,4\n\n"
+                   "[experiment]\nfolds = 3\nseed = 2\nrandom_trials = 2\n")
+    monkeypatch.setattr(ReferenceBrdf, "key", property(
+        lambda self: pytest.fail("evaluate derived the reference key")))
+    code, out, err = run_cli(capsys, "evaluate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+    assert (code, err) == (0, ""), err
+    rows = [json.loads(line) for line in
+            (tmp_path / "out" / "report.jsonl").read_text().splitlines()]
+    assert all(r["status"] == "ok" for r in rows if r["record"] == "result")
+
+
 @pytest.mark.parametrize("row", ["negative", "n"])
 def test_record_row_outside_the_bundle_is_one_line_error(row, bundle_dir, corpus_dir,
                                                          support_m3, tmp_path, capsys):
@@ -1176,6 +1193,24 @@ def test_coherence_of_a_non_finite_norm_is_one_line_error(value, bundle_dir, tmp
     assert (code, out) == (1, "")
     assert err == ("error: ZeroColumnError: cannot normalize a column of zero or non-finite "
                    "norm\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize-atoms"]], ids=["raw", "normalized"])
+@pytest.mark.parametrize("value", [np.nan, 1e200], ids=["nan", "norm-overflow"])
+def test_select_samples_on_a_non_finite_inverse_column_is_one_line_error(value, flags,
+                                                                        bundle_dir, tmp_path,
+                                                                        capsys):
+    # the atom value reaches the inverse column of its row; a NaN column is
+    # picked and refused, not blamed on the training set as a dependent pick,
+    # and a finite column whose norm overflows is refused without a warning
+    broken = _bundle_with_value(bundle_dir, tmp_path / "bundle", "atoms", 7, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "select-samples", "--dict", str(broken), "--m", "3",
+                                 *flags, "--out", str(tmp_path / "s.json"))
+    assert (code, out) == (1, "")
+    assert err == "error: BundleFormatError: atoms must give inverse columns of finite norm\n"
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_unknown_flag_usage_error(capsys):

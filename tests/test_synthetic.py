@@ -3,16 +3,30 @@ import math
 import numpy as np
 import pytest
 
+import sparsebrdf.synthetic as synthetic
 from sparsebrdf.errors import ParameterRangeError
 from sparsebrdf.merl import BrdfResolution, index_to_direction
 from sparsebrdf.synthetic import (
+    MODELS,
     MaterialSpec,
     gen_brdf,
     gen_corpus,
     halfdiff_to_io,
 )
 
+from oracles import uncached_gen_brdf
+
 RES = BrdfResolution(16, 16, 16)
+
+
+def _spec(model: str) -> MaterialSpec:
+    return MaterialSpec(f"{model}-spec", model, albedo=(0.3, 0.5, 0.7),
+                        specular=(0.9, 0.6, 0.2), shininess=40.0, roughness=0.2, f0=0.6)
+
+
+def _assert_same_tensor(got, want):
+    assert np.array_equal(got.values, want.values)
+    assert np.array_equal(got.mask, want.mask)
 
 
 def test_lambertian_constant():
@@ -84,6 +98,46 @@ def test_mask_is_geometry_only():
     for m in masks[1:]:
         assert np.array_equal(m, masks[0])
     assert 0 < masks[0].sum() < RES.grid_size
+
+
+@pytest.mark.parametrize("res", [BrdfResolution(16, 16, 16), BrdfResolution(5, 7, 9),
+                                 BrdfResolution(30, 30, 60)], ids=["16", "5x7x9", "30x30x60"])
+@pytest.mark.parametrize("model", MODELS)
+def test_gen_brdf_is_the_uncached_oracle_bit_for_bit(model, res):
+    _assert_same_tensor(gen_brdf(_spec(model), res), uncached_gen_brdf(_spec(model), res))
+
+
+def test_geometry_cache_keeps_one_resolution_and_evicts_it():
+    synthetic._valid_geometry.cache_clear()
+    a, b = BrdfResolution(8, 8, 8), BrdfResolution(10, 9, 12)
+    for res in (a, b, a):
+        for model in MODELS:
+            _assert_same_tensor(gen_brdf(_spec(model), res), uncached_gen_brdf(_spec(model), res))
+    info = synthetic._valid_geometry.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+
+
+def test_cached_geometry_is_read_only():
+    geometry = synthetic._valid_geometry(RES)
+    assert len(geometry) == 5
+    for array in geometry:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = array[0]
+
+
+def test_gen_corpus_computes_the_geometry_once(monkeypatch):
+    calls = []
+    real = synthetic.halfdiff_to_io
+
+    def counting(*angles):
+        calls.append(1)
+        return real(*angles)
+
+    monkeypatch.setattr(synthetic, "halfdiff_to_io", counting)
+    # a resolution no other test generates, so the cache cannot already hold it
+    gen_corpus(3, 5, BrdfResolution(6, 7, 11))
+    assert len(calls) == 1
 
 
 def test_corpus_reproducible():
